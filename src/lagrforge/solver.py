@@ -202,9 +202,9 @@ class LinearSystem:
 def collect_system(residuals, ansatz: MultiplierAnsatz, tags=None) -> LinearSystem:
     """Turn residual expressions into exact rows over the ansatz unknowns.
 
-    Each residual is cleared of parameter denominators by the minimal
-    parameter monomial, then split by monomials in everything that is not
-    an unknown; each monomial contributes one homogeneous row.
+    Each residual is split by monomials in everything that is not an
+    unknown; each monomial contributes one homogeneous row, tagged with
+    the residual's (k, alpha) and that monomial.
     """
     ncols = len(ansatz.columns)
     col_index = ansatz.col_index
@@ -214,14 +214,6 @@ def collect_system(residuals, ansatz: MultiplierAnsatz, tags=None) -> LinearSyst
         monos = monomials(resid)
         if len(monos) == 1 and monos[0][0] == 0:
             continue
-        mins: dict = {}
-        for _, pairs in monos:
-            for atom, n in pairs:
-                if n < 0 and isinstance(atom, Sym) \
-                        and atom.info.role == Role.GROUP_PARAMETER:
-                    key = atom.sort_key()
-                    mins[key] = min(mins.get(key, 0), n)
-        shift = {k: -v for k, v in mins.items()}
         grouped: dict = {}
         for coeff, pairs in monos:
             if coeff == 0:
@@ -236,75 +228,57 @@ def collect_system(residuals, ansatz: MultiplierAnsatz, tags=None) -> LinearSyst
                             "multipliers must enter the Lagrangian linearly")
                     unknown = atom.info
                 else:
-                    k = atom.sort_key()
-                    if k in shift:
-                        n = n + shift[k]
-                    if n != 0:
-                        rest.append((atom, n))
+                    rest.append((atom, n))
             if unknown is None:
                 raise NonlinearInUnknownsError(
                     "residual carries a term free of ansatz unknowns")
-            # parameters absent from this monomial still pick up the
-            # clearing factor so one multiplication covers the whole row
-            for key, s in shift.items():
-                if not any(a.sort_key() == key for a, _ in pairs):
-                    atom = _atom_by_key(monos, key)
-                    rest.append((atom, s))
             sig_pairs = tuple(sorted(rest, key=lambda p: p[0].sort_key()))
             sig = tuple((a.sort_key(), n) for a, n in sig_pairs)
-            row = grouped.setdefault(sig, [Fraction(0)] * ncols)
+            _, row = grouped.setdefault(sig, (sig_pairs, [Fraction(0)] * ncols))
             row[col_index[unknown]] += coeff
         tag_base = tags[ridx] if tags else (0, 0)
         for sig in sorted(grouped.keys()):
-            row = grouped[sig]
+            sig_pairs, row = grouped[sig]
             if all(v == 0 for v in row):
                 continue
-            pairs = _pairs_from_sig(monos, sig)
             rows.append(row)
             out_tags.append(RowTag(tag_base[0], tag_base[1],
-                                   str(monomial_expr(Fraction(1), pairs))))
+                                   str(monomial_expr(Fraction(1), sig_pairs))))
     return LinearSystem(columns=ansatz.columns, rows=rows, tags=out_tags)
 
 
-def _atom_by_key(monos, key):
-    for _, pairs in monos:
-        for atom, _ in pairs:
-            if atom.sort_key() == key:
-                return atom
-    raise AssertionError("atom key vanished during clearing")
-
-
-def _pairs_from_sig(monos, sig):
-    atoms = {}
-    for _, pairs in monos:
-        for atom, _ in pairs:
-            atoms[atom.sort_key()] = atom
-    return tuple((atoms[k], n) for k, n in sig if k in atoms)
-
-
 def rref(matrix, ncols: int):
-    """Reduced row echelon form over exact rationals; returns (rows, pivots)."""
-    rows = [list(r) for r in matrix]
+    """Reduced row echelon form over exact rationals; returns (rows, pivots).
+
+    Gauss-Jordan on sparse {column: Fraction} rows.  Pivots are taken
+    column by column, each from the shortest candidate row to limit
+    fill-in; the reduced form is unique, so that choice never shows.
+    """
+    pending = [d for d in ({c: Fraction(v) for c, v in enumerate(row) if v}
+                           for row in matrix) if d]
+    reduced = []
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
+        candidates = [i for i, d in enumerate(pending) if c in d]
+        if not candidates:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot = pending.pop(min(candidates, key=lambda i: len(pending[i])))
+        inv = 1 / pivot[c]
+        pivot = {j: v * inv for j, v in pivot.items()}
+        for d in itertools.chain(pending, reduced):
+            f = d.get(c)
+            if f is None:
+                continue
+            for j, v in pivot.items():
+                w = d.get(j, 0) - f * v
+                if w:
+                    d[j] = w
+                else:
+                    d.pop(j, None)
+        reduced.append(pivot)
         pivots.append(c)
-        r += 1
-    return rows[:r], pivots
+    zero = Fraction(0)
+    return [[d.get(j, zero) for j in range(ncols)] for d in reduced], pivots
 
 
 def nullspace_vectors(system: LinearSystem):
@@ -423,16 +397,39 @@ def _basis_vector(ansatz: MultiplierAnsatz, lambda_map: dict):
 
 
 def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
-    """Collect the weak E-L system and assemble the solution family."""
-    residuals = []
-    tags = []
-    for k in range(1, lie.r + 1):
-        L = ansatz.lagrangian_component(k)
-        for alpha in range(1, lie.n + 1):
-            residuals.append(weak_el_residual_of(lie, L, alpha))
-            tags.append((k, alpha))
-    system = collect_system(residuals, ansatz, tags)
-    vectors = nullspace_vectors(system)
+    """Collect the weak E-L system and assemble the solution family.
+
+    The components L_k differ only in the names of their unknowns, and
+    each k owns a consecutive run of columns, so the system is r copies
+    of one diagonal block.  Only the block of L_1 is collected and
+    reduced; the full rows, RREF and nullspace are its copies shifted
+    into place.
+    """
+    L = ansatz.lagrangian_component(1)
+    alphas = range(1, lie.n + 1)
+    collected = collect_system([weak_el_residual_of(lie, L, alpha)
+                                for alpha in alphas], ansatz,
+                               [(1, alpha) for alpha in alphas])
+    width = lie.n * lie.r * len(ansatz.basis)
+    block = LinearSystem(columns=ansatz.columns[:width],
+                         rows=[row[:width] for row in collected.rows],
+                         tags=collected.tags)
+    block_vectors = nullspace_vectors(block)
+    reduced, pivots = block.rref()
+
+    zero = Fraction(0)
+    ks = range(lie.r)
+
+    def place(row, k):
+        return [zero] * (k * width) + row + [zero] * ((lie.r - 1 - k) * width)
+
+    system = LinearSystem(
+        columns=ansatz.columns,
+        rows=[place(row, k) for k in ks for row in block.rows],
+        tags=[RowTag(k + 1, t.alpha, t.monomial) for k in ks for t in block.tags],
+        _rref_cache=([place(row, k) for k in ks for row in reduced],
+                     [p + k * width for k in ks for p in pivots]))
+    vectors = [place(vec, k) for k in ks for vec in block_vectors]
 
     members = []
     for vec in vectors:

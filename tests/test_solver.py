@@ -1,5 +1,6 @@
 """Multiplier ansatz, exact linear system, and the Lagrangian family."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,92 @@ def test_rref_exact():
                             [Fraction(4), Fraction(2)]], 2)
     assert reduced == [[Fraction(1), Fraction(1, 2)]]
     assert pivots == [0]
+
+
+def _random_sparse_matrix(seed):
+    """Sparse rational rows with zero, duplicate and dependent rows mixed
+    in; seed 0 gives the 0-row case."""
+    rng = random.Random(seed)
+    nrows = 0 if seed == 0 else rng.randint(1, 12)
+    ncols = rng.randint(1, 10)
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif rows and kind < 0.3:
+            u, v = rng.choice(rows), rng.choice(rows)
+            a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), \
+                Fraction(rng.randint(-3, 3))
+            rows.append([a * x + b * y for x, y in zip(u, v)])
+        elif kind < 0.4:
+            rows.append([Fraction(0)] * ncols)
+        else:
+            rows.append([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                         if rng.random() < 0.25 else Fraction(0)
+                         for _ in range(ncols)])
+    return rows, ncols
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_rref_matches_sympy(seed):
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    rows, ncols = _random_sparse_matrix(seed)
+    reduced, pivots = rref(rows, ncols)
+    expected, expected_pivots = DomainMatrix(
+        [[QQ(v.numerator, v.denominator) for v in row] for row in rows],
+        (len(rows), ncols), QQ).rref()
+    assert pivots == list(expected_pivots)
+    assert reduced == [[Fraction(v.numerator, v.denominator) for v in row]
+                       for row in expected.to_list()[:len(pivots)]]
+
+
+SE2_SOURCE = """
+group se2 {
+  params: t, a, b;
+  coords: X1, X2;
+  identity: (0, 0, 0);
+  inverse: (-t, -a*cos(t) - b*sin(t), a*sin(t) - b*cos(t));
+  multiply: (lhs.t + rhs.t,
+             lhs.a + rhs.a*cos(lhs.t) - rhs.b*sin(lhs.t),
+             lhs.b + rhs.a*sin(lhs.t) + rhs.b*cos(lhs.t));
+  action: (X1*cos(t) - X2*sin(t) + a, X1*sin(t) + X2*cos(t) + b);
+}
+"""
+
+
+@pytest.mark.parametrize("source, r, deg_g",
+                         [("affine1", 2, (-1, 0)), ("se2", 3, (0, 0))])
+def test_block_solve_matches_full_system(source, r, deg_g, affine_lie):
+    # solve_family reduces the block of L_1 only and replicates it r times;
+    # collecting every (k, alpha) residual must give the same system
+    lie = affine_lie if source == "affine1" else \
+        lf.constraints(lf.parse(SE2_SOURCE))
+    assert lie.r == r
+    ansatz = lf.build_ansatz(lie, deg_x=1, deg_g=deg_g)
+    family = lf.solve_family(lie, ansatz)
+    slots = [(k, a) for k in range(1, lie.r + 1) for a in range(1, lie.n + 1)]
+    full = lf.collect_system(
+        [lf.weak_el_residual_of(lie, ansatz.lagrangian_component(k), a)
+         for k, a in slots], ansatz, slots)
+    system = family.system
+    assert system.columns == full.columns
+    assert sorted(map(tuple, system.rows)) == sorted(map(tuple, full.rows))
+    assert sorted((t.k, t.alpha, t.monomial) for t in system.tags) == \
+        sorted((t.k, t.alpha, t.monomial) for t in full.tags)
+    assert system.rank == full.rank
+    assert system.rref() == rref(full.rows, len(full.columns))
+    # the members are independent and lie in the nullspace, so they span it
+    assert family.dimension == len(full.columns) - full.rank
+    vectors = [member.vector for member in family.members]
+    assert len(rref(vectors, len(full.columns))[1]) == family.dimension
+    sparse_rows = [[(j, c) for j, c in enumerate(row) if c] for row in full.rows]
+    for member in family.members:
+        for row in sparse_rows:
+            assert sum(c * member.vector[j] for j, c in row) == 0
 
 
 def test_nullspace_orthogonal_to_rows(so2_family):
