@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Commands: parse, derive, solve, verify, example.  Output formats: text
-(human-readable), json (stable machine format; expressions in prefix
-notation), latex (math fragment).  Exit codes: 0 success, 1 a
-verification check failed, 2 bad input or usage.
+Commands: parse, derive, solve, verify, example.  Each runs the same
+stages, parse -> axioms -> derive -> solve -> verify, and stops after its
+last one.  Output formats: text (human-readable), json (stable machine
+format; expressions in prefix notation), latex (math fragment).  Exit
+codes: 0 success, 1 a group law or a verification check failed, 2 bad
+input or usage.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .dsl import (DslError, bundled_source, parse, pretty_print,
                   validate_axioms)
@@ -25,17 +28,18 @@ from .printing import latex_expr, prefix_expr
 from .solver import MAX_UNKNOWNS, build_ansatz, solve_family
 from .verify import build_report
 
+# Defaults of the solve and verify flags.
+FLAG_DEFAULTS = {
+    "deg_x": 1, "deg_g_min": 0, "deg_g_max": 0, "max_unknowns": MAX_UNKNOWNS,
+    "params": None, "numeric": False, "x0": None, "g_end": None,
+    "step": 1e-3, "orbit_tol": 1e-6,
+}
+# `example NAME` takes these, for each flag not given, before FLAG_DEFAULTS.
+# Without params, verification uses a generic seeded assignment.
 EXAMPLE_DEFAULTS = {
-    "so2": {
-        "deg_x": 1, "deg_g": (0, 0),
-        "params": {"a1": Fraction(0), "a2": Fraction(1)},
-        "numeric": True, "x0": (1.0, 0.0), "g_end": math.tau, "step": 1e-3,
-    },
-    "affine1": {
-        "deg_x": 1, "deg_g": (-1, 0),
-        "params": None,  # generic seeded assignment
-        "numeric": False, "x0": None, "g_end": None, "step": 1e-3,
-    },
+    "so2": {"deg_x": 1, "deg_g": (0, 0), "params": ["a1=0,a2=1"],
+            "numeric": True, "x0": "1,0", "g_end": math.tau},
+    "affine1": {"deg_x": 1, "deg_g": (-1, 0)},
 }
 
 
@@ -47,7 +51,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return run_stages(args)
     except DslError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -75,65 +79,59 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=EQUALS_TOL,
                        help="tolerance for numeric equality checks")
 
-    def solve_flags(p, required_defaults=True):
-        d = (lambda v: v) if required_defaults else (lambda v: None)
-        p.add_argument("--deg-x", type=int, default=d(1),
+    def solve_flags(p):
+        p.add_argument("--deg-x", type=int,
                        help="max exponent per field variable in multipliers")
-        p.add_argument("--deg-g-min", type=int, default=d(0),
+        p.add_argument("--deg-g-min", type=int,
                        help="min exponent per group parameter in multipliers")
-        p.add_argument("--deg-g-max", type=int, default=d(0),
+        p.add_argument("--deg-g-max", type=int,
                        help="max exponent per group parameter in multipliers")
-        p.add_argument("--max-unknowns", type=int, default=MAX_UNKNOWNS,
+        p.add_argument("--max-unknowns", type=int,
                        help="cap on ansatz unknowns")
 
-    def verify_flags(p, required_defaults=True):
-        d = (lambda v: v) if required_defaults else (lambda v: None)
-        p.add_argument("--params", action="append", default=None,
+    def verify_flags(p):
+        p.add_argument("--params", action="append",
                        metavar="NAME=VALUE,...",
                        help="free parameter values, exact rationals "
                             "(default: a generic seeded assignment)")
         p.add_argument("--numeric", action=argparse.BooleanOptionalAction,
-                       default=d(False),
                        help="run the numeric orbit integration")
-        p.add_argument("--x0", default=None, metavar="A,B,...",
+        p.add_argument("--x0", metavar="A,B,...",
                        help="initial point for the orbit integration")
-        p.add_argument("--g-end", type=float, default=None,
+        p.add_argument("--g-end", type=float,
                        help="final group parameter value for the orbit")
-        p.add_argument("--step", type=float, default=d(1e-3),
+        p.add_argument("--step", type=float,
                        help="orbit integration step")
-        p.add_argument("--orbit-tol", type=float, default=1e-6,
+        p.add_argument("--orbit-tol", type=float,
                        help="max allowed orbit deviation")
 
     p = sub.add_parser("parse", help="parse a group file and check axioms")
     p.add_argument("input", help="path to a .grp file or a bundled name")
     common(p)
-    p.set_defaults(handler=cmd_parse)
 
     p = sub.add_parser("derive", help="derive the Lie structure")
     p.add_argument("input")
     common(p)
-    p.set_defaults(handler=cmd_derive)
 
     p = sub.add_parser("solve", help="solve for the Lagrangian family")
     p.add_argument("input")
     common(p)
     solve_flags(p)
-    p.set_defaults(handler=cmd_solve)
+    p.set_defaults(**FLAG_DEFAULTS)
 
     p = sub.add_parser("verify", help="verify a family at parameter values")
     p.add_argument("input")
     common(p)
     solve_flags(p)
     verify_flags(p)
-    p.set_defaults(handler=cmd_verify)
+    p.set_defaults(**FLAG_DEFAULTS)
 
     p = sub.add_parser("example",
                        help="run the full pipeline with bundled defaults")
     p.add_argument("name", choices=sorted(EXAMPLE_DEFAULTS))
     common(p)
-    solve_flags(p, required_defaults=False)
-    verify_flags(p, required_defaults=False)
-    p.set_defaults(handler=cmd_example)
+    solve_flags(p)
+    verify_flags(p)
     return parser
 
 
@@ -165,7 +163,7 @@ def _seed_of(args) -> int:
 
 def _parse_params(chunks) -> dict:
     out = {}
-    for chunk in chunks or ():
+    for chunk in chunks:
         for item in chunk.split(","):
             item = item.strip()
             if not item:
@@ -191,17 +189,18 @@ def _generic_params(family, seed: int) -> dict:
             for p in family.free_params}
 
 
+def _apply_example_defaults(args) -> None:
+    defaults = dict(EXAMPLE_DEFAULTS[args.name])
+    defaults["deg_g_min"], defaults["deg_g_max"] = defaults.pop("deg_g")
+    for key, value in FLAG_DEFAULTS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, defaults.get(key, value))
+
+
 def _verdict(v: Equivalence) -> str:
     if v is None:
         return None
     return "Failed" if v == Equivalence.PROVED_UNEQUAL else v.value
-
-
-def _emit(payload: dict, lines, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +439,11 @@ def _latex_lines(title_rows) -> list:
     return lines
 
 
+def _spec_latex(spec) -> list:
+    return _latex_lines([(f"(S_g X)^{{{a + 1}}}", latex_expr(e))
+                         for a, e in enumerate(spec.action)])
+
+
 def _lie_latex(lie) -> list:
     rows = []
     for a in range(lie.n):
@@ -467,132 +471,69 @@ def _family_latex(family) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.
+# The command handler.
 
 
-def cmd_parse(args) -> int:
-    source = _load_source(args.input)
+def run_stages(args) -> int:
+    """Run parse -> axioms -> derive -> solve -> verify up to the command's
+    last stage and emit what was built.  A failed group law stops the run
+    after the axiom stage, with exit code 1."""
+    if args.command == "example":
+        last, source = "verify", bundled_source(args.name)
+        _apply_example_defaults(args)
+    else:
+        last, source = args.command, _load_source(args.input)
+
     spec = parse(source)
     seed = _seed_of(args)
     axioms = validate_axioms(spec, seed=seed, tol=args.tol)
-    payload = {"command": "parse", "group": _spec_payload(spec),
-               "axioms": _axioms_payload(axioms), "ok": axioms.ok}
-    lines = [f"group {spec.name}: {spec.r} parameter(s), "
-             f"{spec.n} coordinate(s)", ""]
-    lines.append(pretty_print(spec).rstrip())
-    lines.append("")
-    lines.extend(_axioms_text(axioms))
-    if args.format == "latex":
-        rows = [(f"(S_g X)^{{{a + 1}}}", latex_expr(e))
-                for a, e in enumerate(spec.action)]
-        lines = _latex_lines(rows)
-    _emit(payload, lines, args.format)
-    return 0 if axioms.ok else 1
-
-
-def cmd_derive(args) -> int:
-    source = _load_source(args.input)
-    spec = parse(source)
-    seed = _seed_of(args)
-    axioms = validate_axioms(spec, seed=seed, tol=args.tol)
-    lie = constraints(spec)
-    payload = {"command": "derive", "group": _spec_payload(spec),
-               "axioms": _axioms_payload(axioms), "lie": _lie_payload(lie),
-               "ok": axioms.ok}
+    payload = {"command": args.command, "group": _spec_payload(spec),
+               "axioms": _axioms_payload(axioms)}
     lines = [f"group {spec.name}: {spec.r} parameter(s), "
              f"{spec.n} coordinate(s)"]
-    lines.extend(_axioms_text(axioms))
-    lines.extend(_lie_text(lie))
-    if args.format == "latex":
-        lines = _lie_latex(lie)
-    _emit(payload, lines, args.format)
-    return 0 if axioms.ok else 1
+    if last == "parse":
+        lines += ["", pretty_print(spec).rstrip(), ""]
+    lines += _axioms_text(axioms)
+    latex = partial(_spec_latex, spec)
 
+    def finish(ok: bool) -> int:
+        payload["ok"] = ok
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print("\n".join(latex() if args.format == "latex" else lines))
+        return 0 if ok else 1
 
-def cmd_solve(args) -> int:
-    source = _load_source(args.input)
-    spec = parse(source)
-    seed = _seed_of(args)
-    axioms = validate_axioms(spec, seed=seed, tol=args.tol)
+    if not axioms.ok or last == "parse":
+        return finish(axioms.ok)
+
     lie = constraints(spec)
+    payload["lie"] = _lie_payload(lie)
+    lines += _lie_text(lie)
+    latex = partial(_lie_latex, lie)
+    if last == "derive":
+        return finish(True)
+
     ansatz = build_ansatz(lie, deg_x=args.deg_x,
                           deg_g=(args.deg_g_min, args.deg_g_max),
                           max_unknowns=args.max_unknowns)
     family = solve_family(lie, ansatz)
-    payload = {"command": "solve", "group": _spec_payload(spec),
-               "axioms": _axioms_payload(axioms), "lie": _lie_payload(lie),
-               "ok": axioms.ok}
     payload.update(_family_payload(ansatz, family))
-    lines = [f"group {spec.name}: {spec.r} parameter(s), "
-             f"{spec.n} coordinate(s)"]
-    lines.extend(_axioms_text(axioms))
-    lines.extend(_lie_text(lie))
-    lines.extend(_family_text(ansatz, family))
-    if args.format == "latex":
-        lines = _family_latex(family)
-    _emit(payload, lines, args.format)
-    return 0 if axioms.ok else 1
+    lines += _family_text(ansatz, family)
+    latex = partial(_family_latex, family)
+    if last == "solve":
+        return finish(True)
 
-
-def _run_verification(args, source, defaults=None) -> int:
-    d = defaults or {}
-
-    def pick(flag, key, fallback):
-        return flag if flag is not None else d.get(key, fallback)
-
-    deg_x = pick(args.deg_x, "deg_x", 1)
-    base = d.get("deg_g", (0, 0))
-    deg_g = (args.deg_g_min if args.deg_g_min is not None else base[0],
-             args.deg_g_max if args.deg_g_max is not None else base[1])
-    numeric = pick(args.numeric, "numeric", False)
-    step = pick(args.step, "step", 1e-3)
-    g_end = pick(args.g_end, "g_end", None)
-    x0 = _parse_x0(args.x0) if args.x0 is not None else d.get("x0")
-
-    spec = parse(source)
-    seed = _seed_of(args)
-    axioms = validate_axioms(spec, seed=seed, tol=args.tol)
-    lie = constraints(spec)
-    ansatz = build_ansatz(lie, deg_x=deg_x, deg_g=deg_g,
-                          max_unknowns=args.max_unknowns)
-    family = solve_family(lie, ansatz)
-
-    if args.params is not None:
-        params = _parse_params(args.params)
-    elif d.get("params") is not None:
-        params = dict(d["params"])
-    else:
-        params = _generic_params(family, seed)
-
-    report = build_report(family, params, numeric=numeric, x0=x0,
-                          g_end=g_end, step=step, orbit_tol=args.orbit_tol,
-                          samples=args.samples, seed=seed, tol=args.tol)
-    ok = axioms.ok and report.ok
-    payload = {"command": args.command, "group": _spec_payload(spec),
-               "axioms": _axioms_payload(axioms), "lie": _lie_payload(lie),
-               "ok": ok, "report": _report_payload(report)}
-    payload.update(_family_payload(ansatz, family))
-
-    lines = [f"group {spec.name}: {spec.r} parameter(s), "
-             f"{spec.n} coordinate(s)"]
-    lines.extend(_axioms_text(axioms))
-    lines.extend(_lie_text(lie))
-    lines.extend(_family_text(ansatz, family))
-    lines.extend(_report_text(report))
-    if args.format == "latex":
-        lines = _family_latex(family)
-    _emit(payload, lines, args.format)
-    return 0 if ok else 1
-
-
-def cmd_verify(args) -> int:
-    return _run_verification(args, _load_source(args.input))
-
-
-def cmd_example(args) -> int:
-    defaults = EXAMPLE_DEFAULTS[args.name]
-    return _run_verification(args, bundled_source(args.name),
-                             defaults=defaults)
+    x0 = _parse_x0(args.x0) if args.x0 is not None else None
+    params = (_parse_params(args.params) if args.params is not None
+              else _generic_params(family, seed))
+    report = build_report(family, params, numeric=args.numeric, x0=x0,
+                          g_end=args.g_end, step=args.step,
+                          orbit_tol=args.orbit_tol, samples=args.samples,
+                          seed=seed, tol=args.tol)
+    payload["report"] = _report_payload(report)
+    lines += _report_text(report)
+    return finish(report.ok)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,10 @@ from .expr import (DEFAULT_SEED, EQUALS_TOL, Cos, Expr, Power, Product,
 CLAUSES = ("params", "coords", "identity", "inverse", "multiply", "action")
 RESERVED = set(CLAUSES) | {"group", "sin", "cos", "lhs", "rhs"}
 AXIOM_SAMPLES = 100
+# Levels of '(', sin(/cos( and unary '-' one formula may nest.  The parser
+# and the expression kernel recurse once or more per level, so deeper
+# input would exhaust the interpreter stack.
+MAX_NESTING = 100
 
 
 class DslError(Exception):
@@ -125,6 +129,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -143,6 +148,17 @@ class _Parser:
                                    tok.line, tok.col)
         return self.advance()
 
+    def nested(self, tok: Token, inner):
+        """Parse `inner()` one nesting level below the one `tok` opens."""
+        if self.depth == MAX_NESTING:
+            raise GroupSyntaxError(
+                f"formula nested deeper than {MAX_NESTING} levels of '(', "
+                "sin/cos or unary '-'", tok.line, tok.col)
+        self.depth += 1
+        node = inner()
+        self.depth -= 1
+        return node
+
     # expression grammar -------------------------------------------------
     def expr(self):
         node = self.term()
@@ -160,8 +176,7 @@ class _Parser:
 
     def unary(self):
         if self.peek().kind == "-":
-            self.advance()
-            return ("neg", self.unary())
+            return ("neg", self.nested(self.advance(), self.unary))
         return self.power()
 
     def power(self):
@@ -182,15 +197,14 @@ class _Parser:
             self.advance()
             return ("int", int(tok.text))
         if tok.kind == "(":
-            self.advance()
-            node = self.expr()
+            node = self.nested(self.advance(), self.expr)
             self.expect(")")
             return node
         if tok.kind == "ident":
             self.advance()
             if tok.text in ("sin", "cos"):
                 self.expect("(", f"'(' after {tok.text}")
-                node = self.expr()
+                node = self.nested(tok, self.expr)
                 self.expect(")")
                 return ("call", tok.text, node)
             if tok.text in ("lhs", "rhs") and self.peek().kind == ".":

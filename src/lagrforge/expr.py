@@ -240,10 +240,6 @@ def as_expr(value) -> Expr:
     raise TypeError(f"cannot coerce {type(value).__name__} to an expression")
 
 
-def sym(info: SymbolInfo) -> Sym:
-    return Sym(info)
-
-
 # ---------------------------------------------------------------------------
 # Canonicalization.
 #

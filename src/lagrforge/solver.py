@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import (Expr, Power, RAT1, Rational, Role, Sym, SymbolInfo,
+from .expr import (Expr, Power, RAT0, RAT1, Rational, Role, Sym, SymbolInfo,
                    canonicalize, differentiate, monomial_expr, monomials,
                    substitute)
 
@@ -129,11 +129,6 @@ def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
 
 # ---------------------------------------------------------------------------
 # Weak Euler-Lagrange residuals.
-
-
-def weak_el_residual(lie, ansatz: MultiplierAnsatz, k: int, alpha: int) -> Expr:
-    """Weak E-L expression for component (k, alpha), reduced on shell."""
-    return weak_el_residual_of(lie, ansatz.lagrangian_component(k), alpha)
 
 
 def weak_el_residual_of(lie, L: Expr, alpha: int) -> Expr:
@@ -447,7 +442,10 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
     for key in ansatz.unknowns:
         total = None
         for p, member in zip(free_params, members):
-            term = Sym(p) * member.multipliers[key]
+            lam = member.multipliers[key]
+            if lam == RAT0:  # members of other blocks vanish on this key
+                continue
+            term = Sym(p) * lam
             total = term if total is None else total + term
         multipliers[key] = canonicalize(total) if total is not None \
             else Rational(0)

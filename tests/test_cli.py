@@ -1,8 +1,10 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -167,6 +169,144 @@ def test_example_flags_override_defaults(capsys):
     payload = json.loads(out)
     assert payload["ansatz"]["unknowns"] == 32
     assert code in (0, 1)
+
+
+# Exit code and sha256 of stdout for each (argv, format), recorded before the
+# command handlers were merged into one staged pipeline: any change here is a
+# change of output, not a refactor.
+GOLDEN = [
+    ("parse so2", "text", 0,
+     "f75fd83421fec697523091979e3582514dbe9f5421efdbb738fd83979eefddc6"),
+    ("parse so2", "json", 0,
+     "0a6a103e5b25a780bc7b3345b9ebc8c1522399ff9ed78275b4bba62abf045e8f"),
+    ("parse so2", "latex", 0,
+     "b85888159227104e58e3121ceb08a0210094cbd9fafea604f9adee297928bc38"),
+    ("parse affine1", "text", 0,
+     "17d6c0a170983fb6eb3d38bfbce71c32e88d8fde2cf202286f58f743e744090c"),
+    ("parse affine1", "json", 0,
+     "45845bd21c294ba912046014367a1049495d1f5e4d5ed063e2269f1298d58722"),
+    ("parse affine1", "latex", 0,
+     "22ab1a68c920174a763e60a656c0b417ab0e8bd34da5b64f3730b1ddc45b54d2"),
+    ("derive so2", "text", 0,
+     "06eb78e5b246911e257b330100b45dbbc5ac01f20a3d38ea0ed9c2a537f04ce2"),
+    ("derive so2", "json", 0,
+     "0c5a684327cfb9ea51a20385b7de19a66e6d4a400265889b17ff1bb63a299ce1"),
+    ("derive so2", "latex", 0,
+     "fc27a12bc1d2de49844e38a9d18b21c1ce6be0b6158bc2573f8e16986d51eef7"),
+    ("derive affine1", "text", 0,
+     "710f6d8ed03ccc18789c9b9e6f36dab7c522f92bc31beca9a710e8e34e24d627"),
+    ("derive affine1", "json", 0,
+     "0b79e84fb1e0d5ce57b6d31484991ebae5e538d4b570a3ab764451e0da2c698e"),
+    ("derive affine1", "latex", 0,
+     "a5825b5a8f3cb1b658da10e49d42048fd8e32c7c022f461ca3c3b27ca9e098a7"),
+    ("solve so2", "text", 0,
+     "bffca13b167d95b605a7009476a4e3b4cf358944436b2dc9eb08e6a0b1309b1a"),
+    ("solve so2", "json", 0,
+     "e2e7409c473abbbde346dff2ba1460b9fcf007094c117f514fa629f20e5e13f8"),
+    ("solve so2", "latex", 0,
+     "804b5d27a7cb1ce00329b6f209a0a723f9f5aa8711abb0856a929932be2cca82"),
+    ("solve affine1 --deg-g-min -1", "text", 0,
+     "960a64d99b82e389c432f9271adb884ea9d859ddc595036f9eb95014f1f4a35c"),
+    ("solve affine1 --deg-g-min -1", "json", 0,
+     "9a706cb3d16582e7ac015bb7d116ad21ff2961732d73380cfb5ee17295c56e8f"),
+    ("solve affine1 --deg-g-min -1", "latex", 0,
+     "35848f4d1283d98a0fef0e69c682d0c76e914de307bb42db2f28419729f6f446"),
+    ("verify so2", "text", 0,
+     "eb9e5236515adb0ef106545395648f6fea70dd096e910b9a6911eaf766ce508b"),
+    ("verify so2", "json", 0,
+     "d4eea91fa78414ff7c1d6eddf9461e6263267567167b75ad80de116390beba99"),
+    ("verify so2", "latex", 0,
+     "804b5d27a7cb1ce00329b6f209a0a723f9f5aa8711abb0856a929932be2cca82"),
+    ("verify affine1 --deg-g-min -1", "text", 0,
+     "462303d6f130e45bb317a2b492e8064e03bbd0b5672ca9246534d0d1d9f9ff34"),
+    ("verify affine1 --deg-g-min -1", "json", 0,
+     "7256806c5569a471ca27f185dfb679e7b4026b658c061f8a8ab595d15676126a"),
+    ("verify affine1 --deg-g-min -1", "latex", 0,
+     "35848f4d1283d98a0fef0e69c682d0c76e914de307bb42db2f28419729f6f446"),
+    ("verify so2 --params a2=0", "text", 1,
+     "ea80b137aede432390f647cea2262eb58245bf570438cf3d4c487a71a384ed25"),
+    ("verify so2 --params a2=0", "json", 1,
+     "6648e0565672dec33bf13fbce5def38a63af4ecacb2d8e58054d327dca7d7174"),
+    ("verify so2 --params a2=0", "latex", 1,
+     "804b5d27a7cb1ce00329b6f209a0a723f9f5aa8711abb0856a929932be2cca82"),
+    ("example so2", "text", 0,
+     "2d6a931d0117ede695f68917f92e0f7bcd9185a5140506718c2c0dd2aac0a615"),
+    ("example so2", "json", 0,
+     "a8a4ddc0ec98377ee11b341b5f5fdb2cb91ef77a91b8e2cbcd103d412132dbfa"),
+    ("example so2", "latex", 0,
+     "804b5d27a7cb1ce00329b6f209a0a723f9f5aa8711abb0856a929932be2cca82"),
+    ("example affine1", "text", 0,
+     "462303d6f130e45bb317a2b492e8064e03bbd0b5672ca9246534d0d1d9f9ff34"),
+    ("example affine1", "json", 0,
+     "652438340fe6e32e1e8a4fec6726e5492715178eee3059821f55566172266394"),
+    ("example affine1", "latex", 0,
+     "35848f4d1283d98a0fef0e69c682d0c76e914de307bb42db2f28419729f6f446"),
+]
+
+
+@pytest.mark.parametrize("argv,fmt,code,digest", GOLDEN,
+                         ids=[f"{a} {f}" for a, f, _, _ in GOLDEN])
+def test_golden_output(capsys, argv, fmt, code, digest):
+    got, out, err = capture(capsys, argv.split() + ["--format", fmt])
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Not a group: X -> g*X + g composed twice is not the action of the sum.
+NON_GROUP = """
+group bad {
+  params: g;
+  coords: X;
+  identity: (0);
+  inverse: (-g);
+  multiply: (lhs.g + rhs.g);
+  action: (X*g + g);
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["parse", "derive", "solve", "verify"])
+def test_failed_group_law_stops_after_axioms(capsys, tmp_path, command):
+    path = tmp_path / "bad.grp"
+    path.write_text(NON_GROUP)
+    code, out, err = capture(capsys, [command, str(path)])
+    assert (code, err) == (1, "")
+    assert "axioms: FAILED" in out
+    assert "composition        Failed" in out
+    code, out, err = capture(capsys, [command, str(path), "--format", "json"])
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["command"] == command
+    assert payload["ok"] is False and payload["axioms"]["ok"] is False
+    assert sorted(payload) == ["axioms", "command", "group", "ok"]
+
+
+NESTINGS = {
+    "paren": lambda d: "(" * d + "X" + ")" * d + " + g",
+    "sin": lambda d: "sin(" * d + "X" + ")" * d + " + g",
+    "cos-neg": lambda d: "cos(-" * (d // 2) + "X" + ")" * (d // 2) + " + g",
+    "neg": lambda d: "-" * d + "X + g",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+@pytest.mark.parametrize("depth", [200, 3000])
+def test_over_deep_nesting_is_an_input_error(capsys, tmp_path, kind, depth):
+    path = tmp_path / "deep.grp"
+    path.write_text(NON_GROUP.replace("X*g + g", NESTINGS[kind](depth)))
+    code, out, err = capture(capsys, ["parse", str(path)])
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: 8:\d+: formula nested deeper than 100 "
+                        r"levels of .*\n", err)
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_nesting_at_the_cap_parses(capsys, tmp_path, kind):
+    path = tmp_path / "deep.grp"
+    path.write_text(NON_GROUP.replace("X*g + g", NESTINGS[kind](100)))
+    code, out, err = capture(capsys, ["parse", str(path)])
+    assert err == ""
+    assert code in (0, 1) and "axioms:" in out
 
 
 def test_repo_copies_match_bundled():

@@ -76,6 +76,18 @@ def test_syntax_error_positions():
     assert err.value.line == 2
 
 
+def test_nesting_cap_position():
+    from lagrforge.dsl import MAX_NESTING
+    assert MAX_NESTING == 100
+    opener = "(" * 100 + "sin(" + "X1" + ")" * 101
+    source = MINI.replace("X1 + t + 0*X1^3", opener + " + t")
+    with pytest.raises(GroupSyntaxError) as err:
+        lf.parse(source)
+    column = source.splitlines()[7].index("sin(") + 1
+    assert (err.value.line, err.value.col) == (8, column)
+    lf.parse(MINI.replace("X1 + t + 0*X1^3", "-" * 100 + "X1 + t"))
+
+
 def test_missing_clause():
     source = MINI.replace("  action: (X1 + t + 0*X1^3);\n", "")
     with pytest.raises(GroupSyntaxError) as err:
