@@ -14,10 +14,11 @@ from .dsl import (ArityMismatchError, DslError, DuplicateClauseError,
 from .lie import (ConventionViolationError, LieData, ResidualCoordinatesError,
                   auxiliary_functions, constraints, infinitesimal_coefficients)
 from .solver import (BasisTooLargeError, LagrangianFamily, MultiplierAnsatz,
-                     NonlinearInUnknownsError, ansatz_from_basis,
-                     build_ansatz, collect_system, lambda_map_residual,
-                     nullspace_vectors, solve_family, weak_el_residual_of)
-from .verify import (ConverseResult, SecondOrderJetError, ShapeMismatchError,
+                     NonlinearInUnknownsError, SecondOrderJetError,
+                     ansatz_from_basis, build_ansatz, collect_system,
+                     lambda_map_residual, nullspace_vectors, solve_family,
+                     weak_el_residual_of)
+from .verify import (ConverseResult, ShapeMismatchError,
                      VerificationReport, build_report, converse_check,
                      degeneracy_scan, forward_check, kinetic_identity_check,
                      numeric_orbit_check, strong_el)

@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 from fractions import Fraction
 from functools import partial
@@ -26,7 +25,7 @@ from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
 from .lie import constraints
 from .printing import latex_expr, prefix_expr
 from .solver import MAX_UNKNOWNS, build_ansatz, solve_family
-from .verify import build_report
+from .verify import build_report, generic_params
 
 # Defaults of the solve and verify flags.
 FLAG_DEFAULTS = {
@@ -57,6 +56,9 @@ def run(argv=None) -> int:
         return 2
     except (KeyError, ValueError, OSError) as exc:
         message = exc.args[0] if exc.args else exc
+        if isinstance(exc, OSError) and exc.strerror:  # args[0] is the errno
+            message = exc.strerror if exc.filename is None \
+                else f"{exc.strerror}: {exc.filename}"
         print(f"error: {message}", file=sys.stderr)
         return 2
 
@@ -181,12 +183,6 @@ def _parse_params(chunks) -> dict:
 
 def _parse_x0(text: str):
     return tuple(float(Fraction(part.strip())) for part in text.split(","))
-
-
-def _generic_params(family, seed: int) -> dict:
-    rng = random.Random(seed)
-    return {p.name: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            for p in family.free_params}
 
 
 def _apply_example_defaults(args) -> None:
@@ -526,7 +522,7 @@ def run_stages(args) -> int:
 
     x0 = _parse_x0(args.x0) if args.x0 is not None else None
     params = (_parse_params(args.params) if args.params is not None
-              else _generic_params(family, seed))
+              else generic_params(family, seed))
     report = build_report(family, params, numeric=args.numeric, x0=x0,
                           g_end=args.g_end, step=args.step,
                           orbit_tol=args.orbit_tol, samples=args.samples,

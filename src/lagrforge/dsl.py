@@ -161,18 +161,18 @@ class _Parser:
 
     # expression grammar -------------------------------------------------
     def expr(self):
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = ("bin", op, node, self.term())
-        return node
+        return self.chain("sum", ("+", "-"), self.term)
 
     def term(self):
-        node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            node = ("bin", op, node, self.unary())
-        return node
+        return self.chain("product", ("*", "/"), self.unary)
+
+    def chain(self, kind: str, ops: tuple, operand):
+        """One flat node for a run of `ops`, so that a long chain costs no
+        recursion; each link is (operator, operand), the first one ops[0]."""
+        links = [(ops[0], operand())]
+        while self.peek().kind in ops:
+            links.append((self.advance().kind, operand()))
+        return links[0][1] if len(links) == 1 else (kind, links)
 
     def unary(self):
         if self.peek().kind == "-":
@@ -218,6 +218,11 @@ class _Parser:
             tok.line, tok.col)
 
 
+# How a chain link enters its Sum or Product.
+_LINKS = {"+": lambda e: e, "-": lambda e: Product((RAT_M1, e)),
+          "*": lambda e: e, "/": lambda e: Power(e, -1)}
+
+
 def _resolve(node, env: dict, qualified: bool) -> Expr:
     kind = node[0]
     if kind == "int":
@@ -240,17 +245,10 @@ def _resolve(node, env: dict, qualified: bool) -> Expr:
     if kind == "call":
         arg = _resolve(node[2], env, qualified)
         return Sin(arg) if node[1] == "sin" else Cos(arg)
-    if kind == "bin":
-        _, op, left, right = node
-        l = _resolve(left, env, qualified)
-        r = _resolve(right, env, qualified)
-        if op == "+":
-            return Sum((l, r))
-        if op == "-":
-            return Sum((l, Product((RAT_M1, r))))
-        if op == "*":
-            return Product((l, r))
-        return Product((l, Power(r, -1)))
+    if kind in ("sum", "product"):
+        parts = tuple(_LINKS[op](_resolve(child, env, qualified))
+                      for op, child in node[1])
+        return Sum(parts) if kind == "sum" else Product(parts)
     raise AssertionError(f"unknown AST node {kind}")
 
 

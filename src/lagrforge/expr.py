@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 log = logging.getLogger(__name__)
 
@@ -408,8 +408,6 @@ def _bump_sum(table, s: Sum, n: int):
         table[k][1] += n
     else:
         table[k] = [s, n]
-    # normalize container back to tuple-ish access
-    table[k] = [table[k][0], table[k][1]]
 
 
 def _canon_power(base, exponent: int) -> Expr:
@@ -604,7 +602,7 @@ class SampleOutcome:
 
 
 def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
-                seed: int = DEFAULT_SEED, span: float = SAMPLE_SPAN) -> SampleOutcome:
+                seed: int = DEFAULT_SEED) -> SampleOutcome:
     """Evaluate `e` at seeded random points, skipping near-singular draws."""
     syms = sorted(free_symbols(e), key=lambda i: (int(i.role), i.name))
     rng = random.Random(seed)
@@ -613,7 +611,7 @@ def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
     max_abs = 0.0
     witness: dict = {}
     while accepted < samples:
-        point = {s.name: rng.uniform(-span, span) for s in syms}
+        point = {s.name: rng.uniform(-SAMPLE_SPAN, SAMPLE_SPAN) for s in syms}
         try:
             v = eval_numeric(e, point)
         except NearSingularEvaluationError:

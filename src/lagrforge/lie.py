@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import (Equivalence, Expr, Role, Sym, SymbolInfo, canonicalize,
-                   differentiate, equals, free_symbols, substitute)
+from .expr import (Equivalence, Product, Role, Sum, Sym, SymbolInfo,
+                   canonicalize, differentiate, equals, free_symbols,
+                   substitute)
 
 CONVENTION_NOTE = ("constraints follow the convention "
                    "phi[a][j] = X'[a]_j - sum_s u[s][j](g) * S[a][s](X'); "
@@ -129,7 +130,8 @@ def constraints(spec) -> LieData:
     for a in range(spec.n):
         row = []
         for j in range(spec.r):
-            value = _dot(u, S_field, a, j)
+            value = canonicalize(Sum(tuple(
+                Product((u[s][j], S_field[a][s])) for s in range(spec.r))))
             onshell[jets[a][j]] = value
             row.append(Sym(jets[a][j]) - value)
         phi.append(row)
@@ -154,12 +156,3 @@ def constraints(spec) -> LieData:
     return LieData(spec=spec, fields=fields, jets=jets, S=S, S_field=S_field,
                    u=u, phi=phi, onshell=onshell, on_action=on_action,
                    notes=[CONVENTION_NOTE])
-
-
-def _dot(u, S_field, a: int, j: int) -> Expr:
-    """sum_s u[s][j] * S_field[a][s]."""
-    total = None
-    for s in range(len(u)):
-        term = u[s][j] * S_field[a][s]
-        total = term if total is None else total + term
-    return canonicalize(total)

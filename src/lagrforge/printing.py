@@ -12,10 +12,9 @@ equal canonical trees always print to identical strings.
 from __future__ import annotations
 
 import re
-from typing import Callable
 
 from .expr import (Cos, Expr, Power, Product, Rational, Role, Sin, Sum, Sym,
-                   SymbolInfo, canonicalize, format_expr)
+                   SymbolInfo, canonicalize)
 
 
 def prefix_expr(e: Expr) -> str:
@@ -58,23 +57,21 @@ def default_symbol_latex(info: SymbolInfo) -> str:
     return "\\mathrm{" + info.name.replace("_", r"\_") + "}"
 
 
-def latex_expr(e: Expr, symbol_latex: Callable[[SymbolInfo], str] | None = None) -> str:
-    tex = symbol_latex or default_symbol_latex
-    e = canonicalize(e)
-    return _latex(e, tex)
+def latex_expr(e: Expr) -> str:
+    return _latex(canonicalize(e))
 
 
-def _latex(e: Expr, tex) -> str:
+def _latex(e: Expr) -> str:
     if isinstance(e, Sum):
-        out = _latex_term(e.terms[0], tex)
+        out = _latex_term(e.terms[0])
         for t in e.terms[1:]:
-            s = _latex_term(t, tex)
+            s = _latex_term(t)
             out += " " + s if s.startswith("-") else " + " + s
         return out
-    return _latex_term(e, tex)
+    return _latex_term(e)
 
 
-def _latex_term(e: Expr, tex) -> str:
+def _latex_term(e: Expr) -> str:
     if isinstance(e, Rational):
         return _latex_rational(e)
     if isinstance(e, Product):
@@ -87,12 +84,12 @@ def _latex_term(e: Expr, tex) -> str:
                 else:
                     head = _latex_rational(f)
                 continue
-            parts.append(_latex_factor(f, tex))
+            parts.append(_latex_factor(f))
         joined = " ".join(parts)
         if head in ("", "-"):
             return head + joined
         return head + " " + joined
-    return _latex_factor(e, tex)
+    return _latex_factor(e)
 
 
 def _latex_rational(e: Rational) -> str:
@@ -104,19 +101,19 @@ def _latex_rational(e: Rational) -> str:
     return f"{sign}\\tfrac{{{v.numerator}}}{{{v.denominator}}}"
 
 
-def _latex_factor(f: Expr, tex) -> str:
+def _latex_factor(f: Expr) -> str:
     if isinstance(f, Sym):
-        return tex(f.info)
+        return default_symbol_latex(f.info)
     if isinstance(f, Power):
         if isinstance(f.base, Sum):
-            return f"\\left({_latex(f.base, tex)}\\right)^{{{f.exponent}}}"
-        return f"({_latex_factor(f.base, tex)})^{{{f.exponent}}}"
+            return f"\\left({_latex(f.base)}\\right)^{{{f.exponent}}}"
+        return f"({_latex_factor(f.base)})^{{{f.exponent}}}"
     if isinstance(f, Sin):
-        return f"\\sin\\left({_latex(f.argument, tex)}\\right)"
+        return f"\\sin\\left({_latex(f.argument)}\\right)"
     if isinstance(f, Cos):
-        return f"\\cos\\left({_latex(f.argument, tex)}\\right)"
+        return f"\\cos\\left({_latex(f.argument)}\\right)"
     if isinstance(f, (Sum, Product)):
-        return f"\\left({_latex(f, tex)}\\right)"
+        return f"\\left({_latex(f)}\\right)"
     if isinstance(f, Rational):
         return _latex_rational(f)
     raise TypeError(f"cannot render {type(f).__name__}")

@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import (Expr, Power, RAT0, RAT1, Rational, Role, Sym, SymbolInfo,
-                   canonicalize, differentiate, monomial_expr, monomials,
-                   substitute)
+from .expr import (Expr, Power, Product, RAT0, RAT_M1, Rational, Role, Sum,
+                   Sym, SymbolInfo, canonicalize, differentiate, free_symbols,
+                   monomial_expr, monomials, substitute)
 
 MAX_UNKNOWNS = 5000
 
@@ -27,6 +27,10 @@ class BasisTooLargeError(ValueError):
 
 class NonlinearInUnknownsError(ValueError):
     """A collected residual was not linear homogeneous in the unknowns."""
+
+
+class SecondOrderJetError(ValueError):
+    """The Lagrangian is not affine-linear in the jet variables."""
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +62,14 @@ class MultiplierAnsatz:
                 for s in range(1, r + 1)]
 
     def lagrangian_component(self, k: int) -> Expr:
-        lie = self.lie
-        total = None
-        for a in range(1, lie.n + 1):
-            for s in range(1, lie.r + 1):
-                term = self.lambdas[(k, a, s)] * lie.phi[a - 1][s - 1]
-                total = term if total is None else total + term
-        return canonicalize(total)
+        return compose_lagrangian(self.lie, self.lambdas, k)
+
+
+def compose_lagrangian(lie, lambdas: dict, k: int) -> Expr:
+    """L_k = sum_{a,s} lambdas[(k, a, s)] * phi^a_s."""
+    return canonicalize(Sum(tuple(
+        Product((lambdas[(k, a, s)], lie.phi[a - 1][s - 1]))
+        for a in range(1, lie.n + 1) for s in range(1, lie.r + 1))))
 
 
 def build_ansatz(lie, deg_x: int = 1, deg_g=(0, 0),
@@ -75,20 +80,12 @@ def build_ansatz(lie, deg_x: int = 1, deg_g=(0, 0),
     if deg_x < 0 or lo > 0 or hi < 0:
         raise ValueError("deg_x must be >= 0 and the parameter exponent "
                          "range must contain 0")
-    basis = []
-    field_syms = [Sym(f) for f in lie.fields]
-    param_syms = [Sym(p) for p in lie.spec.params]
-    for xexp in itertools.product(range(deg_x + 1), repeat=lie.n):
-        for gexp in itertools.product(range(lo, hi + 1), repeat=lie.r):
-            mono = RAT1
-            for fs, e in zip(field_syms, xexp):
-                if e:
-                    mono = mono * Power(fs, e)
-            for ps, e in zip(param_syms, gexp):
-                if e:
-                    mono = mono * Power(ps, e)
-            basis.append(canonicalize(mono))
-    basis = tuple(sorted(set(basis), key=lambda e: e.sort_key()))
+    syms = [Sym(s) for s in lie.fields + lie.spec.params]
+    basis = {canonicalize(Product(tuple(
+                 Power(sym, e) for sym, e in zip(syms, xexp + gexp) if e)))
+             for xexp in itertools.product(range(deg_x + 1), repeat=lie.n)
+             for gexp in itertools.product(range(lo, hi + 1), repeat=lie.r)}
+    basis = tuple(sorted(basis, key=lambda e: e.sort_key()))
     return ansatz_from_basis(lie, basis, deg_x=deg_x, deg_g=(lo, hi),
                              max_unknowns=max_unknowns)
 
@@ -114,12 +111,9 @@ def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
                     for m in range(len(basis)))
                 unknowns[(k, a, s)] = infos
                 columns.extend(infos)
-                total = None
-                for info, mono in zip(infos, basis):
-                    term = Sym(info) * mono
-                    total = term if total is None else total + term
-                lambdas[(k, a, s)] = canonicalize(total) if total is not None \
-                    else Rational(0)
+                lambdas[(k, a, s)] = canonicalize(Sum(tuple(
+                    Product((Sym(info), mono))
+                    for info, mono in zip(infos, basis))))
     columns = tuple(columns)
     return MultiplierAnsatz(lie=lie, deg_x=deg_x, deg_g=deg_g, basis=basis,
                             unknowns=unknowns, lambdas=lambdas,
@@ -128,41 +122,46 @@ def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
 
 
 # ---------------------------------------------------------------------------
-# Weak Euler-Lagrange residuals.
+# Euler-Lagrange expressions.
+
+
+def euler_lagrange(lie, L: Expr, alpha: int) -> Expr:
+    """E-L expression of one Lagrangian component for the field X'^alpha.
+
+    dL/dX'^alpha minus the total parameter derivatives of dL/dX'^alpha_i.
+    These expand through the chain rule, which keeps the jets in place;
+    nothing is substituted.  Requires dL/djet to be jet-free, so the
+    result is linear in the jets.
+    """
+    jets = set(lie.jet_list())
+    terms = [differentiate(L, lie.fields[alpha - 1])]
+    for i, p in enumerate(lie.spec.params):
+        A = differentiate(L, lie.jets[alpha - 1][i])
+        if free_symbols(A) & jets:
+            raise SecondOrderJetError(
+                "dL/djet depends on a jet variable; multipliers must be "
+                "free of jets")
+        # the total derivative of A along g_i
+        terms.append(Product((RAT_M1, differentiate(A, p))))
+        terms.extend(Product((RAT_M1, differentiate(A, f), Sym(jets_f[i])))
+                     for f, jets_f in zip(lie.fields, lie.jets))
+    return canonicalize(Sum(tuple(terms)))
 
 
 def weak_el_residual_of(lie, L: Expr, alpha: int) -> Expr:
-    """Weak E-L residual of an explicit Lagrangian component.
-
-    dL/dX'^alpha minus the total parameter derivatives of dL/dX'^alpha_i;
-    the chain rule introduces jets and every jet is then replaced by its
-    on-shell value, which is the only sense in which terms are dropped.
-    """
-    f_alpha = lie.fields[alpha - 1]
-    resid = differentiate(L, f_alpha)
-    for i, p in enumerate(lie.spec.params):
-        A = differentiate(L, lie.jets[alpha - 1][i])
-        dA = differentiate(A, p)
-        for b in range(lie.n):
-            dA = dA + differentiate(A, lie.fields[b]) * Sym(lie.jets[b][i])
-        resid = resid - dA
-    return substitute(resid, lie.onshell)
+    """Weak E-L residual of an explicit Lagrangian component: its E-L
+    expression with every jet replaced by its on-shell value, which is the
+    only sense in which terms are dropped."""
+    return substitute(euler_lagrange(lie, L, alpha), lie.onshell)
 
 
 def lambda_map_residual(lie, lambda_map: dict, k: int, alpha: int) -> Expr:
     """Residual for explicit multiplier expressions keyed by (a, s) or
     (k, a, s); useful for checking a candidate solution directly."""
-    total = None
-    for a in range(1, lie.n + 1):
-        for s in range(1, lie.r + 1):
-            lam = lambda_map.get((k, a, s), lambda_map.get((a, s)))
-            if lam is None:
-                continue
-            term = canonicalize(lam) * lie.phi[a - 1][s - 1]
-            total = term if total is None else total + term
-    if total is None:
-        total = Rational(0)
-    return weak_el_residual_of(lie, canonicalize(total), alpha)
+    lambdas = {(k, a, s): lambda_map.get((k, a, s),
+                                         lambda_map.get((a, s), RAT0))
+               for a in range(1, lie.n + 1) for s in range(1, lie.r + 1)}
+    return weak_el_residual_of(lie, compose_lagrangian(lie, lambdas, k), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -440,24 +439,13 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
                         for d in range(len(members)))
     multipliers = {}
     for key in ansatz.unknowns:
-        total = None
-        for p, member in zip(free_params, members):
-            lam = member.multipliers[key]
-            if lam == RAT0:  # members of other blocks vanish on this key
-                continue
-            term = Sym(p) * lam
-            total = term if total is None else total + term
-        multipliers[key] = canonicalize(total) if total is not None \
-            else Rational(0)
-    lagrangians = []
-    for k in range(1, lie.r + 1):
-        total = None
-        for a in range(1, lie.n + 1):
-            for s in range(1, lie.r + 1):
-                term = multipliers[(k, a, s)] * lie.phi[a - 1][s - 1]
-                total = term if total is None else total + term
-        lagrangians.append(canonicalize(total) if total is not None
-                           else Rational(0))
+        # members of other blocks vanish on a key of component k
+        terms = [Product((Sym(p), member.multipliers[key]))
+                 for p, member in zip(free_params, members)
+                 if member.multipliers[key] != RAT0]
+        multipliers[key] = canonicalize(Sum(tuple(terms)))
+    lagrangians = [compose_lagrangian(lie, multipliers, k)
+                   for k in range(1, lie.r + 1)]
     return LagrangianFamily(lie=lie, ansatz=ansatz, system=system,
                             members=members, free_params=free_params,
                             multipliers=multipliers, lagrangians=lagrangians)
@@ -466,12 +454,8 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
 def _member_multipliers(ansatz: MultiplierAnsatz, vec) -> dict:
     out = {}
     for key, infos in ansatz.unknowns.items():
-        total = None
-        for info, mono in zip(infos, ansatz.basis):
-            c = vec[ansatz.col_index[info]]
-            if c == 0:
-                continue
-            term = Rational(c) * mono
-            total = term if total is None else total + term
-        out[key] = canonicalize(total) if total is not None else Rational(0)
+        coeffs = [vec[ansatz.col_index[info]] for info in infos]
+        out[key] = canonicalize(Sum(tuple(
+            Product((Rational(c), mono))
+            for c, mono in zip(coeffs, ansatz.basis) if c)))
     return out

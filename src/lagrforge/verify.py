@@ -17,13 +17,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
-                   Expr, Power, RAT_M1, Rational, Sym, canonicalize,
-                   differentiate, equals, eval_numeric, format_expr,
-                   free_symbols, sample_expr, substitute)
-
-
-class SecondOrderJetError(ValueError):
-    """The Lagrangian is not affine-linear in the jet variables."""
+                   Expr, Power, Product, RAT_M1, Rational, Sum, Sym,
+                   canonicalize, differentiate, equals, eval_numeric,
+                   format_expr, free_symbols, sample_expr, substitute)
+from .solver import SecondOrderJetError, euler_lagrange
 
 
 class ShapeMismatchError(ValueError):
@@ -35,29 +32,8 @@ class ShapeMismatchError(ValueError):
 
 
 def strong_el(lie, L: Expr) -> list:
-    """Full E-L expressions of one Lagrangian component, one per field.
-
-    Total parameter derivatives expand through the chain rule, which keeps
-    the jets in place; nothing is substituted.  Requires dL/djet to be
-    jet-free, so each result is linear in the jets.
-    """
-    L = canonicalize(L)
-    jet_infos = set(lie.jet_list())
-    out = []
-    for alpha in range(1, lie.n + 1):
-        e = differentiate(L, lie.fields[alpha - 1])
-        for i, p in enumerate(lie.spec.params):
-            A = differentiate(L, lie.jets[alpha - 1][i])
-            if free_symbols(A) & jet_infos:
-                raise SecondOrderJetError(
-                    "dL/djet depends on a jet variable; multipliers must be "
-                    "free of jets")
-            dA = differentiate(A, p)
-            for b in range(lie.n):
-                dA = dA + differentiate(A, lie.fields[b]) * Sym(lie.jets[b][i])
-            e = e - dA
-        out.append(e)
-    return out
+    """Full E-L expressions of one Lagrangian component, one per field."""
+    return [euler_lagrange(lie, L, alpha) for alpha in range(1, lie.n + 1)]
 
 
 def forward_check(family, samples: int = EQUALS_SAMPLES,
@@ -204,15 +180,13 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
         if row is None:
             continue
         c = row["coeffs"][J]
-        rest = row["const"]
-        parametric = False
-        for K, v in row["coeffs"].items():
-            if K == J:
-                continue
-            rest = rest + v * Sym(K)
-            parametric = True
-        solved[J] = canonicalize(RAT_M1 * rest * Power(c, -1))
-        if parametric:
+        others = [Product((v, Sym(K)))
+                  for K, v in row["coeffs"].items() if K != J]
+        rest = canonicalize(Sum((row["const"], *others)))
+        # negated before the division: one flat product would cancel a sum
+        # in `rest` against `c` and could print another canonical form
+        solved[J] = RAT_M1 * rest * Power(c, -1)
+        if others:
             continue  # expressed through undetermined jets; not comparable
         residual = canonicalize(row["const"] + c * lie.onshell[J])
         verdict = equals(residual, 0, samples=samples, seed=seed, tol=tol)
@@ -248,6 +222,13 @@ class DegeneracyReport:
     degenerate: list         # labels with status != Match
 
 
+def generic_params(family, seed: int) -> dict:
+    """A seeded rational value in [1/9, 9] for every free parameter."""
+    rng = random.Random(seed)
+    return {p.name: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            for p in family.free_params}
+
+
 def degeneracy_scan(family, seed: int = DEFAULT_SEED,
                     samples: int = EQUALS_SAMPLES,
                     tol: float = EQUALS_TOL) -> DegeneracyReport:
@@ -267,9 +248,7 @@ def degeneracy_scan(family, seed: int = DEFAULT_SEED,
         entries.append(DegeneracyEntry(label=f"{p.name} alone",
                                        assignment=assignment,
                                        status=result.status))
-    rng = random.Random(seed)
-    generic = {p.name: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-               for p in family.free_params}
+    generic = generic_params(family, seed)
     result = converse_check(family, generic, samples=samples,
                             seed=seed, tol=tol)
     entries.append(DegeneracyEntry(label="generic combination",

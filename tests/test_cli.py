@@ -1,8 +1,10 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import errno
 import hashlib
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -307,6 +309,44 @@ def test_nesting_at_the_cap_parses(capsys, tmp_path, kind):
     code, out, err = capture(capsys, ["parse", str(path)])
     assert err == ""
     assert code in (0, 1) and "axioms:" in out
+
+
+# Flat chains of 3,000 operands, each a run of one operator.
+CHAINS = {
+    "+": "(" + " + ".join(["X"] * 3000) + ")/3000 + g",
+    "-": "(3000*X" + " - X" * 2999 + ") + g",
+    "*": "X + g" + "*1" * 2999,
+    "/": "X + g" + "/1" * 2999,
+}
+
+
+@pytest.mark.parametrize("op", sorted(CHAINS))
+def test_long_flat_chain_derives(capsys, tmp_path, op):
+    path = tmp_path / "chain.grp"
+    path.write_text(NON_GROUP.replace("X*g + g", CHAINS[op]))
+    code, out, err = capture(capsys, ["derive", str(path), "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["group"]["action"] == ["(+ g X)"]
+
+
+def test_directory_input_names_the_cause(capsys, tmp_path):
+    code, out, err = capture(capsys, ["parse", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: Is a directory: {tmp_path}\n"
+
+
+def test_broken_pipe_names_the_cause(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = run(["parse", "so2"])
+    monkeypatch.undo()
+    assert (code, capsys.readouterr().err) == (2, "error: Broken pipe\n")
 
 
 def test_repo_copies_match_bundled():

@@ -1,8 +1,10 @@
 """Seeded property checks for the expression kernel."""
 
+import functools
+import operator
 import random
 
-from lagrforge import canonicalize, differentiate
+from lagrforge import Rational, Sum, canonicalize, differentiate
 
 from genexpr import VARS, random_expr, sample_point, try_eval
 
@@ -57,3 +59,15 @@ def test_canonicalize_idempotent_and_evaluation_sound():
             compared += 1
         if compared:
             checked += 1
+
+
+def test_nary_sum_matches_running_sum():
+    # one canonicalization of the whole sum gives what adding the terms one
+    # at a time gives, whatever their order
+    rng = random.Random(3141)
+    for _ in range(80):
+        terms = [random_expr(rng) for _ in range(rng.randint(0, 6))]
+        nary = canonicalize(Sum(tuple(terms)))
+        assert nary == functools.reduce(operator.add, terms, Rational(0))
+        rng.shuffle(terms)
+        assert nary == canonicalize(Sum(tuple(terms)))

@@ -109,6 +109,24 @@ def test_weak_el_residual(so2_lie, so2_family):
             so2_lie, so2_family.lagrangians[0], alpha) == Rational(0)
 
 
+@pytest.mark.parametrize("name", ["so2", "affine1"])
+def test_weak_residual_is_strong_el_on_shell(name, so2_family, affine_family):
+    # weak_el_residual_of and strong_el share one Euler-Lagrange operator
+    family = {"so2": so2_family, "affine1": affine_family}[name]
+    lie = family.lie
+    for L in family.lagrangians + [family.ansatz.lagrangian_component(1)]:
+        strong = lf.strong_el(lie, L)
+        for alpha in range(1, lie.n + 1):
+            assert lf.weak_el_residual_of(lie, L, alpha) == \
+                lf.substitute(strong[alpha - 1], lie.onshell)
+
+
+def test_weak_el_residual_rejects_second_order(so2_lie):
+    j1 = Sym(so2_lie.jets[0][0])
+    with pytest.raises(lf.SecondOrderJetError):
+        lf.weak_el_residual_of(so2_lie, j1 ** 2, 1)
+
+
 def test_lambda_map_residual(so2_lie):
     f1, f2 = (Sym(f) for f in so2_lie.fields)
     by_slot = {(1, 1, 1): f2, (1, 2, 1): -f1}
