@@ -1,0 +1,74 @@
+"""Micro-benchmarks of the expression kernel and the exact row reduction.
+
+They run under pytest-benchmark and stay out of the tier-1 suite, whose
+`testpaths` is `tests/`:
+
+    PYTHONPATH=src python3 -m pytest benches
+"""
+
+import pytest
+
+import lagrforge as lf
+from lagrforge import Power, Rational, Sum, Sym
+from lagrforge.solver import rref
+
+POINT = (0.75, 1.0, -0.5)    # g, then the two fields or coordinates
+
+
+@pytest.fixture(scope="module")
+def so2_lie():
+    return lf.constraints(lf.parse(lf.bundled_source("so2")))
+
+
+@pytest.fixture(scope="module", params=["rhs", "action"])
+def so2_exprs(request, so2_lie):
+    """The orbit's two expression lists and their argument names."""
+    lie = so2_lie
+    g = lie.spec.params[0].name
+    if request.param == "rhs":
+        return ([lie.onshell[lie.jets[a][0]] for a in range(lie.n)],
+                [g] + [f.name for f in lie.fields])
+    return list(lie.spec.action), [g] + [c.name for c in lie.spec.coords]
+
+
+@pytest.fixture(scope="module")
+def affine_family():
+    lie = lf.constraints(lf.parse(lf.bundled_source("affine1")))
+    return lf.solve_family(lie, lf.build_ansatz(lie, deg_x=1, deg_g=(-1, 0)))
+
+
+def test_eval_numeric_so2(benchmark, so2_exprs):
+    exprs, names = so2_exprs
+    env = dict(zip(names, POINT))
+    benchmark(lambda: [lf.eval_numeric(e, env) for e in exprs])
+
+
+def test_compiled_so2(benchmark, so2_exprs):
+    exprs, names = so2_exprs
+    fn = lf.compile_numeric(exprs, names)
+    env = dict(zip(names, POINT))
+    assert list(fn(*POINT)) == [lf.eval_numeric(e, env) for e in exprs]
+    benchmark(fn, *POINT)
+
+
+def test_canonicalize_expansion(benchmark):
+    x, y = (Sym(lf.SymbolInfo(n, lf.Role.BASE_COORDINATE)) for n in "xy")
+    raw = Power(Sum((x, y, Rational(1))), 6)   # raw trees are never cached
+    assert len(benchmark(lf.canonicalize, raw).terms) == 28
+
+
+def test_differentiate_lagrangian(benchmark, affine_family):
+    L = affine_family.lagrangians[0]
+    benchmark(lf.differentiate, L, affine_family.lie.fields[0])
+
+
+def test_substitute_onshell(benchmark, affine_family):
+    lie = affine_family.lie
+    e = lf.strong_el(lie, affine_family.lagrangians[0])[0]
+    benchmark(lf.substitute, e, lie.onshell)
+
+
+def test_rref_affine_system(benchmark, affine_family):
+    system = affine_family.system
+    rows, pivots = benchmark(rref, system.rows, len(system.columns))
+    assert len(pivots) == system.rank

@@ -4,8 +4,8 @@ variational problem over a multiplier ansatz, and check the result."""
 
 from .expr import (DEFAULT_SEED, Cos, Equivalence, Expr, Power, Product,
                    Rational, Role, Sin, Sum, Sym, SymbolInfo, canonicalize,
-                   differentiate, equals, eval_numeric, format_expr,
-                   free_symbols, monomials, substitute)
+                   compile_numeric, differentiate, equals, eval_numeric,
+                   format_expr, free_symbols, monomials, substitute)
 from .printing import latex_expr, prefix_expr
 from .dsl import (ArityMismatchError, DslError, DuplicateClauseError,
                   GroupActionSpec, GroupSyntaxError, UndeclaredSymbolError,
@@ -28,8 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_SEED", "Cos", "Equivalence", "Expr", "Power", "Product",
     "Rational", "Role", "Sin", "Sum", "Sym", "SymbolInfo", "canonicalize",
-    "differentiate", "equals", "eval_numeric", "format_expr", "free_symbols",
-    "monomials", "substitute",
+    "compile_numeric", "differentiate", "equals", "eval_numeric",
+    "format_expr", "free_symbols", "monomials", "substitute",
     "latex_expr", "prefix_expr",
     "ArityMismatchError", "DslError", "DuplicateClauseError",
     "GroupActionSpec", "GroupSyntaxError", "UndeclaredSymbolError",

@@ -574,13 +574,85 @@ def eval_numeric(e: Expr, env: Mapping[str, float]) -> float:
     if isinstance(e, Power):
         v = eval_numeric(e.base, env)
         if e.exponent < 0 and abs(v) < SINGULAR_GUARD:
-            raise NearSingularEvaluationError(
-                f"denominator magnitude {abs(v):.3e} below guard {SINGULAR_GUARD}")
+            raise _near_singular(v)
         return v ** e.exponent
     if isinstance(e, Sin):
         return math.sin(eval_numeric(e.argument, env))
     if isinstance(e, Cos):
         return math.cos(eval_numeric(e.argument, env))
+    raise TypeError(f"cannot evaluate {type(e).__name__}")
+
+
+def _near_singular(v: float) -> NearSingularEvaluationError:
+    return NearSingularEvaluationError(
+        f"denominator magnitude {abs(v):.3e} below guard {SINGULAR_GUARD}")
+
+
+def compile_numeric(exprs: Sequence[Expr], names: Sequence[str]):
+    """Compile expressions once into a function of positional floats.
+
+    The function takes one value per entry of `names`, in that order, and
+    returns the tuple of the expressions' values.  Its body is straight-line
+    code with one local per distinct tree node, in post-order, so it has no
+    nesting limit; each node does the float operation `eval_numeric` does,
+    in the same order, so every value is bit-identical to it.  An unbound
+    symbol raises UnboundSymbolError, and a constant too large for a float
+    OverflowError, here at compile time.
+    """
+    args = {name: f"a{i}" for i, name in enumerate(names)}
+    namespace = {"_sin": math.sin, "_cos": math.cos,
+                 "_near_singular": _near_singular}
+    local: dict = {}         # node -> name of the local holding its value
+    body = []
+    stack = [(e, False) for e in reversed(exprs)]
+    while stack:
+        node, ready = stack.pop()
+        if node in local:
+            continue
+        kids = _operands(node)
+        if not ready:
+            stack.append((node, True))
+            stack.extend((k, False) for k in reversed(kids))
+            continue
+        v = local[node] = f"v{len(local)}"
+        ops = [local[k] for k in kids]
+        if isinstance(node, Rational):
+            body.append(f"{v} = {float(node.value)!r}")
+        elif isinstance(node, Sym):
+            if node.info.name not in args:
+                raise UnboundSymbolError(node.info.name)
+            body.append(f"{v} = float({args[node.info.name]})")
+        elif isinstance(node, Sum):
+            body.append(f"{v} = sum(({''.join(o + ', ' for o in ops)}))")
+        elif isinstance(node, Product):
+            body.append(f"{v} = {' * '.join(['1.0'] + ops)}")
+        elif isinstance(node, Power):
+            if node.exponent < 0:
+                body.append(f"if abs({ops[0]}) < {SINGULAR_GUARD!r}: "
+                            f"raise _near_singular({ops[0]})")
+            body.append(f"{v} = {ops[0]} ** {node.exponent}")
+        else:
+            fn = "_sin" if isinstance(node, Sin) else "_cos"
+            body.append(f"{v} = {fn}({ops[0]})")
+    outs = "".join(local[e] + ", " for e in exprs)
+    source = "\n    ".join(
+        [f"def numeric({', '.join(args.values())}):", *body,
+         f"return ({outs})"])
+    exec(compile(source, "<compile_numeric>", "exec"), namespace)
+    return namespace["numeric"]
+
+
+def _operands(e: Expr) -> tuple:
+    if isinstance(e, (Rational, Sym)):
+        return ()
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Product):
+        return e.factors
+    if isinstance(e, Power):
+        return (e.base,)
+    if isinstance(e, (Sin, Cos)):
+        return (e.argument,)
     raise TypeError(f"cannot evaluate {type(e).__name__}")
 
 
@@ -603,7 +675,8 @@ class SampleOutcome:
 
 def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
                 seed: int = DEFAULT_SEED) -> SampleOutcome:
-    """Evaluate `e` at seeded random points, skipping near-singular draws."""
+    """Evaluate `e` at seeded random points, skipping near-singular and
+    overflowing draws."""
     syms = sorted(free_symbols(e), key=lambda i: (int(i.role), i.name))
     rng = random.Random(seed)
     accepted = 0
@@ -614,11 +687,12 @@ def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
         point = {s.name: rng.uniform(-SAMPLE_SPAN, SAMPLE_SPAN) for s in syms}
         try:
             v = eval_numeric(e, point)
-        except NearSingularEvaluationError:
+        except (NearSingularEvaluationError, OverflowError):
             rejected += 1
             if rejected > MAX_REJECTIONS:
                 log.warning(
-                    "sampling aborted: %d near-singular rejections for %s",
+                    "sampling aborted: %d near-singular or overflowing "
+                    "rejections for %s",
                     rejected, format_expr(e))
                 return SampleOutcome(math.inf, point, True)
             continue

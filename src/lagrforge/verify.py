@@ -17,10 +17,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
-                   Expr, Power, Product, RAT_M1, Rational, Sum, Sym,
-                   canonicalize, differentiate, equals, eval_numeric,
-                   format_expr, free_symbols, sample_expr, substitute)
+                   Expr, NearSingularEvaluationError, Power, Product, RAT_M1,
+                   Rational, Sum, Sym, canonicalize, compile_numeric,
+                   differentiate, equals, eval_numeric, format_expr,
+                   free_symbols, sample_expr, substitute)
 from .solver import SecondOrderJetError, euler_lagrange
+
+
+# Longest orbit integration accepted, in steps: about 10 s for so2 on a
+# 2-vCPU host.
+MAX_ORBIT_STEPS = 10 ** 6
 
 
 class ShapeMismatchError(ValueError):
@@ -317,57 +323,60 @@ def numeric_orbit_check(lie, x0, g_end: float, step: float = 1e-3) -> OrbitResul
 
     The integration runs in the group parameter from its identity value to
     g_end at fixed step (the final step may be shorter); the deviation is
-    the maximum Euclidean distance over all grid points.
+    the maximum Euclidean distance over all grid points.  The right-hand
+    sides and the action are compiled once (`compile_numeric`), so every
+    value is bit-identical to evaluating the trees with `eval_numeric`.
     """
     if lie.r != 1:
         raise ShapeMismatchError(
             f"orbit integration needs a one-parameter group; got r={lie.r}")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"--step must be positive and finite, got {step}")
+    if not math.isfinite(g_end):
+        raise ValueError(f"--g-end must be finite, got {g_end}")
     spec = lie.spec
     p = spec.params[0]
-    rhs = [lie.onshell[lie.jets[a][0]] for a in range(lie.n)]
-    x0 = [float(v) for v in x0]
+    x0 = tuple(float(v) for v in x0)
     if len(x0) != lie.n:
         raise ValueError(f"initial state needs {lie.n} components")
 
-    def f(g, x):
-        env = {p.name: g}
-        for a in range(lie.n):
-            env[lie.fields[a].name] = x[a]
-        return [eval_numeric(e, env) for e in rhs]
-
-    coord_env = {c.name: v for c, v in zip(spec.coords, x0)}
-
-    def exact(g):
-        env = dict(coord_env)
-        env[p.name] = g
-        return [eval_numeric(A, env) for A in spec.action]
-
     g0 = eval_numeric(spec.identity[0], {})
     total = g_end - g0
+    if abs(total) / step > MAX_ORBIT_STEPS:
+        raise ValueError(
+            f"--g-end {g_end} and --step {step} ask for "
+            f"{abs(total) / step:.3g} orbit steps; the limit is "
+            f"{MAX_ORBIT_STEPS}")
     n_full = int(abs(total) // step)
-    sizes = [step] * n_full
     rem = abs(total) - n_full * step
-    if rem > step * 1e-9:
-        sizes.append(rem)
+    steps = n_full + 1 if rem > step * 1e-9 else n_full
     sign = 1.0 if total >= 0 else -1.0
 
-    x = list(x0)
+    x = x0
     g = g0
-    deviation = _euclid(x, exact(g))
-    for h in sizes:
-        h = h * sign
-        k1 = f(g, x)
-        k2 = f(g + h / 2, [xi + h / 2 * ki for xi, ki in zip(x, k1)])
-        k3 = f(g + h / 2, [xi + h / 2 * ki for xi, ki in zip(x, k2)])
-        k4 = f(g + h, [xi + h * ki for xi, ki in zip(x, k3)])
-        x = [xi + h / 6 * (a + 2 * b + 2 * c + d)
-             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
-        g = g + h
-        deviation = max(deviation, _euclid(x, exact(g)))
-    return OrbitResult(max_deviation=deviation, steps=len(sizes),
-                       final_state=tuple(x), final_exact=tuple(exact(g)))
+    try:
+        f = compile_numeric(
+            [lie.onshell[lie.jets[a][0]] for a in range(lie.n)],
+            [p.name] + [fld.name for fld in lie.fields])
+        action = compile_numeric(spec.action,
+                                 [p.name] + [c.name for c in spec.coords])
+        deviation = _euclid(x, action(g, *x0))
+        for i in range(steps):
+            h = (step if i < n_full else rem) * sign
+            k1 = f(g, *x)
+            k2 = f(g + h / 2, *[xi + h / 2 * ki for xi, ki in zip(x, k1)])
+            k3 = f(g + h / 2, *[xi + h / 2 * ki for xi, ki in zip(x, k2)])
+            k4 = f(g + h, *[xi + h * ki for xi, ki in zip(x, k3)])
+            x = [xi + h / 6 * (a + 2 * b + 2 * c + d)
+                 for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+            g = g + h
+            deviation = max(deviation, _euclid(x, action(g, *x0)))
+        final_exact = action(g, *x0)
+    except (NearSingularEvaluationError, OverflowError) as exc:
+        raise ValueError(f"--g-end {g_end}: the orbit cannot be evaluated "
+                         f"beyond g = {g}: {exc}") from None
+    return OrbitResult(max_deviation=deviation, steps=steps,
+                       final_state=tuple(x), final_exact=final_exact)
 
 
 def _euclid(a, b) -> float:

@@ -283,6 +283,28 @@ def test_failed_group_law_stops_after_axioms(capsys, tmp_path, command):
     assert sorted(payload) == ["axioms", "command", "group", "ok"]
 
 
+def test_overflowing_sample_is_a_rejected_draw(capsys, tmp_path):
+    # X^60 composed with itself overflows a float at some sample points
+    path = tmp_path / "bad.grp"
+    path.write_text(NON_GROUP.replace("X*g + g", "X^60*g + g"))
+    code, out, err = capture(capsys, ["parse", str(path)])
+    assert (code, err) == (1, "")
+    assert "identity_action    Failed" in out
+    assert "composition        Failed" in out
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--g-end", "1e300"], "--g-end 1e+300 and --step 0.001 ask for 1e+303 "
+                           "orbit steps; the limit is 1000000"),
+    (["--g-end", "nan"], "--g-end must be finite, got nan"),
+    (["--g-end", "inf"], "--g-end must be finite, got inf"),
+    (["--step", "nan"], "--step must be positive and finite, got nan"),
+], ids=["g-end-1e300", "g-end-nan", "g-end-inf", "step-nan"])
+def test_orbit_input_errors_exit_2(capsys, flags, named):
+    code, out, err = capture(capsys, ["example", "so2"] + flags)
+    assert (code, out, err) == (2, "", f"error: {named}\n")
+
+
 NESTINGS = {
     "paren": lambda d: "(" * d + "X" + ")" * d + " + g",
     "sin": lambda d: "sin(" * d + "X" + ")" * d + " + g",

@@ -1,10 +1,18 @@
 """Seeded property checks for the expression kernel."""
 
 import functools
+import math
 import operator
 import random
+import re
 
-from lagrforge import Rational, Sum, canonicalize, differentiate
+import pytest
+
+from lagrforge import (Product, Rational, Sum, Sym, canonicalize,
+                       differentiate, parse)
+from lagrforge.dsl import MAX_NESTING
+from lagrforge.expr import (NearSingularEvaluationError, UnboundSymbolError,
+                            compile_numeric, eval_numeric)
 
 from genexpr import VARS, random_expr, sample_point, try_eval
 
@@ -71,3 +79,79 @@ def test_nary_sum_matches_running_sum():
         assert nary == functools.reduce(operator.add, terms, Rational(0))
         rng.shuffle(terms)
         assert nary == canonicalize(Sum(tuple(terms)))
+
+
+def test_compiled_evaluation_is_bit_identical():
+    # raw and canonical trees, several per function so that nodes are
+    # shared; a point where eval_numeric trips the guard must trip the
+    # compiled guard too, with the same message
+    rng = random.Random(1618)
+    names = [v.name for v in VARS]
+    singular = 0
+    for _ in range(300):
+        exprs = [random_expr(rng) for _ in range(3)]
+        exprs.append(canonicalize(exprs[0]))
+        fn = compile_numeric(exprs, names)
+        for _ in range(3):
+            point = sample_point(rng)
+            args = [point[n] for n in names]
+            try:
+                want = [eval_numeric(e, point) for e in exprs]
+            except NearSingularEvaluationError as exc:
+                with pytest.raises(NearSingularEvaluationError,
+                                   match=re.escape(str(exc))):
+                    fn(*args)
+                singular += 1
+                continue
+            got = fn(*args)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g == w
+                assert math.copysign(1.0, g) == math.copysign(1.0, w)
+    assert singular > 0
+
+
+def test_compiled_sum_starts_from_integer_zero():
+    # sum() adds to the integer 0, so a sum of negative zeros is +0.0
+    x = Sym(VARS[0])
+    neg = Product((Rational(-1), x))
+    exprs = [Sum((neg,)), Sum((neg, neg)), Sum(()), neg]
+    got = compile_numeric(exprs, ["x"])(0.0)
+    want = [eval_numeric(e, {"x": 0.0}) for e in exprs]
+    assert [math.copysign(1.0, v) for v in got] == [1.0, 1.0, 1.0, -1.0]
+    assert [(v, math.copysign(1.0, v)) for v in got] == \
+        [(v, math.copysign(1.0, v)) for v in want]
+
+
+def test_compiled_unbound_symbol_fails_at_compile_time():
+    x, y = (Sym(v) for v in VARS[:2])
+    with pytest.raises(UnboundSymbolError) as err:
+        compile_numeric([x * y], ["x"])
+    assert err.value.args == ("y",)
+    assert compile_numeric([], ["x"])(1.0) == ()
+
+
+NESTED_GROUP = """
+group nested {
+  params: g;
+  coords: X1, X2;
+  identity: (0);
+  inverse: (-g);
+  multiply: (lhs.g + rhs.g);
+  action: (%s + g, %s);
+}
+"""
+
+
+def test_compiled_action_nested_at_the_cap():
+    # as one nested Python expression, sin(1 + sin(1 + ...)) needs three
+    # parentheses a level (`sin(sum((1.0, ...`), past CPython's limit of 200
+    half = MAX_NESTING // 2
+    spec = parse(NESTED_GROUP % (
+        "cos(-" * half + "X1" + ")" * half,
+        "sin(1 + " * MAX_NESTING + "X2" + ")" * MAX_NESTING))
+    fn = compile_numeric(spec.action, ["g", "X1", "X2"])
+    for point in ({"g": 0.5, "X1": 1.25, "X2": -0.75},
+                  {"g": -2.0, "X1": 0.0, "X2": 3.0}):
+        want = tuple(eval_numeric(a, point) for a in spec.action)
+        assert fn(point["g"], point["X1"], point["X2"]) == want

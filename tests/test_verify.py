@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 import lagrforge as lf
-from lagrforge import (Equivalence, Rational, SecondOrderJetError,
-                       ShapeMismatchError, Sym, canonicalize)
+from lagrforge import (Equivalence, Power, Rational, SecondOrderJetError,
+                       ShapeMismatchError, Sym, canonicalize, verify)
 
 SHEAR = """
 group shear {
@@ -159,11 +159,113 @@ def test_orbit_quarter_turn_and_edge_cases(so2_lie):
 
 def test_orbit_rejects_bad_input(so2_lie, affine_lie):
     with pytest.raises(ValueError):
-        lf.numeric_orbit_check(so2_lie, (1.0, 0.0), 1.0, step=0.0)
-    with pytest.raises(ValueError):
         lf.numeric_orbit_check(so2_lie, (1.0,), 1.0)
     with pytest.raises(ShapeMismatchError):
         lf.numeric_orbit_check(affine_lie, (1.0, 0.0), 1.0)
+    for step in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="--step"):
+            lf.numeric_orbit_check(so2_lie, (1.0, 0.0), 1.0, step=step)
+    for g_end in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="--g-end"):
+            lf.numeric_orbit_check(so2_lie, (1.0, 0.0), g_end)
+    # too long an orbit is refused before a step is taken
+    limit = verify.MAX_ORBIT_STEPS
+    for g_end, step in ((1e300, 1e-3), (1.0, 1e-300),
+                        ((limit + 1) * 1e-3, 1e-3)):
+        with pytest.raises(ValueError, match="--g-end .* and --step"):
+            lf.numeric_orbit_check(so2_lie, (1.0, 0.0), g_end, step=step)
+
+
+SCALE = """
+group scale {
+  params: g;
+  coords: X1, X2;
+  identity: (0);
+  inverse: (-g/(1 + g));
+  multiply: (lhs.g + rhs.g + lhs.g*rhs.g);
+  action: (X1*(1 + g), X2*(1 + g));
+}
+"""
+
+
+def reference_orbit(lie, x0, g_end, step):
+    """The orbit integration walking the trees with eval_numeric."""
+    spec = lie.spec
+    p = spec.params[0]
+    rhs = [lie.onshell[lie.jets[a][0]] for a in range(lie.n)]
+
+    def f(g, x):
+        env = {p.name: g}
+        env.update((fld.name, v) for fld, v in zip(lie.fields, x))
+        return [lf.eval_numeric(e, env) for e in rhs]
+
+    def exact(g):
+        env = {c.name: v for c, v in zip(spec.coords, x0)}
+        env[p.name] = g
+        return [lf.eval_numeric(a, env) for a in spec.action]
+
+    def dist(a, b):
+        return math.sqrt(sum((u - v) ** 2 for u, v in zip(a, b)))
+
+    g = lf.eval_numeric(spec.identity[0], {})
+    total = g_end - g
+    n_full = int(abs(total) // step)
+    sizes = [step] * n_full
+    rem = abs(total) - n_full * step
+    if rem > step * 1e-9:
+        sizes.append(rem)
+    sign = 1.0 if total >= 0 else -1.0
+    x = list(x0)
+    deviation = dist(x, exact(g))
+    for h in sizes:
+        h = h * sign
+        k1 = f(g, x)
+        k2 = f(g + h / 2, [xi + h / 2 * ki for xi, ki in zip(x, k1)])
+        k3 = f(g + h / 2, [xi + h / 2 * ki for xi, ki in zip(x, k2)])
+        k4 = f(g + h, [xi + h * ki for xi, ki in zip(x, k3)])
+        x = [xi + h / 6 * (a + 2 * b + 2 * c + d)
+             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        g = g + h
+        deviation = max(deviation, dist(x, exact(g)))
+    return verify.OrbitResult(max_deviation=deviation, steps=len(sizes),
+                              final_state=tuple(x),
+                              final_exact=tuple(exact(g)))
+
+
+def _bits(orbit):
+    return (orbit.max_deviation.hex(), orbit.steps,
+            [v.hex() for v in orbit.final_state],
+            [v.hex() for v in orbit.final_exact])
+
+
+@pytest.mark.parametrize("x0,g_end,step", [
+    ((1.0, 0.0), 2 * math.pi, 1e-3),
+    ((0.3, -1.7), -2.5, 7e-3),
+])
+def test_orbit_matches_tree_walking_reference_so2(so2_lie, x0, g_end, step):
+    assert _bits(lf.numeric_orbit_check(so2_lie, x0, g_end, step=step)) == \
+        _bits(reference_orbit(so2_lie, x0, g_end, step))
+
+
+@pytest.mark.parametrize("g_end", [1.5, -0.5])
+def test_orbit_matches_tree_walking_reference_negative_power(g_end):
+    # the right-hand sides carry (1 + g)^-1, so the guard is compiled in
+    lie = lf.constraints(lf.parse(SCALE))
+    assert any(isinstance(f, Power) and f.exponent < 0
+               for e in lie.onshell.values() for t in e.terms
+               for f in getattr(t, "factors", ()))
+    orbit = lf.numeric_orbit_check(lie, (1.0, -2.0), g_end, step=1e-2)
+    assert orbit.max_deviation <= 1e-12
+    assert _bits(orbit) == _bits(reference_orbit(lie, (1.0, -2.0), g_end,
+                                                 1e-2))
+
+
+def test_orbit_through_a_singularity_is_an_input_error():
+    # the right-hand sides have a pole at g = -1
+    lie = lf.constraints(lf.parse(SCALE))
+    with pytest.raises(ValueError, match=r"^--g-end -2.0: the orbit cannot "
+                       r"be evaluated beyond g = -0.99\d*: denominator"):
+        lf.numeric_orbit_check(lie, (1.0, -2.0), -2.0, step=1e-2)
 
 
 def test_build_report_so2(so2_family):
