@@ -32,9 +32,20 @@ def so2_exprs(request, so2_lie):
 
 
 @pytest.fixture(scope="module")
-def affine_family():
-    lie = lf.constraints(lf.parse(lf.bundled_source("affine1")))
-    return lf.solve_family(lie, lf.build_ansatz(lie, deg_x=1, deg_g=(-1, 0)))
+def affine_lie():
+    return lf.constraints(lf.parse(lf.bundled_source("affine1")))
+
+
+@pytest.fixture(scope="module")
+def affine_family(affine_lie):
+    return lf.solve_family(affine_lie, lf.build_ansatz(affine_lie, deg_x=1,
+                                                       deg_g=(-1, 0)))
+
+
+@pytest.fixture(scope="module")
+def affine_wide_ansatz(affine_lie):
+    """The solve-affine1 rung dx1 g[-1,1]: 96 unknowns a component."""
+    return lf.build_ansatz(affine_lie, deg_x=1, deg_g=(-1, 1))
 
 
 def test_eval_numeric_so2(benchmark, so2_exprs):
@@ -60,6 +71,18 @@ def test_canonicalize_expansion(benchmark):
 def test_differentiate_lagrangian(benchmark, affine_family):
     L = affine_family.lagrangians[0]
     benchmark(lf.differentiate, L, affine_family.lie.fields[0])
+
+
+def test_differentiate_ansatz_lagrangian(benchmark, affine_wide_ansatz):
+    # the multiplier ansatz L_1 = sum lambda*phi, as the residual build sees it
+    L = affine_wide_ansatz.lagrangian_component(1)
+    field = affine_wide_ansatz.lie.fields[0]
+    benchmark(lf.differentiate, L, field)
+
+
+def test_solve_family_affine(benchmark, affine_lie, affine_wide_ansatz):
+    family = benchmark(lf.solve_family, affine_lie, affine_wide_ansatz)
+    assert family.dimension == 104
 
 
 def test_substitute_onshell(benchmark, affine_family):

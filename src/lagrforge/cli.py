@@ -63,6 +63,23 @@ def run(argv=None) -> int:
         return 2
 
 
+def _checked(convert, ok, rule: str):
+    """An argparse type: `convert`, then reject values failing `ok`.  It
+    keeps `convert`'s name, so malformed numbers read as before."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_SAMPLES = _checked(int, lambda n: n >= 1, "at least 1")
+_TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                      "finite and non-negative")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lagrforge",
@@ -76,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="sampling seed (default: LAGRFORGE_SEED or "
                             f"{DEFAULT_SEED})")
-        p.add_argument("--samples", type=int, default=EQUALS_SAMPLES,
+        p.add_argument("--samples", type=_SAMPLES, default=EQUALS_SAMPLES,
                        help="sample count for numeric equality checks")
-        p.add_argument("--tol", type=float, default=EQUALS_TOL,
+        p.add_argument("--tol", type=_TOLERANCE, default=EQUALS_TOL,
                        help="tolerance for numeric equality checks")
 
     def solve_flags(p):
@@ -104,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="final group parameter value for the orbit")
         p.add_argument("--step", type=float,
                        help="orbit integration step")
-        p.add_argument("--orbit-tol", type=float,
+        p.add_argument("--orbit-tol", type=_TOLERANCE,
                        help="max allowed orbit deviation")
 
     p = sub.add_parser("parse", help="parse a group file and check axioms")

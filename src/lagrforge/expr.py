@@ -468,6 +468,12 @@ def monomial_expr(coeff: Fraction, pairs) -> Expr:
     return _mono_expr(coeff, _norm_pairs(pairs))
 
 
+def polynomial_expr(monos) -> Expr:
+    """Canonical sum of monomials whose pairs are already normalized, as
+    `monomials` returns them; like terms are collected."""
+    return _poly_expr(_collect(monos))
+
+
 # ---------------------------------------------------------------------------
 # Calculus and structural operations.
 
@@ -477,12 +483,46 @@ def _info_of(s) -> SymbolInfo:
 
 
 def differentiate(e: Expr, s) -> Expr:
-    """Partial derivative with respect to one symbol, canonicalized."""
+    """Partial derivative with respect to one symbol, canonicalized.
+
+    Works term by term on the canonical form.  A term free of the symbol
+    drops out, and one holding it only as a plain factor s^n becomes
+    n*s^(n-1) times the rest, with no tree built; only a term whose sine,
+    cosine or inverse sum depends on the symbol goes through the chain
+    rule and canonicalization.  The pieces are collected once, which is
+    what canonicalizing the sum of the terms' derivatives does.
+    """
     info = _info_of(s)
-    return canonicalize(_diff(canonicalize(e), info))
+    e = canonicalize(e)
+    depends = {}        # sort key of a non-symbol atom -> contains `info`
+    out = []
+    for term in (e.terms if isinstance(e, Sum) else (e,)):
+        coeff, pairs = _mono_of(term)
+        at = None       # position of s^n among the pairs
+        chain = False
+        for i, (atom, n) in enumerate(pairs):
+            if isinstance(atom, Sym):
+                if atom.info == info:
+                    at = i
+                continue
+            k = atom.sort_key()
+            if k not in depends:
+                depends[k] = info in free_symbols(atom)
+            chain = chain or depends[k]
+        if chain:
+            out.extend(_as_monomials(canonicalize(_diff(term, info))))
+        elif at is not None:
+            atom, n = pairs[at]
+            rest = pairs[at + 1:]
+            if n != 1:
+                rest = ((atom, n - 1),) + rest
+            out.append((coeff * n, pairs[:at] + rest))
+    return _poly_expr(_collect(out))
 
 
 def _diff(e: Expr, info: SymbolInfo) -> Expr:
+    """Raw derivative tree by the chain rule; `differentiate` calls it only
+    on terms whose trig or inverse-sum atoms depend on the symbol."""
     if isinstance(e, Rational):
         return RAT0
     if isinstance(e, Sym):
@@ -677,6 +717,7 @@ def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
                 seed: int = DEFAULT_SEED) -> SampleOutcome:
     """Evaluate `e` at seeded random points, skipping near-singular and
     overflowing draws."""
+    _check_samples(samples)
     syms = sorted(free_symbols(e), key=lambda i: (int(i.role), i.name))
     rng = random.Random(seed)
     accepted = 0
@@ -692,8 +733,9 @@ def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
             if rejected > MAX_REJECTIONS:
                 log.warning(
                     "sampling aborted: %d near-singular or overflowing "
-                    "rejections for %s",
-                    rejected, format_expr(e))
+                    "rejections for a %d-term expression",
+                    rejected, len(e.terms) if isinstance(e, Sum) else 1)
+                log.debug("sampling aborted on %s", format_expr(e))
                 return SampleOutcome(math.inf, point, True)
             continue
         if abs(v) > max_abs:
@@ -703,9 +745,15 @@ def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
     return SampleOutcome(max_abs, witness, False)
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def equals(e1, e2, samples: int = EQUALS_SAMPLES, seed: int = DEFAULT_SEED,
            tol: float = EQUALS_TOL) -> Equivalence:
     """Decide equality: canonical-tree identity, else seeded sampling."""
+    _check_samples(samples)
     diff = canonicalize(Sum((as_expr(e1), Product((RAT_M1, as_expr(e2))))))
     if isinstance(diff, Rational) and diff.value == 0:
         return Equivalence.PROVED_EQUAL

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .expr import (Expr, Power, Product, RAT0, RAT_M1, Rational, Role, Sum,
                    Sym, SymbolInfo, canonicalize, differentiate, free_symbols,
-                   monomial_expr, monomials, substitute)
+                   monomial_expr, monomials, polynomial_expr, substitute)
 
 MAX_UNKNOWNS = 5000
 
@@ -423,15 +423,22 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
         tags=[RowTag(k + 1, t.alpha, t.monomial) for k in ks for t in block.tags],
         _rref_cache=([place(row, k) for k in ks for row in reduced],
                      [p + k * width for k in ks for p in pivots]))
-    vectors = [place(vec, k) for k in ks for vec in block_vectors]
-
+    # A block vector, scaled to a leading 1, is the block of one member for
+    # every component k, so its multipliers are built once.
+    basis = [monomials(b) for b in ansatz.basis]
+    blocks = []
+    for vec in block_vectors:
+        lead = next(v for v in vec if v)
+        if lead != 1:
+            vec = [v / lead if v else v for v in vec]
+        blocks.append((vec, _block_multipliers(ansatz, basis, vec)))
     members = []
-    for vec in vectors:
-        lead = next((v for v in vec if v != 0), None)
-        if lead is not None and lead != 1:
-            vec = [v / lead for v in vec]
-        members.append(FamilyMember(vector=vec,
-                                    multipliers=_member_multipliers(ansatz, vec)))
+    for k in ks:
+        for vec, exprs in blocks:
+            members.append(FamilyMember(
+                vector=place(vec, k),
+                multipliers={key: exprs[key[1:]] if key[0] == k + 1 else RAT0
+                             for key in ansatz.unknowns}))
     members.sort(key=lambda m: tuple(
         m.multipliers[key].sort_key() for key in sorted(m.multipliers)))
 
@@ -439,11 +446,12 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
                         for d in range(len(members)))
     multipliers = {}
     for key in ansatz.unknowns:
-        # members of other blocks vanish on a key of component k
-        terms = [Product((Sym(p), member.multipliers[key]))
-                 for p, member in zip(free_params, members)
-                 if member.multipliers[key] != RAT0]
-        multipliers[key] = canonicalize(Sum(tuple(terms)))
+        # members of other blocks vanish on a key of component k; a free
+        # parameter sorts before every basis atom
+        multipliers[key] = polynomial_expr([
+            (c, ((Sym(p), 1),) + pairs)
+            for p, member in zip(free_params, members)
+            for c, pairs in monomials(member.multipliers[key]) if c])
     lagrangians = [compose_lagrangian(lie, multipliers, k)
                    for k in range(1, lie.r + 1)]
     return LagrangianFamily(lie=lie, ansatz=ansatz, system=system,
@@ -451,11 +459,15 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
                             multipliers=multipliers, lagrangians=lagrangians)
 
 
-def _member_multipliers(ansatz: MultiplierAnsatz, vec) -> dict:
+def _block_multipliers(ansatz: MultiplierAnsatz, basis, vec) -> dict:
+    """Multipliers of one block vector keyed by the slot (a, s) of
+    component 1, built from `basis`, the basis elements' monomial lists."""
     out = {}
-    for key, infos in ansatz.unknowns.items():
-        coeffs = [vec[ansatz.col_index[info]] for info in infos]
-        out[key] = canonicalize(Sum(tuple(
-            Product((Rational(c), mono))
-            for c, mono in zip(coeffs, ansatz.basis) if c)))
+    for (k, a, s), infos in ansatz.unknowns.items():
+        if k == 1:
+            start = ansatz.col_index[infos[0]]
+            coeffs = vec[start:start + len(basis)]
+            out[(a, s)] = polynomial_expr([
+                (c * bc, pairs) for c, mono in zip(coeffs, basis) if c
+                for bc, pairs in mono])
     return out

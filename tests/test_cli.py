@@ -305,6 +305,56 @@ def test_orbit_input_errors_exit_2(capsys, flags, named):
     assert (code, out, err) == (2, "", f"error: {named}\n")
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["verify", "so2", "--samples", "0"],
+     "argument --samples: must be at least 1, got 0"),
+    (["parse", "so2", "--samples", "-3"],
+     "argument --samples: must be at least 1, got -3"),
+    (["verify", "so2", "--tol", "-1"],
+     "argument --tol: must be finite and non-negative, got -1"),
+    (["solve", "so2", "--tol", "nan"],
+     "argument --tol: must be finite and non-negative, got nan"),
+    (["example", "so2", "--orbit-tol", "inf"],
+     "argument --orbit-tol: must be finite and non-negative, got inf"),
+    (["verify", "so2", "--orbit-tol=-1e-6"],
+     "argument --orbit-tol: must be finite and non-negative, got -1e-6"),
+    (["parse", "so2", "--samples", "x"],
+     "argument --samples: invalid int value: 'x'"),
+], ids=["samples-0", "samples-neg", "tol-neg", "tol-nan", "orbit-tol-inf",
+        "orbit-tol-neg", "samples-not-int"])
+def test_sampling_flags_rejected_at_parsing(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.splitlines()[-1] == f"lagrforge {argv[0]}: error: {named}"
+
+
+SHEAR_10_400 = """
+group shear {
+  params: g;
+  coords: X1, X2;
+  identity: (0);
+  inverse: (-g);
+  multiply: (lhs.g + rhs.g);
+  action: (X1 + 10^400*g*X2, X2);
+}
+"""
+
+
+def test_sampling_abort_writes_one_short_stderr_line(tmp_path):
+    # every sampled value of the constant 10^400 overflows; with no logging
+    # configured the warning reaches stderr, without the expression
+    path = tmp_path / "shear.grp"
+    path.write_text(SHEAR_10_400)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lagrforge.cli", "verify", str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ("sampling aborted: 1001 near-singular or "
+                           "overflowing rejections for a 1-term expression\n")
+
+
 NESTINGS = {
     "paren": lambda d: "(" * d + "X" + ")" * d + " + g",
     "sin": lambda d: "sin(" * d + "X" + ")" * d + " + g",

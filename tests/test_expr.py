@@ -1,5 +1,6 @@
 """Unit behavior of the expression kernel."""
 
+import logging
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from lagrforge import (Cos, Equivalence, Power, Product, Rational, Role, Sin,
                        equals, eval_numeric, format_expr, free_symbols,
                        monomials, substitute)
 from lagrforge.expr import (NearSingularEvaluationError, UnboundSymbolError,
-                            monomial_expr)
+                            monomial_expr, polynomial_expr, sample_expr)
 
 X = SymbolInfo("x", Role.BASE_COORDINATE)
 Y = SymbolInfo("y", Role.BASE_COORDINATE)
@@ -97,6 +98,31 @@ def test_equals_three_verdicts():
     assert equals(x, y) == Equivalence.PROVED_UNEQUAL
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sampling_needs_a_sample(samples):
+    # with no draw, sin(x) = x would pass as NumericallyEqual
+    with pytest.raises(ValueError, match=f"samples must be at least 1, "
+                                         f"got {samples}"):
+        sample_expr(x, samples=samples)
+    for a, b in ((canonicalize(Sin(x)), x), (x, x)):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            equals(a, b, samples=samples)
+
+
+def test_sampling_abort_logs_the_expression_at_debug_only(caplog):
+    # every draw of 10^400 overflows a float; the warning names the term
+    # count, and only the debug record carries the 401-digit constant
+    e = Rational(10 ** 400) * x + y
+    with caplog.at_level(logging.DEBUG, logger="lagrforge.expr"):
+        assert sample_expr(e).aborted
+    (warning,), (debug,) = (
+        [r.getMessage() for r in caplog.records if r.levelno == level]
+        for level in (logging.WARNING, logging.DEBUG))
+    assert warning == ("sampling aborted: 1001 near-singular or overflowing "
+                       "rejections for a 2-term expression")
+    assert debug == f"sampling aborted on {format_expr(e)}"
+
+
 def test_role_order_controls_factor_order():
     a = SymbolInfo("a1", Role.FREE_PARAMETER)
     jet = SymbolInfo("x_g", Role.JET_VARIABLE, (1, 1))
@@ -111,6 +137,8 @@ def test_monomials_round_trip():
     rebuilt = sum((monomial_expr(c, pairs) for c, pairs in monos),
                   Rational(0))
     assert rebuilt == e
+    assert polynomial_expr(list(reversed(monos))) == e
+    assert polynomial_expr(monos + [(-c, p) for c, p in monos]) == Rational(0)
 
 
 def test_format_expr():

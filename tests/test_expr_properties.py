@@ -8,11 +8,11 @@ import re
 
 import pytest
 
-from lagrforge import (Product, Rational, Sum, Sym, canonicalize,
-                       differentiate, parse)
+from lagrforge import (Cos, Power, Product, Rational, Role, Sin, Sum, Sym,
+                       SymbolInfo, canonicalize, differentiate, parse)
 from lagrforge.dsl import MAX_NESTING
 from lagrforge.expr import (NearSingularEvaluationError, UnboundSymbolError,
-                            compile_numeric, eval_numeric)
+                            _diff, compile_numeric, eval_numeric)
 
 from genexpr import VARS, random_expr, sample_point, try_eval
 
@@ -44,6 +44,35 @@ def test_differentiate_matches_finite_differences():
         fd = (stencil[1] - stencil[0]) / (2 * h)
         assert abs(fd - exact) <= 1e-5 * max(1.0, abs(exact))
         checked += 1
+
+
+def _has_chain_atom(e):
+    """Whether the tree holds a sine, cosine or negative power of a sum."""
+    if isinstance(e, (Sin, Cos)):
+        return True
+    if isinstance(e, Power):
+        return (e.exponent < 0 and isinstance(e.base, Sum)) or \
+            _has_chain_atom(e.base)
+    return any(_has_chain_atom(k) for k in getattr(e, "terms", ()) +
+               getattr(e, "factors", ()))
+
+
+def test_differentiate_matches_tree_walk():
+    # the term-by-term derivative is the canonicalized chain-rule tree of
+    # the whole canonical form, by each variable and by an absent symbol
+    rng = random.Random(8128)
+    absent = SymbolInfo("w", Role.BASE_COORDINATE)
+    chained = 0
+    for _ in range(300):
+        e = random_expr(rng, depth=rng.randint(2, 4))
+        c = canonicalize(e)
+        chained += _has_chain_atom(c)
+        for info in VARS + (absent,):
+            want = canonicalize(_diff(c, info))
+            got = differentiate(e, info)
+            assert got == want
+            assert differentiate(e, Sym(info)) == want
+    assert chained > 50
 
 
 def test_canonicalize_idempotent_and_evaluation_sound():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 import lagrforge as lf
-from lagrforge import (BasisTooLargeError, NonlinearInUnknownsError, Rational,
-                       Role, Sym, canonicalize)
+from lagrforge import (BasisTooLargeError, NonlinearInUnknownsError, Product,
+                       Rational, Role, Sum, Sym, canonicalize)
 from lagrforge.printing import prefix_expr
 from lagrforge.solver import rref
 
@@ -240,6 +240,49 @@ def test_block_solve_matches_full_system(source, r, deg_g, affine_lie):
     for member in family.members:
         for row in sparse_rows:
             assert sum(c * member.vector[j] for j, c in row) == 0
+
+
+def _tree_assembly(family):
+    """Members, multipliers and Lagrangians assembled from the nullspace of
+    the whole system through Sum/Product trees, one canonicalization each."""
+    lie, ansatz = family.lie, family.ansatz
+    members = []
+    for vec in lf.nullspace_vectors(family.system):
+        lead = next(v for v in vec if v)
+        vec = [v / lead for v in vec]
+        members.append((vec, {key: canonicalize(Sum(tuple(
+            Product((Rational(vec[ansatz.col_index[info]]), mono))
+            for info, mono in zip(infos, ansatz.basis)
+            if vec[ansatz.col_index[info]])))
+            for key, infos in ansatz.unknowns.items()}))
+    members.sort(key=lambda m: tuple(m[1][key].sort_key()
+                                     for key in sorted(m[1])))
+    multipliers = {key: canonicalize(Sum(tuple(
+        Product((Sym(p), m[key]))
+        for p, (_, m) in zip(family.free_params, members)
+        if m[key] != Rational(0)))) for key in ansatz.unknowns}
+    lagrangians = [canonicalize(Sum(tuple(
+        Product((multipliers[(k, a, s)], lie.phi[a - 1][s - 1]))
+        for a in range(1, lie.n + 1) for s in range(1, lie.r + 1))))
+        for k in range(1, lie.r + 1)]
+    return members, multipliers, lagrangians
+
+
+@pytest.mark.parametrize("source, deg_x, deg_g", [
+    ("so2", 3, (0, 0)), ("affine1", 1, (-1, 1)), ("se2", 1, (0, 0))])
+def test_family_matches_tree_assembly(source, deg_x, deg_g):
+    # the family is assembled from monomial lists; a tree assembly of the
+    # same nullspace gives the same members in the same order
+    text = SE2_SOURCE if source == "se2" else lf.bundled_source(source)
+    lie = lf.constraints(lf.parse(text))
+    family = lf.solve_family(lie, lf.build_ansatz(lie, deg_x=deg_x,
+                                                  deg_g=deg_g))
+    members, multipliers, lagrangians = _tree_assembly(family)
+    assert [m.vector for m in family.members] == [vec for vec, _ in members]
+    assert [m.multipliers for m in family.members] == [mu for _, mu in members]
+    assert family.multipliers == multipliers
+    assert family.lagrangians == lagrangians
+    assert family.dimension > 1
 
 
 def test_nullspace_orthogonal_to_rows(so2_family):
