@@ -6,6 +6,8 @@ They run under pytest-benchmark and stay out of the tier-1 suite, whose
     PYTHONPATH=src python3 -m pytest benches
 """
 
+import dataclasses
+
 import pytest
 
 import lagrforge as lf
@@ -95,3 +97,22 @@ def test_rref_affine_system(benchmark, affine_family):
     system = affine_family.system
     rows, pivots = benchmark(rref, system.rows, len(system.columns))
     assert len(pivots) == system.rank
+
+
+@pytest.fixture(scope="module")
+def so2_dx4_family():
+    """The family of `verify so2 --deg-x 4`: four free parameters."""
+    lie = lf.constraints(lf.parse(lf.bundled_source("so2")))
+    return lf.solve_family(lie, lf.build_ansatz(lie, deg_x=4, deg_g=(0, 0)))
+
+
+def test_build_report_so2_dx4(benchmark, so2_dx4_family):
+    # forward check, converse check and degeneracy scan; each round gets a
+    # fresh copy of the family, so its E-L system is derived in the round
+    family = so2_dx4_family
+    params = lf.verify.generic_params(family, lf.DEFAULT_SEED)
+    report = benchmark.pedantic(
+        lf.build_report,
+        setup=lambda: ((dataclasses.replace(family), params), {}),
+        rounds=5)
+    assert report.ok and len(report.degeneracy.entries) == 5

@@ -17,11 +17,11 @@ from .solver import (BasisTooLargeError, LagrangianFamily, MultiplierAnsatz,
                      NonlinearInUnknownsError, SecondOrderJetError,
                      ansatz_from_basis, build_ansatz, collect_system,
                      lambda_map_residual, nullspace_vectors, solve_family,
-                     weak_el_residual_of)
+                     strong_el, weak_el_residual_of)
 from .verify import (ConverseResult, ShapeMismatchError,
                      VerificationReport, build_report, converse_check,
                      degeneracy_scan, forward_check, kinetic_identity_check,
-                     numeric_orbit_check, strong_el)
+                     numeric_orbit_check)
 
 __version__ = "0.1.0"
 

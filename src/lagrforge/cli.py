@@ -90,9 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("text", "json", "latex"),
                        default="text", help="output format")
-        p.add_argument("--seed", type=int, default=None,
-                       help="sampling seed (default: LAGRFORGE_SEED or "
-                            f"{DEFAULT_SEED})")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help=f"sampling seed (default: {DEFAULT_SEED})")
         p.add_argument("--samples", type=_SAMPLES, default=EQUALS_SAMPLES,
                        help="sample count for numeric equality checks")
         p.add_argument("--tol", type=_TOLERANCE, default=EQUALS_TOL,
@@ -165,19 +164,6 @@ def _load_source(name_or_path: str) -> str:
     if "/" not in name_or_path and not name_or_path.endswith(".grp"):
         return bundled_source(name_or_path)
     raise FileNotFoundError(f"no such file: {name_or_path}")
-
-
-def _seed_of(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("LAGRFORGE_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(
-                f"LAGRFORGE_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
 
 
 def _parse_params(chunks) -> dict:
@@ -490,7 +476,11 @@ def _family_latex(family) -> list:
 def run_stages(args) -> int:
     """Run parse -> axioms -> derive -> solve -> verify up to the command's
     last stage and emit what was built.  A failed group law stops the run
-    after the axiom stage, with exit code 1."""
+    after the axiom stage, with exit code 1.
+
+    Each stage that runs adds one builder per format, (JSON keys, text
+    lines, LaTeX block); only the requested format's builders are called.
+    """
     if args.command == "example":
         last, source = "verify", bundled_source(args.name)
         _apply_example_defaults(args)
@@ -498,32 +488,37 @@ def run_stages(args) -> int:
         last, source = args.command, _load_source(args.input)
 
     spec = parse(source)
-    seed = _seed_of(args)
-    axioms = validate_axioms(spec, seed=seed, tol=args.tol)
-    payload = {"command": args.command, "group": _spec_payload(spec),
-               "axioms": _axioms_payload(axioms)}
-    lines = [f"group {spec.name}: {spec.r} parameter(s), "
-             f"{spec.n} coordinate(s)"]
-    if last == "parse":
-        lines += ["", pretty_print(spec).rstrip(), ""]
-    lines += _axioms_text(axioms)
-    latex = partial(_spec_latex, spec)
+    axioms = validate_axioms(spec, seed=args.seed, tol=args.tol)
+
+    def group_text():
+        lines = [f"group {spec.name}: {spec.r} parameter(s), "
+                 f"{spec.n} coordinate(s)"]
+        if last == "parse":
+            lines += ["", pretty_print(spec).rstrip(), ""]
+        return lines + _axioms_text(axioms)
+
+    stages = [(lambda: {"group": _spec_payload(spec),
+                        "axioms": _axioms_payload(axioms)},
+               group_text, partial(_spec_latex, spec))]
 
     def finish(ok: bool) -> int:
-        payload["ok"] = ok
         if args.format == "json":
+            payload = {"command": args.command, "ok": ok}
+            for keys, _, _ in stages:
+                payload.update(keys())
             print(json.dumps(payload, indent=2, sort_keys=True))
+        elif args.format == "text":
+            print("\n".join(line for _, text, _ in stages for line in text()))
         else:
-            print("\n".join(latex() if args.format == "latex" else lines))
+            print("\n".join(stages[-1][2]()))
         return 0 if ok else 1
 
     if not axioms.ok or last == "parse":
         return finish(axioms.ok)
 
     lie = constraints(spec)
-    payload["lie"] = _lie_payload(lie)
-    lines += _lie_text(lie)
-    latex = partial(_lie_latex, lie)
+    stages.append((lambda: {"lie": _lie_payload(lie)},
+                   partial(_lie_text, lie), partial(_lie_latex, lie)))
     if last == "derive":
         return finish(True)
 
@@ -531,21 +526,22 @@ def run_stages(args) -> int:
                           deg_g=(args.deg_g_min, args.deg_g_max),
                           max_unknowns=args.max_unknowns)
     family = solve_family(lie, ansatz)
-    payload.update(_family_payload(ansatz, family))
-    lines += _family_text(ansatz, family)
-    latex = partial(_family_latex, family)
+    family_latex = partial(_family_latex, family)
+    stages.append((partial(_family_payload, ansatz, family),
+                   partial(_family_text, ansatz, family), family_latex))
     if last == "solve":
         return finish(True)
 
     x0 = _parse_x0(args.x0) if args.x0 is not None else None
     params = (_parse_params(args.params) if args.params is not None
-              else generic_params(family, seed))
+              else generic_params(family, args.seed))
     report = build_report(family, params, numeric=args.numeric, x0=x0,
                           g_end=args.g_end, step=args.step,
                           orbit_tol=args.orbit_tol, samples=args.samples,
-                          seed=seed, tol=args.tol)
-    payload["report"] = _report_payload(report)
-    lines += _report_text(report)
+                          seed=args.seed, tol=args.tol)
+    # the report has no LaTeX block of its own
+    stages.append((lambda: {"report": _report_payload(report)},
+                   partial(_report_text, report), family_latex))
     return finish(report.ok)
 
 

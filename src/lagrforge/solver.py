@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .expr import (Expr, Power, Product, RAT0, RAT_M1, Rational, Role, Sum,
                    Sym, SymbolInfo, canonicalize, differentiate, free_symbols,
@@ -146,6 +147,11 @@ def euler_lagrange(lie, L: Expr, alpha: int) -> Expr:
         terms.extend(Product((RAT_M1, differentiate(A, f), Sym(jets_f[i])))
                      for f, jets_f in zip(lie.fields, lie.jets))
     return canonicalize(Sum(tuple(terms)))
+
+
+def strong_el(lie, L: Expr) -> list:
+    """Full E-L expressions of one Lagrangian component, one per field."""
+    return [euler_lagrange(lie, L, alpha) for alpha in range(1, lie.n + 1)]
 
 
 def weak_el_residual_of(lie, L: Expr, alpha: int) -> Expr:
@@ -314,6 +320,13 @@ class LagrangianFamily:
     @property
     def dimension(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def strong_el(self) -> list:
+        """Strong E-L expressions [k][alpha] with the free parameters kept
+        symbolic.  They are linear in the a_d, like the Lagrangians, so
+        substituting values gives the E-L system of that specialization."""
+        return [strong_el(self.lie, L) for L in self.lagrangians]
 
     def param_values(self, assignment) -> dict:
         """Normalize {name or SymbolInfo: number} to a full rational map."""

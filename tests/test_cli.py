@@ -12,7 +12,9 @@ import sys
 
 import pytest
 
+from lagrforge import cli
 from lagrforge.cli import run
+from lagrforge.expr import DEFAULT_SEED
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SO2_PATH = ROOT / "examples" / "so2.grp"
@@ -124,17 +126,12 @@ def test_verify_numeric_orbit(capsys):
     assert orbit["max_deviation"] <= 1e-6
 
 
-def test_seed_env_and_flag(capsys, monkeypatch):
-    monkeypatch.setenv("LAGRFORGE_SEED", "7")
+def test_seed_flag_and_default(capsys):
     _, out, _ = capture(capsys, ["parse", "so2", "--format", "json"])
-    assert json.loads(out)["axioms"]["seed"] == 7
+    assert json.loads(out)["axioms"]["seed"] == DEFAULT_SEED
     _, out, _ = capture(capsys, ["parse", "so2", "--seed", "9",
                                  "--format", "json"])
     assert json.loads(out)["axioms"]["seed"] == 9
-    monkeypatch.setenv("LAGRFORGE_SEED", "xx")
-    code, _, err = capture(capsys, ["parse", "so2"])
-    assert code == 2
-    assert "LAGRFORGE_SEED must be an integer" in err
 
 
 def test_example_so2(capsys):
@@ -252,6 +249,28 @@ def test_golden_output(capsys, argv, fmt, code, digest):
     got, out, err = capture(capsys, argv.split() + ["--format", fmt])
     assert (got, err) == (code, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+TEXT_BUILDERS = ("_axioms_text", "_lie_text", "_family_text", "_report_text")
+PAYLOAD_BUILDERS = ("_axioms_payload", "_spec_payload", "_lie_payload",
+                    "_family_payload", "_report_payload")
+# The builders of the formats other than the requested one.
+UNUSED_BUILDERS = {"json": TEXT_BUILDERS, "text": PAYLOAD_BUILDERS,
+                   "latex": TEXT_BUILDERS + PAYLOAD_BUILDERS}
+
+
+@pytest.mark.parametrize("fmt", sorted(UNUSED_BUILDERS))
+@pytest.mark.parametrize("argv,code", [("verify so2", 0), ("example so2", 0),
+                                       ("verify so2 --params a2=0", 1)])
+def test_only_the_requested_format_is_built(capsys, monkeypatch, fmt,
+                                            argv, code):
+    def refuse(*args):
+        raise AssertionError("built output of a format not asked for")
+    for name in UNUSED_BUILDERS[fmt]:
+        monkeypatch.setattr(cli, name, refuse)
+    got, out, err = capture(capsys, argv.split() + ["--format", fmt])
+    assert (got, err) == (code, "")
+    assert out
 
 
 # Not a group: X -> g*X + g composed twice is not the action of the sum.

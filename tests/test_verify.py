@@ -10,6 +10,8 @@ import pytest
 import lagrforge as lf
 from lagrforge import (Equivalence, Power, Rational, SecondOrderJetError,
                        ShapeMismatchError, Sym, canonicalize, verify)
+from lagrforge.printing import prefix_expr
+from test_solver import SE2_SOURCE
 
 SHEAR = """
 group shear {
@@ -93,6 +95,45 @@ def test_converse_mismatch_produces_witness(so2_family):
     assert set(result.witness) == {"jet", "solved", "expected", "point",
                                    "magnitude"}
     assert result.witness["magnitude"] > 1e-9
+
+
+@pytest.fixture(scope="module", params=["so2 dx3", "affine1 dx1 g[-1,1]",
+                                        "se2 dx1"])
+def ladder_family(request):
+    source, deg_x, deg_g = {
+        "so2 dx3": (lf.bundled_source("so2"), 3, (0, 0)),
+        "affine1 dx1 g[-1,1]": (lf.bundled_source("affine1"), 1, (-1, 1)),
+        "se2 dx1": (SE2_SOURCE, 1, (0, 0)),
+    }[request.param]
+    lie = lf.constraints(lf.parse(source))
+    return lf.solve_family(lie, lf.build_ansatz(lie, deg_x=deg_x,
+                                                deg_g=deg_g))
+
+
+def test_specialised_el_matches_derivation(ladder_family):
+    # the converse check substitutes parameter values into the family's
+    # symbolic E-L system; deriving E-L from the specialised Lagrangians
+    # must give the same equations, jet coefficients and jet-free parts
+    family = ladder_family
+    lie = family.lie
+    jets = lie.jet_list()
+    zero_jets = {J: Rational(0) for J in jets}
+
+    def parts(e):
+        return ([prefix_expr(e), prefix_expr(lf.substitute(e, zero_jets))]
+                + [prefix_expr(lf.differentiate(e, J)) for J in jets])
+
+    assignments = [verify.generic_params(family, seed) for seed in (1, 2)]
+    assignments += [{p.name: 1} for p in family.free_params[:6]]
+    for assignment in assignments:
+        got = lf.converse_check(family, assignment).equations
+        expected = [(k, alpha, e)
+                    for k, L in enumerate(family.lagrangian_at(assignment),
+                                          start=1)
+                    for alpha, e in enumerate(lf.strong_el(lie, L), start=1)]
+        assert [(k, a) for k, a, _ in got] == [(k, a) for k, a, _ in expected]
+        for (_, _, e), (_, _, ref) in zip(got, expected):
+            assert parts(e) == parts(ref), assignment
 
 
 def test_degeneracy_scan(so2_family):
