@@ -9,8 +9,8 @@ from .expr import (DEFAULT_SEED, Cos, Equivalence, Expr, Power, Product,
 from .printing import latex_expr, prefix_expr
 from .dsl import (ArityMismatchError, DslError, DuplicateClauseError,
                   GroupActionSpec, GroupSyntaxError, UndeclaredSymbolError,
-                  bundled_names, bundled_source, parse, parse_file,
-                  pretty_print, validate_axioms)
+                  bundled_names, bundled_source, parse, pretty_print,
+                  validate_axioms)
 from .lie import (ConventionViolationError, LieData, ResidualCoordinatesError,
                   auxiliary_functions, constraints, infinitesimal_coefficients)
 from .solver import (BasisTooLargeError, LagrangianFamily, MultiplierAnsatz,
@@ -33,7 +33,7 @@ __all__ = [
     "latex_expr", "prefix_expr",
     "ArityMismatchError", "DslError", "DuplicateClauseError",
     "GroupActionSpec", "GroupSyntaxError", "UndeclaredSymbolError",
-    "bundled_names", "bundled_source", "parse", "parse_file", "pretty_print",
+    "bundled_names", "bundled_source", "parse", "pretty_print",
     "validate_axioms",
     "ConventionViolationError", "LieData", "ResidualCoordinatesError",
     "auxiliary_functions", "constraints", "infinitesimal_coefficients",

@@ -185,7 +185,13 @@ def _parse_params(chunks) -> dict:
 
 
 def _parse_x0(text: str):
-    return tuple(float(Fraction(part.strip())) for part in text.split(","))
+    def component(part):
+        try:
+            return float(Fraction(part.strip()))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(f"--x0 takes rationals within float range, "
+                             f"got '{part.strip()}'") from None
+    return tuple(component(part) for part in text.split(","))
 
 
 def _apply_example_defaults(args) -> None:

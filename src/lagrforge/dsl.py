@@ -17,12 +17,12 @@ valid inside the multiply clause and refer to the two group factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
 from .expr import (DEFAULT_SEED, EQUALS_TOL, Cos, Expr, Power, Product,
-                   RAT_M1, Rational, Role, Sin, Sum, Sym, SymbolInfo,
+                   RAT0, RAT_M1, Rational, Role, Sin, Sum, Sym, SymbolInfo,
                    canonicalize, format_expr, sample_expr, substitute)
 
 CLAUSES = ("params", "coords", "identity", "inverse", "multiply", "action")
@@ -252,6 +252,19 @@ def _resolve(node, env: dict, qualified: bool) -> Expr:
     raise AssertionError(f"unknown AST node {kind}")
 
 
+def _divides_by_zero(e: Expr) -> bool:
+    """Whether a canonical expression holds a power 0^-n anywhere."""
+    if isinstance(e, Power):
+        return (e.base == RAT0 and e.exponent < 0) or _divides_by_zero(e.base)
+    if isinstance(e, (Sin, Cos)):
+        return _divides_by_zero(e.argument)
+    if isinstance(e, Sum):
+        return any(map(_divides_by_zero, e.terms))
+    if isinstance(e, Product):
+        return any(map(_divides_by_zero, e.factors))
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Specification object.
 
@@ -269,7 +282,6 @@ class GroupActionSpec:
     action: tuple
     lhs_params: tuple
     rhs_params: tuple
-    positions: dict = field(compare=False, default_factory=dict)
 
     @property
     def r(self) -> int:
@@ -349,10 +361,14 @@ def parse(source: str) -> GroupActionSpec:
 
     def build(clause: str, env: dict, expected: int, qualified=False):
         nodes = raw[clause]
+        line, col = positions[clause]
         if len(nodes) != expected:
-            line, col = positions[clause]
             raise ArityMismatchError(clause, expected, len(nodes), line, col)
-        return tuple(canonicalize(_resolve(n, env, qualified)) for n in nodes)
+        exprs = tuple(canonicalize(_resolve(n, env, qualified)) for n in nodes)
+        if any(map(_divides_by_zero, exprs)):
+            raise GroupSyntaxError(f"clause '{clause}' divides by zero",
+                                   line, col)
+        return exprs
 
     r, n = len(params), len(coords)
     spec = GroupActionSpec(
@@ -365,14 +381,8 @@ def parse(source: str) -> GroupActionSpec:
         action=build("action", env_action, n),
         lhs_params=lhs,
         rhs_params=rhs,
-        positions=positions,
     )
     return spec
-
-
-def parse_file(path) -> GroupActionSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
 
 
 def bundled_names() -> tuple:

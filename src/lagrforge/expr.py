@@ -51,7 +51,8 @@ class Role(IntEnum):
 class SymbolInfo:
     """A named symbol with a fixed role.
 
-    Jet variables carry index (alpha, i); field variables carry (alpha,).
+    Jet variables carry index (alpha, i); field variables carry (alpha,);
+    ansatz unknowns carry (column,), their column in the linear system.
     Names must be unique within one derivation context.
     """
 
@@ -461,11 +462,6 @@ def canonicalize(e: Expr) -> Expr:
 def monomials(e: Expr):
     """(coefficient, ((atom, exponent), ...)) list of the canonical form."""
     return _as_monomials(canonicalize(e))
-
-
-def monomial_expr(coeff: Fraction, pairs) -> Expr:
-    """Rebuild a canonical expression from one monomial."""
-    return _mono_expr(coeff, _norm_pairs(pairs))
 
 
 def polynomial_expr(monos) -> Expr:

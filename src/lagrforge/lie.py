@@ -74,7 +74,6 @@ class LieData:
     fields: tuple            # field variable symbols X'^a
     jets: tuple              # jets[a][j] = X'^a_(j+1)
     S: list                  # n x r, functions of the base coordinates
-    S_field: list            # S with base coordinates renamed to fields
     u: list                  # r x r, functions of the parameters
     phi: list                # n x r constraint expressions
     onshell: dict            # jet symbol -> u.S(X') substitution value
@@ -153,6 +152,6 @@ def constraints(spec) -> LieData:
             row.append(verdict)
         on_action.append(row)
 
-    return LieData(spec=spec, fields=fields, jets=jets, S=S, S_field=S_field,
-                   u=u, phi=phi, onshell=onshell, on_action=on_action,
+    return LieData(spec=spec, fields=fields, jets=jets, S=S, u=u, phi=phi,
+                   onshell=onshell, on_action=on_action,
                    notes=[CONVENTION_NOTE])

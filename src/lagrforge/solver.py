@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .expr import (Expr, Power, Product, RAT0, RAT_M1, Rational, Role, Sum,
                    Sym, SymbolInfo, canonicalize, differentiate, free_symbols,
-                   monomial_expr, monomials, polynomial_expr, substitute)
+                   monomials, polynomial_expr, substitute)
 
 MAX_UNKNOWNS = 5000
 
@@ -43,7 +43,8 @@ class MultiplierAnsatz:
     """Unknown multipliers lambda^k_{a,s} over a shared monomial basis.
 
     Keys (k, a, s) are 1-based: k indexes the Lagrangian component,
-    a the constraint coordinate, s the constraint parameter.
+    a the constraint coordinate, s the constraint parameter.  Each unknown
+    carries its column as its index, (column,).
     """
 
     lie: object
@@ -53,14 +54,6 @@ class MultiplierAnsatz:
     unknowns: dict               # (k, a, s) -> tuple of SymbolInfo
     lambdas: dict                # (k, a, s) -> Expr
     columns: tuple               # all unknowns in column order
-    col_index: dict
-
-    def slots(self):
-        r, n = self.lie.r, self.lie.n
-        return [(k, a, s)
-                for k in range(1, r + 1)
-                for a in range(1, n + 1)
-                for s in range(1, r + 1)]
 
     def lagrangian_component(self, k: int) -> Expr:
         return compose_lagrangian(self.lie, self.lambdas, k)
@@ -81,6 +74,10 @@ def build_ansatz(lie, deg_x: int = 1, deg_g=(0, 0),
     if deg_x < 0 or lo > 0 or hi < 0:
         raise ValueError("deg_x must be >= 0 and the parameter exponent "
                          "range must contain 0")
+    # the basis has one monomial per exponent vector; check its size
+    # before enumerating it
+    _check_unknowns(lie.r * lie.n * lie.r * (deg_x + 1) ** lie.n
+                    * (hi - lo + 1) ** lie.r, max_unknowns)
     syms = [Sym(s) for s in lie.fields + lie.spec.params]
     basis = {canonicalize(Product(tuple(
                  Power(sym, e) for sym, e in zip(syms, xexp + gexp) if e)))
@@ -96,11 +93,7 @@ def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
     """Ansatz over an explicit list of canonical basis monomials."""
     basis = tuple(canonicalize(b) for b in basis)
     r, n = lie.r, lie.n
-    count = r * n * r * len(basis)
-    if count > max_unknowns:
-        raise BasisTooLargeError(
-            f"{count} unknowns exceed the cap of {max_unknowns}; "
-            "reduce the degree bounds or raise the cap")
+    _check_unknowns(r * n * r * len(basis), max_unknowns)
     unknowns = {}
     lambdas = {}
     columns = []
@@ -108,18 +101,24 @@ def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
         for a in range(1, n + 1):
             for s in range(1, r + 1):
                 infos = tuple(
-                    SymbolInfo(f"c{k}_{a}{s}_{m}", Role.ANSATZ_UNKNOWN)
+                    SymbolInfo(f"c{k}_{a}{s}_{m}", Role.ANSATZ_UNKNOWN,
+                               (len(columns) + m,))
                     for m in range(len(basis)))
                 unknowns[(k, a, s)] = infos
                 columns.extend(infos)
                 lambdas[(k, a, s)] = canonicalize(Sum(tuple(
                     Product((Sym(info), mono))
                     for info, mono in zip(infos, basis))))
-    columns = tuple(columns)
     return MultiplierAnsatz(lie=lie, deg_x=deg_x, deg_g=deg_g, basis=basis,
                             unknowns=unknowns, lambdas=lambdas,
-                            columns=columns,
-                            col_index={c: i for i, c in enumerate(columns)})
+                            columns=tuple(columns))
+
+
+def _check_unknowns(count: int, max_unknowns: int) -> None:
+    if count > max_unknowns:
+        raise BasisTooLargeError(
+            f"{count} unknowns exceed the cap of {max_unknowns}; "
+            "reduce the degree bounds or raise the cap")
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +174,9 @@ def lambda_map_residual(lie, lambda_map: dict, k: int, alpha: int) -> Expr:
 
 
 @dataclass
-class RowTag:
-    k: int
-    alpha: int
-    monomial: str
-
-
-@dataclass
 class LinearSystem:
     columns: tuple           # unknown symbols, fixed order
     rows: list               # list of Fraction lists
-    tags: list               # RowTag per row
 
     _rref_cache: object = None
 
@@ -199,18 +190,15 @@ class LinearSystem:
         return len(self.rref()[1])
 
 
-def collect_system(residuals, ansatz: MultiplierAnsatz, tags=None) -> LinearSystem:
+def collect_system(residuals, ansatz: MultiplierAnsatz) -> LinearSystem:
     """Turn residual expressions into exact rows over the ansatz unknowns.
 
     Each residual is split by monomials in everything that is not an
-    unknown; each monomial contributes one homogeneous row, tagged with
-    the residual's (k, alpha) and that monomial.
+    unknown; each monomial contributes one homogeneous row.
     """
     ncols = len(ansatz.columns)
-    col_index = ansatz.col_index
     rows = []
-    out_tags = []
-    for ridx, resid in enumerate(residuals):
+    for resid in residuals:
         monos = monomials(resid)
         if len(monos) == 1 and monos[0][0] == 0:
             continue
@@ -232,19 +220,12 @@ def collect_system(residuals, ansatz: MultiplierAnsatz, tags=None) -> LinearSyst
             if unknown is None:
                 raise NonlinearInUnknownsError(
                     "residual carries a term free of ansatz unknowns")
-            sig_pairs = tuple(sorted(rest, key=lambda p: p[0].sort_key()))
-            sig = tuple((a.sort_key(), n) for a, n in sig_pairs)
-            _, row = grouped.setdefault(sig, (sig_pairs, [Fraction(0)] * ncols))
-            row[col_index[unknown]] += coeff
-        tag_base = tags[ridx] if tags else (0, 0)
-        for sig in sorted(grouped.keys()):
-            sig_pairs, row = grouped[sig]
-            if all(v == 0 for v in row):
-                continue
-            rows.append(row)
-            out_tags.append(RowTag(tag_base[0], tag_base[1],
-                                   str(monomial_expr(Fraction(1), sig_pairs))))
-    return LinearSystem(columns=ansatz.columns, rows=rows, tags=out_tags)
+            # `monomials` sorts each monomial's atoms, so `rest` is sorted
+            sig = tuple((a.sort_key(), n) for a, n in rest)
+            row = grouped.setdefault(sig, [Fraction(0)] * ncols)
+            row[unknown.index[0]] += coeff
+        rows.extend(row for _, row in sorted(grouped.items()) if any(row))
+    return LinearSystem(columns=ansatz.columns, rows=rows)
 
 
 def rref(matrix, ncols: int):
@@ -386,7 +367,6 @@ def _basis_vector(ansatz: MultiplierAnsatz, lambda_map: dict):
             raise AssertionError("ansatz basis must be unit monomials")
         sig_to_m[tuple((a.sort_key(), n) for a, n in ms[0][1])] = m
     w = [Fraction(0)] * len(ansatz.columns)
-    nbasis = len(ansatz.basis)
     for key in ansatz.unknowns:
         expr = lambda_map.get(key, lambda_map.get(key[1:]))
         if expr is None:
@@ -398,8 +378,7 @@ def _basis_vector(ansatz: MultiplierAnsatz, lambda_map: dict):
             m = sig_to_m.get(sig)
             if m is None:
                 return None
-            col = ansatz.col_index[ansatz.unknowns[key][m]]
-            w[col] += coeff
+            w[ansatz.unknowns[key][m].index[0]] += coeff
     return w
 
 
@@ -413,14 +392,11 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
     into place.
     """
     L = ansatz.lagrangian_component(1)
-    alphas = range(1, lie.n + 1)
     collected = collect_system([weak_el_residual_of(lie, L, alpha)
-                                for alpha in alphas], ansatz,
-                               [(1, alpha) for alpha in alphas])
+                                for alpha in range(1, lie.n + 1)], ansatz)
     width = lie.n * lie.r * len(ansatz.basis)
     block = LinearSystem(columns=ansatz.columns[:width],
-                         rows=[row[:width] for row in collected.rows],
-                         tags=collected.tags)
+                         rows=[row[:width] for row in collected.rows])
     block_vectors = nullspace_vectors(block)
     reduced, pivots = block.rref()
 
@@ -433,7 +409,6 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
     system = LinearSystem(
         columns=ansatz.columns,
         rows=[place(row, k) for k in ks for row in block.rows],
-        tags=[RowTag(k + 1, t.alpha, t.monomial) for k in ks for t in block.tags],
         _rref_cache=([place(row, k) for k in ks for row in reduced],
                      [p + k * width for k in ks for p in pivots]))
     # A block vector, scaled to a leading 1, is the block of one member for
@@ -478,7 +453,7 @@ def _block_multipliers(ansatz: MultiplierAnsatz, basis, vec) -> dict:
     out = {}
     for (k, a, s), infos in ansatz.unknowns.items():
         if k == 1:
-            start = ansatz.col_index[infos[0]]
+            start = infos[0].index[0]
             coeffs = vec[start:start + len(basis)]
             out[(a, s)] = polynomial_expr([
                 (c * bc, pairs) for c, mono in zip(coeffs, basis) if c

@@ -23,7 +23,6 @@ from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
                    Rational, Sum, Sym, canonicalize, compile_numeric,
                    differentiate, equals, eval_numeric, format_expr,
                    sample_expr, substitute)
-from .solver import strong_el  # noqa: F401  (re-exported)
 
 
 # Longest orbit integration accepted, in steps: about 10 s for so2 on a
@@ -377,7 +376,6 @@ def _euclid(a, b) -> float:
 @dataclass
 class VerificationReport:
     lie: object
-    family: object
     params: dict
     forward: list                       # [k][alpha] Equivalence grid
     converse: ConverseResult
@@ -440,8 +438,7 @@ def build_report(family, params, numeric: bool = False, x0=None,
             if x0 is None or g_end is None:
                 raise ValueError("numeric orbit check needs x0 and g_end")
             orbit = numeric_orbit_check(lie, x0, g_end, step=step)
-    return VerificationReport(lie=lie, family=family,
-                              params=converse.params, forward=forward,
-                              converse=converse, degeneracy=degeneracy,
-                              kinetic=kinetic, orbit=orbit,
-                              orbit_tol=orbit_tol, notes=notes)
+    return VerificationReport(lie=lie, params=converse.params,
+                              forward=forward, converse=converse,
+                              degeneracy=degeneracy, kinetic=kinetic,
+                              orbit=orbit, orbit_tol=orbit_tol, notes=notes)

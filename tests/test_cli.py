@@ -324,6 +324,29 @@ def test_orbit_input_errors_exit_2(capsys, flags, named):
     assert (code, out, err) == (2, "", f"error: {named}\n")
 
 
+@pytest.mark.parametrize("x0,part", [
+    ("1/0,0", "1/0"), ("1e400,0", "1e400"), ("abc", "abc"), ("1,", ""),
+], ids=["zero-denominator", "float-overflow", "not-a-number", "empty"])
+def test_malformed_x0_exits_2(capsys, x0, part):
+    code, out, err = capture(capsys, ["example", "so2", "--x0", x0])
+    assert (code, out) == (2, "")
+    assert err == f"error: --x0 takes rationals within float range, " \
+                  f"got '{part}'\n"
+
+
+@pytest.mark.parametrize("old,new,clause,line", [
+    ("X*g + g", "X + g/0", "action", 8),
+    ("identity: (0)", "identity: (0^-1)", "identity", 5),
+], ids=["action", "identity"])
+def test_division_by_zero_in_a_formula_exits_2(capsys, tmp_path, old, new,
+                                               clause, line):
+    path = tmp_path / "div.grp"
+    path.write_text(NON_GROUP.replace(old, new))
+    code, out, err = capture(capsys, ["derive", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {line}:3: clause '{clause}' divides by zero\n"
+
+
 @pytest.mark.parametrize("argv,named", [
     (["verify", "so2", "--samples", "0"],
      "argument --samples: must be at least 1, got 0"),

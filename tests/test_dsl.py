@@ -118,6 +118,28 @@ def test_undeclared_symbol():
     assert "'w'" in str(err.value)
 
 
+@pytest.mark.parametrize("clause, formula", [
+    ("action", "X1 + t/0"),
+    ("action", "X1 + t*sin(1/(X1 - X1))"),
+    ("action", "X1/(X1 - X1) + t"),
+    ("action", "X1 + t + cos(0^-2)"),
+    ("identity", "0^-1"),
+    ("inverse", "-t + 1/(t - t)"),
+    ("multiply", "lhs.t + rhs.t/0"),
+])
+def test_division_by_zero_is_rejected(clause, formula):
+    # a power 0^-n left in the canonical formula, however deep, fails at
+    # the clause's position
+    lines = MINI.splitlines()
+    line = next(i for i, text in enumerate(lines, start=1)
+                if text.startswith(f"  {clause}:"))
+    lines[line - 1] = f"  {clause}: ({formula});"
+    with pytest.raises(GroupSyntaxError) as err:
+        lf.parse("\n".join(lines))
+    assert err.value.message == f"clause '{clause}' divides by zero"
+    assert (err.value.line, err.value.col) == (line, 3)
+
+
 def test_identity_must_be_constant():
     source = MINI.replace("identity: (0);", "identity: (t);")
     with pytest.raises(UndeclaredSymbolError):

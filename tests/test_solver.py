@@ -17,12 +17,20 @@ def test_build_ansatz_so2(so2_lie):
     assert [prefix_expr(b) for b in ansatz.basis] == \
         ["1", "X1'", "X2'", "(* X1' X2')"]
     assert len(ansatz.columns) == 8
-    assert ansatz.slots() == [(1, 1, 1), (1, 2, 1)]
+    assert list(ansatz.unknowns) == [(1, 1, 1), (1, 2, 1)]
     names = [c.name for c in ansatz.columns]
     assert names[:4] == ["c1_11_0", "c1_11_1", "c1_11_2", "c1_11_3"]
     assert all(c.role == Role.ANSATZ_UNKNOWN for c in ansatz.columns)
     L = ansatz.lagrangian_component(1)
     assert lf.free_symbols(L) >= set(ansatz.columns)
+
+
+@pytest.mark.parametrize("name, deg_g",
+                         [("so2", (0, 0)), ("affine1", (-1, 1))])
+def test_unknowns_carry_their_column(name, deg_g, so2_lie, affine_lie):
+    lie = so2_lie if name == "so2" else affine_lie
+    ansatz = lf.build_ansatz(lie, deg_x=1, deg_g=deg_g)
+    assert all(c.index == (i,) for i, c in enumerate(ansatz.columns))
 
 
 def test_build_ansatz_validation(so2_lie):
@@ -34,6 +42,15 @@ def test_build_ansatz_validation(so2_lie):
         lf.build_ansatz(so2_lie, deg_x=1, deg_g=(0, -1))
     with pytest.raises(BasisTooLargeError):
         lf.build_ansatz(so2_lie, deg_x=1, deg_g=(0, 0), max_unknowns=4)
+
+
+@pytest.mark.parametrize("deg_x, deg_g", [(10 ** 6, (0, 0)),
+                                          (1, (-10 ** 6, 0))])
+def test_basis_size_checked_before_enumeration(so2_lie, deg_x, deg_g):
+    # the cap is checked on the basis size, (deg_x + 1)^n (hi - lo + 1)^r,
+    # before a single monomial is built
+    with pytest.raises(BasisTooLargeError, match="exceed the cap of 5000"):
+        lf.build_ansatz(so2_lie, deg_x=deg_x, deg_g=deg_g)
 
 
 def test_restricted_system_rank(so2_lie):
@@ -221,15 +238,12 @@ def test_block_solve_matches_full_system(source, r, deg_g, affine_lie):
     assert lie.r == r
     ansatz = lf.build_ansatz(lie, deg_x=1, deg_g=deg_g)
     family = lf.solve_family(lie, ansatz)
-    slots = [(k, a) for k in range(1, lie.r + 1) for a in range(1, lie.n + 1)]
     full = lf.collect_system(
         [lf.weak_el_residual_of(lie, ansatz.lagrangian_component(k), a)
-         for k, a in slots], ansatz, slots)
+         for k in range(1, lie.r + 1) for a in range(1, lie.n + 1)], ansatz)
     system = family.system
     assert system.columns == full.columns
     assert sorted(map(tuple, system.rows)) == sorted(map(tuple, full.rows))
-    assert sorted((t.k, t.alpha, t.monomial) for t in system.tags) == \
-        sorted((t.k, t.alpha, t.monomial) for t in full.tags)
     assert system.rank == full.rank
     assert system.rref() == rref(full.rows, len(full.columns))
     # the members are independent and lie in the nullspace, so they span it
@@ -251,9 +265,9 @@ def _tree_assembly(family):
         lead = next(v for v in vec if v)
         vec = [v / lead for v in vec]
         members.append((vec, {key: canonicalize(Sum(tuple(
-            Product((Rational(vec[ansatz.col_index[info]]), mono))
+            Product((Rational(vec[info.index[0]]), mono))
             for info, mono in zip(infos, ansatz.basis)
-            if vec[ansatz.col_index[info]])))
+            if vec[info.index[0]])))
             for key, infos in ansatz.unknowns.items()}))
     members.sort(key=lambda m: tuple(m[1][key].sort_key()
                                      for key in sorted(m[1])))
