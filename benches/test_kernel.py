@@ -116,3 +116,14 @@ def test_build_report_so2_dx4(benchmark, so2_dx4_family):
         setup=lambda: ((dataclasses.replace(family), params), {}),
         rounds=5)
     assert report.ok and len(report.degeneracy.entries) == 5
+
+
+def test_converse_affine1_dx1_gm1_1(benchmark, affine_lie, affine_wide_ansatz):
+    # the converse check of `verify affine1 --deg-x 1 --deg-g-min -1
+    # --deg-g-max 1`; the family's E-L system is derived before timing, as
+    # the forward check derives it before the converse check in a report
+    family = lf.solve_family(affine_lie, affine_wide_ansatz)
+    family.strong_el
+    params = lf.verify.generic_params(family, lf.DEFAULT_SEED)
+    result = benchmark(lf.converse_check, family, params)
+    assert result.status == "Match" and len(result.solved) == 4

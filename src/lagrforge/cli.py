@@ -528,6 +528,10 @@ def run_stages(args) -> int:
     if last == "derive":
         return finish(True)
 
+    # malformed verify flags fail before the solve; unknown parameter
+    # names need the family and are caught at the report
+    x0 = _parse_x0(args.x0) if args.x0 is not None else None
+    params = _parse_params(args.params) if args.params is not None else None
     ansatz = build_ansatz(lie, deg_x=args.deg_x,
                           deg_g=(args.deg_g_min, args.deg_g_max),
                           max_unknowns=args.max_unknowns)
@@ -538,9 +542,8 @@ def run_stages(args) -> int:
     if last == "solve":
         return finish(True)
 
-    x0 = _parse_x0(args.x0) if args.x0 is not None else None
-    params = (_parse_params(args.params) if args.params is not None
-              else generic_params(family, args.seed))
+    if params is None:
+        params = generic_params(family, args.seed)
     report = build_report(family, params, numeric=args.numeric, x0=x0,
                           g_end=args.g_end, step=args.step,
                           orbit_tol=args.orbit_tol, samples=args.samples,

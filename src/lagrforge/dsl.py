@@ -253,9 +253,12 @@ def _resolve(node, env: dict, qualified: bool) -> Expr:
 
 
 def _divides_by_zero(e: Expr) -> bool:
-    """Whether a canonical expression holds a power 0^-n anywhere."""
+    """Whether a resolved formula raises a base that canonicalizes to 0 to
+    a negative power anywhere.  It runs before `canonicalize`, which would
+    multiply a zero coefficient through and drop the division."""
     if isinstance(e, Power):
-        return (e.base == RAT0 and e.exponent < 0) or _divides_by_zero(e.base)
+        return ((e.exponent < 0 and canonicalize(e.base) == RAT0)
+                or _divides_by_zero(e.base))
     if isinstance(e, (Sin, Cos)):
         return _divides_by_zero(e.argument)
     if isinstance(e, Sum):
@@ -364,11 +367,11 @@ def parse(source: str) -> GroupActionSpec:
         line, col = positions[clause]
         if len(nodes) != expected:
             raise ArityMismatchError(clause, expected, len(nodes), line, col)
-        exprs = tuple(canonicalize(_resolve(n, env, qualified)) for n in nodes)
+        exprs = tuple(_resolve(n, env, qualified) for n in nodes)
         if any(map(_divides_by_zero, exprs)):
             raise GroupSyntaxError(f"clause '{clause}' divides by zero",
                                    line, col)
-        return exprs
+        return tuple(map(canonicalize, exprs))
 
     r, n = len(params), len(coords)
     spec = GroupActionSpec(

@@ -90,8 +90,21 @@ def build_ansatz(lie, deg_x: int = 1, deg_g=(0, 0),
 
 def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
                       max_unknowns: int = MAX_UNKNOWNS) -> MultiplierAnsatz:
-    """Ansatz over an explicit list of canonical basis monomials."""
+    """Ansatz over an explicit list of basis monomials.
+
+    Each element must be a coefficient-1 monomial in the fields and group
+    parameters, negative exponents allowed.  The E-L jet coefficients are
+    then Laurent polynomials, which the converse check relies on.
+    """
     basis = tuple(canonicalize(b) for b in basis)
+    allowed = set(lie.fields + lie.spec.params)
+    for b in basis:
+        (coeff, pairs), *rest = monomials(b)
+        if rest or coeff != 1 or any(
+                not isinstance(atom, Sym) or atom.info not in allowed
+                for atom, _ in pairs):
+            raise ValueError(f"basis element {b} is not a monomial in the "
+                             "fields and group parameters")
     r, n = lie.r, lie.n
     _check_unknowns(r * n * r * len(basis), max_unknowns)
     unknowns = {}
@@ -362,10 +375,8 @@ def _basis_vector(ansatz: MultiplierAnsatz, lambda_map: dict):
     """Coefficient vector of explicit multipliers over the ansatz columns."""
     sig_to_m = {}
     for m, mono in enumerate(ansatz.basis):
-        ms = monomials(mono)
-        if len(ms) != 1 or ms[0][0] != 1:
-            raise AssertionError("ansatz basis must be unit monomials")
-        sig_to_m[tuple((a.sort_key(), n) for a, n in ms[0][1])] = m
+        (_, pairs), = monomials(mono)
+        sig_to_m[tuple((a.sort_key(), n) for a, n in pairs)] = m
     w = [Fraction(0)] * len(ansatz.columns)
     for key in ansatz.unknowns:
         expr = lambda_map.get(key, lambda_map.get(key[1:]))

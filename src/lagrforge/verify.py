@@ -3,11 +3,13 @@
 Both directions read the family's strong Euler-Lagrange expressions,
 derived once with the free parameters symbolic.  The forward direction
 substitutes the on-shell jet values into them and checks that they vanish.
-The converse direction substitutes parameter values, treats the jets as
-unknowns of the resulting system, solves it by exact elimination, and
-compares the solution with the Lie right-hand sides.  Diagnostics cover
-parameter degeneracy, a planar kinetic identity, and a numeric orbit
-integration.
+The converse direction substitutes parameter values and treats the jets as
+the unknowns of the resulting system, which is linear in them: (a) the Lie
+values solve it when each equation vanishes on shell, and (b) they are its
+only solution for the jets whose columns keep full rank in the exact row
+reduction of the jet-coefficient matrix at one seeded rational point.
+Diagnostics cover parameter degeneracy, a planar kinetic identity, and a
+numeric orbit integration.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
-                   Expr, NearSingularEvaluationError, Power, Product, RAT_M1,
-                   Rational, Sum, Sym, canonicalize, compile_numeric,
-                   differentiate, equals, eval_numeric, format_expr,
-                   sample_expr, substitute)
+                   Expr, NearSingularEvaluationError, Rational, Sym,
+                   canonicalize, compile_numeric, differentiate, equals,
+                   eval_numeric, format_expr, sample_expr, substitute)
+from .solver import rref
 
 
 # Longest orbit integration accepted, in steps: about 10 s for so2 on a
@@ -49,39 +51,38 @@ def forward_check(family, samples: int = EQUALS_SAMPLES,
 
 
 # ---------------------------------------------------------------------------
-# Converse: solve the E-L system for the jets.
+# Converse: the Lie values are the one solution of the E-L system.
 
 
 @dataclass
 class ConverseResult:
     params: dict             # free parameter name -> Fraction
     equations: list          # (k, alpha, Expr) strong E-L at the parameters
-    solved: dict             # jet SymbolInfo -> Expr, free of solved jets
-    unsolved: tuple          # jet names the system does not determine
-    comparisons: list        # (jet name, Equivalence vs the Lie value)
+    solved: dict             # determined jet SymbolInfo -> its Lie value
+    unsolved: tuple          # names of the jets without a pivot
+    comparisons: list        # (determined jet name, weakest verdict of (a))
     status: str              # Match | Underdetermined | Mismatch
-    witness: Optional[dict] = None
-
-
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Rational) and e.value == 0
+    witness: Optional[dict] = None  # the first equation not zero on shell
 
 
 def converse_check(family, params, samples: int = EQUALS_SAMPLES,
                    seed: int = DEFAULT_SEED, tol: float = EQUALS_TOL) -> ConverseResult:
-    """Solve the full E-L system for the jets and compare with the Lie
-    equations.
+    """Check that the Lie values are the one solution of the E-L system.
 
     The system is the family's strong E-L expressions with the parameter
-    values substituted.  `euler_lagrange` only returns expressions linear
-    in the jets, with coefficients rational in the fields and parameters,
-    so the system is reduced by cross-multiplied Gaussian elimination
-    (no divisions enter intermediate rows) with equations
-    visited in component order and pivots chosen in jet declaration
-    order; eliminating a pivot from the remaining rows is the chaining a
-    hand derivation does.  Comparisons against the Lie right-hand sides
-    are cross-multiplied too: pivot row c*J + rest = 0 matches the Lie
-    value o when rest + c*o vanishes.
+    values substituted.  It is linear in the jets, and the multipliers are
+    Laurent monomial combinations (`ansatz_from_basis`), so each jet
+    coefficient is a Laurent polynomial in the fields and group
+    parameters.  (a) The Lie values solve the system when every equation
+    vanishes on shell; the first that provably does not is a Mismatch.
+    (b) They are its only solution for the jets whose columns have full
+    rank: the exact rank of the coefficient matrix at one seeded positive
+    rational point is a lower bound on its rank as a matrix of functions,
+    since a minor non-zero at a point is not the zero function, and it
+    equals that rank except with probability at most deg/2^31, deg the
+    degree of a maximal minor with its denominators cleared (Schwartz
+    1980, Zippel 1979).  A pivot jet whose reduced row involves no free
+    jet is determined, and its solution is the Lie value.
     """
     lie = family.lie
     values = family.param_values(params)
@@ -91,109 +92,38 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
                  for k, row in enumerate(family.strong_el, start=1)
                  for alpha, e in enumerate(row, start=1)]
 
-    jet_order = lie.jet_list()
-
-    def vanishes(e: Expr) -> bool:
-        if _is_zero(e):
-            return True
-        return equals(e, 0, samples=samples, seed=seed,
-                      tol=tol) != Equivalence.PROVED_UNEQUAL
-
-    zero_jets = {J: Rational(0) for J in jet_order}
-    rows = []
+    grade, witness = Equivalence.PROVED_EQUAL, None
     for k, alpha, e in equations:
-        coeffs = {}
-        for J in jet_order:
-            c = differentiate(e, J)
-            if not _is_zero(c):
-                coeffs[J] = c
-        rows.append({"coeffs": coeffs, "const": substitute(e, zero_jets),
-                     "tag": (k, alpha)})
-
-    def combine(target, pivot, J):
-        """pivot-coefficient times target minus target-coefficient times
-        pivot; cancels J without introducing a division."""
-        cp = pivot["coeffs"][J]
-        ct = target["coeffs"][J]
-        out = {}
-        for K in set(target["coeffs"]) | set(pivot["coeffs"]):
-            if K == J:
-                continue
-            v = canonicalize(cp * target["coeffs"].get(K, Rational(0))
-                             - ct * pivot["coeffs"].get(K, Rational(0)))
-            if not _is_zero(v):
-                out[K] = v
-        const = canonicalize(cp * target["const"] - ct * pivot["const"])
-        return {"coeffs": out, "const": const, "tag": target["tag"]}
-
-    pivot_rows: dict = {}
-    spare = []
-    for row in rows:
-        for J in list(pivot_rows):
-            if J in row["coeffs"]:
-                row = combine(row, pivot_rows[J], J)
-        pivot = None
-        for J in jet_order:
-            if J in pivot_rows or J not in row["coeffs"]:
-                continue
-            if vanishes(row["coeffs"][J]):
-                continue  # coefficient is zero as a function
-            pivot = J
-            break
-        if pivot is None:
-            spare.append(row)
-            continue
-        for K in list(pivot_rows):
-            if pivot in pivot_rows[K]["coeffs"]:
-                pivot_rows[K] = combine(pivot_rows[K], row, pivot)
-        pivot_rows[pivot] = row
-
-    unsolved = tuple(J.name for J in jet_order if J not in pivot_rows)
-    status = "Match"
-    witness = None
-
-    # a spare row has only functionally-zero jet coefficients left, so it
-    # asserts that its constant part vanishes
-    for row in spare:
-        if vanishes(row["const"]):
-            continue
-        outcome = sample_expr(row["const"], samples=samples, seed=seed)
-        status = "Mismatch"
-        k, alpha = row["tag"]
-        witness = {"component": k, "field": alpha,
-                   "expression": format_expr(row["const"]),
-                   "point": outcome.witness, "magnitude": outcome.max_abs}
-        break
-
-    solved = {}
-    comparisons = []
-    for J in jet_order:
-        row = pivot_rows.get(J)
-        if row is None:
-            continue
-        c = row["coeffs"][J]
-        others = [Product((v, Sym(K)))
-                  for K, v in row["coeffs"].items() if K != J]
-        rest = canonicalize(Sum((row["const"], *others)))
-        # negated before the division: one flat product would cancel a sum
-        # in `rest` against `c` and could print another canonical form
-        solved[J] = RAT_M1 * rest * Power(c, -1)
-        if others:
-            continue  # expressed through undetermined jets; not comparable
-        residual = canonicalize(row["const"] + c * lie.onshell[J])
-        verdict = equals(residual, 0, samples=samples, seed=seed, tol=tol)
-        comparisons.append((J.name, verdict))
-        if verdict == Equivalence.PROVED_UNEQUAL and status != "Mismatch":
-            outcome = sample_expr(residual, samples=samples, seed=seed)
-            status = "Mismatch"
-            witness = {"jet": J.name,
-                       "solved": format_expr(solved[J]),
-                       "expected": format_expr(lie.onshell[J]),
+        onshell = substitute(e, lie.onshell)
+        verdict = equals(onshell, 0, samples=samples, seed=seed, tol=tol)
+        if verdict == Equivalence.PROVED_UNEQUAL:
+            outcome = sample_expr(onshell, samples=samples, seed=seed)
+            witness = {"component": k, "field": alpha,
+                       "expression": format_expr(onshell),
                        "point": outcome.witness, "magnitude": outcome.max_abs}
-    if status == "Match" and unsolved:
-        status = "Underdetermined"
-    return ConverseResult(params=named, equations=equations, solved=solved,
-                          unsolved=unsolved, comparisons=comparisons,
+            break
+        if verdict == Equivalence.NUMERICALLY_EQUAL:
+            grade = verdict
+
+    rng = random.Random(seed)
+    point = {s: Rational(Fraction(rng.randint(1, 2 ** 31),
+                                  rng.randint(1, 2 ** 31)))
+             for s in lie.fields + lie.spec.params}
+    jets = lie.jet_list()
+    reduced, pivots = rref([[substitute(differentiate(e, J), point).value
+                             for J in jets] for _, _, e in equations],
+                           len(jets))
+    free = [c for c in range(len(jets)) if c not in pivots]
+    unsolved = tuple(jets[c].name for c in free)
+    determined = [] if witness else [
+        jets[c] for row, c in zip(reduced, pivots)
+        if not any(row[f] for f in free)]
+    status = ("Mismatch" if witness else
+              "Underdetermined" if unsolved else "Match")
+    return ConverseResult(params=named, equations=equations,
+                          solved={J: lie.onshell[J] for J in determined},
+                          unsolved=unsolved,
+                          comparisons=[(J.name, grade) for J in determined],
                           status=status, witness=witness)
 
 

@@ -126,10 +126,13 @@ def test_undeclared_symbol():
     ("identity", "0^-1"),
     ("inverse", "-t + 1/(t - t)"),
     ("multiply", "lhs.t + rhs.t/0"),
+    ("action", "X1 + t*0/0"),
+    ("action", "X1 + t*(X1 - X1)/(X1 - X1)"),
 ])
 def test_division_by_zero_is_rejected(clause, formula):
-    # a power 0^-n left in the canonical formula, however deep, fails at
-    # the clause's position
+    # a negative power of a base that canonicalizes to 0, however deep,
+    # fails at the clause's position, even where a zero factor beside it
+    # would cancel the whole product
     lines = MINI.splitlines()
     line = next(i for i, text in enumerate(lines, start=1)
                 if text.startswith(f"  {clause}:"))

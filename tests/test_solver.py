@@ -67,6 +67,18 @@ def test_restricted_system_rank(so2_lie):
     assert (reduced, pivots) == constraint_rows
 
 
+def test_basis_must_be_monomials_in_fields_and_params(so2_lie):
+    # anything else could make a jet coefficient of the E-L system other
+    # than a Laurent polynomial, which the converse check evaluates exactly
+    f1 = Sym(so2_lie.fields[0])
+    g = Sym(so2_lie.spec.params[0])
+    jet = Sym(so2_lie.jets[0][0])
+    for element in (lf.Sin(g), jet, (f1 + g) ** -1):
+        with pytest.raises(ValueError, match="is not a monomial"):
+            lf.ansatz_from_basis(so2_lie, [f1, element])
+    assert len(lf.ansatz_from_basis(so2_lie, [f1 ** 2 * g ** -3]).basis) == 1
+
+
 def test_nonlinear_residual_rejected(so2_lie):
     ansatz = lf.build_ansatz(so2_lie, deg_x=1, deg_g=(0, 0))
     c0, c1 = (Sym(c) for c in ansatz.columns[:2])

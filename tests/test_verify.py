@@ -91,10 +91,12 @@ def test_converse_mismatch_produces_witness(so2_family):
                                    multipliers={})
     result = lf.converse_check(tampered, {})
     assert result.status == "Mismatch"
-    assert result.witness["jet"] == "X1'_g"
-    assert set(result.witness) == {"jet", "solved", "expected", "point",
-                                   "magnitude"}
+    # the witness is the first equation that does not vanish on shell
+    assert set(result.witness) == {"component", "field", "expression",
+                                   "point", "magnitude"}
+    assert (result.witness["component"], result.witness["field"]) == (1, 1)
     assert result.witness["magnitude"] > 1e-9
+    assert result.solved == {} and result.comparisons == []
 
 
 @pytest.fixture(scope="module", params=["so2 dx3", "affine1 dx1 g[-1,1]",
@@ -134,6 +136,45 @@ def test_specialised_el_matches_derivation(ladder_family):
         assert [(k, a) for k, a, _ in got] == [(k, a) for k, a, _ in expected]
         for (_, _, e), (_, _, ref) in zip(got, expected):
             assert parts(e) == parts(ref), assignment
+
+
+def _to_sympy(e, sp):
+    """The expression as a SymPy expression, symbols by name."""
+    if isinstance(e, Rational):
+        return sp.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, Sym):
+        return sp.Symbol(e.info.name)
+    if isinstance(e, Power):
+        return sp.Pow(_to_sympy(e.base, sp), e.exponent)
+    if isinstance(e, lf.Sum):
+        return sp.Add(*(_to_sympy(t, sp) for t in e.terms))
+    if isinstance(e, lf.Product):
+        return sp.Mul(*(_to_sympy(f, sp) for f in e.factors))
+    func = sp.sin if isinstance(e, lf.Sin) else sp.cos
+    return func(_to_sympy(e.argument, sp))
+
+
+def test_converse_rank_matches_sympy(ladder_family):
+    # the rank at one rational point is the rank of the jet-coefficient
+    # matrix as a matrix of functions, which SymPy computes over the field
+    # of rational functions in the fields and group parameters
+    sp = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    family = ladder_family
+    lie = family.lie
+    jets = lie.jet_list()
+    domain = sp.QQ.frac_field(*(sp.Symbol(s.name)
+                                for s in lie.fields + lie.spec.params))
+    assignments = [verify.generic_params(family, lf.DEFAULT_SEED)]
+    assignments += [{p.name: 1} for p in family.free_params[:4]]
+    for assignment in assignments:
+        result = lf.converse_check(family, assignment)
+        matrix = DomainMatrix(
+            [[domain.from_sympy(_to_sympy(lf.differentiate(e, J), sp))
+              for J in jets] for _, _, e in result.equations],
+            (len(result.equations), len(jets)), domain)
+        assert matrix.rank() == len(jets) - len(result.unsolved), assignment
 
 
 def test_degeneracy_scan(so2_family):
