@@ -87,6 +87,22 @@ def test_solve_family_affine(benchmark, affine_lie, affine_wide_ansatz):
     assert family.dimension == 104
 
 
+@pytest.mark.parametrize("deg_x, deg_g, dimension",
+                         [(2, (-1, 1), 180), (3, (-2, 2), 1024)],
+                         ids=["dx2-gm1_1", "dx3-gm2_2"])
+def test_solve_family_affine_scale(benchmark, affine_lie, deg_x, deg_g,
+                                   dimension):
+    # rungs past the benchmark ladder, to show how the solve scales; the
+    # dx3 rung (1,600 block columns) takes seconds, so it runs once
+    ansatz = lf.build_ansatz(affine_lie, deg_x=deg_x, deg_g=deg_g)
+    if deg_x == 3:
+        family = benchmark.pedantic(lf.solve_family, (affine_lie, ansatz),
+                                    rounds=1)
+    else:
+        family = benchmark(lf.solve_family, affine_lie, ansatz)
+    assert family.dimension == dimension
+
+
 def test_substitute_onshell(benchmark, affine_family):
     lie = affine_family.lie
     e = lf.strong_el(lie, affine_family.lagrangians[0])[0]
@@ -95,7 +111,7 @@ def test_substitute_onshell(benchmark, affine_family):
 
 def test_rref_affine_system(benchmark, affine_family):
     system = affine_family.system
-    rows, pivots = benchmark(rref, system.rows, len(system.columns))
+    rows, pivots = benchmark(rref, system.rows)
     assert len(pivots) == system.rank
 
 

@@ -176,8 +176,11 @@ def _parse_params(chunks) -> dict:
             name, sep, value = item.partition("=")
             if not sep:
                 raise ValueError(f"expected NAME=VALUE, got '{item}'")
+            name = name.strip()
+            if name in out:
+                raise ValueError(f"--params sets '{name}' twice")
             try:
-                out[name.strip()] = Fraction(value.strip())
+                out[name] = Fraction(value.strip())
             except (ValueError, ZeroDivisionError):
                 raise ValueError(
                     f"'{value.strip()}' is not an exact rational") from None
@@ -299,10 +302,11 @@ def _family_payload(ansatz, family) -> dict:
             "basis": [prefix_expr(b) for b in ansatz.basis],
             "unknowns": len(ansatz.columns),
         },
+        # family.system is one of the r identical diagonal blocks
         "system": {
-            "rows": len(family.system.rows),
-            "unknowns": len(family.system.columns),
-            "rank": family.system.rank,
+            "rows": lie.r * len(family.system.rows),
+            "unknowns": len(ansatz.columns),
+            "rank": lie.r * family.system.rank,
         },
         "family": {
             "dimension": family.dimension,
@@ -320,8 +324,9 @@ def _family_text(ansatz, family) -> list:
     lines.append(f"ansatz: deg_x={ansatz.deg_x}, deg_g=[{lo},{hi}], "
                  f"basis size {len(ansatz.basis)}, "
                  f"{len(ansatz.columns)} unknowns")
-    lines.append(f"system: {len(family.system.rows)} equations, "
-                 f"rank {family.system.rank}, "
+    r = family.lie.r
+    lines.append(f"system: {r * len(family.system.rows)} equations, "
+                 f"rank {r * family.system.rank}, "
                  f"nullspace dimension {family.dimension}")
     names = ", ".join(p.name for p in family.free_params) or "none"
     lines.append(f"free parameters: {names}")

@@ -11,6 +11,7 @@ ansatz contains.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -191,16 +192,14 @@ class LinearSystem:
     columns: tuple           # unknown symbols, fixed order
     rows: list               # list of Fraction lists
 
-    _rref_cache: object = None
-
-    def rref(self):
-        if self._rref_cache is None:
-            self._rref_cache = rref(self.rows, len(self.columns))
-        return self._rref_cache
+    @cached_property
+    def reduced(self):
+        """The RREF (rows, pivots), sparse rows as `rref` returns them."""
+        return rref(self.rows)
 
     @property
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self.reduced[1])
 
 
 def collect_system(residuals, ansatz: MultiplierAnsatz) -> LinearSystem:
@@ -241,54 +240,63 @@ def collect_system(residuals, ansatz: MultiplierAnsatz) -> LinearSystem:
     return LinearSystem(columns=ansatz.columns, rows=rows)
 
 
-def rref(matrix, ncols: int):
+def rref(matrix):
     """Reduced row echelon form over exact rationals; returns (rows, pivots).
 
-    Gauss-Jordan on sparse {column: Fraction} rows.  Pivots are taken
-    column by column, each from the shortest candidate row to limit
-    fill-in; the reduced form is unique, so that choice never shows.
+    Takes rows as sequences of numbers; each reduced row is a {column:
+    Fraction} dict of its non-zeros, and the pivots ascend.  A column ->
+    rows index, as in SymPy's `sdm_irref`, eliminates a column only from
+    the rows that hold it.  Each pivot is the shortest candidate row, ties
+    to the earlier, to limit fill-in; the reduced form is unique, so that
+    choice never shows.
     """
-    pending = [d for d in ({c: Fraction(v) for c, v in enumerate(row) if v}
-                           for row in matrix) if d]
+    rows = [{c: Fraction(v) for c, v in enumerate(row) if v} for row in matrix]
+    holders = defaultdict(set)           # column -> rows non-zero there
+    for i, d in enumerate(rows):
+        for c in d:
+            holders[c].add(i)
+    pending = set(range(len(rows)))
     reduced = []
     pivots = []
-    for c in range(ncols):
-        candidates = [i for i, d in enumerate(pending) if c in d]
+    for c in sorted(holders):            # fill-in adds no new column
+        candidates = holders[c] & pending
         if not candidates:
             continue
-        pivot = pending.pop(min(candidates, key=lambda i: len(pending[i])))
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        pending.remove(p)
+        pivot = rows[p]
         inv = 1 / pivot[c]
-        pivot = {j: v * inv for j, v in pivot.items()}
-        for d in itertools.chain(pending, reduced):
-            f = d.get(c)
-            if f is None:
-                continue
+        for j in pivot:
+            pivot[j] *= inv
+        for i in holders[c] - {p}:
+            d = rows[i]
+            f = d[c]
             for j, v in pivot.items():
                 w = d.get(j, 0) - f * v
                 if w:
                     d[j] = w
+                    holders[j].add(i)
                 else:
-                    d.pop(j, None)
+                    del d[j]
+                    holders[j].discard(i)
         reduced.append(pivot)
         pivots.append(c)
-    zero = Fraction(0)
-    return [[d.get(j, zero) for j in range(ncols)] for d in reduced], pivots
+    return reduced, pivots
 
 
 def nullspace_vectors(system: LinearSystem):
-    """Basis of the exact nullspace, one vector per free column."""
-    reduced, pivots = system.rref()
-    ncols = len(system.columns)
+    """Basis of the exact nullspace: one sparse {column: Fraction} vector per
+    free column, ascending, each with ascending keys.  Free column f's
+    vector is 1 at f and -row[f] at each reduced row's pivot."""
+    reduced, pivots = system.reduced
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    vectors = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -reduced[i][f]
-        vectors.append(vec)
-    return vectors
+    vectors = {f: {f: Fraction(1)} for f in range(len(system.columns))
+               if f not in pivot_set}
+    for pc, row in zip(pivots, reduced):
+        for f, v in row.items():
+            if f != pc:
+                vectors[f][pc] = -v
+    return [dict(sorted(vec.items())) for vec in vectors.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +305,7 @@ def nullspace_vectors(system: LinearSystem):
 
 @dataclass
 class FamilyMember:
-    vector: list             # coefficients over the ansatz columns
+    vector: dict             # {column: Fraction}, non-zeros only
     multipliers: dict        # (k, a, s) -> Expr
 
 
@@ -353,31 +361,26 @@ class LagrangianFamily:
         if w is None:
             return None
         d = len(self.members)
-        rows = []
-        for i in range(len(w)):
-            rows.append([m.vector[i] for m in self.members] + [w[i]])
-        reduced, pivots = rref(rows, d + 1)
+        # one equation per column that w or a member holds
+        support = sorted(set(w).union(*(m.vector for m in self.members)))
+        reduced, pivots = rref([[m.vector.get(i, 0) for m in self.members]
+                                + [w.get(i, 0)] for i in support])
         if d in pivots:
             return None  # inconsistent: w outside the span
-        t = [Fraction(0)] * d
-        for i, pc in enumerate(pivots):
-            t[pc] = reduced[i][d]
-        # over-determined consistency is guaranteed by rref; verify exactly
-        for i in range(len(w)):
-            acc = sum((t[j] * self.members[j].vector[i] for j in range(d)),
-                      Fraction(0))
-            if acc != w[i]:
-                return None
-        return {p.name: t[j] for j, p in enumerate(self.free_params)}
+        # consistent, so the reduced right-hand side solves it exactly
+        t = {pc: row.get(d, Fraction(0)) for row, pc in zip(reduced, pivots)}
+        return {p.name: t.get(j, Fraction(0))
+                for j, p in enumerate(self.free_params)}
 
 
 def _basis_vector(ansatz: MultiplierAnsatz, lambda_map: dict):
-    """Coefficient vector of explicit multipliers over the ansatz columns."""
+    """Sparse {column: Fraction} coefficients of explicit multipliers over
+    the ansatz columns."""
     sig_to_m = {}
     for m, mono in enumerate(ansatz.basis):
         (_, pairs), = monomials(mono)
         sig_to_m[tuple((a.sort_key(), n) for a, n in pairs)] = m
-    w = [Fraction(0)] * len(ansatz.columns)
+    w = defaultdict(Fraction)
     for key in ansatz.unknowns:
         expr = lambda_map.get(key, lambda_map.get(key[1:]))
         if expr is None:
@@ -390,52 +393,39 @@ def _basis_vector(ansatz: MultiplierAnsatz, lambda_map: dict):
             if m is None:
                 return None
             w[ansatz.unknowns[key][m].index[0]] += coeff
-    return w
+    return dict(w)
 
 
 def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
     """Collect the weak E-L system and assemble the solution family.
 
     The components L_k differ only in the names of their unknowns, and
-    each k owns a consecutive run of columns, so the system is r copies
-    of one diagonal block.  Only the block of L_1 is collected and
-    reduced; the full rows, RREF and nullspace are its copies shifted
-    into place.
+    each k owns a consecutive run of `width` columns, so the system is r
+    copies of one diagonal block.  Only the block of L_1 is collected,
+    reduced and kept as `family.system`; the full system's rows and rank
+    are r times the block's.  Each block nullspace vector gives one member
+    per component k, shifted by k * width.
     """
     L = ansatz.lagrangian_component(1)
     collected = collect_system([weak_el_residual_of(lie, L, alpha)
                                 for alpha in range(1, lie.n + 1)], ansatz)
     width = lie.n * lie.r * len(ansatz.basis)
-    block = LinearSystem(columns=ansatz.columns[:width],
-                         rows=[row[:width] for row in collected.rows])
-    block_vectors = nullspace_vectors(block)
-    reduced, pivots = block.rref()
-
-    zero = Fraction(0)
-    ks = range(lie.r)
-
-    def place(row, k):
-        return [zero] * (k * width) + row + [zero] * ((lie.r - 1 - k) * width)
-
-    system = LinearSystem(
-        columns=ansatz.columns,
-        rows=[place(row, k) for k in ks for row in block.rows],
-        _rref_cache=([place(row, k) for k in ks for row in reduced],
-                     [p + k * width for k in ks for p in pivots]))
+    system = LinearSystem(columns=ansatz.columns[:width],
+                          rows=[row[:width] for row in collected.rows])
     # A block vector, scaled to a leading 1, is the block of one member for
     # every component k, so its multipliers are built once.
     basis = [monomials(b) for b in ansatz.basis]
     blocks = []
-    for vec in block_vectors:
-        lead = next(v for v in vec if v)
+    for vec in nullspace_vectors(system):
+        lead = next(iter(vec.values()))
         if lead != 1:
-            vec = [v / lead if v else v for v in vec]
+            vec = {j: v / lead for j, v in vec.items()}
         blocks.append((vec, _block_multipliers(ansatz, basis, vec)))
     members = []
-    for k in ks:
+    for k in range(lie.r):
         for vec, exprs in blocks:
             members.append(FamilyMember(
-                vector=place(vec, k),
+                vector={j + k * width: v for j, v in vec.items()},
                 multipliers={key: exprs[key[1:]] if key[0] == k + 1 else RAT0
                              for key in ansatz.unknowns}))
     members.sort(key=lambda m: tuple(
@@ -459,14 +449,12 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
 
 
 def _block_multipliers(ansatz: MultiplierAnsatz, basis, vec) -> dict:
-    """Multipliers of one block vector keyed by the slot (a, s) of
-    component 1, built from `basis`, the basis elements' monomial lists."""
-    out = {}
-    for (k, a, s), infos in ansatz.unknowns.items():
-        if k == 1:
-            start = infos[0].index[0]
-            coeffs = vec[start:start + len(basis)]
-            out[(a, s)] = polynomial_expr([
-                (c * bc, pairs) for c, mono in zip(coeffs, basis) if c
-                for bc, pairs in mono])
-    return out
+    """Multipliers of one sparse block vector keyed by the slot (a, s) of
+    component 1, built from `basis`, the basis elements' monomial lists.
+    The i-th slot of component 1 owns the i-th run of len(basis) columns."""
+    terms = {key[1:]: [] for key in ansatz.unknowns if key[0] == 1}
+    slots = list(terms)
+    for j, c in vec.items():
+        slot, m = divmod(j, len(basis))
+        terms[slots[slot]].extend((c * bc, pairs) for bc, pairs in basis[m])
+    return {slot: polynomial_expr(t) for slot, t in terms.items()}

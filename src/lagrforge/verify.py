@@ -111,13 +111,12 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
              for s in lie.fields + lie.spec.params}
     jets = lie.jet_list()
     reduced, pivots = rref([[substitute(differentiate(e, J), point).value
-                             for J in jets] for _, _, e in equations],
-                           len(jets))
+                             for J in jets] for _, _, e in equations])
     free = [c for c in range(len(jets)) if c not in pivots]
     unsolved = tuple(jets[c].name for c in free)
     determined = [] if witness else [
         jets[c] for row, c in zip(reduced, pivots)
-        if not any(row[f] for f in free)]
+        if not any(f in row for f in free)]
     status = ("Mismatch" if witness else
               "Underdetermined" if unsolved else "Match")
     return ConverseResult(params=named, equations=equations,

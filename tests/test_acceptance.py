@@ -34,7 +34,9 @@ def test_criterion_02_so2_multiplier_system(so2_lie, so2_family):
     assert restricted.system.rank == 2
     # columns are (a1, a2, b1, b2); the row space encodes b1 = -a2, b2 = a1
     from lagrforge.solver import rref
-    assert restricted.system.rref() == rref([[0, 1, 1, 0], [-1, 0, 0, 1]], 4)
+    assert restricted.system.reduced == rref([[0, 1, 1, 0], [-1, 0, 0, 1]])
+    assert restricted.system.reduced == ([{0: 1, 3: -1}, {1: 1, 2: 1}],
+                                         [0, 1])
 
     j1, j2 = Sym(so2_lie.jets[0][0]), Sym(so2_lie.jets[1][0])
     a1, a2 = (Sym(p) for p in so2_family.free_params)

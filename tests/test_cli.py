@@ -336,6 +336,15 @@ def test_malformed_x0_exits_2(capsys, x0, part):
                   f"got '{part}'\n"
 
 
+@pytest.mark.parametrize("flags", [["--params", "a1=1,a1=2"],
+                                   ["--params", "a1=1", "--params", "a1=2"]],
+                         ids=["one-flag", "two-flags"])
+def test_repeated_param_name_exits_2(capsys, flags):
+    # the later value used to overwrite the earlier one silently
+    code, out, err = capture(capsys, ["verify", "so2"] + flags)
+    assert (code, out, err) == (2, "", "error: --params sets 'a1' twice\n")
+
+
 @pytest.mark.parametrize("flags,named", [
     (["--x0", "abc"], "--x0 takes rationals within float range, got 'abc'"),
     (["--params", "a1=x"], "'x' is not an exact rational"),

@@ -9,7 +9,7 @@ import lagrforge as lf
 from lagrforge import (BasisTooLargeError, NonlinearInUnknownsError, Product,
                        Rational, Role, Sum, Sym, canonicalize)
 from lagrforge.printing import prefix_expr
-from lagrforge.solver import rref
+from lagrforge.solver import LinearSystem, rref
 
 
 def test_build_ansatz_so2(so2_lie):
@@ -62,9 +62,9 @@ def test_restricted_system_rank(so2_lie):
     assert len(ansatz.columns) == 4
     assert family.system.rank == 2
     assert family.dimension == 2
-    reduced, pivots = family.system.rref()
-    constraint_rows = rref([[0, 1, 1, 0], [-1, 0, 0, 1]], 4)
-    assert (reduced, pivots) == constraint_rows
+    reduced, pivots = family.system.reduced
+    assert (reduced, pivots) == rref([[0, 1, 1, 0], [-1, 0, 0, 1]])
+    assert (reduced, pivots) == ([{0: 1, 3: -1}, {1: 1, 2: 1}], [0, 1])
 
 
 def test_basis_must_be_monomials_in_fields_and_params(so2_lie):
@@ -100,8 +100,9 @@ def test_so2_family(so2_family):
     assert family.members[1].multipliers == {(1, 1, 1): f2, (1, 2, 1): -f1}
     # members are normalized: leading coefficient +1
     for member in family.members:
-        lead = next(v for v in member.vector if v != 0)
-        assert lead == 1
+        assert list(member.vector) == sorted(member.vector)
+        assert 0 not in member.vector.values()
+        assert next(iter(member.vector.values())) == 1
 
     assert str(family.lagrangians[0]) == \
         ("a1*X1'*X1'_g + a1*X2'*X2'_g - a2*X1'*X2'_g + a2*X1'^2"
@@ -180,9 +181,11 @@ def test_coordinates_of(so2_family):
 
 def test_rref_exact():
     reduced, pivots = rref([[Fraction(2), Fraction(1)],
-                            [Fraction(4), Fraction(2)]], 2)
-    assert reduced == [[Fraction(1), Fraction(1, 2)]]
+                            [Fraction(4), Fraction(2)]])
+    assert reduced == [{0: Fraction(1), 1: Fraction(1, 2)}]
     assert pivots == [0]
+    # a row of integers is read exactly, and zeros are not stored
+    assert rref([[0, 3, 0, 6]]) == ([{1: 1, 3: 2}], [1])
 
 
 def _random_sparse_matrix(seed):
@@ -210,20 +213,50 @@ def _random_sparse_matrix(seed):
     return rows, ncols
 
 
-@pytest.mark.parametrize("seed", range(50))
-def test_rref_matches_sympy(seed):
-    pytest.importorskip("sympy")
+def _sympy_rref(rows, ncols):
+    """SymPy's RREF of `rows`: its non-zero rows as sparse Fraction dicts,
+    and its pivots."""
     from sympy import QQ
     from sympy.polys.matrices import DomainMatrix
 
-    rows, ncols = _random_sparse_matrix(seed)
-    reduced, pivots = rref(rows, ncols)
-    expected, expected_pivots = DomainMatrix(
+    expected, pivots = DomainMatrix(
         [[QQ(v.numerator, v.denominator) for v in row] for row in rows],
         (len(rows), ncols), QQ).rref()
-    assert pivots == list(expected_pivots)
-    assert reduced == [[Fraction(v.numerator, v.denominator) for v in row]
-                       for row in expected.to_list()[:len(pivots)]]
+    return [{j: Fraction(v.numerator, v.denominator)
+             for j, v in enumerate(row) if v}
+            for row in expected.to_list()[:len(pivots)]], list(pivots)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_rref_matches_sympy(seed):
+    pytest.importorskip("sympy")
+    rows, ncols = _random_sparse_matrix(seed)
+    reduced, pivots = rref(rows)
+    expected, expected_pivots = _sympy_rref(rows, ncols)
+    assert pivots == expected_pivots
+    assert reduced == expected
+    assert all(isinstance(v, Fraction) for row in reduced
+               for v in row.values())
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_nullspace_matches_sympy(seed):
+    # one vector per non-pivot column of SymPy's RREF: 1 there, 0 at every
+    # other free column, and exactly orthogonal to every row
+    pytest.importorskip("sympy")
+    rows, ncols = _random_sparse_matrix(seed)
+    _, pivots = _sympy_rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    vectors = lf.nullspace_vectors(
+        LinearSystem(columns=tuple(range(ncols)), rows=rows))
+    assert len(vectors) == len(free)
+    for f, vec in zip(free, vectors):
+        assert list(vec) == sorted(vec)
+        assert all(isinstance(v, Fraction) and v for v in vec.values())
+        assert {g: vec.get(g, 0) for g in free} == \
+            {g: int(g == f) for g in free}
+        for row in rows:
+            assert sum(c * vec.get(j, 0) for j, c in enumerate(row)) == 0
 
 
 SE2_SOURCE = """
@@ -240,46 +273,66 @@ group se2 {
 """
 
 
+def _full_system(lie, ansatz):
+    """The whole multiplier system, collected from every (k, alpha)
+    residual independently of the block solve."""
+    return lf.collect_system(
+        [lf.weak_el_residual_of(lie, ansatz.lagrangian_component(k), a)
+         for k in range(1, lie.r + 1) for a in range(1, lie.n + 1)], ansatz)
+
+
 @pytest.mark.parametrize("source, r, deg_g",
                          [("affine1", 2, (-1, 0)), ("se2", 3, (0, 0))])
 def test_block_solve_matches_full_system(source, r, deg_g, affine_lie):
-    # solve_family reduces the block of L_1 only and replicates it r times;
-    # collecting every (k, alpha) residual must give the same system
+    # solve_family reduces and keeps the block of L_1 only; collecting
+    # every (k, alpha) residual must give r shifted copies of it
     lie = affine_lie if source == "affine1" else \
         lf.constraints(lf.parse(SE2_SOURCE))
     assert lie.r == r
     ansatz = lf.build_ansatz(lie, deg_x=1, deg_g=deg_g)
     family = lf.solve_family(lie, ansatz)
-    full = lf.collect_system(
-        [lf.weak_el_residual_of(lie, ansatz.lagrangian_component(k), a)
-         for k in range(1, lie.r + 1) for a in range(1, lie.n + 1)], ansatz)
+    full = _full_system(lie, ansatz)
     system = family.system
-    assert system.columns == full.columns
-    assert sorted(map(tuple, system.rows)) == sorted(map(tuple, full.rows))
-    assert system.rank == full.rank
-    assert system.rref() == rref(full.rows, len(full.columns))
+    width = len(system.columns)
+    assert r * width == len(full.columns)
+    assert system.columns == full.columns[:width]
+    assert all(len(row) == width for row in system.rows)
+
+    def sparse(row, shift=0):
+        return tuple((j + shift, c) for j, c in enumerate(row) if c)
+
+    assert sorted(map(sparse, full.rows)) == sorted(
+        sparse(row, k * width) for k in range(r) for row in system.rows)
+    assert full.rank == r * system.rank
+    reduced, pivots = system.reduced
+    assert rref(full.rows) == (
+        [{j + k * width: v for j, v in row.items()}
+         for k in range(r) for row in reduced],
+        [p + k * width for k in range(r) for p in pivots])
     # the members are independent and lie in the nullspace, so they span it
-    assert family.dimension == len(full.columns) - full.rank
+    ncols = len(full.columns)
+    assert family.dimension == ncols - full.rank
     vectors = [member.vector for member in family.members]
-    assert len(rref(vectors, len(full.columns))[1]) == family.dimension
-    sparse_rows = [[(j, c) for j, c in enumerate(row) if c] for row in full.rows]
-    for member in family.members:
-        for row in sparse_rows:
-            assert sum(c * member.vector[j] for j, c in row) == 0
+    assert len(rref([[v.get(j, 0) for j in range(ncols)]
+                     for v in vectors])[1]) == family.dimension
+    for row in map(sparse, full.rows):
+        for vec in vectors:
+            assert sum(c * vec.get(j, 0) for j, c in row) == 0
 
 
 def _tree_assembly(family):
     """Members, multipliers and Lagrangians assembled from the nullspace of
-    the whole system through Sum/Product trees, one canonicalization each."""
+    the whole system, collected over every (k, alpha), through Sum/Product
+    trees, one canonicalization each."""
     lie, ansatz = family.lie, family.ansatz
     members = []
-    for vec in lf.nullspace_vectors(family.system):
-        lead = next(v for v in vec if v)
-        vec = [v / lead for v in vec]
+    for vec in lf.nullspace_vectors(_full_system(lie, ansatz)):
+        lead = next(iter(vec.values()))
+        vec = {j: v / lead for j, v in vec.items()}
         members.append((vec, {key: canonicalize(Sum(tuple(
             Product((Rational(vec[info.index[0]]), mono))
             for info, mono in zip(infos, ansatz.basis)
-            if vec[info.index[0]])))
+            if info.index[0] in vec)))
             for key, infos in ansatz.unknowns.items()}))
     members.sort(key=lambda m: tuple(m[1][key].sort_key()
                                      for key in sorted(m[1])))
@@ -313,17 +366,23 @@ def test_family_matches_tree_assembly(source, deg_x, deg_g):
 
 def test_nullspace_orthogonal_to_rows(so2_family):
     system = so2_family.system
-    for vec in lf.nullspace_vectors(system):
+    vectors = lf.nullspace_vectors(system)
+    assert len(vectors) == len(system.columns) - system.rank
+    for vec in vectors:
+        assert all(0 <= j < len(system.columns) for j in vec)
         for row in system.rows:
-            assert sum(c * v for c, v in zip(row, vec)) == 0
+            assert sum(c * vec.get(j, 0) for j, c in enumerate(row)) == 0
 
 
 def test_affine_family_shape(affine_family):
     ansatz = affine_family.ansatz
     assert len(ansatz.basis) == 16
     assert len(ansatz.columns) == 128
-    assert len(affine_family.system.rows) == 116
-    assert affine_family.system.rank == 88
+    # the system is r = 2 copies of the block that is kept
+    assert affine_family.lie.r == 2
+    assert len(affine_family.system.columns) == 64
+    assert 2 * len(affine_family.system.rows) == 116
+    assert 2 * affine_family.system.rank == 88
     assert affine_family.dimension == 40
     assert [p.name for p in affine_family.free_params] == \
         [f"a{i}" for i in range(1, 41)]
