@@ -12,7 +12,7 @@ import pytest
 
 import lagrforge as lf
 from lagrforge import Power, Rational, Sum, Sym
-from lagrforge.solver import rref
+from lagrforge.solver import compose_lagrangian, euler_lagrange, rref
 
 POINT = (0.75, 1.0, -0.5)    # g, then the two fields or coordinates
 
@@ -107,6 +107,20 @@ def test_substitute_onshell(benchmark, affine_family):
     lie = affine_family.lie
     e = lf.strong_el(lie, affine_family.lagrangians[0])[0]
     benchmark(lf.substitute, e, lie.onshell)
+
+
+def test_compose_lagrangian(benchmark, affine_wide_ansatz):
+    # L_1 = sum lambda*phi over the solve-affine1 rung dx1 g[-1,1]
+    ansatz = affine_wide_ansatz
+    L = benchmark(compose_lagrangian, ansatz.lie, ansatz.lambdas, 1)
+    assert len(L.terms) == 252
+
+
+def test_euler_lagrange(benchmark, affine_wide_ansatz):
+    # the E-L expression of that L_1 for the first field, before the
+    # on-shell values are substituted
+    L = affine_wide_ansatz.lagrangian_component(1)
+    benchmark(euler_lagrange, affine_wide_ansatz.lie, L, 1)
 
 
 def test_rref_affine_system(benchmark, affine_family):

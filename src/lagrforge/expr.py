@@ -4,12 +4,17 @@ Immutable expression trees over exact rational constants with sine/cosine
 treated as opaque atoms.  Canonicalization expands products over sums and
 collects like terms, so every expression normalizes to a sum of Laurent
 monomials whose atomic factors are symbols, trig atoms, or inverse powers
-of irreducible sums.  No floating point ever enters a tree; numerics only
-appear in `eval_numeric` and the sampling-based equality fallback.
+of irreducible sums.  Each canonical node caches that monomial list once it
+is split; a canonical sum is built as that list and makes its term nodes
+only when they are read.  `differentiate` and `substitute` work on it term
+by term, and a term goes back through a tree only where a sine, cosine or
+inverse sum is involved.  No floating point ever enters a tree; numerics
+only appear in `eval_numeric` and the sampling-based equality fallback.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import random
@@ -68,15 +73,18 @@ class Expr:
     """Base class for immutable expression nodes.
 
     Nodes are never mutated after construction; `_canonical` marks trees
-    already in canonical form so repeated canonicalization is O(1).
+    already in canonical form so repeated canonicalization is O(1), and
+    `_monos` caches a canonical node's monomial tuple once it is split
+    (a canonical sum is built from it).
     """
 
-    __slots__ = ("_key", "_hash", "_canonical")
+    __slots__ = ("_key", "_hash", "_canonical", "_monos")
 
     def __init__(self) -> None:
         self._key = None
         self._hash = None
         self._canonical = False
+        self._monos = None
 
     def _make_key(self):
         raise NotImplementedError
@@ -218,11 +226,19 @@ class Product(Expr):
 
 
 class Sum(Expr):
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Sequence[Expr]):
         super().__init__()
-        self.terms = tuple(terms)
+        self._terms = tuple(terms)
+
+    @property
+    def terms(self) -> tuple:
+        """The summands.  A canonical sum is born as its monomial tuple and
+        makes its term nodes on first use."""
+        if self._terms is None:
+            self._terms = tuple(_mono_expr(c, p) for c, p in self._monos)
+        return self._terms
 
     def _make_key(self):
         return (5,) + tuple(t.sort_key() for t in self.terms)
@@ -326,7 +342,7 @@ def _poly_mul(p1, p2):
     acc = {}
     for c1, a1 in p1:
         for c2, a2 in p2:
-            pairs = _norm_pairs(a1 + a2)
+            pairs = _norm_pairs(a1 + a2) if a1 and a2 else a1 or a2
             k = _sig(pairs)
             if k in acc:
                 acc[k] = (acc[k][0] + c1 * c2, pairs)
@@ -340,26 +356,27 @@ def _poly_expr(monomials) -> Expr:
         return RAT0
     if len(monomials) == 1:
         return _mono_expr(*monomials[0])
-    monomials = sorted(monomials, key=lambda m: _sig(m[1]))
-    return _mark(Sum(tuple(_mono_expr(c, p) for c, p in monomials)))
+    # the sum is born as its sorted monomial tuple; `Sum.terms` makes the
+    # term nodes only if something reads them
+    e = _mark(Sum(()))
+    e._terms = None
+    e._monos = tuple(sorted(monomials, key=lambda m: _sig(m[1])))
+    return e
 
 
-def _as_monomials(e: Expr):
-    """Monomial list of a canonical expression."""
-    if isinstance(e, Sum):
-        return [_mono_of(t) for t in e.terms]
-    return [_mono_of(e)]
+def _as_monomials(e: Expr) -> tuple:
+    """Monomial tuple of a canonical expression, split once and cached."""
+    if e._monos is None:
+        e._monos = tuple(_mono_of(t) for t in e.terms) \
+            if isinstance(e, Sum) else (_mono_of(e),)
+    return e._monos
 
 
 def _canon_sum(terms) -> Expr:
-    flat = []
+    monos = []
     for t in terms:
-        t = canonicalize(t)
-        if isinstance(t, Sum):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
-    return _poly_expr(_collect([_mono_of(t) for t in flat]))
+        monos.extend(_as_monomials(canonicalize(t)))
+    return _poly_expr(_collect(monos))
 
 
 def _canon_product(factors) -> Expr:
@@ -460,14 +477,46 @@ def canonicalize(e: Expr) -> Expr:
 
 
 def monomials(e: Expr):
-    """(coefficient, ((atom, exponent), ...)) list of the canonical form."""
-    return _as_monomials(canonicalize(e))
+    """(coefficient, ((atom, exponent), ...)) list of the canonical form;
+    a fresh list each call."""
+    return list(_as_monomials(canonicalize(e)))
 
 
 def polynomial_expr(monos) -> Expr:
     """Canonical sum of monomials whose pairs are already normalized, as
     `monomials` returns them; like terms are collected."""
     return _poly_expr(_collect(monos))
+
+
+def product_monomials(factors: Sequence[Expr]) -> list:
+    """Monomials of the canonical product of `factors`, like terms collected
+    and in no set order; `polynomial_expr` of them is that product.
+
+    The factors' monomial lists are multiplied out.  Only where a factor is
+    a sum and some factor holds an inverse-sum atom, which `_canon_product`
+    could cancel against the sum, is the product tree canonicalized.
+    """
+    factors = [canonicalize(f) for f in factors]
+    out = _times((Fraction(1), ()), factors)
+    if out is None:
+        return list(_as_monomials(_canon_product(factors)))
+    return out
+
+
+def _times(mono, factors):
+    """The monomial `mono` times the canonical `factors`, multiplied out; None
+    where a sum factor could meet an inverse-sum atom, for the caller to
+    take the tree path."""
+    polys = [_as_monomials(f) for f in factors]
+    if any(isinstance(f, Sum) for f in factors) and any(
+            isinstance(atom, Sum)
+            for _, pairs in itertools.chain((mono,), *polys)
+            for atom, _ in pairs):
+        return None
+    out = [mono]
+    for p in polys:
+        out = _poly_mul(out, p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +541,7 @@ def differentiate(e: Expr, s) -> Expr:
     e = canonicalize(e)
     depends = {}        # sort key of a non-symbol atom -> contains `info`
     out = []
-    for term in (e.terms if isinstance(e, Sum) else (e,)):
-        coeff, pairs = _mono_of(term)
+    for coeff, pairs in _as_monomials(e):
         at = None       # position of s^n among the pairs
         chain = False
         for i, (atom, n) in enumerate(pairs):
@@ -506,7 +554,8 @@ def differentiate(e: Expr, s) -> Expr:
                 depends[k] = info in free_symbols(atom)
             chain = chain or depends[k]
         if chain:
-            out.extend(_as_monomials(canonicalize(_diff(term, info))))
+            out.extend(_as_monomials(canonicalize(
+                _diff(_mono_expr(coeff, pairs), info))))
         elif at is not None:
             atom, n = pairs[at]
             rest = pairs[at + 1:]
@@ -543,9 +592,48 @@ def _diff(e: Expr, info: SymbolInfo) -> Expr:
 
 
 def substitute(e: Expr, mapping: Mapping) -> Expr:
-    """Simultaneous substitution; replacements are not re-substituted."""
-    table = {_info_of(k): as_expr(v) for k, v in mapping.items()}
-    return canonicalize(_subst(e, table))
+    """Simultaneous substitution into the canonical form; replacements are
+    not re-substituted.
+
+    Works term by term, as `differentiate` does.  A term free of the
+    replaced symbols is kept, and one holding them only as plain factors
+    s^n with n >= 0 is multiplied out against the replacements' monomials
+    with no tree built.  A term goes through `_subst` and canonicalization
+    when a replaced symbol sits inside a sine, cosine or inverse sum or
+    has a negative exponent, or when a replacement that is a sum meets an
+    inverse-sum atom, which canonicalization could cancel against it.
+    """
+    table = {_info_of(k): canonicalize(as_expr(v)) for k, v in mapping.items()}
+    e = canonicalize(e)
+    inside = {}         # sort key of a non-symbol atom -> holds a replaced one
+    out = []
+    for coeff, pairs in _as_monomials(e):
+        kept = []
+        factors = []
+        tree = False
+        for atom, n in pairs:
+            if isinstance(atom, Sym):
+                if atom.info not in table:
+                    kept.append((atom, n))
+                elif n < 0:
+                    tree = True
+                else:
+                    factors.extend([table[atom.info]] * n)
+                continue
+            k = atom.sort_key()
+            if k not in inside:
+                inside[k] = not free_symbols(atom).isdisjoint(table)
+            tree = tree or inside[k]
+            kept.append((atom, n))
+        if not (tree or factors):
+            out.append((coeff, pairs))
+            continue
+        monos = None if tree else _times((coeff, tuple(kept)), factors)
+        if monos is None:
+            monos = _as_monomials(canonicalize(
+                _subst(_mono_expr(coeff, pairs), table)))
+        out.extend(monos)
+    return _poly_expr(_collect(out))
 
 
 def _subst(e: Expr, table) -> Expr:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .expr import (Expr, Power, Product, RAT0, RAT_M1, Rational, Role, Sum,
-                   Sym, SymbolInfo, canonicalize, differentiate, free_symbols,
-                   monomials, polynomial_expr, substitute)
+from .expr import (Expr, Power, Product, RAT0, RAT_M1, Rational, Role, Sym,
+                   SymbolInfo, canonicalize, differentiate, free_symbols,
+                   monomials, polynomial_expr, product_monomials, substitute)
 
 MAX_UNKNOWNS = 5000
 
@@ -61,10 +61,12 @@ class MultiplierAnsatz:
 
 
 def compose_lagrangian(lie, lambdas: dict, k: int) -> Expr:
-    """L_k = sum_{a,s} lambdas[(k, a, s)] * phi^a_s."""
-    return canonicalize(Sum(tuple(
-        Product((lambdas[(k, a, s)], lie.phi[a - 1][s - 1]))
-        for a in range(1, lie.n + 1) for s in range(1, lie.r + 1))))
+    """L_k = sum_{a,s} lambdas[(k, a, s)] * phi^a_s, each product multiplied
+    out on monomial lists and the whole collected once."""
+    return polynomial_expr([
+        m for a in range(1, lie.n + 1) for s in range(1, lie.r + 1)
+        for m in product_monomials((lambdas[(k, a, s)],
+                                    lie.phi[a - 1][s - 1]))])
 
 
 def build_ansatz(lie, deg_x: int = 1, deg_g=(0, 0),
@@ -99,6 +101,7 @@ def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
     """
     basis = tuple(canonicalize(b) for b in basis)
     allowed = set(lie.fields + lie.spec.params)
+    basis_pairs = []
     for b in basis:
         (coeff, pairs), *rest = monomials(b)
         if rest or coeff != 1 or any(
@@ -106,6 +109,7 @@ def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
                 for atom, _ in pairs):
             raise ValueError(f"basis element {b} is not a monomial in the "
                              "fields and group parameters")
+        basis_pairs.append(pairs)
     r, n = lie.r, lie.n
     _check_unknowns(r * n * r * len(basis), max_unknowns)
     unknowns = {}
@@ -120,9 +124,10 @@ def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
                     for m in range(len(basis)))
                 unknowns[(k, a, s)] = infos
                 columns.extend(infos)
-                lambdas[(k, a, s)] = canonicalize(Sum(tuple(
-                    Product((Sym(info), mono))
-                    for info, mono in zip(infos, basis))))
+                # an unknown sorts before every basis atom
+                lambdas[(k, a, s)] = polynomial_expr([
+                    (Fraction(1), ((Sym(info), 1),) + pairs)
+                    for info, pairs in zip(infos, basis_pairs)])
     return MultiplierAnsatz(lie=lie, deg_x=deg_x, deg_g=deg_g, basis=basis,
                             unknowns=unknowns, lambdas=lambdas,
                             columns=tuple(columns))
@@ -148,18 +153,20 @@ def euler_lagrange(lie, L: Expr, alpha: int) -> Expr:
     result is linear in the jets.
     """
     jets = set(lie.jet_list())
-    terms = [differentiate(L, lie.fields[alpha - 1])]
+    monos = monomials(differentiate(L, lie.fields[alpha - 1]))
     for i, p in enumerate(lie.spec.params):
         A = differentiate(L, lie.jets[alpha - 1][i])
         if free_symbols(A) & jets:
             raise SecondOrderJetError(
                 "dL/djet depends on a jet variable; multipliers must be "
                 "free of jets")
-        # the total derivative of A along g_i
-        terms.append(Product((RAT_M1, differentiate(A, p))))
-        terms.extend(Product((RAT_M1, differentiate(A, f), Sym(jets_f[i])))
-                     for f, jets_f in zip(lie.fields, lie.jets))
-    return canonicalize(Sum(tuple(terms)))
+        # minus the total derivative of A along g_i
+        monos.extend((-c, pairs)
+                     for c, pairs in monomials(differentiate(A, p)))
+        for f, jets_f in zip(lie.fields, lie.jets):
+            monos.extend(product_monomials(
+                (RAT_M1, differentiate(A, f), Sym(jets_f[i]))))
+    return polynomial_expr(monos)
 
 
 def strong_el(lie, L: Expr) -> list:

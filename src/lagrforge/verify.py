@@ -238,7 +238,8 @@ def numeric_orbit_check(lie, x0, g_end: float, step: float = 1e-3) -> OrbitResul
 
     The integration runs in the group parameter from its identity value to
     g_end at fixed step (the final step may be shorter); the deviation is
-    the maximum Euclidean distance over all grid points.  The right-hand
+    the maximum Euclidean distance over all grid points.  An orbit that
+    takes no step checks nothing and raises ValueError.  The right-hand
     sides and the action are compiled once (`compile_numeric`), so every
     value is bit-identical to evaluating the trees with `eval_numeric`.
     """
@@ -265,6 +266,9 @@ def numeric_orbit_check(lie, x0, g_end: float, step: float = 1e-3) -> OrbitResul
     n_full = int(abs(total) // step)
     rem = abs(total) - n_full * step
     steps = n_full + 1 if rem > step * 1e-9 else n_full
+    if steps == 0:
+        raise ValueError(f"--g-end {g_end} leaves no orbit step from the "
+                         f"identity value {g0}")
     sign = 1.0 if total >= 0 else -1.0
 
     x = x0

@@ -320,7 +320,12 @@ def test_overflowing_sample_is_a_rejected_draw(capsys, tmp_path):
     (["--g-end", "nan"], "--g-end must be finite, got nan"),
     (["--g-end", "inf"], "--g-end must be finite, got inf"),
     (["--step", "nan"], "--step must be positive and finite, got nan"),
-], ids=["g-end-1e300", "g-end-nan", "g-end-inf", "step-nan"])
+    (["--g-end", "0"], "--g-end 0.0 leaves no orbit step from the identity "
+                       "value 0.0"),
+    (["--g-end", "1e-13"], "--g-end 1e-13 leaves no orbit step from the "
+                           "identity value 0.0"),
+], ids=["g-end-1e300", "g-end-nan", "g-end-inf", "step-nan", "g-end-identity",
+        "g-end-below-a-step"])
 def test_orbit_input_errors_exit_2(capsys, flags, named):
     code, out, err = capture(capsys, ["example", "so2"] + flags)
     assert (code, out, err) == (2, "", f"error: {named}\n")

@@ -9,10 +9,11 @@ import re
 import pytest
 
 from lagrforge import (Cos, Power, Product, Rational, Role, Sin, Sum, Sym,
-                       SymbolInfo, canonicalize, differentiate, parse)
+                       SymbolInfo, canonicalize, differentiate, free_symbols,
+                       monomials, parse, substitute)
 from lagrforge.dsl import MAX_NESTING
 from lagrforge.expr import (NearSingularEvaluationError, UnboundSymbolError,
-                            _diff, compile_numeric, eval_numeric)
+                            _diff, _subst, compile_numeric, eval_numeric)
 
 from genexpr import VARS, random_expr, sample_point, try_eval
 
@@ -73,6 +74,94 @@ def test_differentiate_matches_tree_walk():
             assert got == want
             assert differentiate(e, Sym(info)) == want
     assert chained > 50
+
+
+def _replacements(rng):
+    """A replacement drawn from the kinds substitution treats apart: a
+    symbol, a constant (zero included), a sum, a product holding an
+    inverse sum, a trig atom, or a random tree."""
+    x, y, z = (Sym(v) for v in VARS)
+    kinds = (lambda: rng.choice((x, y, z)),
+             lambda: Rational(rng.randint(-2, 2), rng.randint(1, 3)),
+             lambda: x + 2 * y,
+             lambda: y - Rational(1, 2) * z ** 2,
+             lambda: Sum((rng.choice((x, y, z)), rng.choice((x, y, z)),
+                          Rational(rng.randint(-1, 1)))),
+             lambda: y / (x + z),
+             lambda: 3 * x * z ** -1 / (y - 1),
+             lambda: Sin(z),
+             lambda: Cos(x + y),
+             lambda: random_expr(rng, depth=2))
+    return rng.choice(kinds)()
+
+
+def _with_inverse(rng, e):
+    """`e` as is, or times a negative power of a symbol or, as often as
+    both together, of a small sum."""
+    syms = [Sym(v) for v in VARS]
+    kind = rng.randrange(4)
+    if kind == 0:
+        return e
+    base = rng.choice(syms) if kind == 1 else Sum(
+        (rng.choice(syms), rng.choice(syms + [Rational(1)])))
+    return Product((e, Power(base, rng.choice((-1, -2)))))
+
+
+def test_substitute_matches_tree_walk():
+    # the term-by-term substitution is the canonicalized substitution tree
+    # of the whole canonical form, for raw and canonical input alike
+    rng = random.Random(6174)
+    inside = negative = meets = 0
+    for _ in range(400):
+        e = _with_inverse(rng, random_expr(rng, depth=rng.randint(2, 4)))
+        c = canonicalize(e)
+        table = {v: _replacements(rng)
+                 for v in rng.sample(VARS, rng.randint(1, 3))}
+        want = canonicalize(_subst(c, table))
+        assert substitute(e, table) == want
+        assert substitute(c, {Sym(v): r for v, r in table.items()}) == want
+        # count the terms that each reason sends down the tree path
+        for _, pairs in monomials(c):
+            replaced = [(table[a.info], n) for a, n in pairs
+                        if isinstance(a, Sym) and a.info in table]
+            inside += any(not isinstance(a, Sym) and
+                          not free_symbols(a).isdisjoint(table)
+                          for a, _ in pairs)
+            negative += any(n < 0 for _, n in replaced)
+            meets += any(isinstance(a, Sum) for a, _ in pairs) and any(
+                isinstance(canonicalize(r), Sum) for r, _ in replaced)
+    assert min(inside, negative, meets) > 10
+
+
+def test_substitute_cancels_a_sum_against_its_inverse():
+    # y*(x+z)^-1 with y -> x + z: the tree path cancels the sum against its
+    # inverse; multiplying the monomials out would not
+    x, y, z = (Sym(v) for v in VARS)
+    X, Y, _ = VARS
+    s = canonicalize(Sum((x, z)))
+    assert substitute(y / s, {Y: s}) == Rational(1)
+    # a square of the sum is expanded before it meets the inverse, so
+    # nothing cancels on either path
+    assert substitute(3 * y ** 2 / s, {Y: s}) == \
+        canonicalize(_subst(canonicalize(3 * y ** 2 / s), {Y: s}))
+    # x sits inside the inverse sum as well as outside it
+    assert substitute(x / s, {X: s - z}) == \
+        canonicalize(_subst(canonicalize(x / s), {X: s - z}))
+    assert substitute(x / s, {X: y + z}) == \
+        canonicalize(Product((Sum((y, z)), Power(Sum((y, z, z)), -1))))
+
+
+def test_monomials_returns_a_copy_of_the_cache():
+    x, y, _ = (Sym(v) for v in VARS)
+    e = canonicalize(Power(Sum((x, y, Rational(1))), 2))
+    first = monomials(e)
+    first.clear()
+    first.append((Rational(5), ()))
+    again = monomials(e)
+    assert len(again) == 6 and again is not first
+    assert canonicalize(Sum(tuple(
+        Product((Rational(c),) + tuple(Power(a, n) for a, n in pairs))
+        for c, pairs in again))) == e
 
 
 def test_canonicalize_idempotent_and_evaluation_sound():

@@ -2,14 +2,17 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import lagrforge as lf
 from lagrforge import (BasisTooLargeError, NonlinearInUnknownsError, Product,
                        Rational, Role, Sum, Sym, canonicalize)
+from lagrforge.expr import _subst
 from lagrforge.printing import prefix_expr
-from lagrforge.solver import LinearSystem, rref
+from lagrforge.solver import (LinearSystem, compose_lagrangian, euler_lagrange,
+                              rref)
 
 
 def test_build_ansatz_so2(so2_lie):
@@ -320,6 +323,25 @@ def test_block_solve_matches_full_system(source, r, deg_g, affine_lie):
             assert sum(c * vec.get(j, 0) for j, c in row) == 0
 
 
+def _tree_compose(lie, lambdas, k):
+    """L_k through one Sum/Product tree, canonicalized once."""
+    return canonicalize(Sum(tuple(
+        Product((lambdas[(k, a, s)], lie.phi[a - 1][s - 1]))
+        for a in range(1, lie.n + 1) for s in range(1, lie.r + 1))))
+
+
+def _tree_euler_lagrange(lie, L, alpha):
+    """The E-L expression through one Sum/Product tree."""
+    terms = [lf.differentiate(L, lie.fields[alpha - 1])]
+    for i, p in enumerate(lie.spec.params):
+        A = lf.differentiate(L, lie.jets[alpha - 1][i])
+        terms.append(Product((Rational(-1), lf.differentiate(A, p))))
+        terms.extend(Product((Rational(-1), lf.differentiate(A, f),
+                              Sym(jets_f[i])))
+                     for f, jets_f in zip(lie.fields, lie.jets))
+    return canonicalize(Sum(tuple(terms)))
+
+
 def _tree_assembly(family):
     """Members, multipliers and Lagrangians assembled from the nullspace of
     the whole system, collected over every (k, alpha), through Sum/Product
@@ -340,10 +362,8 @@ def _tree_assembly(family):
         Product((Sym(p), m[key]))
         for p, (_, m) in zip(family.free_params, members)
         if m[key] != Rational(0)))) for key in ansatz.unknowns}
-    lagrangians = [canonicalize(Sum(tuple(
-        Product((multipliers[(k, a, s)], lie.phi[a - 1][s - 1]))
-        for a in range(1, lie.n + 1) for s in range(1, lie.r + 1))))
-        for k in range(1, lie.r + 1)]
+    lagrangians = [_tree_compose(lie, multipliers, k)
+                   for k in range(1, lie.r + 1)]
     return members, multipliers, lagrangians
 
 
@@ -362,6 +382,80 @@ def test_family_matches_tree_assembly(source, deg_x, deg_g):
     assert family.multipliers == multipliers
     assert family.lagrangians == lagrangians
     assert family.dimension > 1
+
+
+SCALE3_SOURCE = """
+group scale3 {
+  params: s, a, b;
+  coords: X1, X2;
+  identity: (1, 0, 0);
+  inverse: (1/s, -a/s, -b/s);
+  multiply: (lhs.s*rhs.s, lhs.s*rhs.a + lhs.a, lhs.s*rhs.b + lhs.b);
+  action: (s*X1 + a, s*X2 + b);
+}
+"""
+
+
+@pytest.mark.parametrize("source, deg_x, deg_g", [
+    ("so2", 3, (0, 0)), ("affine1", 1, (-1, 1)),
+    ("perfbench/groups/se2.grp", 1, (0, 0)), ("scale3", 1, (-1, 0))])
+def test_monomial_builds_match_tree_built(source, deg_x, deg_g):
+    # the ansatz multipliers, L_k and its E-L expressions are built on
+    # monomial lists; Sum/Product trees canonicalized once give the same
+    if source == "scale3":
+        text = SCALE3_SOURCE
+    elif source.endswith(".grp"):
+        text = (Path(__file__).resolve().parents[1] / source).read_text()
+    else:
+        text = lf.bundled_source(source)
+    lie = lf.constraints(lf.parse(text))
+    ansatz = lf.build_ansatz(lie, deg_x=deg_x, deg_g=deg_g)
+    assert ansatz.lambdas == {key: canonicalize(Sum(tuple(
+        Product((Sym(info), mono))
+        for info, mono in zip(infos, ansatz.basis))))
+        for key, infos in ansatz.unknowns.items()}
+    family = lf.solve_family(lie, ansatz)
+    assert family.dimension > 0
+    for lambdas in (ansatz.lambdas, family.multipliers):
+        for k in range(1, lie.r + 1):
+            L = compose_lagrangian(lie, lambdas, k)
+            assert L == _tree_compose(lie, lambdas, k)
+            for alpha in range(1, lie.n + 1):
+                E = euler_lagrange(lie, L, alpha)
+                assert E == _tree_euler_lagrange(lie, L, alpha)
+                assert lf.weak_el_residual_of(lie, L, alpha) == \
+                    canonicalize(_subst(E, lie.onshell))
+
+
+SCALE1_SOURCE = """
+group scale1 {
+  params: g;
+  coords: X1;
+  identity: (0);
+  inverse: (-g/(1 + g));
+  multiply: (lhs.g + rhs.g + lhs.g*rhs.g);
+  action: ((1 + g)*X1);
+}
+"""
+
+
+def test_lambda_map_residual_with_inverse_sums():
+    # phi = X1'_g - X1' + g*X1'*(1 + g)^-1 holds the inverse of the
+    # multiplier 1 + g, so their product keeps the tree path
+    lie = lf.constraints(lf.parse(SCALE1_SOURCE))
+    phi = lie.phi[0][0]
+    assert str(phi) == "g*X1'*(1 + g)^-1 - X1' + X1'_g"
+    g = Sym(lie.spec.params[0])
+    lam = {(1, 1): 1 + g}
+    L = compose_lagrangian(lie, {(1, 1, 1): lam[(1, 1)]}, 1)
+    assert L == _tree_compose(lie, {(1, 1, 1): lam[(1, 1)]}, 1)
+    assert lf.lambda_map_residual(lie, lam, 1, 1) == canonicalize(_subst(
+        _tree_euler_lagrange(lie, L, 1), lie.onshell))
+    # a multiplier holding the inverse of phi: the product cancels to 1
+    # only on the tree path
+    assert compose_lagrangian(lie, {(1, 1, 1): 1 / phi}, 1) == Rational(1)
+    assert lf.lambda_map_residual(lie, {(1, 1): 1 / phi}, 1, 1) == \
+        Rational(0)
 
 
 def test_nullspace_orthogonal_to_rows(so2_family):

@@ -229,11 +229,12 @@ def test_orbit_quarter_turn_and_edge_cases(so2_lie):
     orbit = lf.numeric_orbit_check(so2_lie, (1.0, 0.0), math.pi / 2)
     assert orbit.final_state == pytest.approx((0.0, 1.0), abs=1e-9)
     assert orbit.final_exact == pytest.approx((0.0, 1.0), abs=1e-12)
-    # the origin is a fixed point; a zero-length orbit takes no steps
+    # the origin is a fixed point; an orbit that takes no step checks
+    # nothing, so it is an input error
     assert lf.numeric_orbit_check(so2_lie, (0.0, 0.0),
                                   2 * math.pi).max_deviation == 0.0
-    zero = lf.numeric_orbit_check(so2_lie, (1.0, 0.0), 0.0)
-    assert zero.steps == 0 and zero.max_deviation == 0.0
+    with pytest.raises(ValueError, match="--g-end 0.0 leaves no orbit step"):
+        lf.numeric_orbit_check(so2_lie, (1.0, 0.0), 0.0)
     # the radius is arbitrary: the comparison tracks the exact action
     assert lf.numeric_orbit_check(so2_lie, (2.0, 0.0),
                                   1.0).max_deviation <= 1e-6
