@@ -7,6 +7,7 @@ They run under pytest-benchmark and stay out of the tier-1 suite, whose
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -62,6 +63,13 @@ def test_compiled_so2(benchmark, so2_exprs):
     env = dict(zip(names, POINT))
     assert list(fn(*POINT)) == [lf.eval_numeric(e, env) for e in exprs]
     benchmark(fn, *POINT)
+
+
+def test_numeric_orbit_so2(benchmark, so2_lie):
+    # the 6,284-step full turn of `example so2`, compiled and run
+    orbit = benchmark(lf.numeric_orbit_check, so2_lie, (1.0, 0.0),
+                      2 * math.pi)
+    assert orbit.steps == 6284 and orbit.max_deviation <= 1e-6
 
 
 def test_canonicalize_expansion(benchmark):

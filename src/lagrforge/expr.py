@@ -324,20 +324,6 @@ def _sig(pairs):
     return tuple((atom.sort_key(), n) for atom, n in pairs)
 
 
-def _collect(monomials):
-    acc = {}
-    for coeff, pairs in monomials:
-        if coeff == 0:
-            continue
-        k = _sig(pairs)
-        if k in acc:
-            acc[k] = (acc[k][0] + coeff, pairs)
-        else:
-            acc[k] = (coeff, pairs)
-    items = sorted(acc.items(), key=lambda kv: kv[0])
-    return [(c, p) for _, (c, p) in items if c != 0]
-
-
 def _poly_mul(p1, p2):
     acc = {}
     for c1, a1 in p1:
@@ -351,16 +337,29 @@ def _poly_mul(p1, p2):
     return [(c, p) for c, p in acc.values() if c != 0]
 
 
-def _poly_expr(monomials) -> Expr:
-    if not monomials:
+def polynomial_expr(monomials) -> Expr:
+    """Canonical sum of monomials whose pairs are already normalized, as
+    `monomials` returns them; like terms are collected and sorted once."""
+    acc = {}
+    for coeff, pairs in monomials:
+        if coeff == 0:
+            continue
+        k = _sig(pairs)
+        if k in acc:
+            acc[k] = (acc[k][0] + coeff, pairs)
+        else:
+            acc[k] = (coeff, pairs)
+    monos = tuple(m for _, m in sorted(acc.items(), key=lambda kv: kv[0])
+                  if m[0] != 0)
+    if not monos:
         return RAT0
-    if len(monomials) == 1:
-        return _mono_expr(*monomials[0])
+    if len(monos) == 1:
+        return _mono_expr(*monos[0])
     # the sum is born as its sorted monomial tuple; `Sum.terms` makes the
     # term nodes only if something reads them
     e = _mark(Sum(()))
     e._terms = None
-    e._monos = tuple(sorted(monomials, key=lambda m: _sig(m[1])))
+    e._monos = monos
     return e
 
 
@@ -376,7 +375,7 @@ def _canon_sum(terms) -> Expr:
     monos = []
     for t in terms:
         monos.extend(_as_monomials(canonicalize(t)))
-    return _poly_expr(_collect(monos))
+    return polynomial_expr(monos)
 
 
 def _canon_product(factors) -> Expr:
@@ -417,7 +416,7 @@ def _canon_product(factors) -> Expr:
         sp = _as_monomials(s)
         for _ in range(n):
             poly = _poly_mul(poly, sp)
-    return _poly_expr(_collect(poly))
+    return polynomial_expr(poly)
 
 
 def _bump_sum(table, s: Sum, n: int):
@@ -449,7 +448,7 @@ def _canon_power(base, exponent: int) -> Expr:
         out = poly
         for _ in range(exponent - 1):
             out = _poly_mul(out, poly)
-        return _poly_expr(_collect(out))
+        return polynomial_expr(out)
     return _mark(Power(b, exponent))
 
 
@@ -480,12 +479,6 @@ def monomials(e: Expr):
     """(coefficient, ((atom, exponent), ...)) list of the canonical form;
     a fresh list each call."""
     return list(_as_monomials(canonicalize(e)))
-
-
-def polynomial_expr(monos) -> Expr:
-    """Canonical sum of monomials whose pairs are already normalized, as
-    `monomials` returns them; like terms are collected."""
-    return _poly_expr(_collect(monos))
 
 
 def product_monomials(factors: Sequence[Expr]) -> list:
@@ -562,7 +555,7 @@ def differentiate(e: Expr, s) -> Expr:
             if n != 1:
                 rest = ((atom, n - 1),) + rest
             out.append((coeff * n, pairs[:at] + rest))
-    return _poly_expr(_collect(out))
+    return polynomial_expr(out)
 
 
 def _diff(e: Expr, info: SymbolInfo) -> Expr:
@@ -633,7 +626,7 @@ def substitute(e: Expr, mapping: Mapping) -> Expr:
             monos = _as_monomials(canonicalize(
                 _subst(_mono_expr(coeff, pairs), table)))
         out.extend(monos)
-    return _poly_expr(_collect(out))
+    return polynomial_expr(out)
 
 
 def _subst(e: Expr, table) -> Expr:
@@ -712,20 +705,42 @@ def _near_singular(v: float) -> NearSingularEvaluationError:
         f"denominator magnitude {abs(v):.3e} below guard {SINGULAR_GUARD}")
 
 
+# The globals that the lines of `_numeric_lines` read.
+_NUMERIC_GLOBALS = {"_sin": math.sin, "_cos": math.cos,
+                   "_near_singular": _near_singular}
+
+
 def compile_numeric(exprs: Sequence[Expr], names: Sequence[str]):
     """Compile expressions once into a function of positional floats.
 
     The function takes one value per entry of `names`, in that order, and
-    returns the tuple of the expressions' values.  Its body is straight-line
-    code with one local per distinct tree node, in post-order, so it has no
-    nesting limit; each node does the float operation `eval_numeric` does,
-    in the same order, so every value is bit-identical to it.  An unbound
-    symbol raises UnboundSymbolError, and a constant too large for a float
-    OverflowError, here at compile time.
+    returns the tuple of the expressions' values.  Its body is the
+    straight-line code of `_numeric_lines`, so every value is bit-identical
+    to `eval_numeric`.  An unbound symbol raises UnboundSymbolError, and a
+    constant too large for a float OverflowError, here at compile time.
     """
     args = {name: f"a{i}" for i, name in enumerate(names)}
-    namespace = {"_sin": math.sin, "_cos": math.cos,
-                 "_near_singular": _near_singular}
+    body, outs = _numeric_lines(exprs, args, "v")
+    source = "\n    ".join(
+        [f"def numeric({', '.join(args.values())}):", *body,
+         f"return ({''.join(o + ', ' for o in outs)})"])
+    namespace = dict(_NUMERIC_GLOBALS)
+    exec(compile(source, "<compile_numeric>", "exec"), namespace)
+    return namespace["numeric"]
+
+
+def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
+                   prefix: str):
+    """(lines, out_locals): straight-line float code for `exprs`, and the
+    local holding each one's value.
+
+    `args` maps a symbol's name to the Python expression of its value,
+    which the code reads as `float(<expression>)`.  There is one local per
+    distinct tree node, named `prefix` and a number, in post-order, so the
+    code has no nesting limit; each node does the float operation
+    `eval_numeric` does, in the same order.  The lines read the names in
+    _NUMERIC_GLOBALS.
+    """
     local: dict = {}         # node -> name of the local holding its value
     body = []
     stack = [(e, False) for e in reversed(exprs)]
@@ -738,7 +753,7 @@ def compile_numeric(exprs: Sequence[Expr], names: Sequence[str]):
             stack.append((node, True))
             stack.extend((k, False) for k in reversed(kids))
             continue
-        v = local[node] = f"v{len(local)}"
+        v = local[node] = f"{prefix}{len(local)}"
         ops = [local[k] for k in kids]
         if isinstance(node, Rational):
             body.append(f"{v} = {float(node.value)!r}")
@@ -758,12 +773,7 @@ def compile_numeric(exprs: Sequence[Expr], names: Sequence[str]):
         else:
             fn = "_sin" if isinstance(node, Sin) else "_cos"
             body.append(f"{v} = {fn}({ops[0]})")
-    outs = "".join(local[e] + ", " for e in exprs)
-    source = "\n    ".join(
-        [f"def numeric({', '.join(args.values())}):", *body,
-         f"return ({outs})"])
-    exec(compile(source, "<compile_numeric>", "exec"), namespace)
-    return namespace["numeric"]
+    return body, [local[e] for e in exprs]
 
 
 def _operands(e: Expr) -> tuple:
@@ -800,9 +810,18 @@ class SampleOutcome:
 def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
                 seed: int = DEFAULT_SEED) -> SampleOutcome:
     """Evaluate `e` at seeded random points, skipping near-singular and
-    overflowing draws."""
+    overflowing draws.
+
+    `e` is compiled once (`compile_numeric`), which gives the values
+    `eval_numeric` gives; a constant too large for a float cannot be
+    compiled, and then each draw walks the tree and is rejected.
+    """
     _check_samples(samples)
     syms = sorted(free_symbols(e), key=lambda i: (int(i.role), i.name))
+    try:
+        fn = compile_numeric([e], [s.name for s in syms])
+    except OverflowError:
+        fn = None
     rng = random.Random(seed)
     accepted = 0
     rejected = 0
@@ -811,7 +830,7 @@ def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
     while accepted < samples:
         point = {s.name: rng.uniform(-SAMPLE_SPAN, SAMPLE_SPAN) for s in syms}
         try:
-            v = eval_numeric(e, point)
+            v = fn(*point.values())[0] if fn else eval_numeric(e, point)
         except (NearSingularEvaluationError, OverflowError):
             rejected += 1
             if rejected > MAX_REJECTIONS:

@@ -22,8 +22,9 @@ from typing import Optional
 
 from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
                    Expr, NearSingularEvaluationError, Rational, Sym,
-                   canonicalize, compile_numeric, differentiate, equals,
-                   eval_numeric, format_expr, sample_expr, substitute)
+                   _NUMERIC_GLOBALS, _numeric_lines, canonicalize,
+                   differentiate, equals, eval_numeric, format_expr,
+                   sample_expr, substitute)
 from .solver import rref
 
 
@@ -239,9 +240,9 @@ def numeric_orbit_check(lie, x0, g_end: float, step: float = 1e-3) -> OrbitResul
     The integration runs in the group parameter from its identity value to
     g_end at fixed step (the final step may be shorter); the deviation is
     the maximum Euclidean distance over all grid points.  An orbit that
-    takes no step checks nothing and raises ValueError.  The right-hand
-    sides and the action are compiled once (`compile_numeric`), so every
-    value is bit-identical to evaluating the trees with `eval_numeric`.
+    takes no step checks nothing and raises ValueError.  The whole loop is
+    compiled once into straight-line float code (`_compile_orbit`), whose
+    values are bit-identical to evaluating the trees with `eval_numeric`.
     """
     if lie.r != 1:
         raise ShapeMismatchError(
@@ -250,13 +251,11 @@ def numeric_orbit_check(lie, x0, g_end: float, step: float = 1e-3) -> OrbitResul
         raise ValueError(f"--step must be positive and finite, got {step}")
     if not math.isfinite(g_end):
         raise ValueError(f"--g-end must be finite, got {g_end}")
-    spec = lie.spec
-    p = spec.params[0]
     x0 = tuple(float(v) for v in x0)
     if len(x0) != lie.n:
         raise ValueError(f"initial state needs {lie.n} components")
 
-    g0 = eval_numeric(spec.identity[0], {})
+    g0 = eval_numeric(lie.spec.identity[0], {})
     total = g_end - g0
     if abs(total) / step > MAX_ORBIT_STEPS:
         raise ValueError(
@@ -271,35 +270,81 @@ def numeric_orbit_check(lie, x0, g_end: float, step: float = 1e-3) -> OrbitResul
                          f"identity value {g0}")
     sign = 1.0 if total >= 0 else -1.0
 
-    x = x0
     g = g0
     try:
-        f = compile_numeric(
-            [lie.onshell[lie.jets[a][0]] for a in range(lie.n)],
-            [p.name] + [fld.name for fld in lie.fields])
-        action = compile_numeric(spec.action,
-                                 [p.name] + [c.name for c in spec.coords])
-        deviation = _euclid(x, action(g, *x0))
-        for i in range(steps):
-            h = (step if i < n_full else rem) * sign
-            k1 = f(g, *x)
-            k2 = f(g + h / 2, *[xi + h / 2 * ki for xi, ki in zip(x, k1)])
-            k3 = f(g + h / 2, *[xi + h / 2 * ki for xi, ki in zip(x, k2)])
-            k4 = f(g + h, *[xi + h * ki for xi, ki in zip(x, k3)])
-            x = [xi + h / 6 * (a + 2 * b + 2 * c + d)
-                 for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
-            g = g + h
-            deviation = max(deviation, _euclid(x, action(g, *x0)))
-        final_exact = action(g, *x0)
+        orbit = _compile_orbit(lie)
+        g, deviation, x, final_exact = orbit(g0, step, rem, sign, n_full,
+                                             steps, *x0)
     except (NearSingularEvaluationError, OverflowError) as exc:
+        g = getattr(exc, "orbit_g", g)   # g0 if compiling overflowed
         raise ValueError(f"--g-end {g_end}: the orbit cannot be evaluated "
                          f"beyond g = {g}: {exc}") from None
     return OrbitResult(max_deviation=deviation, steps=steps,
-                       final_state=tuple(x), final_exact=final_exact)
+                       final_state=x, final_exact=final_exact)
 
 
-def _euclid(a, b) -> float:
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+def _compile_orbit(lie):
+    """The whole fixed-step orbit as one straight-line float function.
+
+    Each step inlines the right-hand sides four times (`_numeric_lines`),
+    updates the state and g, evaluates the action at the new g and keeps
+    the largest Euclidean deviation.  Every float operation is the one
+    that integrating over `compile_numeric` functions does, in the same
+    order, `sum()` included (it is compensated on Python 3.12+), so every
+    value is bit-identical to that loop.  The function returns
+    (g, deviation, state, action at g); an evaluation that fails re-raises
+    with the g it was reached from as `orbit_g`.
+    """
+    spec = lie.spec
+    p = spec.params[0].name
+    rhs = [lie.onshell[lie.jets[a][0]] for a in range(lie.n)]
+    # the initial state, the state, and a stage's argument
+    u, x, y = ([f"{c}{j}" for j in range(lie.n)] for c in "uxy")
+
+    def stage(prefix, g, state):
+        fields = {fld.name: s for fld, s in zip(lie.fields, state)}
+        return _numeric_lines(rhs, {p: g, **fields}, prefix)
+
+    def shifted(k, h):
+        return [f"{yi} = {xi} + {h} * {ki}" for yi, xi, ki in zip(y, x, k)]
+
+    def distance(state):
+        """`dist`, from the state to the action of g on the initial state."""
+        coords = {c.name: ui for c, ui in zip(spec.coords, u)}
+        lines, exact = _numeric_lines(spec.action, {p: "g", **coords}, "e")
+        squares = "".join(f"({s} - {e}) ** 2, " for s, e in zip(state, exact))
+        return [*lines, f"dist = _sqrt(sum(({squares})))"], exact
+
+    lines1, k1 = stage("k1_", "g", x)
+    lines2, k2 = stage("k2_", "g + h / 2", y)
+    lines3, k3 = stage("k3_", "g + h / 2", y)
+    lines4, k4 = stage("k4_", "g + h", y)
+    first, exact = distance(u)
+    step_lines = [
+        "h = (step if i < n_full else rem) * sign",
+        *lines1, *shifted(k1, "h / 2"),
+        *lines2, *shifted(k2, "h / 2"),
+        *lines3, *shifted(k3, "h"),
+        *lines4,
+        *(f"{xi} = {xi} + h / 6 * ({a} + 2 * {b} + 2 * {c} + {d})"
+          for xi, a, b, c, d in zip(x, k1, k2, k3, k4)),
+        "g = g + h", *distance(x)[0], "if dist > dev: dev = dist"]
+    source = "\n".join([
+        f"def orbit(g, step, rem, sign, n_full, steps, {', '.join(u)}):",
+        "    try:",
+        *("        " + line for line in first), "        dev = dist",
+        *(f"        {xi} = {ui}" for xi, ui in zip(x, u)),
+        "        for i in range(steps):",
+        *("            " + line for line in step_lines),
+        f"        return g, dev, ({''.join(xi + ', ' for xi in x)}), "
+        f"({''.join(e + ', ' for e in exact)})",
+        "    except (_NearSingular, OverflowError) as exc:",
+        "        exc.orbit_g = g",
+        "        raise"])
+    namespace = dict(_NUMERIC_GLOBALS, _sqrt=math.sqrt,
+                     _NearSingular=NearSingularEvaluationError)
+    exec(compile(source, "<orbit>", "exec"), namespace)
+    return namespace["orbit"]
 
 
 # ---------------------------------------------------------------------------

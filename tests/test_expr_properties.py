@@ -12,8 +12,10 @@ from lagrforge import (Cos, Power, Product, Rational, Role, Sin, Sum, Sym,
                        SymbolInfo, canonicalize, differentiate, free_symbols,
                        monomials, parse, substitute)
 from lagrforge.dsl import MAX_NESTING
-from lagrforge.expr import (NearSingularEvaluationError, UnboundSymbolError,
-                            _diff, _subst, compile_numeric, eval_numeric)
+from lagrforge.expr import (MAX_REJECTIONS, SAMPLE_SPAN,
+                            NearSingularEvaluationError, SampleOutcome,
+                            UnboundSymbolError, _diff, _subst,
+                            compile_numeric, eval_numeric, sample_expr)
 
 from genexpr import VARS, random_expr, sample_point, try_eval
 
@@ -247,6 +249,48 @@ def test_compiled_unbound_symbol_fails_at_compile_time():
         compile_numeric([x * y], ["x"])
     assert err.value.args == ("y",)
     assert compile_numeric([], ["x"])(1.0) == ()
+
+
+def tree_walk_sample(e, samples, seed):
+    """sample_expr walking the tree with eval_numeric at every draw."""
+    syms = sorted(free_symbols(e), key=lambda i: (int(i.role), i.name))
+    rng = random.Random(seed)
+    accepted = rejected = 0
+    max_abs = 0.0
+    witness = {}
+    while accepted < samples:
+        point = {s.name: rng.uniform(-SAMPLE_SPAN, SAMPLE_SPAN) for s in syms}
+        try:
+            v = eval_numeric(e, point)
+        except (NearSingularEvaluationError, OverflowError):
+            rejected += 1
+            if rejected > MAX_REJECTIONS:
+                return SampleOutcome(math.inf, point, True)
+            continue
+        if abs(v) > max_abs:
+            max_abs, witness = abs(v), point
+        accepted += 1
+    return SampleOutcome(max_abs, witness, False)
+
+
+def test_sample_expr_matches_tree_walk():
+    # sample_expr runs compiled code; its outcome, the witness point
+    # included, must be the tree walk's, for raw and canonical trees, for a
+    # constant too large to compile and for a run that aborts
+    rng = random.Random(2024)
+    x, y = (Sym(v) for v in VARS[:2])
+    huge = Rational(10 ** 400) * x + y
+    pole = Power(Sum((x, Product((Rational(-1), x)))), -1)   # 1/0 everywhere
+    exprs = [random_expr(rng) for _ in range(200)]
+    exprs += [canonicalize(e) for e in exprs[:60]] + [huge, pole]
+    with pytest.raises(OverflowError):
+        compile_numeric([huge], ["x", "y"])
+    aborted = 0
+    for seed, e in enumerate(exprs):
+        want = tree_walk_sample(e, samples=16, seed=seed)
+        assert sample_expr(e, samples=16, seed=seed) == want
+        aborted += want.aborted
+    assert aborted == 2
 
 
 NESTED_GROUP = """

@@ -10,6 +10,7 @@ import pytest
 import lagrforge as lf
 from lagrforge import (Equivalence, Power, Rational, SecondOrderJetError,
                        ShapeMismatchError, Sym, canonicalize, verify)
+from lagrforge.expr import NearSingularEvaluationError
 from lagrforge.printing import prefix_expr
 from test_solver import SE2_SOURCE
 
@@ -271,21 +272,46 @@ group scale {
 """
 
 
-def reference_orbit(lie, x0, g_end, step):
-    """The orbit integration walking the trees with eval_numeric."""
+SCALE3 = """
+group scale3d {
+  params: g;
+  coords: X1, X2, X3;
+  identity: (0);
+  inverse: (-g/(1 + g));
+  multiply: (lhs.g + rhs.g + lhs.g*rhs.g);
+  action: ((1 + g)*X1, (1 + g)*X2 + g, (1 + g)^2*X3);
+}
+"""
+
+
+def reference_orbit(lie, x0, g_end, step, compiled=False):
+    """The orbit integration as a Python loop over the steps, walking the
+    trees with eval_numeric or calling compile_numeric functions; a failed
+    evaluation raises the ValueError numeric_orbit_check raises."""
     spec = lie.spec
     p = spec.params[0]
     rhs = [lie.onshell[lie.jets[a][0]] for a in range(lie.n)]
+    if compiled:
+        rhs_fn = lf.compile_numeric(
+            rhs, [p.name] + [fld.name for fld in lie.fields])
+        action_fn = lf.compile_numeric(
+            spec.action, [p.name] + [c.name for c in spec.coords])
 
-    def f(g, x):
-        env = {p.name: g}
-        env.update((fld.name, v) for fld, v in zip(lie.fields, x))
-        return [lf.eval_numeric(e, env) for e in rhs]
+        def f(g, x):
+            return rhs_fn(g, *x)
 
-    def exact(g):
-        env = {c.name: v for c, v in zip(spec.coords, x0)}
-        env[p.name] = g
-        return [lf.eval_numeric(a, env) for a in spec.action]
+        def exact(g):
+            return action_fn(g, *x0)
+    else:
+        def f(g, x):
+            env = {p.name: g}
+            env.update((fld.name, v) for fld, v in zip(lie.fields, x))
+            return [lf.eval_numeric(e, env) for e in rhs]
+
+        def exact(g):
+            env = {c.name: v for c, v in zip(spec.coords, x0)}
+            env[p.name] = g
+            return [lf.eval_numeric(a, env) for a in spec.action]
 
     def dist(a, b):
         return math.sqrt(sum((u - v) ** 2 for u, v in zip(a, b)))
@@ -299,17 +325,21 @@ def reference_orbit(lie, x0, g_end, step):
         sizes.append(rem)
     sign = 1.0 if total >= 0 else -1.0
     x = list(x0)
-    deviation = dist(x, exact(g))
-    for h in sizes:
-        h = h * sign
-        k1 = f(g, x)
-        k2 = f(g + h / 2, [xi + h / 2 * ki for xi, ki in zip(x, k1)])
-        k3 = f(g + h / 2, [xi + h / 2 * ki for xi, ki in zip(x, k2)])
-        k4 = f(g + h, [xi + h * ki for xi, ki in zip(x, k3)])
-        x = [xi + h / 6 * (a + 2 * b + 2 * c + d)
-             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
-        g = g + h
-        deviation = max(deviation, dist(x, exact(g)))
+    try:
+        deviation = dist(x, exact(g))
+        for h in sizes:
+            h = h * sign
+            k1 = f(g, x)
+            k2 = f(g + h / 2, [xi + h / 2 * ki for xi, ki in zip(x, k1)])
+            k3 = f(g + h / 2, [xi + h / 2 * ki for xi, ki in zip(x, k2)])
+            k4 = f(g + h, [xi + h * ki for xi, ki in zip(x, k3)])
+            x = [xi + h / 6 * (a + 2 * b + 2 * c + d)
+                 for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+            g = g + h
+            deviation = max(deviation, dist(x, exact(g)))
+    except (NearSingularEvaluationError, OverflowError) as exc:
+        raise ValueError(f"--g-end {g_end}: the orbit cannot be evaluated "
+                         f"beyond g = {g}: {exc}") from None
     return verify.OrbitResult(max_deviation=deviation, steps=len(sizes),
                               final_state=tuple(x),
                               final_exact=tuple(exact(g)))
@@ -341,6 +371,42 @@ def test_orbit_matches_tree_walking_reference_negative_power(g_end):
     assert orbit.max_deviation <= 1e-12
     assert _bits(orbit) == _bits(reference_orbit(lie, (1.0, -2.0), g_end,
                                                  1e-2))
+
+
+@pytest.mark.parametrize("x0,g_end", [
+    ((1.0, 0.0), 2 * math.pi),      # a full turn
+    ((0.3, -1.7), -3.0),            # backwards
+    ((-1.25, 0.5), 1.00037),        # a last step of 0.37 steps
+], ids=["full-turn", "negative", "short-last-step"])
+def test_compiled_orbit_matches_compiled_reference_so2(so2_lie, x0, g_end):
+    # bit for bit, against the loop over compile_numeric functions
+    orbit = lf.numeric_orbit_check(so2_lie, x0, g_end)
+    assert _bits(orbit) == _bits(reference_orbit(so2_lie, x0, g_end, 1e-3,
+                                                 compiled=True))
+
+
+def test_compiled_orbit_matches_compiled_reference_at_a_pole():
+    # three fields, and (1 + g)^-1 in the Lie equations: the orbit to g = -2
+    # trips SINGULAR_GUARD in a stage and must name the same g
+    lie = lf.constraints(lf.parse(SCALE3))
+    x0 = (1.0, 0.5, -0.25)
+    orbit = lf.numeric_orbit_check(lie, x0, 1.5)
+    assert _bits(orbit) == _bits(reference_orbit(lie, x0, 1.5, 1e-3,
+                                                 compiled=True))
+    with pytest.raises(ValueError) as want:
+        reference_orbit(lie, x0, -2.0, 1e-3, compiled=True)
+    assert "below guard" in str(want.value)
+    with pytest.raises(ValueError) as got:
+        lf.numeric_orbit_check(lie, x0, -2.0)
+    assert str(got.value) == str(want.value)
+
+
+def test_orbit_constant_too_large_names_the_identity():
+    # 10^400 overflows a float when the orbit is compiled, before any step
+    lie = lf.constraints(lf.parse(SHEAR.replace("X1 + g*X2", "X1 + 10^400*g")))
+    with pytest.raises(ValueError, match=r"^--g-end 1.0: the orbit cannot be "
+                       r"evaluated beyond g = 0.0: .*too large"):
+        lf.numeric_orbit_check(lie, (1.0, 0.0), 1.0)
 
 
 def test_orbit_through_a_singularity_is_an_input_error():
