@@ -13,7 +13,9 @@ import pytest
 
 import lagrforge as lf
 from lagrforge import Power, Rational, Sum, Sym
-from lagrforge.solver import compose_lagrangian, euler_lagrange, rref
+from lagrforge.expr import polynomial_expr
+from lagrforge.solver import (collect_system, compose_lagrangian,
+                              euler_lagrange, rref, weak_el_residual_of)
 
 POINT = (0.75, 1.0, -0.5)    # g, then the two fields or coordinates
 
@@ -47,7 +49,7 @@ def affine_family(affine_lie):
 
 @pytest.fixture(scope="module")
 def affine_wide_ansatz(affine_lie):
-    """The solve-affine1 rung dx1 g[-1,1]: 96 unknowns a component."""
+    """The solve-affine1 rung dx1 g[-1,1]: 144 unknowns a component."""
     return lf.build_ansatz(affine_lie, deg_x=1, deg_g=(-1, 1))
 
 
@@ -129,6 +131,33 @@ def test_euler_lagrange(benchmark, affine_wide_ansatz):
     # on-shell values are substituted
     L = affine_wide_ansatz.lagrangian_component(1)
     benchmark(euler_lagrange, affine_wide_ansatz.lie, L, 1)
+
+
+@pytest.fixture(scope="module")
+def affine_wide_residuals(affine_wide_ansatz):
+    """The weak E-L residuals of L_1 on the rung dx1 g[-1,1], one a field."""
+    lie = affine_wide_ansatz.lie
+    L = affine_wide_ansatz.lagrangian_component(1)
+    return [weak_el_residual_of(lie, L, alpha)
+            for alpha in range(1, lie.n + 1)]
+
+
+def test_polynomial_expr_residual(benchmark, affine_wide_residuals):
+    # collect the residuals' monomials, all fields together so that like
+    # terms meet
+    monos = [m for e in affine_wide_residuals for m in lf.monomials(e)]
+    e = benchmark(polynomial_expr, monos)
+    assert e == lf.canonicalize(Sum(tuple(affine_wide_residuals)))
+
+
+def test_collect_and_rref_affine_block(benchmark, affine_wide_ansatz,
+                                       affine_wide_residuals):
+    # the block system of L_1 as `solve_family` collects and reduces it
+    def collect_and_reduce():
+        system = collect_system(affine_wide_residuals, affine_wide_ansatz)
+        return rref(system.rows)
+    reduced, pivots = benchmark(collect_and_reduce)
+    assert len(pivots) == 92    # of 144 block columns
 
 
 def test_rref_affine_system(benchmark, affine_family):

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .dsl import (DslError, bundled_source, parse, pretty_print,
                   validate_axioms)
@@ -47,8 +47,7 @@ def entry() -> None:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return run_stages(args)
     except DslError as exc:
@@ -151,6 +150,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve_flags(p)
     verify_flags(p)
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run` uses, built once per process; argparse keeps no
+    state between `parse_args` calls."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------

@@ -292,19 +292,25 @@ def _pow_pair(factor):
     return (factor, 1)
 
 
+def _number(v: Number) -> Number:
+    """A coefficient as the kernel keeps it: `int` when integral."""
+    return v.numerator if v.denominator == 1 else v
+
+
 def _mono_of(e: Expr):
     """Decompose a canonical non-Sum expression into one monomial."""
     if isinstance(e, Rational):
-        return (e.value, ())
+        return (_number(e.value), ())
     if isinstance(e, Product):
         fs = e.factors
         if isinstance(fs[0], Rational):
-            return (fs[0].value, _norm_pairs([_pow_pair(f) for f in fs[1:]]))
-        return (Fraction(1), _norm_pairs([_pow_pair(f) for f in fs]))
-    return (Fraction(1), _norm_pairs([_pow_pair(e)]))
+            return (_number(fs[0].value),
+                    _norm_pairs([_pow_pair(f) for f in fs[1:]]))
+        return (1, _norm_pairs([_pow_pair(f) for f in fs]))
+    return (1, _norm_pairs([_pow_pair(e)]))
 
 
-def _mono_expr(coeff: Fraction, pairs) -> Expr:
+def _mono_expr(coeff: Number, pairs) -> Expr:
     if coeff == 0:
         return RAT0
     factors = []
@@ -321,7 +327,7 @@ def _mono_expr(coeff: Fraction, pairs) -> Expr:
 
 
 def _sig(pairs):
-    return tuple((atom.sort_key(), n) for atom, n in pairs)
+    return tuple([(atom.sort_key(), n) for atom, n in pairs])
 
 
 def _poly_mul(p1, p2):
@@ -339,18 +345,20 @@ def _poly_mul(p1, p2):
 
 def polynomial_expr(monomials) -> Expr:
     """Canonical sum of monomials whose pairs are already normalized, as
-    `monomials` returns them; like terms are collected and sorted once."""
+    `monomials` returns them; like terms are collected and sorted once,
+    and an integral coefficient is kept as its `int`."""
     acc = {}
     for coeff, pairs in monomials:
-        if coeff == 0:
+        if not coeff:
             continue
         k = _sig(pairs)
         if k in acc:
             acc[k] = (acc[k][0] + coeff, pairs)
         else:
             acc[k] = (coeff, pairs)
-    monos = tuple(m for _, m in sorted(acc.items(), key=lambda kv: kv[0])
-                  if m[0] != 0)
+    monos = tuple((_number(c), p)
+                  for _, (c, p) in sorted(acc.items(), key=lambda kv: kv[0])
+                  if c)
     if not monos:
         return RAT0
     if len(monos) == 1:
@@ -490,7 +498,7 @@ def product_monomials(factors: Sequence[Expr]) -> list:
     could cancel against the sum, is the product tree canonicalized.
     """
     factors = [canonicalize(f) for f in factors]
-    out = _times((Fraction(1), ()), factors)
+    out = _times((1, ()), factors)
     if out is None:
         return list(_as_monomials(_canon_product(factors)))
     return out
@@ -539,7 +547,9 @@ def differentiate(e: Expr, s) -> Expr:
         chain = False
         for i, (atom, n) in enumerate(pairs):
             if isinstance(atom, Sym):
-                if atom.info == info:
+                a = atom.info
+                # most symbols differ by name, which ends the test early
+                if a is info or (a.name == info.name and a == info):
                     at = i
                 continue
             k = atom.sort_key()

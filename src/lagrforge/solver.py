@@ -126,7 +126,7 @@ def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
                 columns.extend(infos)
                 # an unknown sorts before every basis atom
                 lambdas[(k, a, s)] = polynomial_expr([
-                    (Fraction(1), ((Sym(info), 1),) + pairs)
+                    (1, ((Sym(info), 1),) + pairs)
                     for info, pairs in zip(infos, basis_pairs)])
     return MultiplierAnsatz(lie=lie, deg_x=deg_x, deg_g=deg_g, basis=basis,
                             unknowns=unknowns, lambdas=lambdas,
@@ -197,7 +197,8 @@ def lambda_map_residual(lie, lambda_map: dict, k: int, alpha: int) -> Expr:
 @dataclass
 class LinearSystem:
     columns: tuple           # unknown symbols, fixed order
-    rows: list               # list of Fraction lists
+    rows: list               # dense rows: int 0 for zero cells, int or
+                             # Fraction otherwise
 
     @cached_property
     def reduced(self):
@@ -241,7 +242,7 @@ def collect_system(residuals, ansatz: MultiplierAnsatz) -> LinearSystem:
                     "residual carries a term free of ansatz unknowns")
             # `monomials` sorts each monomial's atoms, so `rest` is sorted
             sig = tuple((a.sort_key(), n) for a, n in rest)
-            row = grouped.setdefault(sig, [Fraction(0)] * ncols)
+            row = grouped.setdefault(sig, [0] * ncols)
             row[unknown.index[0]] += coeff
         rows.extend(row for _, row in sorted(grouped.items()) if any(row))
     return LinearSystem(columns=ansatz.columns, rows=rows)
@@ -257,7 +258,11 @@ def rref(matrix):
     to the earlier, to limit fill-in; the reduced form is unique, so that
     choice never shows.
     """
-    rows = [{c: Fraction(v) for c, v in enumerate(row) if v} for row in matrix]
+    # `compress` skips the zero cells in C; the rest become Fractions, so
+    # that no division below gives a float
+    rows = [{c: Fraction(v)
+             for c, v in itertools.compress(enumerate(row), row)}
+            for row in matrix]
     holders = defaultdict(set)           # column -> rows non-zero there
     for i, d in enumerate(rows):
         for c in d:

@@ -46,6 +46,24 @@ def test_parse_json(capsys):
     assert payload["axioms"]["seed"] == 0xC0FFEE
 
 
+def test_run_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert capture(capsys, ["parse", "so2"])[0] == 0
+            with pytest.raises(SystemExit) as exc:
+                run(["parse"])
+            assert exc.value.code == 2
+            assert "required: input" in capsys.readouterr().err
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
 def test_parse_accepts_file_path(capsys):
     code, out, _ = capture(capsys, ["parse", str(SO2_PATH)])
     assert code == 0
@@ -242,13 +260,28 @@ GOLDEN = [
      "47b294edc075ab07c3c2e3fd784e22afcfea4f7a7453bfedcea0a5f9f30be738"),
     ("example affine1", "latex", 0,
      "35848f4d1283d98a0fef0e69c682d0c76e914de307bb42db2f28419729f6f446"),
+    # The rest of the benchmark ladder; a `.grp` path is resolved from the
+    # repository root.
+    ("solve affine1 --deg-x 2 --deg-g-min -1", "json", 0,
+     "b75a31ce4e128d1f8bcf48401eb24aea86f79360bd0b19509ca5a8985a5812c4"),
+    ("solve affine1 --deg-g-min -1 --deg-g-max 1", "json", 0,
+     "4077b7b21c8ac58785f9959a92eca4e0953e3e503b74d0902a1c7894a8bab9c4"),
+    ("verify affine1 --deg-g-min -1 --deg-g-max 1", "json", 0,
+     "0372b70eae08fd61e9cece527949bf0bd208ea42c2bc467556b650edefe6b3d3"),
+    ("verify so2 --deg-x 3", "json", 0,
+     "c804603a9f5ce63853328555334a3c8e84a0b27df71ae98a0b47697e500d0a11"),
+    ("verify so2 --deg-x 4", "json", 0,
+     "9795e676b4dbb74e4a5bb2d05ff6fe83e1ec441f98bcf3ed2ab4d2769d1a544c"),
+    ("verify perfbench/groups/se2.grp", "json", 1,
+     "8ca9db8e6e0dbcba3976c8964df69639bd447e6d21c39c07e37d493737396312"),
 ]
 
 
 @pytest.mark.parametrize("argv,fmt,code,digest", GOLDEN,
                          ids=[f"{a} {f}" for a, f, _, _ in GOLDEN])
 def test_golden_output(capsys, argv, fmt, code, digest):
-    got, out, err = capture(capsys, argv.split() + ["--format", fmt])
+    args = [str(ROOT / a) if a.endswith(".grp") else a for a in argv.split()]
+    got, out, err = capture(capsys, args + ["--format", fmt])
     assert (got, err) == (code, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

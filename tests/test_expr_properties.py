@@ -1,10 +1,12 @@
 """Seeded property checks for the expression kernel."""
 
+import copy
 import functools
 import math
 import operator
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +17,8 @@ from lagrforge.dsl import MAX_NESTING
 from lagrforge.expr import (MAX_REJECTIONS, SAMPLE_SPAN,
                             NearSingularEvaluationError, SampleOutcome,
                             UnboundSymbolError, _diff, _subst,
-                            compile_numeric, eval_numeric, sample_expr)
+                            compile_numeric, eval_numeric, format_expr,
+                            polynomial_expr, product_monomials, sample_expr)
 
 from genexpr import VARS, random_expr, sample_point, try_eval
 
@@ -164,6 +167,47 @@ def test_monomials_returns_a_copy_of_the_cache():
     assert canonicalize(Sum(tuple(
         Product((Rational(c),) + tuple(Power(a, n) for a, n in pairs))
         for c, pairs in again))) == e
+
+
+def _fraction_typed(e):
+    """A copy of canonical `e` whose cached monomials hold every
+    coefficient as a Fraction, integral ones included."""
+    out = copy.copy(e)
+    out._monos = tuple((Fraction(c), pairs) for c, pairs in monomials(e))
+    return out
+
+
+def _same(a, b):
+    return a.sort_key() == b.sort_key() and format_expr(a) == format_expr(b)
+
+
+def test_integral_fractions_give_what_ints_give():
+    # the kernel keeps integral coefficients as ints; fed the same
+    # monomials with Fraction-typed coefficients, each operation gives the
+    # same canonical form, and its own monomials hold ints again
+    rng = random.Random(1729)
+    fractional = 0
+    for _ in range(200):
+        a, b = (canonicalize(random_expr(rng)) for _ in range(2))
+        fa, fb = _fraction_typed(a), _fraction_typed(b)
+        fractional += any(type(c) is Fraction for c, _ in monomials(a))
+        v = rng.choice(VARS)
+        table = {v: _replacements(rng)}
+        pairs = [
+            (polynomial_expr(monomials(a) + monomials(b)),
+             polynomial_expr(monomials(fa) + monomials(fb))),
+            (polynomial_expr(product_monomials((a, b))),
+             polynomial_expr(product_monomials((fa, fb)))),
+            (differentiate(a, v), differentiate(fa, v)),
+            (substitute(a, table), substitute(fa, table)),
+            (substitute(a, table),
+             substitute(fa, {k: _fraction_typed(canonicalize(r))
+                             for k, r in table.items()}))]
+        for want, got in pairs:
+            assert _same(got, want)
+            assert all(type(c) is int or c.denominator != 1
+                       for c, _ in monomials(got))
+    assert fractional > 20
 
 
 def test_canonicalize_idempotent_and_evaluation_sound():

@@ -1,5 +1,6 @@
 """Multiplier ansatz, exact linear system, and the Lagrangian family."""
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -242,6 +243,26 @@ def test_rref_matches_sympy(seed):
                for v in row.values())
 
 
+@pytest.mark.parametrize("kind", ["int", "mixed"])
+@pytest.mark.parametrize("seed", range(25))
+def test_rref_reads_int_cells_exactly(seed, kind):
+    # rows of plain ints (each rational row scaled by the lcm of its
+    # denominators), or each integral cell an int among Fractions: the
+    # reduced rows hold Fractions only, never the float of `1 / int`
+    rows, ncols = _random_sparse_matrix(seed)
+    if kind == "int":
+        rows = [[int(v * m) for v in row]
+                for row in rows
+                for m in (math.lcm(*(v.denominator for v in row)),)]
+    else:
+        rows = [[v.numerator if v.denominator == 1 else v for v in row]
+                for row in rows]
+    reduced, pivots = rref(rows)
+    assert all(type(v) is Fraction for row in reduced for v in row.values())
+    pytest.importorskip("sympy")
+    assert (reduced, pivots) == _sympy_rref(rows, ncols)
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_nullspace_matches_sympy(seed):
     # one vector per non-pivot column of SymPy's RREF: 1 there, 0 at every
@@ -321,6 +342,30 @@ def test_block_solve_matches_full_system(source, r, deg_g, affine_lie):
     for row in map(sparse, full.rows):
         for vec in vectors:
             assert sum(c * vec.get(j, 0) for j, c in row) == 0
+
+
+def _kernel_number(c):
+    """Whether `c` is a coefficient as the kernel keeps it: an int when
+    integral, a Fraction otherwise."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@pytest.mark.parametrize("source, deg_x, deg_g", [
+    ("so2", 3, (0, 0)), ("affine1", 1, (-1, 1)), ("se2", 1, (0, 0))])
+def test_integral_coefficients_are_ints(source, deg_x, deg_g):
+    # L_1 of the ansatz, its weak residuals and the family's Lagrangians
+    text = SE2_SOURCE if source == "se2" else lf.bundled_source(source)
+    lie = lf.constraints(lf.parse(text))
+    ansatz = lf.build_ansatz(lie, deg_x=deg_x, deg_g=deg_g)
+    family = lf.solve_family(lie, ansatz)
+    L = ansatz.lagrangian_component(1)
+    exprs = [L, *family.lagrangians] + [
+        lf.weak_el_residual_of(lie, L, alpha) for alpha in range(1, lie.n + 1)]
+    coeffs = [c for e in exprs for c, _ in lf.monomials(e)]
+    assert all(map(_kernel_number, coeffs))
+    # the collected rows keep their zero cells as int 0
+    cells = [v for row in family.system.rows for v in row]
+    assert 0 in cells and all(type(v) is int for v in cells if not v)
 
 
 def _tree_compose(lie, lambdas, k):
