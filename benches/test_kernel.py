@@ -133,6 +133,17 @@ def test_euler_lagrange(benchmark, affine_wide_ansatz):
     benchmark(euler_lagrange, affine_wide_ansatz.lie, L, 1)
 
 
+def test_weak_residual_from_multipliers(benchmark, affine_wide_ansatz):
+    # the weak residual of that L_1 for the first field, in closed form from
+    # its multipliers, as `solve_family` builds it: no L_1, no substitution
+    ansatz = affine_wide_ansatz
+    lambdas = {key[1:]: lam for key, lam in ansatz.lambdas.items()
+               if key[0] == 1}
+    R = benchmark(weak_el_residual_of, ansatz.lie, lambdas, 1)
+    assert R == weak_el_residual_of(ansatz.lie,
+                                    ansatz.lagrangian_component(1), 1)
+
+
 @pytest.fixture(scope="module")
 def affine_wide_residuals(affine_wide_ansatz):
     """The weak E-L residuals of L_1 on the rung dx1 g[-1,1], one a field."""

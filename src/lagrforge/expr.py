@@ -65,6 +65,19 @@ class SymbolInfo:
     role: Role
     index: Optional[tuple] = None
 
+    # The generated hash would rebuild and hash the field tuple on every
+    # set or dict lookup; it is taken once, with the same value.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.name, self.role, self.index)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so an unpickled copy hashes afresh
+        return (SymbolInfo, (self.name, self.role, self.index))
+
 
 Number = Union[int, Fraction]
 

@@ -156,10 +156,7 @@ def euler_lagrange(lie, L: Expr, alpha: int) -> Expr:
     monos = monomials(differentiate(L, lie.fields[alpha - 1]))
     for i, p in enumerate(lie.spec.params):
         A = differentiate(L, lie.jets[alpha - 1][i])
-        if free_symbols(A) & jets:
-            raise SecondOrderJetError(
-                "dL/djet depends on a jet variable; multipliers must be "
-                "free of jets")
+        _check_jet_free(A, jets)
         # minus the total derivative of A along g_i
         monos.extend((-c, pairs)
                      for c, pairs in monomials(differentiate(A, p)))
@@ -169,16 +166,67 @@ def euler_lagrange(lie, L: Expr, alpha: int) -> Expr:
     return polynomial_expr(monos)
 
 
+def _check_jet_free(e: Expr, jets: set) -> None:
+    """Raise SecondOrderJetError if `e` holds a jet.  Reads the monomials of
+    `e`, so a sum builds no term nodes; only sine, cosine and inverse-sum
+    atoms are walked."""
+    for _, pairs in monomials(e):
+        for atom, _ in pairs:
+            if isinstance(atom, Sym):
+                held = atom.info in jets
+            else:
+                held = not free_symbols(atom).isdisjoint(jets)
+            if held:
+                raise SecondOrderJetError(
+                    "dL/djet depends on a jet variable; multipliers must be "
+                    "free of jets")
+
+
 def strong_el(lie, L: Expr) -> list:
     """Full E-L expressions of one Lagrangian component, one per field."""
     return [euler_lagrange(lie, L, alpha) for alpha in range(1, lie.n + 1)]
 
 
-def weak_el_residual_of(lie, L: Expr, alpha: int) -> Expr:
-    """Weak E-L residual of an explicit Lagrangian component: its E-L
-    expression with every jet replaced by its on-shell value, which is the
-    only sense in which terms are dropped."""
-    return substitute(euler_lagrange(lie, L, alpha), lie.onshell)
+def weak_el_residual_of(lie, L, alpha: int) -> Expr:
+    """Weak E-L residual of one Lagrangian component: its E-L expression
+    with every jet replaced by its on-shell value, which is the only sense
+    in which terms are dropped.
+
+    `L` is an expression, or the multipliers {(a, s): lambda_{a,s}} of
+    L = sum lambda_{a,s} * phi^a_s, a missing slot counting as 0.  For the
+    multipliers the residual is taken in closed form, with xi^b_s the
+    on-shell value of the jet X'^b_s:
+
+        sum_{a,s} lambda_{a,s} * dphi^a_s/dX'^alpha
+          - sum_s (dlambda_{alpha,s}/dg_s
+                   + sum_b xi^b_s * dlambda_{alpha,s}/dX'^b)
+
+    dL/dX'^alpha_s is lambda_{alpha,s}, and the terms dlambda/dX' * phi
+    vanish on shell; dphi/dX' is free of jets, so L is never composed and
+    nothing is substituted.
+    """
+    if not isinstance(L, dict):
+        return substitute(euler_lagrange(lie, L, alpha), lie.onshell)
+    jets = set(lie.jet_list())
+    field = lie.fields[alpha - 1]
+    monos = []
+    for a in range(1, lie.n + 1):
+        for s in range(1, lie.r + 1):
+            lam = L.get((a, s), RAT0)
+            _check_jet_free(lam, jets)
+            dphi = differentiate(lie.phi[a - 1][s - 1], field)
+            if dphi != RAT0:
+                monos.extend(product_monomials((lam, dphi)))
+    for s, p in enumerate(lie.spec.params):
+        lam = L.get((alpha, s + 1), RAT0)
+        monos.extend((-c, pairs)
+                     for c, pairs in monomials(differentiate(lam, p)))
+        for f, jets_f in zip(lie.fields, lie.jets):
+            xi = lie.onshell[jets_f[s]]
+            if xi != RAT0:
+                monos.extend((-c, pairs) for c, pairs in product_monomials(
+                    (xi, differentiate(lam, f))))
+    return polynomial_expr(monos)
 
 
 def lambda_map_residual(lie, lambda_map: dict, k: int, alpha: int) -> Expr:
@@ -414,12 +462,14 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
     The components L_k differ only in the names of their unknowns, and
     each k owns a consecutive run of `width` columns, so the system is r
     copies of one diagonal block.  Only the block of L_1 is collected,
-    reduced and kept as `family.system`; the full system's rows and rank
-    are r times the block's.  Each block nullspace vector gives one member
-    per component k, shifted by k * width.
+    from the residuals of its multipliers in closed form, reduced and kept
+    as `family.system`; the full system's rows and rank are r times the
+    block's.  Each block nullspace vector gives one member per component
+    k, shifted by k * width.
     """
-    L = ansatz.lagrangian_component(1)
-    collected = collect_system([weak_el_residual_of(lie, L, alpha)
+    lambdas = {key[1:]: lam for key, lam in ansatz.lambdas.items()
+               if key[0] == 1}
+    collected = collect_system([weak_el_residual_of(lie, lambdas, alpha)
                                 for alpha in range(1, lie.n + 1)], ansatz)
     width = lie.n * lie.r * len(ansatz.basis)
     system = LinearSystem(columns=ansatz.columns[:width],

@@ -156,9 +156,11 @@ def test_weak_residual_is_strong_el_on_shell(name, so2_family, affine_family):
 
 
 def test_weak_el_residual_rejects_second_order(so2_lie):
+    # dL/djet holds a jet as a factor, or inside a sine
     j1 = Sym(so2_lie.jets[0][0])
-    with pytest.raises(lf.SecondOrderJetError):
-        lf.weak_el_residual_of(so2_lie, j1 ** 2, 1)
+    for L in (j1 ** 2, canonicalize(lf.Sin(j1))):
+        with pytest.raises(lf.SecondOrderJetError, match="dL/djet"):
+            lf.weak_el_residual_of(so2_lie, L, 1)
 
 
 def test_lambda_map_residual(so2_lie):
@@ -501,6 +503,83 @@ def test_lambda_map_residual_with_inverse_sums():
     assert compose_lagrangian(lie, {(1, 1, 1): 1 / phi}, 1) == Rational(1)
     assert lf.lambda_map_residual(lie, {(1, 1): 1 / phi}, 1, 1) == \
         Rational(0)
+
+
+def _lie_of(source):
+    """A bundled group by name, an inline source by name, or a .grp file
+    by its path from the repository root."""
+    if source.endswith(".grp"):
+        text = (Path(__file__).resolve().parents[1] / source).read_text()
+    else:
+        text = {"scale1": SCALE1_SOURCE, "scale3": SCALE3_SOURCE}.get(source)
+    return lf.constraints(lf.parse(text or lf.bundled_source(source)))
+
+
+def _component_multipliers(ansatz, k=1):
+    """The ansatz multipliers of component k, keyed by the slot (a, s)."""
+    return {key[1:]: lam for key, lam in ansatz.lambdas.items()
+            if key[0] == k}
+
+
+@pytest.mark.parametrize("source, deg_x, deg_g", [
+    ("so2", 1, (0, 0)), ("so2", 3, (0, 0)), ("so2", 4, (0, 0)),
+    ("affine1", 1, (-1, 0)), ("affine1", 2, (-1, 0)),
+    ("affine1", 1, (-1, 1)), ("affine1", 2, (-1, 1)),
+    ("affine1", 1, (-2, 1)),
+    ("perfbench/groups/se2.grp", 1, (0, 0)),
+    ("perfbench/groups/se2.grp", 2, (0, 0)),
+    ("scale3", 1, (-1, 0)), ("scale1", 1, (0, 1))])
+def test_multiplier_residual_matches_expression_path(source, deg_x, deg_g):
+    # the closed form on the multipliers of L_1 gives, residual by
+    # residual, the canonical form of the E-L expression of the composed
+    # L_1 with the on-shell values substituted, so the rows and the RREF
+    # that solve_family reads are those of the expression path
+    lie = _lie_of(source)
+    ansatz = lf.build_ansatz(lie, deg_x=deg_x, deg_g=deg_g)
+    L = ansatz.lagrangian_component(1)
+    lambdas = _component_multipliers(ansatz)
+    expected = [lf.weak_el_residual_of(lie, L, alpha)
+                for alpha in range(1, lie.n + 1)]
+    got = [lf.weak_el_residual_of(lie, lambdas, alpha)
+           for alpha in range(1, lie.n + 1)]
+    assert [e.sort_key() for e in got] == [e.sort_key() for e in expected]
+    assert any(e != Rational(0) for e in got)
+    system = lf.collect_system(got, ansatz)
+    reference = lf.collect_system(expected, ansatz)
+    assert system.rows == reference.rows
+    assert system.reduced == reference.reduced
+
+
+@pytest.mark.parametrize("slot", [(1, 1), (2, 1)])
+def test_multiplier_residual_rejects_jets(so2_lie, slot):
+    # a jet anywhere in any multiplier, as a factor or inside a sine, makes
+    # dL/djet depend on a jet, whichever field the residual is taken for
+    f1 = Sym(so2_lie.fields[0])
+    j1 = Sym(so2_lie.jets[0][0])
+    for lam in (j1, f1 * j1 ** 2, lf.Sin(f1 + j1)):
+        for alpha in (1, 2):
+            with pytest.raises(lf.SecondOrderJetError, match="multiplier"):
+                lf.weak_el_residual_of(so2_lie, {slot: canonicalize(lam)},
+                                       alpha)
+
+
+@pytest.mark.parametrize("source", ["so2", "affine1",
+                                    "perfbench/groups/se2.grp"])
+def test_multiplier_residual_missing_slots_are_zero(source):
+    # every other slot is left out of the map; the reference composes L
+    # with those slots at 0
+    lie = _lie_of(source)
+    lambdas = _component_multipliers(lf.build_ansatz(lie, deg_x=1))
+    kept = {slot: lam for i, (slot, lam) in enumerate(lambdas.items())
+            if i % 2 == 0}
+    assert 0 < len(kept) < len(lambdas)
+    L = compose_lagrangian(lie, {(1,) + slot: kept.get(slot, Rational(0))
+                                 for slot in lambdas}, 1)
+    for alpha in range(1, lie.n + 1):
+        got = lf.weak_el_residual_of(lie, kept, alpha)
+        assert got == lf.weak_el_residual_of(lie, L, alpha)
+        assert got == lf.lambda_map_residual(lie, kept, 1, alpha)
+    assert lf.weak_el_residual_of(lie, {}, 1) == Rational(0)
 
 
 def test_nullspace_orthogonal_to_rows(so2_family):
