@@ -12,7 +12,7 @@ import math
 import pytest
 
 import lagrforge as lf
-from lagrforge import Power, Rational, Sum, Sym
+from lagrforge import Power, Rational, Sum, Sym, cli
 from lagrforge.expr import polynomial_expr
 from lagrforge.solver import (collect_system, compose_lagrangian,
                               euler_lagrange, rref, weak_el_residual_of)
@@ -111,6 +111,14 @@ def test_solve_family_affine_scale(benchmark, affine_lie, deg_x, deg_g,
     else:
         family = benchmark(lf.solve_family, affine_lie, ansatz)
     assert family.dimension == dimension
+
+
+def test_family_payload_affine(benchmark, affine_lie, affine_wide_ansatz):
+    # the JSON payload of `solve affine1 --deg-x 1 --deg-g-min -1
+    # --deg-g-max 1`: the family's multipliers and L_k in prefix text
+    family = lf.solve_family(affine_lie, affine_wide_ansatz)
+    payload = benchmark(cli._family_payload, affine_wide_ansatz, family)
+    assert len(payload["family"]["free_params"]) == 104
 
 
 def test_substitute_onshell(benchmark, affine_family):

@@ -77,6 +77,10 @@ def _checked(convert, ok, rule: str):
 _SAMPLES = _checked(int, lambda n: n >= 1, "at least 1")
 _TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v >= 0,
                       "finite and non-negative")
+# a sampled residual is never exact, so a zero --tol would turn float
+# rounding into a Failed verdict
+_POSITIVE_TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                               "finite and positive")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"sampling seed (default: {DEFAULT_SEED})")
         p.add_argument("--samples", type=_SAMPLES, default=EQUALS_SAMPLES,
                        help="sample count for numeric equality checks")
-        p.add_argument("--tol", type=_TOLERANCE, default=EQUALS_TOL,
+        p.add_argument("--tol", type=_POSITIVE_TOLERANCE, default=EQUALS_TOL,
                        help="tolerance for numeric equality checks")
 
     def solve_flags(p):

@@ -323,17 +323,28 @@ def _mono_of(e: Expr):
     return (1, _norm_pairs([_pow_pair(e)]))
 
 
+def _factor_key(pair):
+    atom, n = pair
+    return atom.sort_key() if n == 1 else (2, atom.sort_key(), n)
+
+
+def term_factors(pairs) -> list:
+    """A monomial's (atom, exponent) pairs in the order of the factors of
+    its canonical product, which the printers follow: an atom under its
+    own sort key, a power under the key of its Power node.  A coefficient
+    other than 1 comes before them all."""
+    return sorted(pairs, key=_factor_key)
+
+
 def _mono_expr(coeff: Number, pairs) -> Expr:
     if coeff == 0:
         return RAT0
-    factors = []
-    for atom, n in pairs:
-        factors.append(atom if n == 1 else _mark(Power(atom, n)))
+    factors = [atom if n == 1 else _mark(Power(atom, n))
+               for atom, n in term_factors(pairs)]
     if not factors:
         return Rational(coeff)
     if coeff != 1:
-        factors.append(Rational(coeff))
-    factors.sort(key=lambda f: f.sort_key())
+        factors.insert(0, Rational(coeff))
     if len(factors) == 1:
         return factors[0]
     return _mark(Product(tuple(factors)))
@@ -896,59 +907,36 @@ def equals(e1, e2, samples: int = EQUALS_SAMPLES, seed: int = DEFAULT_SEED,
 
 
 def format_expr(e: Expr) -> str:
-    e = canonicalize(e)
-    if isinstance(e, Sum):
-        out = _fmt_term(e.terms[0])
-        for t in e.terms[1:]:
-            sign, body = _split_sign(t)
+    out = ""
+    for coeff, pairs in _as_monomials(canonicalize(e)):
+        sign, body = _split_sign(coeff, pairs)
+        if out:
             out += (" - " if sign < 0 else " + ") + body
-        return out
-    return _fmt_term(e)
+        else:
+            out = "-" + body if sign < 0 else body
+    return out
 
 
-def _split_sign(term: Expr):
-    """(sign, magnitude text) of a canonical monomial term."""
-    if isinstance(term, Rational):
-        if term.value < 0:
-            return (-1, str(-term.value))
-        return (1, str(term.value))
-    if isinstance(term, Product):
-        factors = term.factors
-        sign = 1
-        parts = []
-        if isinstance(factors[0], Rational):
-            c = factors[0].value
-            factors = factors[1:]
-            if c < 0:
-                sign = -1
-                c = -c
-            if c != 1:
-                parts.append(str(c))
-        parts.extend(_fmt_factor(f) for f in factors)
-        return (sign, "*".join(parts))
-    return (1, _fmt_factor(term))
-
-
-def _fmt_term(term: Expr) -> str:
-    sign, body = _split_sign(term)
-    return "-" + body if sign < 0 else body
+def _split_sign(coeff: Number, pairs):
+    """(sign, magnitude text) of a monomial."""
+    c = abs(coeff)
+    parts = [str(c)] if c != 1 or not pairs else []
+    for atom, n in term_factors(pairs):
+        text = _fmt_factor(atom)
+        parts.append(text if n == 1 else f"{text}^{n}")
+    return (-1 if coeff < 0 else 1, "*".join(parts))
 
 
 def _fmt_factor(f: Expr) -> str:
+    """An atom of a monomial, or the base of its power."""
     if isinstance(f, Rational):
         return str(f.value) if f.value >= 0 else f"(0 - {-f.value})"
     if isinstance(f, Sym):
         return f.info.name
-    if isinstance(f, Power):
-        base = _fmt_factor(f.base) if not isinstance(f.base, Sum) \
-            else f"({format_expr(f.base)})"
-        return f"{base}^{f.exponent}"
     if isinstance(f, Sin):
         return f"sin({format_expr(f.argument)})"
     if isinstance(f, Cos):
         return f"cos({format_expr(f.argument)})"
     if isinstance(f, Sum):
-        return f"({format_expr(f)})"
-    if isinstance(f, Product):
         return f"({format_expr(f)})"
     raise TypeError(f"cannot format {type(f).__name__}")

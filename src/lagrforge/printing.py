@@ -13,27 +13,36 @@ from __future__ import annotations
 
 import re
 
-from .expr import (Cos, Expr, Power, Product, Rational, Role, Sin, Sum, Sym,
-                   SymbolInfo, canonicalize)
+from .expr import (Cos, Expr, Rational, Role, Sin, Sum, Sym, SymbolInfo,
+                   _as_monomials, canonicalize, term_factors)
 
 
 def prefix_expr(e: Expr) -> str:
+    """Prefix text of the canonical form, written from its monomials, so
+    a sum builds no term nodes."""
     e = canonicalize(e)
-    if isinstance(e, Rational):
-        return str(e.value)
-    if isinstance(e, Sym):
-        return e.info.name
-    if isinstance(e, Sum):
-        return "(+ " + " ".join(prefix_expr(t) for t in e.terms) + ")"
-    if isinstance(e, Product):
-        return "(* " + " ".join(prefix_expr(f) for f in e.factors) + ")"
-    if isinstance(e, Power):
-        return f"(^ {prefix_expr(e.base)} {e.exponent})"
-    if isinstance(e, Sin):
-        return f"(sin {prefix_expr(e.argument)})"
-    if isinstance(e, Cos):
-        return f"(cos {prefix_expr(e.argument)})"
-    raise TypeError(f"cannot render {type(e).__name__}")
+    terms = [_prefix_term(c, pairs) for c, pairs in _as_monomials(e)]
+    return "(+ " + " ".join(terms) + ")" if isinstance(e, Sum) else terms[0]
+
+
+def _prefix_term(coeff, pairs) -> str:
+    parts = [str(coeff)] if coeff != 1 or not pairs else []
+    for atom, n in term_factors(pairs):
+        text = _prefix_atom(atom)
+        parts.append(text if n == 1 else f"(^ {text} {n})")
+    return parts[0] if len(parts) == 1 else "(* " + " ".join(parts) + ")"
+
+
+def _prefix_atom(atom: Expr) -> str:
+    if isinstance(atom, Sym):
+        return atom.info.name
+    if isinstance(atom, Sin):
+        return f"(sin {prefix_expr(atom.argument)})"
+    if isinstance(atom, Cos):
+        return f"(cos {prefix_expr(atom.argument)})"
+    if isinstance(atom, (Sum, Rational)):
+        return prefix_expr(atom)
+    raise TypeError(f"cannot render {type(atom).__name__}")
 
 
 _NAME_RE = re.compile(r"^([A-Za-z]+)(\d*)('?)$")
@@ -62,38 +71,33 @@ def latex_expr(e: Expr) -> str:
 
 
 def _latex(e: Expr) -> str:
-    if isinstance(e, Sum):
-        out = _latex_term(e.terms[0])
-        for t in e.terms[1:]:
-            s = _latex_term(t)
+    out = ""
+    for coeff, pairs in _as_monomials(e):
+        s = _latex_term(coeff, pairs)
+        if out:
             out += " " + s if s.startswith("-") else " + " + s
-        return out
-    return _latex_term(e)
+        else:
+            out = s
+    return out
 
 
-def _latex_term(e: Expr) -> str:
-    if isinstance(e, Rational):
-        return _latex_rational(e)
-    if isinstance(e, Product):
-        parts = []
-        head = ""
-        for f in e.factors:
-            if isinstance(f, Rational):
-                if f.value == -1:
-                    head = "-"
-                else:
-                    head = _latex_rational(f)
-                continue
-            parts.append(_latex_factor(f))
-        joined = " ".join(parts)
-        if head in ("", "-"):
-            return head + joined
-        return head + " " + joined
-    return _latex_factor(e)
+def _latex_term(coeff, pairs) -> str:
+    if not pairs:
+        return _latex_rational(coeff)
+    head = "" if coeff == 1 else "-" if coeff == -1 \
+        else _latex_rational(coeff) + " "
+    parts = []
+    for atom, n in term_factors(pairs):
+        if n == 1:
+            parts.append(_latex_factor(atom))
+        elif isinstance(atom, Sum):
+            parts.append(f"\\left({_latex(atom)}\\right)^{{{n}}}")
+        else:
+            parts.append(f"({_latex_factor(atom)})^{{{n}}}")
+    return head + " ".join(parts)
 
 
-def _latex_rational(e: Rational) -> str:
-    v = e.value
+def _latex_rational(v) -> str:
     sign = "-" if v < 0 else ""
     v = abs(v)
     if v.denominator == 1:
@@ -102,18 +106,15 @@ def _latex_rational(e: Rational) -> str:
 
 
 def _latex_factor(f: Expr) -> str:
+    """An atom of a monomial, or the base of its power."""
     if isinstance(f, Sym):
         return default_symbol_latex(f.info)
-    if isinstance(f, Power):
-        if isinstance(f.base, Sum):
-            return f"\\left({_latex(f.base)}\\right)^{{{f.exponent}}}"
-        return f"({_latex_factor(f.base)})^{{{f.exponent}}}"
     if isinstance(f, Sin):
         return f"\\sin\\left({_latex(f.argument)}\\right)"
     if isinstance(f, Cos):
         return f"\\cos\\left({_latex(f.argument)}\\right)"
-    if isinstance(f, (Sum, Product)):
+    if isinstance(f, Sum):
         return f"\\left({_latex(f)}\\right)"
     if isinstance(f, Rational):
-        return _latex_rational(f)
+        return _latex_rational(f.value)
     raise TypeError(f"cannot render {type(f).__name__}")

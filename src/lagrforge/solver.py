@@ -18,7 +18,8 @@ from functools import cached_property
 
 from .expr import (Expr, Power, Product, RAT0, RAT_M1, Rational, Role, Sym,
                    SymbolInfo, canonicalize, differentiate, free_symbols,
-                   monomials, polynomial_expr, product_monomials, substitute)
+                   _poly_mul, monomials, polynomial_expr, product_monomials,
+                   substitute)
 
 MAX_UNKNOWNS = 5000
 
@@ -378,6 +379,7 @@ class LagrangianFamily:
     free_params: tuple       # SymbolInfo a1..ad
     multipliers: dict        # (k, a, s) -> Expr linear in the free params
     lagrangians: list        # L_k, k = 1..r, linear in the free params
+    twins: list              # k = 2..r: {a_d of component 1: its twin in k}
 
     @property
     def dimension(self) -> int:
@@ -387,8 +389,14 @@ class LagrangianFamily:
     def strong_el(self) -> list:
         """Strong E-L expressions [k][alpha] with the free parameters kept
         symbolic.  They are linear in the a_d, like the Lagrangians, so
-        substituting values gives the E-L system of that specialization."""
-        return [strong_el(self.lie, L) for L in self.lagrangians]
+        substituting values gives the E-L system of that specialization.
+
+        A member of component k and its twin in component 1 come from one
+        block vector, so L_k is L_1 with each a_d renamed to its twin, and
+        so are its E-L expressions: only those of L_1 are derived."""
+        first = strong_el(self.lie, self.lagrangians[0])
+        return [first] + [[_rename_params(e, twin) for e in first]
+                          for twin in self.twins]
 
     def param_values(self, assignment) -> dict:
         """Normalize {name or SymbolInfo: number} to a full rational map."""
@@ -433,6 +441,15 @@ class LagrangianFamily:
                 for j, p in enumerate(self.free_params)}
 
 
+def _rename_params(e: Expr, twin: dict) -> Expr:
+    """`e`, linear in the free parameters, with each renamed by `twin`.  A
+    free parameter sorts before every other atom, so it is the first atom
+    of each monomial."""
+    syms = {p: Sym(q) for p, q in twin.items()}
+    return polynomial_expr([(c, ((syms[pairs[0][0].info], 1),) + pairs[1:])
+                            for c, pairs in monomials(e) if c])
+
+
 def _basis_vector(ansatz: MultiplierAnsatz, lambda_map: dict):
     """Sparse {column: Fraction} coefficients of explicit multipliers over
     the ansatz columns."""
@@ -465,7 +482,10 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
     from the residuals of its multipliers in closed form, reduced and kept
     as `family.system`; the full system's rows and rank are r times the
     block's.  Each block nullspace vector gives one member per component
-    k, shifted by k * width.
+    k, shifted by k * width, and fixes that member's multipliers and its
+    Lagrangian L_b = sum_slot lambda_b * phi_slot whatever k is; both are
+    built once a vector, and component k's multipliers and L_k collect
+    them under the free parameters of its members.
     """
     lambdas = {key[1:]: lam for key, lam in ansatz.lambdas.items()
                if key[0] == 1}
@@ -474,48 +494,69 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
     width = lie.n * lie.r * len(ansatz.basis)
     system = LinearSystem(columns=ansatz.columns[:width],
                           rows=[row[:width] for row in collected.rows])
-    # A block vector, scaled to a leading 1, is the block of one member for
-    # every component k, so its multipliers are built once.
     basis = [monomials(b) for b in ansatz.basis]
-    blocks = []
+    slots = list(lambdas)                # (a, s), ascending
+    phis = [monomials(lie.phi[a - 1][s - 1]) for a, s in slots]
+    vectors = []
     for vec in nullspace_vectors(system):
         lead = next(iter(vec.values()))
-        if lead != 1:
-            vec = {j: v / lead for j, v in vec.items()}
-        blocks.append((vec, _block_multipliers(ansatz, basis, vec)))
-    members = []
-    for k in range(lie.r):
-        for vec, exprs in blocks:
-            members.append(FamilyMember(
-                vector={j + k * width: v for j, v in vec.items()},
-                multipliers={key: exprs[key[1:]] if key[0] == k + 1 else RAT0
-                             for key in ansatz.unknowns}))
-    members.sort(key=lambda m: tuple(
-        m.multipliers[key].sort_key() for key in sorted(m.multipliers)))
-
+        vectors.append(vec if lead == 1 else
+                       {j: v / lead for j, v in vec.items()})
+    blocks = range(len(vectors))
+    exprs = [_block_multipliers(slots, basis, vec) for vec in vectors]
+    # each L_b is multiplied out on the monomial lists, never by
+    # canonicalizing a product tree: that could cancel a sum against an
+    # inverse-sum atom of phi, which no family multiplier, holding the free
+    # parameters, ever met
+    block_L = [polynomial_expr([m for slot, phi in zip(slots, phis)
+                                for m in _poly_mul(monomials(lam[slot]), phi)])
+               for lam in exprs]
+    # A member of component k holds 0 in the slots of every other
+    # component, so its sort key is its block's padded with RAT0's.
+    keys = [tuple(lam[slot].sort_key() for slot in slots) for lam in exprs]
+    pad = (RAT0.sort_key(),) * len(slots)
+    order = sorted(((k, b) for k in range(lie.r) for b in blocks),
+                   key=lambda kb: pad * kb[0] + keys[kb[1]]
+                   + pad * (lie.r - 1 - kb[0]))
     free_params = tuple(SymbolInfo(f"a{d + 1}", Role.FREE_PARAMETER)
-                        for d in range(len(members)))
+                        for d in range(len(order)))
+    param_of = dict(zip(order, free_params))
+    members = [FamilyMember(
+        vector={j + k * width: v for j, v in vectors[b].items()},
+        multipliers={key: exprs[b][key[1:]] if key[0] == k + 1 else RAT0
+                     for key in ansatz.unknowns}) for k, b in order]
+    twins = [{param_of[(0, b)]: param_of[(k, b)] for b in blocks}
+             for k in range(1, lie.r)]
     multipliers = {}
-    for key in ansatz.unknowns:
-        # members of other blocks vanish on a key of component k; a free
-        # parameter sorts before every basis atom
-        multipliers[key] = polynomial_expr([
-            (c, ((Sym(p), 1),) + pairs)
-            for p, member in zip(free_params, members)
-            for c, pairs in monomials(member.multipliers[key]) if c])
-    lagrangians = [compose_lagrangian(lie, multipliers, k)
-                   for k in range(1, lie.r + 1)]
+    lagrangians = []
+    for k in range(lie.r):
+        # component k's free parameters, each a monomial's first atom, as
+        # it sorts before every basis atom
+        heads = [((Sym(param_of[(k, b)]), 1),) for b in blocks]
+        for slot in slots:
+            multipliers[(k + 1,) + slot] = _weighted_sum(
+                heads, [lam[slot] for lam in exprs])
+        lagrangians.append(_weighted_sum(heads, block_L))
     return LagrangianFamily(lie=lie, ansatz=ansatz, system=system,
                             members=members, free_params=free_params,
-                            multipliers=multipliers, lagrangians=lagrangians)
+                            multipliers=multipliers, lagrangians=lagrangians,
+                            twins=twins)
 
 
-def _block_multipliers(ansatz: MultiplierAnsatz, basis, vec) -> dict:
+def _weighted_sum(heads, exprs) -> Expr:
+    """sum_b head_b * exprs[b], collected once; each head is the leading
+    (atom, exponent) pairs of every monomial it multiplies."""
+    return polynomial_expr([(c, head + pairs)
+                            for head, e in zip(heads, exprs)
+                            for c, pairs in monomials(e)])
+
+
+def _block_multipliers(slots, basis, vec) -> dict:
     """Multipliers of one sparse block vector keyed by the slot (a, s) of
     component 1, built from `basis`, the basis elements' monomial lists.
-    The i-th slot of component 1 owns the i-th run of len(basis) columns."""
-    terms = {key[1:]: [] for key in ansatz.unknowns if key[0] == 1}
-    slots = list(terms)
+    The i-th of the ascending `slots` owns the i-th run of len(basis)
+    columns."""
+    terms = {slot: [] for slot in slots}
     for j, c in vec.items():
         slot, m = divmod(j, len(basis))
         terms[slots[slot]].extend((c * bc, pairs) for bc, pairs in basis[m])

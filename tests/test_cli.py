@@ -418,17 +418,19 @@ def test_division_by_zero_in_a_formula_exits_2(capsys, tmp_path, old, new,
     (["parse", "so2", "--samples", "-3"],
      "argument --samples: must be at least 1, got -3"),
     (["verify", "so2", "--tol", "-1"],
-     "argument --tol: must be finite and non-negative, got -1"),
+     "argument --tol: must be finite and positive, got -1"),
+    (["parse", "so2", "--tol", "0"],
+     "argument --tol: must be finite and positive, got 0"),
     (["solve", "so2", "--tol", "nan"],
-     "argument --tol: must be finite and non-negative, got nan"),
+     "argument --tol: must be finite and positive, got nan"),
     (["example", "so2", "--orbit-tol", "inf"],
      "argument --orbit-tol: must be finite and non-negative, got inf"),
     (["verify", "so2", "--orbit-tol=-1e-6"],
      "argument --orbit-tol: must be finite and non-negative, got -1e-6"),
     (["parse", "so2", "--samples", "x"],
      "argument --samples: invalid int value: 'x'"),
-], ids=["samples-0", "samples-neg", "tol-neg", "tol-nan", "orbit-tol-inf",
-        "orbit-tol-neg", "samples-not-int"])
+], ids=["samples-0", "samples-neg", "tol-neg", "tol-zero", "tol-nan",
+        "orbit-tol-inf", "orbit-tol-neg", "samples-not-int"])
 def test_sampling_flags_rejected_at_parsing(capsys, argv, named):
     with pytest.raises(SystemExit) as exc:
         run(argv)

@@ -19,6 +19,7 @@ from lagrforge.expr import (MAX_REJECTIONS, SAMPLE_SPAN,
                             UnboundSymbolError, _diff, _subst,
                             compile_numeric, eval_numeric, format_expr,
                             polynomial_expr, product_monomials, sample_expr)
+from lagrforge.printing import default_symbol_latex, latex_expr, prefix_expr
 
 from genexpr import VARS, random_expr, sample_point, try_eval
 
@@ -361,3 +362,114 @@ def test_compiled_action_nested_at_the_cap():
                   {"g": -2.0, "X1": 0.0, "X2": 3.0}):
         want = tuple(eval_numeric(a, point) for a in spec.action)
         assert fn(point["g"], point["X1"], point["X2"]) == want
+
+
+def _tree_prefix(e):
+    """Prefix text walking the canonical tree's nodes."""
+    if isinstance(e, Rational):
+        return str(e.value)
+    if isinstance(e, Sym):
+        return e.info.name
+    if isinstance(e, (Sum, Product)):
+        head = "+" if isinstance(e, Sum) else "*"
+        kids = e.terms if isinstance(e, Sum) else e.factors
+        return f"({head} " + " ".join(map(_tree_prefix, kids)) + ")"
+    if isinstance(e, Power):
+        return f"(^ {_tree_prefix(e.base)} {e.exponent})"
+    name = "sin" if isinstance(e, Sin) else "cos"
+    return f"({name} {_tree_prefix(e.argument)})"
+
+
+def _tree_infix_term(t):
+    """(sign, magnitude text) of one term node."""
+    factors = t.factors if isinstance(t, Product) else (t,)
+    coeff = Fraction(1)
+    if isinstance(factors[0], Rational):
+        coeff, factors = factors[0].value, factors[1:]
+    parts = [str(abs(coeff))] if abs(coeff) != 1 or not factors else []
+    for f in factors:
+        if isinstance(f, Power):
+            base = f"({_tree_infix(f.base)})" if isinstance(f.base, Sum) \
+                else _tree_infix_atom(f.base)
+            parts.append(f"{base}^{f.exponent}")
+        else:
+            parts.append(_tree_infix_atom(f))
+    return (-1 if coeff < 0 else 1), "*".join(parts)
+
+
+def _tree_infix_atom(f):
+    if isinstance(f, Rational):
+        return str(f.value)
+    if isinstance(f, Sym):
+        return f.info.name
+    name = "sin" if isinstance(f, Sin) else "cos"
+    return f"{name}({_tree_infix(f.argument)})"
+
+
+def _tree_infix(e):
+    """Infix text walking the canonical tree's term nodes."""
+    out = ""
+    for i, t in enumerate(e.terms if isinstance(e, Sum) else (e,)):
+        sign, body = _tree_infix_term(t)
+        if i:
+            out += (" - " if sign < 0 else " + ") + body
+        else:
+            out = "-" + body if sign < 0 else body
+    return out
+
+
+def _tree_latex_rational(v):
+    text = str(abs(v.numerator)) if v.denominator == 1 else \
+        f"\\tfrac{{{abs(v.numerator)}}}{{{v.denominator}}}"
+    return "-" + text if v < 0 else text
+
+
+def _tree_latex_atom(f):
+    if isinstance(f, Rational):
+        return _tree_latex_rational(f.value)
+    if isinstance(f, Sym):
+        return default_symbol_latex(f.info)
+    if isinstance(f, Power):
+        if isinstance(f.base, Sum):
+            return f"\\left({_tree_latex(f.base)}\\right)^{{{f.exponent}}}"
+        return f"({_tree_latex_atom(f.base)})^{{{f.exponent}}}"
+    name = "sin" if isinstance(f, Sin) else "cos"
+    return f"\\{name}\\left({_tree_latex(f.argument)}\\right)"
+
+
+def _tree_latex(e):
+    """LaTeX text walking the canonical tree's term nodes."""
+    out = ""
+    for i, t in enumerate(e.terms if isinstance(e, Sum) else (e,)):
+        factors = t.factors if isinstance(t, Product) else (t,)
+        head = ""
+        if isinstance(t, Product) and isinstance(factors[0], Rational):
+            v = factors[0].value
+            head = "-" if v == -1 else _tree_latex_rational(v) + " "
+            factors = factors[1:]
+        text = head + " ".join(map(_tree_latex_atom, factors))
+        if i:
+            out += " " + text if text.startswith("-") else " + " + text
+        else:
+            out = text
+    return out
+
+
+def test_prefix_matches_tree_walk():
+    # the prefix, infix and LaTeX printers write a sum from its monomials,
+    # each term's factors in the order of `expr.term_factors`; walking the
+    # term nodes of the canonical tree gives the same text
+    rng = random.Random(1729)
+    sums = inverse = 0
+    for _ in range(400):
+        e = _with_inverse(rng, random_expr(rng, depth=rng.randint(2, 4)))
+        c = canonicalize(e)
+        fresh = canonicalize(e)        # a raw sum canonicalizes afresh
+        got = (prefix_expr(fresh), format_expr(fresh), latex_expr(fresh))
+        if isinstance(fresh, Sum):
+            sums += 1
+            assert fresh._terms is None     # no term node was made
+        inverse += any(isinstance(atom, Sum) for _, pairs in monomials(c)
+                       for atom, _ in pairs)
+        assert got == (_tree_prefix(c), _tree_infix(c), _tree_latex(c))
+    assert sums > 40 and inverse > 80

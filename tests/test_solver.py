@@ -415,20 +415,40 @@ def _tree_assembly(family):
 
 
 @pytest.mark.parametrize("source, deg_x, deg_g", [
-    ("so2", 3, (0, 0)), ("affine1", 1, (-1, 1)), ("se2", 1, (0, 0))])
+    ("so2", 3, (0, 0)), ("affine1", 1, (-1, 1)), ("se2", 1, (0, 0)),
+    ("affine1", 2, (-1, 0)), ("se2", 2, (0, 0)), ("scale3", 1, (-1, 0)),
+    ("scale1", None, (-1, 1))])
 def test_family_matches_tree_assembly(source, deg_x, deg_g):
-    # the family is assembled from monomial lists; a tree assembly of the
-    # same nullspace gives the same members in the same order
-    text = SE2_SOURCE if source == "se2" else lf.bundled_source(source)
-    lie = lf.constraints(lf.parse(text))
-    family = lf.solve_family(lie, lf.build_ansatz(lie, deg_x=deg_x,
-                                                  deg_g=deg_g))
+    # the family is assembled once per block vector from monomial lists,
+    # and the E-L expressions of L_k, k >= 2, are renamed from those of
+    # L_1; a tree assembly of the whole system's nullspace, with E-L taken
+    # of every L_k, gives the same members in the same order
+    lie = lf.constraints(lf.parse(SE2_SOURCE)) if source == "se2" \
+        else _lie_of(source)
+    if deg_x is None:
+        # scale1's one multiplier is 1/X1', so the basis holds X1'^-1;
+        # its phi, and so L_1, hold the inverse sum (1 + g)^-1
+        X, g = Sym(lie.fields[0]), Sym(lie.spec.params[0])
+        ansatz = lf.ansatz_from_basis(lie, [
+            X ** a * g ** b for a in (-1, 0, 1)
+            for b in range(deg_g[0], deg_g[1] + 1)])
+    else:
+        ansatz = lf.build_ansatz(lie, deg_x=deg_x, deg_g=deg_g)
+    family = lf.solve_family(lie, ansatz)
     members, multipliers, lagrangians = _tree_assembly(family)
     assert [m.vector for m in family.members] == [vec for vec, _ in members]
     assert [m.multipliers for m in family.members] == [mu for _, mu in members]
     assert family.multipliers == multipliers
     assert family.lagrangians == lagrangians
-    assert family.dimension > 1
+    assert family.strong_el == [
+        [_tree_euler_lagrange(lie, L, alpha) for alpha in range(1, lie.n + 1)]
+        for L in lagrangians]
+    if deg_x is None:
+        assert family.dimension == 1
+        assert any(isinstance(atom, Sum) for _, pairs in
+                   lf.monomials(family.lagrangians[0]) for atom, _ in pairs)
+    else:
+        assert family.dimension > 1
 
 
 SCALE3_SOURCE = """
