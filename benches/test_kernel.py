@@ -141,15 +141,17 @@ def test_euler_lagrange(benchmark, affine_wide_ansatz):
     benchmark(euler_lagrange, affine_wide_ansatz.lie, L, 1)
 
 
-def test_weak_residual_from_multipliers(benchmark, affine_wide_ansatz):
-    # the weak residual of that L_1 for the first field, in closed form from
-    # its multipliers, as `solve_family` builds it: no L_1, no substitution
+def test_column_table(benchmark, affine_wide_ansatz):
+    # the residual of that L_1 for the first field, written column by column
+    # from the ansatz as `solve_family` builds it: no unknown, no L_1, no
+    # residual expression
     ansatz = affine_wide_ansatz
-    lambdas = {key[1:]: lam for key, lam in ansatz.lambdas.items()
-               if key[0] == 1}
-    R = benchmark(weak_el_residual_of, ansatz.lie, lambdas, 1)
-    assert R == weak_el_residual_of(ansatz.lie,
-                                    ansatz.lagrangian_component(1), 1)
+    table = benchmark(weak_el_residual_of, ansatz.lie, ansatz, 1)
+    L = ansatz.lagrangian_component(1)
+    rows = collect_system([table], ansatz).rows
+    assert rows == [{j: v for j, v in enumerate(row) if v}
+                    for row in collect_system(
+                        [weak_el_residual_of(ansatz.lie, L, 1)], ansatz).rows]
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +185,17 @@ def test_rref_affine_system(benchmark, affine_family):
     system = affine_family.system
     rows, pivots = benchmark(rref, system.rows)
     assert len(pivots) == system.rank
+
+
+def test_rref_affine_wide_block(benchmark, affine_lie):
+    # the 660 x 900 block of `solve affine1 --deg-x 2 --deg-g-min -2
+    # --deg-g-max 2`, reduced fraction-free
+    ansatz = lf.build_ansatz(affine_lie, deg_x=2, deg_g=(-2, 2))
+    system = collect_system([weak_el_residual_of(affine_lie, ansatz, alpha)
+                             for alpha in (1, 2)], ansatz)
+    assert (len(system.rows), len(system.columns)) == (660, 900)
+    rows, pivots = benchmark(rref, system.rows)
+    assert len(pivots) == 588
 
 
 @pytest.fixture(scope="module")

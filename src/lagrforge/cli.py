@@ -74,7 +74,7 @@ def _checked(convert, ok, rule: str):
     return parse
 
 
-_SAMPLES = _checked(int, lambda n: n >= 1, "at least 1")
+_AT_LEAST_ONE = _checked(int, lambda n: n >= 1, "at least 1")
 _TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v >= 0,
                       "finite and non-negative")
 # a sampled residual is never exact, so a zero --tol would turn float
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text", help="output format")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help=f"sampling seed (default: {DEFAULT_SEED})")
-        p.add_argument("--samples", type=_SAMPLES, default=EQUALS_SAMPLES,
+        p.add_argument("--samples", type=_AT_LEAST_ONE, default=EQUALS_SAMPLES,
                        help="sample count for numeric equality checks")
         p.add_argument("--tol", type=_POSITIVE_TOLERANCE, default=EQUALS_TOL,
                        help="tolerance for numeric equality checks")
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="min exponent per group parameter in multipliers")
         p.add_argument("--deg-g-max", type=int,
                        help="max exponent per group parameter in multipliers")
-        p.add_argument("--max-unknowns", type=int,
+        p.add_argument("--max-unknowns", type=_AT_LEAST_ONE,
                        help="cap on ansatz unknowns")
 
     def verify_flags(p):

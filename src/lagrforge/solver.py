@@ -11,6 +11,7 @@ ansatz contains.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,8 +19,8 @@ from functools import cached_property
 
 from .expr import (Expr, Power, Product, RAT0, RAT_M1, Rational, Role, Sym,
                    SymbolInfo, canonicalize, differentiate, free_symbols,
-                   _poly_mul, monomials, polynomial_expr, product_monomials,
-                   substitute)
+                   _number, _poly_mul, _sig, monomials, polynomial_expr,
+                   product_monomials, substitute)
 
 MAX_UNKNOWNS = 5000
 
@@ -54,8 +55,18 @@ class MultiplierAnsatz:
     deg_g: tuple
     basis: tuple                 # canonical monomials in fields and params
     unknowns: dict               # (k, a, s) -> tuple of SymbolInfo
-    lambdas: dict                # (k, a, s) -> Expr
     columns: tuple               # all unknowns in column order
+
+    @cached_property
+    def lambdas(self) -> dict:
+        """(k, a, s) -> the multiplier sum_m c_m * b_m as an expression.
+        The solve never builds them; `lagrangian_component` reads them."""
+        basis_pairs = [monomials(b)[0][1] for b in self.basis]
+        # an unknown sorts before every basis atom
+        return {key: polynomial_expr([
+                    (1, ((Sym(info), 1),) + pairs)
+                    for info, pairs in zip(infos, basis_pairs)])
+                for key, infos in self.unknowns.items()}
 
     def lagrangian_component(self, k: int) -> Expr:
         return compose_lagrangian(self.lie, self.lambdas, k)
@@ -102,7 +113,6 @@ def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
     """
     basis = tuple(canonicalize(b) for b in basis)
     allowed = set(lie.fields + lie.spec.params)
-    basis_pairs = []
     for b in basis:
         (coeff, pairs), *rest = monomials(b)
         if rest or coeff != 1 or any(
@@ -110,11 +120,9 @@ def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
                 for atom, _ in pairs):
             raise ValueError(f"basis element {b} is not a monomial in the "
                              "fields and group parameters")
-        basis_pairs.append(pairs)
     r, n = lie.r, lie.n
     _check_unknowns(r * n * r * len(basis), max_unknowns)
     unknowns = {}
-    lambdas = {}
     columns = []
     for k in range(1, r + 1):
         for a in range(1, n + 1):
@@ -125,13 +133,8 @@ def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
                     for m in range(len(basis)))
                 unknowns[(k, a, s)] = infos
                 columns.extend(infos)
-                # an unknown sorts before every basis atom
-                lambdas[(k, a, s)] = polynomial_expr([
-                    (1, ((Sym(info), 1),) + pairs)
-                    for info, pairs in zip(infos, basis_pairs)])
     return MultiplierAnsatz(lie=lie, deg_x=deg_x, deg_g=deg_g, basis=basis,
-                            unknowns=unknowns, lambdas=lambdas,
-                            columns=tuple(columns))
+                            unknowns=unknowns, columns=tuple(columns))
 
 
 def _check_unknowns(count: int, max_unknowns: int) -> None:
@@ -188,46 +191,91 @@ def strong_el(lie, L: Expr) -> list:
     return [euler_lagrange(lie, L, alpha) for alpha in range(1, lie.n + 1)]
 
 
-def weak_el_residual_of(lie, L, alpha: int) -> Expr:
-    """Weak E-L residual of one Lagrangian component: its E-L expression
-    with every jet replaced by its on-shell value, which is the only sense
-    in which terms are dropped.
+def weak_el_residual_of(lie, L, alpha: int):
+    """Weak E-L residual for the field X'^alpha: the E-L expression with
+    every jet replaced by its on-shell value, which is the only sense in
+    which terms are dropped.
 
-    `L` is an expression, or the multipliers {(a, s): lambda_{a,s}} of
-    L = sum lambda_{a,s} * phi^a_s, a missing slot counting as 0.  For the
-    multipliers the residual is taken in closed form, with xi^b_s the
-    on-shell value of the jet X'^b_s:
+    `L` is a Lagrangian expression, whose residual is returned as one, or
+    a `MultiplierAnsatz`, for the residual of its L_1 = sum c_{a,s,m} *
+    b_m * phi^a_s.  That residual is linear in the unknowns c and is
+    returned as its coefficient table {signature: {column: coefficient}},
+    a signature being the (atom sort key, exponent) pairs of a monomial
+    in everything but the unknowns.  With xi^b_s the on-shell value of
+    the jet X'^b_s, the column of c_{a,s,m} is
 
-        sum_{a,s} lambda_{a,s} * dphi^a_s/dX'^alpha
-          - sum_s (dlambda_{alpha,s}/dg_s
-                   + sum_b xi^b_s * dlambda_{alpha,s}/dX'^b)
+        b_m * dphi^a_s/dX'^alpha
+          - [a = alpha] * (db_m/dg_s + sum_b xi^b_s * db_m/dX'^b)
 
-    dL/dX'^alpha_s is lambda_{alpha,s}, and the terms dlambda/dX' * phi
-    vanish on shell; dphi/dX' is free of jets, so L is never composed and
-    nothing is substituted.
+    as dL/dX'^alpha_s is lambda_{alpha,s}, the terms dlambda/dX' * phi
+    vanish on shell and dphi/dX' is free of jets.
     """
-    if not isinstance(L, dict):
-        return substitute(euler_lagrange(lie, L, alpha), lie.onshell)
-    jets = set(lie.jet_list())
+    if isinstance(L, MultiplierAnsatz):
+        return _column_table(lie, L.basis, alpha)
+    return substitute(euler_lagrange(lie, L, alpha), lie.onshell)
+
+
+def _column_table(lie, basis, alpha: int) -> dict:
+    """The coefficient table of the residual for X'^alpha of L_1, written
+    column by column.  dphi/dX'^alpha and xi are split into monomials once
+    each, and db_m is b_m with one exponent lowered, so no unknown, no L_1
+    and no residual expression is built."""
     field = lie.fields[alpha - 1]
-    monos = []
-    for a in range(1, lie.n + 1):
+    n = lie.n
+    # the sort keys of the fields, then of the group parameters
+    keys = [Sym(v).sort_key() for v in lie.fields + lie.spec.params]
+    sigs = [_sig(monomials(b)[0][1]) for b in basis]
+    table = {}
+    j = 0                                # column of c_{a,s,m}
+    for a in range(1, n + 1):
         for s in range(1, lie.r + 1):
-            lam = L.get((a, s), RAT0)
-            _check_jet_free(lam, jets)
-            dphi = differentiate(lie.phi[a - 1][s - 1], field)
-            if dphi != RAT0:
-                monos.extend(product_monomials((lam, dphi)))
-    for s, p in enumerate(lie.spec.params):
-        lam = L.get((alpha, s + 1), RAT0)
-        monos.extend((-c, pairs)
-                     for c, pairs in monomials(differentiate(lam, p)))
-        for f, jets_f in zip(lie.fields, lie.jets):
-            xi = lie.onshell[jets_f[s]]
-            if xi != RAT0:
-                monos.extend((-c, pairs) for c, pairs in product_monomials(
-                    (xi, differentiate(lam, f))))
-    return polynomial_expr(monos)
+            dphi = _sig_monomials(differentiate(lie.phi[a - 1][s - 1], field))
+            # db/dg_s, then db/dX'^b times xi^b_s, both negated: each a
+            # sort key to lower and the monomials that multiply the result
+            drift = [(keys[n + s - 1], [(-1, ())])] + [
+                (keys[b], [(-c, x) for c, x in _sig_monomials(
+                    lie.onshell[lie.jets[b][s - 1]])])
+                for b in range(n)] if a == alpha else []
+            for sig in sigs:
+                terms = [(c, _sig_mul(sig, d)) for c, d in dphi]
+                for key, monos in drift:
+                    e, rest = _lowered(sig, key)
+                    if e:
+                        terms.extend((e * c, _sig_mul(rest, x))
+                                     for c, x in monos)
+                for c, mono in terms:
+                    cells = table.get(mono)
+                    if cells is None:
+                        table[mono] = {j: c}
+                    else:
+                        cells[j] = cells.get(j, 0) + c
+                j += 1
+    return table
+
+
+def _sig_monomials(e: Expr) -> list:
+    """(coefficient, signature) of each non-zero monomial of `e`."""
+    return [(c, _sig(pairs)) for c, pairs in monomials(e) if c]
+
+
+def _sig_mul(s1, s2):
+    """The signature of the product of two monomials."""
+    if not s1 or not s2:
+        return s1 or s2
+    merged = dict(s1)
+    for k, e in s2:
+        merged[k] = merged.get(k, 0) + e
+    return tuple(sorted(ke for ke in merged.items() if ke[1]))
+
+
+def _lowered(sig, key):
+    """(e, signature of the rest) where `sig` holds the atom of `key` to
+    the power e, so that its derivative there is e times the rest with
+    that power lowered; (0, None) where it does not hold it."""
+    for i, (k, e) in enumerate(sig):
+        if k == key:
+            return e, sig[:i] + (((k, e - 1),) if e != 1 else ()) + sig[i + 1:]
+    return 0, None
 
 
 def lambda_map_residual(lie, lambda_map: dict, k: int, alpha: int) -> Expr:
@@ -246,8 +294,8 @@ def lambda_map_residual(lie, lambda_map: dict, k: int, alpha: int) -> Expr:
 @dataclass
 class LinearSystem:
     columns: tuple           # unknown symbols, fixed order
-    rows: list               # dense rows: int 0 for zero cells, int or
-                             # Fraction otherwise
+    rows: list               # sparse {column: int or Fraction} rows, or
+                             # dense ones with int 0 in the zero cells
 
     @cached_property
     def reduced(self):
@@ -260,65 +308,89 @@ class LinearSystem:
 
 
 def collect_system(residuals, ansatz: MultiplierAnsatz) -> LinearSystem:
-    """Turn residual expressions into exact rows over the ansatz unknowns.
+    """Exact homogeneous rows over the ansatz unknowns, one per monomial
+    signature of each residual, in signature order.
 
-    Each residual is split by monomials in everything that is not an
-    unknown; each monomial contributes one homogeneous row.
+    A residual is either a coefficient table, as `weak_el_residual_of`
+    gives for the ansatz, or an expression in the unknowns, first split by
+    the monomials in everything that is not an unknown.  Tables give
+    sparse rows over the block of L_1; any expression makes every row
+    dense over all the ansatz columns.
     """
-    ncols = len(ansatz.columns)
+    dense = not all(isinstance(resid, dict) for resid in residuals)
+    columns = ansatz.columns if dense else \
+        ansatz.columns[:len(ansatz.columns) // ansatz.lie.r]
     rows = []
     for resid in residuals:
-        monos = monomials(resid)
-        if len(monos) == 1 and monos[0][0] == 0:
-            continue
-        grouped: dict = {}
-        for coeff, pairs in monos:
-            if coeff == 0:
+        table = resid if isinstance(resid, dict) else _unknown_table(resid)
+        for sig in sorted(table):
+            # a table's columns are written in ascending order, so are
+            # each row's keys
+            cells = {j: _number(v) for j, v in table[sig].items() if v}
+            if not cells:
                 continue
-            unknown = None
-            rest = []
-            for atom, n in pairs:
-                if isinstance(atom, Sym) and atom.info.role == Role.ANSATZ_UNKNOWN:
-                    if unknown is not None or n != 1:
-                        raise NonlinearInUnknownsError(
-                            "residual is not linear in the ansatz unknowns; "
-                            "multipliers must enter the Lagrangian linearly")
-                    unknown = atom.info
-                else:
-                    rest.append((atom, n))
-            if unknown is None:
-                raise NonlinearInUnknownsError(
-                    "residual carries a term free of ansatz unknowns")
-            # `monomials` sorts each monomial's atoms, so `rest` is sorted
-            sig = tuple((a.sort_key(), n) for a, n in rest)
-            row = grouped.setdefault(sig, [0] * ncols)
-            row[unknown.index[0]] += coeff
-        rows.extend(row for _, row in sorted(grouped.items()) if any(row))
-    return LinearSystem(columns=ansatz.columns, rows=rows)
+            if dense:
+                row = [0] * len(columns)
+                for j, v in cells.items():
+                    row[j] = v
+                cells = row
+            rows.append(cells)
+    return LinearSystem(columns=columns, rows=rows)
+
+
+def _unknown_table(resid: Expr) -> dict:
+    """The coefficient table {signature: {column: coefficient}} of an
+    expression linear homogeneous in the ansatz unknowns."""
+    table = {}
+    for coeff, pairs in monomials(resid):
+        if coeff == 0:
+            continue
+        unknown = None
+        rest = []
+        for atom, n in pairs:
+            if isinstance(atom, Sym) and atom.info.role == Role.ANSATZ_UNKNOWN:
+                if unknown is not None or n != 1:
+                    raise NonlinearInUnknownsError(
+                        "residual is not linear in the ansatz unknowns; "
+                        "multipliers must enter the Lagrangian linearly")
+                unknown = atom.info
+            else:
+                rest.append((atom, n))
+        if unknown is None:
+            raise NonlinearInUnknownsError(
+                "residual carries a term free of ansatz unknowns")
+        # `monomials` sorts each monomial's atoms, so `rest` is sorted
+        cells = table.setdefault(_sig(rest), {})
+        j = unknown.index[0]
+        cells[j] = cells.get(j, 0) + coeff
+    return table
 
 
 def rref(matrix):
     """Reduced row echelon form over exact rationals; returns (rows, pivots).
 
-    Takes rows as sequences of numbers; each reduced row is a {column:
-    Fraction} dict of its non-zeros, and the pivots ascend.  A column ->
-    rows index, as in SymPy's `sdm_irref`, eliminates a column only from
-    the rows that hold it.  Each pivot is the shortest candidate row, ties
-    to the earlier, to limit fill-in; the reduced form is unique, so that
-    choice never shows.
+    Takes rows as sequences of numbers or as {column: number} dicts; each
+    reduced row is a {column: Fraction} dict of its non-zeros, and the
+    pivots ascend.  The elimination is fraction-free, as SymPy's
+    `sdm_rref_den`: each row is scaled to integers with no common factor,
+    and a row that a pivot row eliminates from is multiplied through
+    rather than divided, then has its content removed again; a pivot row
+    is divided by its pivot only at the end.  A column -> rows index, as
+    in SymPy's `sdm_irref`, eliminates a column only from the rows that
+    hold it.  Each pivot is the shortest candidate row, ties to the
+    earlier, to limit fill-in; the reduced form is unique, so that choice
+    never shows.
     """
-    # `compress` skips the zero cells in C; the rest become Fractions, so
-    # that no division below gives a float
-    rows = [{c: Fraction(v)
-             for c, v in itertools.compress(enumerate(row), row)}
+    rows = [_primitive(row.items() if isinstance(row, dict) else
+                       itertools.compress(enumerate(row), row))
             for row in matrix]
     holders = defaultdict(set)           # column -> rows non-zero there
     for i, d in enumerate(rows):
         for c in d:
             holders[c].add(i)
     pending = set(range(len(rows)))
-    reduced = []
     pivots = []
+    reduced = []                         # the pivot rows, by pivot
     for c in sorted(holders):            # fill-in adds no new column
         candidates = holders[c] & pending
         if not candidates:
@@ -326,23 +398,41 @@ def rref(matrix):
         p = min(candidates, key=lambda i: (len(rows[i]), i))
         pending.remove(p)
         pivot = rows[p]
-        inv = 1 / pivot[c]
-        for j in pivot:
-            pivot[j] *= inv
+        reduced.append(pivot)
+        pv = pivot[c]
         for i in holders[c] - {p}:
+            # d <- (pv * d - d[c] * pivot) / g, clearing column c
             d = rows[i]
-            f = d[c]
+            g = math.gcd(pv, d[c])
+            f, h = pv // g, d[c] // g
+            if f != 1:
+                for j in d:
+                    d[j] *= f
             for j, v in pivot.items():
-                w = d.get(j, 0) - f * v
+                w = d.get(j, 0) - h * v
                 if w:
                     d[j] = w
                     holders[j].add(i)
                 else:
                     del d[j]
                     holders[j].discard(i)
-        reduced.append(pivot)
+            g = math.gcd(*d.values())
+            if g != 1:
+                for j in d:
+                    d[j] //= g
         pivots.append(c)
-    return reduced, pivots
+    return [{j: Fraction(v, d[c]) for j, v in d.items()}
+            for d, c in zip(reduced, pivots)], pivots
+
+
+def _primitive(cells) -> dict:
+    """The non-zero (column, number) `cells` as a row of integers with no
+    common factor."""
+    row = {c: v for c, v in cells if v}
+    den = math.lcm(*(v.denominator for v in row.values()))
+    row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 def nullspace_vectors(system: LinearSystem):
@@ -479,23 +569,21 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
     The components L_k differ only in the names of their unknowns, and
     each k owns a consecutive run of `width` columns, so the system is r
     copies of one diagonal block.  Only the block of L_1 is collected,
-    from the residuals of its multipliers in closed form, reduced and kept
-    as `family.system`; the full system's rows and rank are r times the
-    block's.  Each block nullspace vector gives one member per component
-    k, shifted by k * width, and fixes that member's multipliers and its
-    Lagrangian L_b = sum_slot lambda_b * phi_slot whatever k is; both are
-    built once a vector, and component k's multipliers and L_k collect
-    them under the free parameters of its members.
+    its sparse rows written column by column from the residuals' closed
+    form, reduced and kept as `family.system`; the full system's rows and
+    rank are r times the block's.  Each block nullspace vector gives one
+    member per component k, shifted by k * width, and fixes that member's
+    multipliers and its Lagrangian L_b = sum_slot lambda_b * phi_slot
+    whatever k is; both are built once a vector, and component k's
+    multipliers and L_k collect them under the free parameters of its
+    members.
     """
-    lambdas = {key[1:]: lam for key, lam in ansatz.lambdas.items()
-               if key[0] == 1}
-    collected = collect_system([weak_el_residual_of(lie, lambdas, alpha)
-                                for alpha in range(1, lie.n + 1)], ansatz)
-    width = lie.n * lie.r * len(ansatz.basis)
-    system = LinearSystem(columns=ansatz.columns[:width],
-                          rows=[row[:width] for row in collected.rows])
+    system = collect_system([weak_el_residual_of(lie, ansatz, alpha)
+                             for alpha in range(1, lie.n + 1)], ansatz)
+    width = len(system.columns)
     basis = [monomials(b) for b in ansatz.basis]
-    slots = list(lambdas)                # (a, s), ascending
+    slots = [(a, s) for a in range(1, lie.n + 1)
+             for s in range(1, lie.r + 1)]
     phis = [monomials(lie.phi[a - 1][s - 1]) for a, s in slots]
     vectors = []
     for vec in nullspace_vectors(system):

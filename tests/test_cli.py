@@ -429,8 +429,11 @@ def test_division_by_zero_in_a_formula_exits_2(capsys, tmp_path, old, new,
      "argument --orbit-tol: must be finite and non-negative, got -1e-6"),
     (["parse", "so2", "--samples", "x"],
      "argument --samples: invalid int value: 'x'"),
+    (["solve", "so2", "--max-unknowns", "-5"],
+     "argument --max-unknowns: must be at least 1, got -5"),
 ], ids=["samples-0", "samples-neg", "tol-neg", "tol-zero", "tol-nan",
-        "orbit-tol-inf", "orbit-tol-neg", "samples-not-int"])
+        "orbit-tol-inf", "orbit-tol-neg", "samples-not-int",
+        "max-unknowns-neg"])
 def test_sampling_flags_rejected_at_parsing(capsys, argv, named):
     with pytest.raises(SystemExit) as exc:
         run(argv)

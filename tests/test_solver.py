@@ -1,5 +1,6 @@
 """Multiplier ansatz, exact linear system, and the Lagrangian family."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -285,6 +286,116 @@ def test_nullspace_matches_sympy(seed):
             assert sum(c * vec.get(j, 0) for j, c in enumerate(row)) == 0
 
 
+def _property_matrix(seed):
+    """Rows for the fraction-free RREF, with zero rows, duplicate rows,
+    integer multiples of earlier rows, entries around 10**30 and negative
+    pivots mixed in.  Each integral cell is an int, and every third seed
+    gives sparse {column: value} rows; seed 0 is the empty matrix."""
+    rng = random.Random(seed)
+    if seed == 0:
+        return [], 0
+    ncols = rng.randint(1, 9)
+    scale = 10 ** 30 if seed % 4 == 0 else 12
+
+    def entry():
+        v = Fraction(rng.randint(-scale, scale),
+                     rng.choice((1, 1, 2, 3, 7, scale + 1)))
+        return v.numerator if v.denominator == 1 else v
+
+    rows = []
+    for _ in range(rng.randint(1, 10)):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            row = list(rng.choice(rows))
+        elif rows and kind < 0.3:
+            m = rng.choice((-7, -2, -1, 3, 10 ** 30))
+            row = [m * v for v in rng.choice(rows)]
+        elif rows and kind < 0.4:
+            u, v = rng.choice(rows), rng.choice(rows)
+            a = entry()
+            row = [a * x - y for x, y in zip(u, v)]
+        elif kind < 0.5:
+            row = [0] * ncols
+        else:
+            row = [entry() if rng.random() < 0.5 else 0
+                   for _ in range(ncols)]
+            if rng.random() < 0.5:                  # a negative pivot
+                lead = next((j for j, v in enumerate(row) if v), None)
+                if lead is not None:
+                    row[lead] = -abs(row[lead])
+        rows.append([v.numerator if isinstance(v, Fraction)
+                     and v.denominator == 1 else v for v in row])
+    if seed % 3 == 0:
+        rows = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    return rows, ncols
+
+
+def _dense(rows, ncols):
+    return [[row.get(j, 0) for j in range(ncols)] if isinstance(row, dict)
+            else list(row) for row in rows]
+
+
+def _gauss_jordan(rows, ncols):
+    """Plain Gauss-Jordan over Fractions: the non-zero reduced rows as
+    sparse dicts, and the pivots."""
+    m = [[Fraction(v) for v in row] for row in _dense(rows, ncols)]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                m[i] = [a - row[c] * b for a, b in zip(row, m[r])]
+        pivots.append(c)
+    return [{j: v for j, v in enumerate(row) if v}
+            for row in m[:len(pivots)]], pivots
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_rref_fraction_free_matches_gauss_jordan(seed):
+    rows, ncols = _property_matrix(seed)
+    before = copy.deepcopy(rows)
+    reduced, pivots = rref(rows)
+    assert rows == before
+    assert (reduced, pivots) == _gauss_jordan(rows, ncols)
+    assert all(type(v) is Fraction for row in reduced for v in row.values())
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_rref_fraction_free_matches_sympy(seed):
+    pytest.importorskip("sympy")
+    rows, ncols = _property_matrix(seed)
+    assert rref(rows) == _sympy_rref(_dense(rows, ncols), ncols)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coordinates_of_recovers_combinations(affine_family, seed):
+    # coordinates_of reduces Fraction rows: the members' vectors and the
+    # target's, here with coordinates around 10**30
+    rng = random.Random(seed)
+    t = {p.name: Fraction(rng.randint(-10 ** 30, 10 ** 30),
+                          rng.randint(1, 10 ** 6))
+         if rng.random() < 0.6 else Fraction(0)
+         for p in affine_family.free_params}
+    lam = affine_family.multipliers_at(t)
+    assert affine_family.coordinates_of(lam) == t
+    # one basis monomial more in one slot stays in the family exactly
+    # when the residuals still vanish: for basis[3] they do, for the
+    # first three they do not
+    lie, key = affine_family.lie, (1, 1, 1)
+    for m in range(4):
+        moved = dict(lam)
+        moved[key] = lam[key] + affine_family.ansatz.basis[m]
+        inside = all(lf.lambda_map_residual(lie, moved, 1, alpha)
+                     == Rational(0) for alpha in range(1, lie.n + 1))
+        assert inside == (m == 3) == (
+            affine_family.coordinates_of(moved) is not None)
+
+
 SE2_SOURCE = """
 group se2 {
   params: t, a, b;
@@ -322,10 +433,15 @@ def test_block_solve_matches_full_system(source, r, deg_g, affine_lie):
     width = len(system.columns)
     assert r * width == len(full.columns)
     assert system.columns == full.columns[:width]
-    assert all(len(row) == width for row in system.rows)
+    # the block's rows are sparse, ascending, inside the block; the
+    # expression path's are dense over every column
+    assert all(list(row) == sorted(row) and 0 <= min(row) <= max(row) < width
+               for row in system.rows)
+    assert all(len(row) == r * width for row in full.rows)
 
     def sparse(row, shift=0):
-        return tuple((j + shift, c) for j, c in enumerate(row) if c)
+        cells = row.items() if isinstance(row, dict) else enumerate(row)
+        return tuple((j + shift, c) for j, c in cells if c)
 
     assert sorted(map(sparse, full.rows)) == sorted(
         sparse(row, k * width) for k in range(r) for row in system.rows)
@@ -365,9 +481,15 @@ def test_integral_coefficients_are_ints(source, deg_x, deg_g):
         lf.weak_el_residual_of(lie, L, alpha) for alpha in range(1, lie.n + 1)]
     coeffs = [c for e in exprs for c, _ in lf.monomials(e)]
     assert all(map(_kernel_number, coeffs))
-    # the collected rows keep their zero cells as int 0
-    cells = [v for row in family.system.rows for v in row]
-    assert 0 in cells and all(type(v) is int for v in cells if not v)
+    # the block's sparse rows, summed column by column, hold no zero cell;
+    # the dense rows of the expression path keep theirs as int 0
+    cells = [v for row in family.system.rows for v in row.values()]
+    assert cells and all(v and _kernel_number(v) for v in cells)
+    dense = [v for row in lf.collect_system(
+        [lf.weak_el_residual_of(lie, L, alpha)
+         for alpha in range(1, lie.n + 1)], ansatz).rows for v in row]
+    assert 0 in dense and all(type(v) is int for v in dense if not v)
+    assert all(map(_kernel_number, (v for v in dense if v)))
 
 
 def _tree_compose(lie, lambdas, k):
@@ -548,46 +670,47 @@ def _component_multipliers(ansatz, k=1):
     ("affine1", 1, (-2, 1)),
     ("perfbench/groups/se2.grp", 1, (0, 0)),
     ("perfbench/groups/se2.grp", 2, (0, 0)),
-    ("scale3", 1, (-1, 0)), ("scale1", 1, (0, 1))])
+    ("scale3", 1, (-1, 0)), ("scale1", 1, (0, 1)), ("affine1", 2, (-2, 2))])
 def test_multiplier_residual_matches_expression_path(source, deg_x, deg_g):
-    # the closed form on the multipliers of L_1 gives, residual by
-    # residual, the canonical form of the E-L expression of the composed
-    # L_1 with the on-shell values substituted, so the rows and the RREF
-    # that solve_family reads are those of the expression path
+    # the block of L_1 written column by column from the ansatz is, row by
+    # row and in order, the system collected from the expression path: the
+    # E-L expressions of the composed L_1 with the on-shell values
+    # substituted, split by their monomials in all but the unknowns
     lie = _lie_of(source)
     ansatz = lf.build_ansatz(lie, deg_x=deg_x, deg_g=deg_g)
     L = ansatz.lagrangian_component(1)
-    lambdas = _component_multipliers(ansatz)
-    expected = [lf.weak_el_residual_of(lie, L, alpha)
-                for alpha in range(1, lie.n + 1)]
-    got = [lf.weak_el_residual_of(lie, lambdas, alpha)
-           for alpha in range(1, lie.n + 1)]
-    assert [e.sort_key() for e in got] == [e.sort_key() for e in expected]
-    assert any(e != Rational(0) for e in got)
-    system = lf.collect_system(got, ansatz)
-    reference = lf.collect_system(expected, ansatz)
-    assert system.rows == reference.rows
+    reference = lf.collect_system([lf.weak_el_residual_of(lie, L, alpha)
+                                   for alpha in range(1, lie.n + 1)], ansatz)
+    system = lf.collect_system([lf.weak_el_residual_of(lie, ansatz, alpha)
+                                for alpha in range(1, lie.n + 1)], ansatz)
+    width = len(system.columns)
+    assert lie.r * width == len(reference.columns)
+    assert system.columns == reference.columns[:width]
+    assert not any(v for row in reference.rows for v in row[width:])
+    assert system.rows
+    assert system.rows == [{j: v for j, v in enumerate(row) if v}
+                           for row in reference.rows]
     assert system.reduced == reference.reduced
+    assert lf.solve_family(lie, ansatz).system.rows == system.rows
 
 
-@pytest.mark.parametrize("slot", [(1, 1), (2, 1)])
-def test_multiplier_residual_rejects_jets(so2_lie, slot):
-    # a jet anywhere in any multiplier, as a factor or inside a sine, makes
-    # dL/djet depend on a jet, whichever field the residual is taken for
+@pytest.mark.parametrize("form", ["factor", "sine"])
+def test_basis_rejects_jets(so2_lie, form):
+    # every multiplier is a combination of the basis, so a basis element
+    # holding a jet, as a factor or inside a sine, would make dL/djet
+    # depend on a jet; the ansatz refuses it before any residual is taken
     f1 = Sym(so2_lie.fields[0])
     j1 = Sym(so2_lie.jets[0][0])
-    for lam in (j1, f1 * j1 ** 2, lf.Sin(f1 + j1)):
-        for alpha in (1, 2):
-            with pytest.raises(lf.SecondOrderJetError, match="multiplier"):
-                lf.weak_el_residual_of(so2_lie, {slot: canonicalize(lam)},
-                                       alpha)
+    element = f1 * j1 ** 2 if form == "factor" else lf.Sin(f1 + j1)
+    with pytest.raises(ValueError, match="is not a monomial"):
+        lf.ansatz_from_basis(so2_lie, [f1, canonicalize(element)])
 
 
 @pytest.mark.parametrize("source", ["so2", "affine1",
                                     "perfbench/groups/se2.grp"])
 def test_multiplier_residual_missing_slots_are_zero(source):
-    # every other slot is left out of the map; the reference composes L
-    # with those slots at 0
+    # explicit multipliers with every other slot left out of the map: the
+    # residual is that of L composed with those slots at 0
     lie = _lie_of(source)
     lambdas = _component_multipliers(lf.build_ansatz(lie, deg_x=1))
     kept = {slot: lam for i, (slot, lam) in enumerate(lambdas.items())
@@ -596,10 +719,12 @@ def test_multiplier_residual_missing_slots_are_zero(source):
     L = compose_lagrangian(lie, {(1,) + slot: kept.get(slot, Rational(0))
                                  for slot in lambdas}, 1)
     for alpha in range(1, lie.n + 1):
-        got = lf.weak_el_residual_of(lie, kept, alpha)
+        got = lf.lambda_map_residual(lie, kept, 1, alpha)
+        assert got != Rational(0)
         assert got == lf.weak_el_residual_of(lie, L, alpha)
-        assert got == lf.lambda_map_residual(lie, kept, 1, alpha)
-    assert lf.weak_el_residual_of(lie, {}, 1) == Rational(0)
+        assert got == lf.lambda_map_residual(
+            lie, {(1,) + slot: lam for slot, lam in kept.items()}, 1, alpha)
+    assert lf.lambda_map_residual(lie, {}, 1, 1) == Rational(0)
 
 
 def test_nullspace_orthogonal_to_rows(so2_family):
@@ -609,7 +734,7 @@ def test_nullspace_orthogonal_to_rows(so2_family):
     for vec in vectors:
         assert all(0 <= j < len(system.columns) for j in vec)
         for row in system.rows:
-            assert sum(c * vec.get(j, 0) for j, c in enumerate(row)) == 0
+            assert sum(c * vec.get(j, 0) for j, c in row.items()) == 0
 
 
 def test_affine_family_shape(affine_family):
@@ -624,3 +749,95 @@ def test_affine_family_shape(affine_family):
     assert affine_family.dimension == 40
     assert [p.name for p in affine_family.free_params] == \
         [f"a{i}" for i in range(1, 41)]
+
+
+MODULUS = 2 ** 61 - 1        # a prime
+
+
+def _exact_value(e, env, trig):
+    """Exact value of a canonical expression at a rational point: `env`
+    maps each symbol to a Fraction, `trig` each angle to its (cos, sin)."""
+    return sum((c * _pairs_value(pairs, env, trig)
+                for c, pairs in lf.monomials(e)), Fraction(0))
+
+
+def _pairs_value(pairs, env, trig):
+    """Exact value of a monomial's (atom, exponent) pairs."""
+    v = Fraction(1)
+    for atom, n in pairs:
+        if isinstance(atom, Sym):
+            v *= env[atom.info] ** n
+        elif isinstance(atom, (lf.Sin, lf.Cos)):
+            cos, sin = trig[atom.argument.info]
+            v *= (sin if isinstance(atom, lf.Sin) else cos) ** n
+        else:                                  # an inverse sum
+            v *= _exact_value(atom, env, trig) ** n
+    return v
+
+
+def _rank_mod(rows, p=MODULUS):
+    """Rank of integer rows modulo the prime p, by row echelon form."""
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        r = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if r is None:
+            continue
+        rows[rank], rows[r] = rows[r], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        pivot = [v * inv % p for v in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], pivot)]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("source, deg_x, deg_g", [
+    ("so2", 3, (0, 0)), ("affine1", 1, (-1, 1)),
+    ("perfbench/groups/se2.grp", 1, (0, 0)),
+    ("perfbench/groups/se2.grp", 2, (0, 0))])
+def test_functional_rank_equals_split_rank(source, deg_x, deg_g):
+    # The block's rank counts its residuals split into monomials in the
+    # fields, the parameters and their sines and cosines, as if those were
+    # independent; sin^2 + cos^2 = 1 says they need not be.  Evaluating
+    # each column's coefficient, read off the expression path, exactly at
+    # seeded rational points, with (cos t, sin t) = ((1 - u^2)/(1 + u^2),
+    # 2u/(1 + u^2)), gives the rank of the residual map on functions.  It
+    # is at most the split rank and at least the rank of the evaluations
+    # modulo a prime, so equality there certifies that splitting loses no
+    # Lagrangian of the ansatz.
+    lie = _lie_of(source)
+    ansatz = lf.build_ansatz(lie, deg_x=deg_x, deg_g=deg_g)
+    system = lf.solve_family(lie, ansatz).system
+    width = len(system.columns)
+    L = ansatz.lagrangian_component(1)
+    residuals = []          # per field: (column, coefficient, rest) terms
+    for alpha in range(1, lie.n + 1):
+        terms = []
+        for c, pairs in lf.monomials(lf.weak_el_residual_of(lie, L, alpha)):
+            (unknown, n), *rest = pairs     # an unknown sorts first
+            assert unknown.info.role == Role.ANSATZ_UNKNOWN and n == 1
+            terms.append((unknown.info.index[0], c, tuple(rest)))
+        residuals.append(terms)
+    rng = random.Random(0x5EED)
+    rows = []
+    for _ in range(system.rank // lie.n + 3):
+        env = {v: Fraction(rng.choice((-1, 1)) * rng.randint(1, 97),
+                           rng.randint(1, 97))
+               for v in lie.fields + lie.spec.params}
+        u = Fraction(rng.randint(1, 97), rng.randint(1, 97))
+        trig = {v: ((1 - u * u) / (1 + u * u), 2 * u / (1 + u * u))
+                for v in lie.spec.params}
+        values = {}
+        for terms in residuals:
+            row = [Fraction(0)] * width
+            for j, c, rest in terms:
+                if rest not in values:
+                    values[rest] = _pairs_value(rest, env, trig)
+                row[j] += c * values[rest]
+            rows.append([v.numerator * pow(v.denominator, -1, MODULUS)
+                         for v in row])
+    assert _rank_mod(rows) == system.rank
+    assert system.rank < width
