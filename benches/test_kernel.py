@@ -92,6 +92,17 @@ def test_differentiate_ansatz_lagrangian(benchmark, affine_wide_ansatz):
     benchmark(lf.differentiate, L, field)
 
 
+@pytest.mark.parametrize("deg_x, deg_g, size",
+                         [(1, (-1, 1), 36), (3, (-2, 2), 400)],
+                         ids=["dx1-gm1_1", "dx3-gm2_2"])
+def test_build_ansatz(benchmark, affine_lie, deg_x, deg_g, size):
+    # the monomial basis, each monomial made from its (symbol, exponent)
+    # pairs; no unknown is built
+    ansatz = benchmark(lf.build_ansatz, affine_lie, deg_x=deg_x, deg_g=deg_g)
+    assert len(ansatz.basis) == size
+    assert "unknowns" not in vars(ansatz)
+
+
 def test_solve_family_affine(benchmark, affine_lie, affine_wide_ansatz):
     family = benchmark(lf.solve_family, affine_lie, affine_wide_ansatz)
     assert family.dimension == 104
@@ -117,7 +128,7 @@ def test_family_payload_affine(benchmark, affine_lie, affine_wide_ansatz):
     # the JSON payload of `solve affine1 --deg-x 1 --deg-g-min -1
     # --deg-g-max 1`: the family's multipliers and L_k in prefix text
     family = lf.solve_family(affine_lie, affine_wide_ansatz)
-    payload = benchmark(cli._family_payload, affine_wide_ansatz, family)
+    payload = benchmark(cli._family_payload, family)
     assert len(payload["family"]["free_params"]) == 104
 
 

@@ -75,6 +75,8 @@ def _checked(convert, ok, rule: str):
 
 
 _AT_LEAST_ONE = _checked(int, lambda n: n >= 1, "at least 1")
+_AT_LEAST_ZERO = _checked(int, lambda n: n >= 0, "at least 0")
+_AT_MOST_ZERO = _checked(int, lambda n: n <= 0, "at most 0")
 _TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v >= 0,
                       "finite and non-negative")
 # a sampled residual is never exact, so a zero --tol would turn float
@@ -101,11 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tolerance for numeric equality checks")
 
     def solve_flags(p):
-        p.add_argument("--deg-x", type=int,
+        p.add_argument("--deg-x", type=_AT_LEAST_ZERO,
                        help="max exponent per field variable in multipliers")
-        p.add_argument("--deg-g-min", type=int,
+        p.add_argument("--deg-g-min", type=_AT_MOST_ZERO,
                        help="min exponent per group parameter in multipliers")
-        p.add_argument("--deg-g-max", type=int,
+        p.add_argument("--deg-g-max", type=_AT_LEAST_ZERO,
                        help="max exponent per group parameter in multipliers")
         p.add_argument("--max-unknowns", type=_AT_LEAST_ONE,
                        help="cap on ansatz unknowns")
@@ -300,8 +302,8 @@ def _lie_text(lie) -> list:
     return lines
 
 
-def _family_payload(ansatz, family) -> dict:
-    lie = family.lie
+def _family_payload(family) -> dict:
+    lie, ansatz = family.lie, family.ansatz
     mult = {}
     for (k, a, s), e in sorted(family.multipliers.items()):
         mult[f"lambda[{k}][{a}][{s}]"] = prefix_expr(e)
@@ -310,12 +312,12 @@ def _family_payload(ansatz, family) -> dict:
             "deg_x": ansatz.deg_x,
             "deg_g": list(ansatz.deg_g) if ansatz.deg_g else None,
             "basis": [prefix_expr(b) for b in ansatz.basis],
-            "unknowns": len(ansatz.columns),
+            "unknowns": lie.r * len(family.system.columns),
         },
         # family.system is one of the r identical diagonal blocks
         "system": {
             "rows": lie.r * len(family.system.rows),
-            "unknowns": len(ansatz.columns),
+            "unknowns": lie.r * len(family.system.columns),
             "rank": lie.r * family.system.rank,
         },
         "family": {
@@ -328,13 +330,13 @@ def _family_payload(ansatz, family) -> dict:
     }
 
 
-def _family_text(ansatz, family) -> list:
+def _family_text(family) -> list:
     lines = []
+    ansatz, r = family.ansatz, family.lie.r
     lo, hi = ansatz.deg_g if ansatz.deg_g else ("?", "?")
     lines.append(f"ansatz: deg_x={ansatz.deg_x}, deg_g=[{lo},{hi}], "
                  f"basis size {len(ansatz.basis)}, "
-                 f"{len(ansatz.columns)} unknowns")
-    r = family.lie.r
+                 f"{r * len(family.system.columns)} unknowns")
     lines.append(f"system: {r * len(family.system.rows)} equations, "
                  f"rank {r * family.system.rank}, "
                  f"nullspace dimension {family.dimension}")
@@ -547,13 +549,12 @@ def run_stages(args) -> int:
     # names need the family and are caught at the report
     x0 = _parse_x0(args.x0) if args.x0 is not None else None
     params = _parse_params(args.params) if args.params is not None else None
-    ansatz = build_ansatz(lie, deg_x=args.deg_x,
-                          deg_g=(args.deg_g_min, args.deg_g_max),
-                          max_unknowns=args.max_unknowns)
-    family = solve_family(lie, ansatz)
+    family = solve_family(lie, build_ansatz(
+        lie, deg_x=args.deg_x, deg_g=(args.deg_g_min, args.deg_g_max),
+        max_unknowns=args.max_unknowns))
     family_latex = partial(_family_latex, family)
-    stages.append((partial(_family_payload, ansatz, family),
-                   partial(_family_text, ansatz, family), family_latex))
+    stages.append((partial(_family_payload, family),
+                   partial(_family_text, family), family_latex))
     if last == "solve":
         return finish(True)
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .expr import (Expr, Power, Product, RAT0, RAT_M1, Rational, Role, Sym,
-                   SymbolInfo, canonicalize, differentiate, free_symbols,
-                   _number, _poly_mul, _sig, monomials, polynomial_expr,
+from .expr import (Expr, RAT0, RAT_M1, Rational, Role, Sym, SymbolInfo,
+                   canonicalize, differentiate, free_symbols, _number,
+                   _poly_mul, _sig, monomials, polynomial_expr,
                    product_monomials, substitute)
 
 MAX_UNKNOWNS = 5000
@@ -46,16 +46,28 @@ class MultiplierAnsatz:
     """Unknown multipliers lambda^k_{a,s} over a shared monomial basis.
 
     Keys (k, a, s) are 1-based: k indexes the Lagrangian component,
-    a the constraint coordinate, s the constraint parameter.  Each unknown
-    carries its column as its index, (column,).
+    a the constraint coordinate, s the constraint parameter.  Only the
+    basis is stored: the i-th key owns the columns i*|basis| ..
+    (i+1)*|basis| - 1, one per basis monomial.
     """
 
     lie: object
     deg_x: int
     deg_g: tuple
     basis: tuple                 # canonical monomials in fields and params
-    unknowns: dict               # (k, a, s) -> tuple of SymbolInfo
-    columns: tuple               # all unknowns in column order
+
+    @cached_property
+    def unknowns(self) -> dict:
+        """(k, a, s) -> the unknowns c{k}_{a}{s}_m of its columns, each
+        carrying its column as its index, (column,).  Only the expression
+        path reads them."""
+        r, size = self.lie.r, len(self.basis)
+        keys = itertools.product(range(1, r + 1), range(1, self.lie.n + 1),
+                                 range(1, r + 1))
+        return {(k, a, s): tuple(
+                    SymbolInfo(f"c{k}_{a}{s}_{m}", Role.ANSATZ_UNKNOWN,
+                               (i * size + m,)) for m in range(size))
+                for i, (k, a, s) in enumerate(keys)}
 
     @cached_property
     def lambdas(self) -> dict:
@@ -93,14 +105,16 @@ def build_ansatz(lie, deg_x: int = 1, deg_g=(0, 0),
     # before enumerating it
     _check_unknowns(lie.r * lie.n * lie.r * (deg_x + 1) ** lie.n
                     * (hi - lo + 1) ** lie.r, max_unknowns)
-    syms = [Sym(s) for s in lie.fields + lie.spec.params]
-    basis = {canonicalize(Product(tuple(
-                 Power(sym, e) for sym, e in zip(syms, xexp + gexp) if e)))
-             for xexp in itertools.product(range(deg_x + 1), repeat=lie.n)
-             for gexp in itertools.product(range(lo, hi + 1), repeat=lie.r)}
-    basis = tuple(sorted(basis, key=lambda e: e.sort_key()))
-    return ansatz_from_basis(lie, basis, deg_x=deg_x, deg_g=(lo, hi),
-                             max_unknowns=max_unknowns)
+    # the symbols and their exponent ranges in sort-key order, the order
+    # of a canonical monomial's atoms
+    syms, spans = zip(*sorted(
+        [(Sym(v), range(deg_x + 1)) for v in lie.fields]
+        + [(Sym(p), range(lo, hi + 1)) for p in lie.spec.params],
+        key=lambda atom: atom[0].sort_key()))
+    basis = sorted((polynomial_expr([(1, tuple(
+                        (sym, e) for sym, e in zip(syms, exps) if e))])
+                    for exps in itertools.product(*spans)), key=Expr.sort_key)
+    return MultiplierAnsatz(lie, deg_x, (lo, hi), tuple(basis))
 
 
 def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
@@ -120,21 +134,11 @@ def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
                 for atom, _ in pairs):
             raise ValueError(f"basis element {b} is not a monomial in the "
                              "fields and group parameters")
-    r, n = lie.r, lie.n
-    _check_unknowns(r * n * r * len(basis), max_unknowns)
-    unknowns = {}
-    columns = []
-    for k in range(1, r + 1):
-        for a in range(1, n + 1):
-            for s in range(1, r + 1):
-                infos = tuple(
-                    SymbolInfo(f"c{k}_{a}{s}_{m}", Role.ANSATZ_UNKNOWN,
-                               (len(columns) + m,))
-                    for m in range(len(basis)))
-                unknowns[(k, a, s)] = infos
-                columns.extend(infos)
-    return MultiplierAnsatz(lie=lie, deg_x=deg_x, deg_g=deg_g, basis=basis,
-                            unknowns=unknowns, columns=tuple(columns))
+    if len(set(basis)) < len(basis):
+        # it would add members with every multiplier 0 to the family
+        raise ValueError("the basis repeats a monomial")
+    _check_unknowns(lie.r * lie.n * lie.r * len(basis), max_unknowns)
+    return MultiplierAnsatz(lie=lie, deg_x=deg_x, deg_g=deg_g, basis=basis)
 
 
 def _check_unknowns(count: int, max_unknowns: int) -> None:
@@ -293,7 +297,7 @@ def lambda_map_residual(lie, lambda_map: dict, k: int, alpha: int) -> Expr:
 
 @dataclass
 class LinearSystem:
-    columns: tuple           # unknown symbols, fixed order
+    columns: range           # the column indices
     rows: list               # sparse {column: int or Fraction} rows, or
                              # dense ones with int 0 in the zero cells
 
@@ -318,8 +322,9 @@ def collect_system(residuals, ansatz: MultiplierAnsatz) -> LinearSystem:
     dense over all the ansatz columns.
     """
     dense = not all(isinstance(resid, dict) for resid in residuals)
-    columns = ansatz.columns if dense else \
-        ansatz.columns[:len(ansatz.columns) // ansatz.lie.r]
+    lie = ansatz.lie
+    width = lie.n * lie.r * len(ansatz.basis)
+    ncols = lie.r * width if dense else width
     rows = []
     for resid in residuals:
         table = resid if isinstance(resid, dict) else _unknown_table(resid)
@@ -330,12 +335,12 @@ def collect_system(residuals, ansatz: MultiplierAnsatz) -> LinearSystem:
             if not cells:
                 continue
             if dense:
-                row = [0] * len(columns)
+                row = [0] * ncols
                 for j, v in cells.items():
                     row[j] = v
                 cells = row
             rows.append(cells)
-    return LinearSystem(columns=columns, rows=rows)
+    return LinearSystem(columns=range(ncols), rows=rows)
 
 
 def _unknown_table(resid: Expr) -> dict:
@@ -455,17 +460,11 @@ def nullspace_vectors(system: LinearSystem):
 
 
 @dataclass
-class FamilyMember:
-    vector: dict             # {column: Fraction}, non-zeros only
-    multipliers: dict        # (k, a, s) -> Expr
-
-
-@dataclass
 class LagrangianFamily:
     lie: object
     ansatz: MultiplierAnsatz
     system: LinearSystem
-    members: list            # FamilyMember, deterministic order
+    members: list            # {column: Fraction} vectors, a_d's at d - 1
     free_params: tuple       # SymbolInfo a1..ad
     multipliers: dict        # (k, a, s) -> Expr linear in the free params
     lagrangians: list        # L_k, k = 1..r, linear in the free params
@@ -520,8 +519,8 @@ class LagrangianFamily:
             return None
         d = len(self.members)
         # one equation per column that w or a member holds
-        support = sorted(set(w).union(*(m.vector for m in self.members)))
-        reduced, pivots = rref([[m.vector.get(i, 0) for m in self.members]
+        support = sorted(set(w).union(*self.members))
+        reduced, pivots = rref([[m.get(i, 0) for m in self.members]
                                 + [w.get(i, 0)] for i in support])
         if d in pivots:
             return None  # inconsistent: w outside the span
@@ -543,23 +542,20 @@ def _rename_params(e: Expr, twin: dict) -> Expr:
 def _basis_vector(ansatz: MultiplierAnsatz, lambda_map: dict):
     """Sparse {column: Fraction} coefficients of explicit multipliers over
     the ansatz columns."""
-    sig_to_m = {}
-    for m, mono in enumerate(ansatz.basis):
-        (_, pairs), = monomials(mono)
-        sig_to_m[tuple((a.sort_key(), n) for a, n in pairs)] = m
+    sig_to_m = {_sig(monomials(b)[0][1]): m
+                for m, b in enumerate(ansatz.basis)}
     w = defaultdict(Fraction)
-    for key in ansatz.unknowns:
+    for key, infos in ansatz.unknowns.items():
         expr = lambda_map.get(key, lambda_map.get(key[1:]))
         if expr is None:
             continue
         for coeff, pairs in monomials(canonicalize(expr)):
             if coeff == 0:
                 continue
-            sig = tuple((a.sort_key(), n) for a, n in pairs)
-            m = sig_to_m.get(sig)
+            m = sig_to_m.get(_sig(pairs))
             if m is None:
                 return None
-            w[ansatz.unknowns[key][m].index[0]] += coeff
+            w[infos[m].index[0]] += coeff
     return dict(w)
 
 
@@ -590,8 +586,10 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
         lead = next(iter(vec.values()))
         vectors.append(vec if lead == 1 else
                        {j: v / lead for j, v in vec.items()})
-    blocks = range(len(vectors))
     exprs = [_block_multipliers(slots, basis, vec) for vec in vectors]
+    order = sorted(range(len(vectors)), key=lambda b: tuple(
+        exprs[b][slot].sort_key() for slot in slots))
+    vectors, exprs = [vectors[b] for b in order], [exprs[b] for b in order]
     # each L_b is multiplied out on the monomial lists, never by
     # canonicalizing a product tree: that could cancel a sum against an
     # inverse-sum atom of phi, which no family multiplier, holding the free
@@ -599,28 +597,27 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
     block_L = [polynomial_expr([m for slot, phi in zip(slots, phis)
                                 for m in _poly_mul(monomials(lam[slot]), phi)])
                for lam in exprs]
-    # A member of component k holds 0 in the slots of every other
-    # component, so its sort key is its block's padded with RAT0's.
-    keys = [tuple(lam[slot].sort_key() for slot in slots) for lam in exprs]
-    pad = (RAT0.sort_key(),) * len(slots)
-    order = sorted(((k, b) for k in range(lie.r) for b in blocks),
-                   key=lambda kb: pad * kb[0] + keys[kb[1]]
-                   + pad * (lie.r - 1 - kb[0]))
-    free_params = tuple(SymbolInfo(f"a{d + 1}", Role.FREE_PARAMETER)
-                        for d in range(len(order)))
-    param_of = dict(zip(order, free_params))
-    members = [FamilyMember(
-        vector={j + k * width: v for j, v in vectors[b].items()},
-        multipliers={key: exprs[b][key[1:]] if key[0] == k + 1 else RAT0
-                     for key in ansatz.unknowns}) for k, b in order]
-    twins = [{param_of[(0, b)]: param_of[(k, b)] for b in blocks}
-             for k in range(1, lie.r)]
+    # The members run by component from the last: a_1..a_d are the sorted
+    # block vectors shifted into component r, the next d into component
+    # r - 1, and so on.  That is the order of the members' own sort keys,
+    # each its block's padded with RAT0's in the other components' slots:
+    # a lead-normalized block's first non-zero multiplier, which distinct
+    # basis monomials guarantee, sorts after RAT0, so every member of
+    # component k + 1 sorts before every member of component k.
+    d, r = len(vectors), lie.r
+    free_params = tuple(SymbolInfo(f"a{i + 1}", Role.FREE_PARAMETER)
+                        for i in range(r * d))
+    members = [{j + k * width: v for j, v in vec.items()}
+               for k in reversed(range(r)) for vec in vectors]
+    # the free parameters of components 1..r, a run of d by block vector
+    runs = [free_params[i * d:(i + 1) * d] for i in reversed(range(r))]
+    twins = [dict(zip(runs[0], run)) for run in runs[1:]]
     multipliers = {}
     lagrangians = []
-    for k in range(lie.r):
-        # component k's free parameters, each a monomial's first atom, as
-        # it sorts before every basis atom
-        heads = [((Sym(param_of[(k, b)]), 1),) for b in blocks]
+    for k, run in enumerate(runs):
+        # the run's free parameters, each a monomial's first atom, as it
+        # sorts before every basis atom
+        heads = [((Sym(p), 1),) for p in run]
         for slot in slots:
             multipliers[(k + 1,) + slot] = _weighted_sum(
                 heads, [lam[slot] for lam in exprs])

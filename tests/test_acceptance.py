@@ -30,7 +30,7 @@ def test_criterion_02_so2_multiplier_system(so2_lie, so2_family):
     f1, f2 = (Sym(f) for f in so2_lie.fields)
     restricted = lf.solve_family(so2_lie,
                                  lf.ansatz_from_basis(so2_lie, [f1, f2]))
-    assert len(restricted.ansatz.columns) == 4
+    assert so2_lie.r * len(restricted.system.columns) == 4
     assert restricted.system.rank == 2
     # columns are (a1, a2, b1, b2); the row space encodes b1 = -a2, b2 = a1
     from lagrforge.solver import rref

@@ -431,9 +431,15 @@ def test_division_by_zero_in_a_formula_exits_2(capsys, tmp_path, old, new,
      "argument --samples: invalid int value: 'x'"),
     (["solve", "so2", "--max-unknowns", "-5"],
      "argument --max-unknowns: must be at least 1, got -5"),
+    (["solve", "so2", "--deg-x", "-1"],
+     "argument --deg-x: must be at least 0, got -1"),
+    (["solve", "so2", "--deg-g-min", "1"],
+     "argument --deg-g-min: must be at most 0, got 1"),
+    (["solve", "so2", "--deg-g-max", "-1"],
+     "argument --deg-g-max: must be at least 0, got -1"),
 ], ids=["samples-0", "samples-neg", "tol-neg", "tol-zero", "tol-nan",
         "orbit-tol-inf", "orbit-tol-neg", "samples-not-int",
-        "max-unknowns-neg"])
+        "max-unknowns-neg", "deg-x-neg", "deg-g-min-pos", "deg-g-max-neg"])
 def test_sampling_flags_rejected_at_parsing(capsys, argv, named):
     with pytest.raises(SystemExit) as exc:
         run(argv)

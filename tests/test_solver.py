@@ -1,6 +1,7 @@
 """Multiplier ansatz, exact linear system, and the Lagrangian family."""
 
 import copy
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,33 +10,83 @@ from pathlib import Path
 import pytest
 
 import lagrforge as lf
-from lagrforge import (BasisTooLargeError, NonlinearInUnknownsError, Product,
-                       Rational, Role, Sum, Sym, canonicalize)
+from lagrforge import (BasisTooLargeError, NonlinearInUnknownsError, Power,
+                       Product, Rational, Role, Sum, Sym, canonicalize)
 from lagrforge.expr import _subst
 from lagrforge.printing import prefix_expr
 from lagrforge.solver import (LinearSystem, compose_lagrangian, euler_lagrange,
                               rref)
 
 
+def _unknowns(ansatz):
+    """The ansatz unknowns, key by key."""
+    return [info for infos in ansatz.unknowns.values() for info in infos]
+
+
 def test_build_ansatz_so2(so2_lie):
     ansatz = lf.build_ansatz(so2_lie, deg_x=1, deg_g=(0, 0))
     assert [prefix_expr(b) for b in ansatz.basis] == \
         ["1", "X1'", "X2'", "(* X1' X2')"]
-    assert len(ansatz.columns) == 8
+    assert len(_unknowns(ansatz)) == 8
     assert list(ansatz.unknowns) == [(1, 1, 1), (1, 2, 1)]
-    names = [c.name for c in ansatz.columns]
+    names = [c.name for c in _unknowns(ansatz)]
     assert names[:4] == ["c1_11_0", "c1_11_1", "c1_11_2", "c1_11_3"]
-    assert all(c.role == Role.ANSATZ_UNKNOWN for c in ansatz.columns)
+    assert all(c.role == Role.ANSATZ_UNKNOWN for c in _unknowns(ansatz))
     L = ansatz.lagrangian_component(1)
-    assert lf.free_symbols(L) >= set(ansatz.columns)
+    assert lf.free_symbols(L) >= set(_unknowns(ansatz))
 
 
 @pytest.mark.parametrize("name, deg_g",
                          [("so2", (0, 0)), ("affine1", (-1, 1))])
 def test_unknowns_carry_their_column(name, deg_g, so2_lie, affine_lie):
+    # key by key, the unknowns fill the columns in order
     lie = so2_lie if name == "so2" else affine_lie
     ansatz = lf.build_ansatz(lie, deg_x=1, deg_g=deg_g)
-    assert all(c.index == (i,) for i, c in enumerate(ansatz.columns))
+    unknowns = _unknowns(ansatz)
+    assert len(unknowns) == lie.r * lie.n * lie.r * len(ansatz.basis)
+    assert all(c.index == (i,) for i, c in enumerate(unknowns))
+
+
+def _tree_basis(lie, deg_x, deg_g):
+    """The monomial basis as one canonicalized Product of Powers per
+    exponent vector, sorted."""
+    syms = [Sym(s) for s in lie.fields + lie.spec.params]
+    basis = {canonicalize(Product(tuple(
+                 Power(sym, e) for sym, e in zip(syms, xexp + gexp) if e)))
+             for xexp in itertools.product(range(deg_x + 1), repeat=lie.n)
+             for gexp in itertools.product(range(deg_g[0], deg_g[1] + 1),
+                                           repeat=lie.r)}
+    return sorted(basis, key=lambda e: e.sort_key())
+
+
+@pytest.mark.parametrize("source, deg_x, deg_g", [
+    ("so2", 4, (0, 0)), ("affine1", 0, (0, 0)), ("affine1", 2, (-2, 2)),
+    ("perfbench/groups/se2.grp", 2, (0, 0)), ("scale3", 1, (-1, 1))])
+def test_build_ansatz_basis_matches_tree_reference(source, deg_x, deg_g):
+    # each basis monomial is made straight from its (symbol, exponent)
+    # pairs; a Product of Powers canonicalized gives the same, in order
+    lie = _lie_of(source)
+    ansatz = lf.build_ansatz(lie, deg_x=deg_x, deg_g=deg_g)
+    reference = _tree_basis(lie, deg_x, deg_g)
+    assert len(ansatz.basis) == (deg_x + 1) ** lie.n \
+        * (deg_g[1] - deg_g[0] + 1) ** lie.r
+    assert [b.sort_key() for b in ansatz.basis] == \
+        [b.sort_key() for b in reference]
+    assert [prefix_expr(b) for b in ansatz.basis] == \
+        [prefix_expr(b) for b in reference]
+
+
+@pytest.mark.parametrize("source, deg_x, deg_g", [
+    ("affine1", 1, (-1, 1)), ("perfbench/groups/se2.grp", 1, (0, 0))])
+def test_solve_family_builds_no_unknown(source, deg_x, deg_g):
+    # the solve works on the basis and column indices alone: the unknown
+    # symbols and the multiplier sums are left unbuilt
+    lie = _lie_of(source)
+    ansatz = lf.build_ansatz(lie, deg_x=deg_x, deg_g=deg_g)
+    family = lf.solve_family(lie, ansatz)
+    assert family.dimension > 0
+    assert "unknowns" not in vars(ansatz)
+    assert "lambdas" not in vars(ansatz)
 
 
 def test_build_ansatz_validation(so2_lie):
@@ -64,7 +115,8 @@ def test_restricted_system_rank(so2_lie):
     f1, f2 = (Sym(f) for f in so2_lie.fields)
     ansatz = lf.ansatz_from_basis(so2_lie, [f1, f2])
     family = lf.solve_family(so2_lie, ansatz)
-    assert len(ansatz.columns) == 4
+    assert so2_lie.r * len(family.system.columns) == 4
+    assert len(_unknowns(ansatz)) == 4
     assert family.system.rank == 2
     assert family.dimension == 2
     reduced, pivots = family.system.reduced
@@ -84,9 +136,17 @@ def test_basis_must_be_monomials_in_fields_and_params(so2_lie):
     assert len(lf.ansatz_from_basis(so2_lie, [f1 ** 2 * g ** -3]).basis) == 1
 
 
+def test_basis_must_not_repeat_a_monomial(affine_lie):
+    # a repeated element would add members whose multipliers are all 0,
+    # each with L_k = 0, to the family
+    f1, f2 = (Sym(f) for f in affine_lie.fields)
+    with pytest.raises(ValueError, match="repeats a monomial"):
+        lf.ansatz_from_basis(affine_lie, [f1, f2, f2 * f1 / f2])
+
+
 def test_nonlinear_residual_rejected(so2_lie):
     ansatz = lf.build_ansatz(so2_lie, deg_x=1, deg_g=(0, 0))
-    c0, c1 = (Sym(c) for c in ansatz.columns[:2])
+    c0, c1 = (Sym(c) for c in ansatz.unknowns[(1, 1, 1)][:2])
     with pytest.raises(NonlinearInUnknownsError):
         lf.collect_system([canonicalize(c0 * c1)], ansatz)
 
@@ -101,13 +161,15 @@ def test_so2_family(so2_family):
 
     lie = family.lie
     f1, f2 = (Sym(f) for f in lie.fields)
-    assert family.members[0].multipliers == {(1, 1, 1): f1, (1, 2, 1): f2}
-    assert family.members[1].multipliers == {(1, 1, 1): f2, (1, 2, 1): -f1}
+    # a_d = 1 and every other parameter 0 gives member d's multipliers
+    assert family.multipliers_at({"a1": 1}) == {(1, 1, 1): f1, (1, 2, 1): f2}
+    assert family.multipliers_at({"a2": 1}) == {(1, 1, 1): f2,
+                                                (1, 2, 1): -f1}
     # members are normalized: leading coefficient +1
     for member in family.members:
-        assert list(member.vector) == sorted(member.vector)
-        assert 0 not in member.vector.values()
-        assert next(iter(member.vector.values())) == 1
+        assert list(member) == sorted(member)
+        assert 0 not in member.values()
+        assert next(iter(member.values())) == 1
 
     assert str(family.lagrangians[0]) == \
         ("a1*X1'*X1'_g + a1*X2'*X2'_g - a2*X1'*X2'_g + a2*X1'^2"
@@ -454,7 +516,7 @@ def test_block_solve_matches_full_system(source, r, deg_g, affine_lie):
     # the members are independent and lie in the nullspace, so they span it
     ncols = len(full.columns)
     assert family.dimension == ncols - full.rank
-    vectors = [member.vector for member in family.members]
+    vectors = family.members
     assert len(rref([[v.get(j, 0) for j in range(ncols)]
                      for v in vectors])[1]) == family.dimension
     for row in map(sparse, full.rows):
@@ -558,8 +620,14 @@ def test_family_matches_tree_assembly(source, deg_x, deg_g):
         ansatz = lf.build_ansatz(lie, deg_x=deg_x, deg_g=deg_g)
     family = lf.solve_family(lie, ansatz)
     members, multipliers, lagrangians = _tree_assembly(family)
-    assert [m.vector for m in family.members] == [vec for vec, _ in members]
-    assert [m.multipliers for m in family.members] == [mu for _, mu in members]
+    assert family.members == [vec for vec, _ in members]
+    assert [family.multipliers_at({p: 1}) for p in family.free_params] == \
+        [mu for _, mu in members]
+    # the members run by component from the last, d to a component
+    d, width = family.dimension // lie.r, len(family.system.columns)
+    for i, vec in enumerate(family.members):
+        k = lie.r - i // d
+        assert all((k - 1) * width <= j < k * width for j in vec)
     assert family.multipliers == multipliers
     assert family.lagrangians == lagrangians
     assert family.strong_el == [
@@ -740,7 +808,7 @@ def test_nullspace_orthogonal_to_rows(so2_family):
 def test_affine_family_shape(affine_family):
     ansatz = affine_family.ansatz
     assert len(ansatz.basis) == 16
-    assert len(ansatz.columns) == 128
+    assert len(_unknowns(ansatz)) == 128
     # the system is r = 2 copies of the block that is kept
     assert affine_family.lie.r == 2
     assert len(affine_family.system.columns) == 64
