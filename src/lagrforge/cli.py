@@ -281,32 +281,46 @@ def _lie_payload(lie) -> dict:
     }
 
 
-def _lie_text(lie) -> list:
+def _lie_rows(lie) -> list:
+    """The derive stage's sections, (heading, [(text label, LaTeX label,
+    expression)]); the Lie equations have no LaTeX label."""
+    def grid(name, tex, matrix):
+        return [(f"{name}[{i}][{j}]", f"{tex}^{{{i}}}_{{{j}}}", e)
+                for i, row in enumerate(matrix, start=1)
+                for j, e in enumerate(row, start=1)]
+    return [
+        ("infinitesimal coefficients S[a][j]:", grid("S", "S", lie.S)),
+        ("auxiliary functions u[i][j]:", grid("u", "u", lie.u)),
+        ("constraints phi[a][j] = X'^a_j - sum_s u[s][j]*S[a][s]:",
+         grid("phi", "\\varphi", lie.phi)),
+        ("lie equations (on-shell jet values):",
+         [(j.name, None, lie.onshell[j]) for j in lie.jet_list()]),
+    ]
+
+
+def _family_rows(family) -> list:
+    """The solve stage's sections, as `_lie_rows`."""
+    return [
+        ("multipliers:",
+         [(f"lambda[{k}][{a}][{s}]", f"\\lambda^{{{k}}}_{{{a}{s}}}", e)
+          for (k, a, s), e in sorted(family.multipliers.items())]),
+        ("lagrangians:",
+         [(f"L_{k}", f"L_{{{k}}}", L)
+          for k, L in enumerate(family.lagrangians, start=1)]),
+    ]
+
+
+def _rows_text(sections) -> list:
     lines = []
-    lines.append("infinitesimal coefficients S[a][j]:")
-    for a in range(lie.n):
-        for j in range(lie.r):
-            lines.append(f"  S[{a + 1}][{j + 1}] = {format_expr(lie.S[a][j])}")
-    lines.append("auxiliary functions u[i][j]:")
-    for i in range(lie.r):
-        for j in range(lie.r):
-            lines.append(f"  u[{i + 1}][{j + 1}] = {format_expr(lie.u[i][j])}")
-    lines.append("constraints phi[a][j] = X'^a_j - sum_s u[s][j]*S[a][s]:")
-    for a in range(lie.n):
-        for j in range(lie.r):
-            lines.append(
-                f"  phi[{a + 1}][{j + 1}] = {format_expr(lie.phi[a][j])}")
-    lines.append("lie equations (on-shell jet values):")
-    for jet in lie.jet_list():
-        lines.append(f"  {jet.name} = {format_expr(lie.onshell[jet])}")
+    for heading, rows in sections:
+        lines.append(heading)
+        lines += [f"  {label} = {format_expr(e)}" for label, _, e in rows]
     return lines
 
 
 def _family_payload(family) -> dict:
     lie, ansatz = family.lie, family.ansatz
-    mult = {}
-    for (k, a, s), e in sorted(family.multipliers.items()):
-        mult[f"lambda[{k}][{a}][{s}]"] = prefix_expr(e)
+    (_, multipliers), (_, lagrangians) = _family_rows(family)
     return {
         "ansatz": {
             "deg_x": ansatz.deg_x,
@@ -323,8 +337,9 @@ def _family_payload(family) -> dict:
         "family": {
             "dimension": family.dimension,
             "free_params": [p.name for p in family.free_params],
-            "multipliers": mult,
-            "lagrangians": [prefix_expr(L) for L in family.lagrangians],
+            "multipliers": {label: prefix_expr(e)
+                            for label, _, e in multipliers},
+            "lagrangians": [prefix_expr(L) for _, _, L in lagrangians],
         },
         "components": lie.r,
     }
@@ -342,13 +357,7 @@ def _family_text(family) -> list:
                  f"nullspace dimension {family.dimension}")
     names = ", ".join(p.name for p in family.free_params) or "none"
     lines.append(f"free parameters: {names}")
-    lines.append("multipliers:")
-    for (k, a, s), e in sorted(family.multipliers.items()):
-        lines.append(f"  lambda[{k}][{a}][{s}] = {format_expr(e)}")
-    lines.append("lagrangians:")
-    for k, L in enumerate(family.lagrangians, start=1):
-        lines.append(f"  L_{k} = {format_expr(L)}")
-    return lines
+    return lines + _rows_text(_family_rows(family))
 
 
 def _report_payload(report) -> dict:
@@ -452,44 +461,18 @@ def _report_text(report) -> list:
     return lines
 
 
-def _latex_lines(title_rows) -> list:
+def _latex_lines(sections) -> list:
+    """One aligned block of the rows that have a LaTeX label."""
     lines = ["\\[", "\\begin{aligned}"]
-    for label, body in title_rows:
-        lines.append(f"{label} &= {body} \\\\")
-    lines.append("\\end{aligned}")
-    lines.append("\\]")
-    return lines
+    for _, rows in sections:
+        lines += [f"{label} &= {latex_expr(e)} \\\\"
+                  for _, label, e in rows if label is not None]
+    return lines + ["\\end{aligned}", "\\]"]
 
 
 def _spec_latex(spec) -> list:
-    return _latex_lines([(f"(S_g X)^{{{a + 1}}}", latex_expr(e))
-                         for a, e in enumerate(spec.action)])
-
-
-def _lie_latex(lie) -> list:
-    rows = []
-    for a in range(lie.n):
-        for j in range(lie.r):
-            rows.append((f"S^{{{a + 1}}}_{{{j + 1}}}",
-                         latex_expr(lie.S[a][j])))
-    for i in range(lie.r):
-        for j in range(lie.r):
-            rows.append((f"u^{{{i + 1}}}_{{{j + 1}}}",
-                         latex_expr(lie.u[i][j])))
-    for a in range(lie.n):
-        for j in range(lie.r):
-            rows.append((f"\\varphi^{{{a + 1}}}_{{{j + 1}}}",
-                         latex_expr(lie.phi[a][j])))
-    return _latex_lines(rows)
-
-
-def _family_latex(family) -> list:
-    rows = []
-    for (k, a, s), e in sorted(family.multipliers.items()):
-        rows.append((f"\\lambda^{{{k}}}_{{{a}{s}}}", latex_expr(e)))
-    for k, L in enumerate(family.lagrangians, start=1):
-        rows.append((f"L_{{{k}}}", latex_expr(L)))
-    return _latex_lines(rows)
+    return _latex_lines([("", [(None, f"(S_g X)^{{{a}}}", e)
+                               for a, e in enumerate(spec.action, start=1)])])
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +522,11 @@ def run_stages(args) -> int:
     if not axioms.ok or last == "parse":
         return finish(axioms.ok)
 
-    lie = constraints(spec)
+    lie = constraints(spec, samples=args.samples, seed=args.seed,
+                      tol=args.tol)
     stages.append((lambda: {"lie": _lie_payload(lie)},
-                   partial(_lie_text, lie), partial(_lie_latex, lie)))
+                   lambda: _rows_text(_lie_rows(lie)),
+                   lambda: _latex_lines(_lie_rows(lie))))
     if last == "derive":
         return finish(True)
 
@@ -552,9 +537,9 @@ def run_stages(args) -> int:
     family = solve_family(lie, build_ansatz(
         lie, deg_x=args.deg_x, deg_g=(args.deg_g_min, args.deg_g_max),
         max_unknowns=args.max_unknowns))
-    family_latex = partial(_family_latex, family)
     stages.append((partial(_family_payload, family),
-                   partial(_family_text, family), family_latex))
+                   partial(_family_text, family),
+                   lambda: _latex_lines(_family_rows(family))))
     if last == "solve":
         return finish(True)
 
@@ -564,9 +549,9 @@ def run_stages(args) -> int:
                           g_end=args.g_end, step=args.step,
                           orbit_tol=args.orbit_tol, samples=args.samples,
                           seed=args.seed, tol=args.tol)
-    # the report has no LaTeX block of its own
+    # the report has no LaTeX block of its own; it repeats the family's
     stages.append((lambda: {"report": _report_payload(report)},
-                   partial(_report_text, report), family_latex))
+                   partial(_report_text, report), stages[-1][2]))
     return finish(report.ok)
 
 

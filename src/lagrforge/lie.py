@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import (Equivalence, Product, Role, Sum, Sym, SymbolInfo,
-                   canonicalize, differentiate, equals, free_symbols,
-                   substitute)
+from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
+                   Product, Role, Sum, Sym, SymbolInfo, canonicalize,
+                   differentiate, equals, free_symbols, substitute)
 
 CONVENTION_NOTE = ("constraints follow the convention "
                    "phi[a][j] = X'[a]_j - sum_s u[s][j](g) * S[a][s](X'); "
@@ -92,12 +92,14 @@ class LieData:
         return [j for row in self.jets for j in row]
 
 
-def constraints(spec) -> LieData:
+def constraints(spec, samples: int = EQUALS_SAMPLES, seed: int = DEFAULT_SEED,
+                tol: float = EQUALS_TOL) -> LieData:
     """Derive S, u, and the constraints phi; verify phi vanishes on the action.
 
     The vanishing check substitutes the action formulas for the fields and
-    their parameter derivatives for the jets; a ProvedUnequal result means
-    the group data and the constraint convention disagree.
+    their parameter derivatives for the jets and decides each by `equals`
+    with `samples`, `seed` and `tol`; a ProvedUnequal result means the
+    group data and the constraint convention disagree.
     """
     S = infinitesimal_coefficients(spec)
     u = auxiliary_functions(spec)
@@ -144,7 +146,8 @@ def constraints(spec) -> LieData:
     for a in range(spec.n):
         row = []
         for j in range(spec.r):
-            verdict = equals(substitute(phi[a][j], subs), 0)
+            verdict = equals(substitute(phi[a][j], subs), 0, samples=samples,
+                             seed=seed, tol=tol)
             if verdict == Equivalence.PROVED_UNEQUAL:
                 raise ConventionViolationError(
                     f"constraint phi[{a + 1}][{j + 1}] does not vanish on "

@@ -97,6 +97,29 @@ def test_derive_latex(capsys):
     assert "\\varphi^{1}_{1} &= X'^{2} + X'^{1}_{1} \\\\" in out
 
 
+# A valid group whose sampled on-action residual (rounding in a 33-term
+# difference) exceeds the default 1e-9 but not 1e-6.
+POWER16 = """
+group power16 {
+  params: g;
+  coords: X1, X2;
+  identity: (0);
+  inverse: (-g/(1 + g));
+  multiply: (lhs.g + rhs.g + lhs.g*rhs.g);
+  action: (X1*(1 + g)^16, X2*(1 + g)^16);
+}
+"""
+
+
+def test_derive_checks_the_action_under_the_sampling_flags(capsys, tmp_path):
+    path = tmp_path / "power16.grp"
+    path.write_text(POWER16)
+    code, out, err = capture(capsys, ["derive", str(path), "--tol", "1e-6",
+                                      "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["lie"]["on_action"] == [["NumericallyEqual"]] * 2
+
+
 def test_solve_json(capsys):
     code, out, _ = capture(capsys, ["solve", "so2", "--format", "json"])
     assert code == 0
@@ -286,17 +309,20 @@ def test_golden_output(capsys, argv, fmt, code, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-TEXT_BUILDERS = ("_axioms_text", "_lie_text", "_family_text", "_report_text")
+TEXT_BUILDERS = ("_axioms_text", "_rows_text", "_family_text", "_report_text")
 PAYLOAD_BUILDERS = ("_axioms_payload", "_spec_payload", "_lie_payload",
                     "_family_payload", "_report_payload")
+LATEX_BUILDERS = ("_latex_lines",)
 # The builders of the formats other than the requested one.
-UNUSED_BUILDERS = {"json": TEXT_BUILDERS, "text": PAYLOAD_BUILDERS,
+UNUSED_BUILDERS = {"json": TEXT_BUILDERS + LATEX_BUILDERS,
+                   "text": PAYLOAD_BUILDERS + LATEX_BUILDERS,
                    "latex": TEXT_BUILDERS + PAYLOAD_BUILDERS}
 
 
 @pytest.mark.parametrize("fmt", sorted(UNUSED_BUILDERS))
 @pytest.mark.parametrize("argv,code", [("verify so2", 0), ("example so2", 0),
-                                       ("verify so2 --params a2=0", 1)])
+                                       ("verify so2 --params a2=0", 1),
+                                       ("derive so2", 0)])
 def test_only_the_requested_format_is_built(capsys, monkeypatch, fmt,
                                             argv, code):
     def refuse(*args):
