@@ -747,16 +747,18 @@ _NUMERIC_GLOBALS = {"_sin": math.sin, "_cos": math.cos,
 def compile_numeric(exprs: Sequence[Expr], names: Sequence[str]):
     """Compile expressions once into a function of positional floats.
 
-    The function takes one value per entry of `names`, in that order, and
-    returns the tuple of the expressions' values.  Its body is the
-    straight-line code of `_numeric_lines`, so every value is bit-identical
-    to `eval_numeric`.  An unbound symbol raises UnboundSymbolError, and a
-    constant too large for a float OverflowError, here at compile time.
+    The function takes one value per entry of `names`, in that order,
+    converts each with float() once on entry, and returns the tuple of the
+    expressions' values.  Its body is the straight-line code of
+    `_numeric_lines`, so every value is bit-identical to `eval_numeric`.
+    An unbound symbol raises UnboundSymbolError, and a constant too large
+    for a float OverflowError, here at compile time.
     """
     args = {name: f"a{i}" for i, name in enumerate(names)}
     body, outs = _numeric_lines(exprs, args, "v")
     source = "\n    ".join(
-        [f"def numeric({', '.join(args.values())}):", *body,
+        [f"def numeric({', '.join(args.values())}):",
+         *(f"{a} = float({a})" for a in args.values()), *body,
          f"return ({''.join(o + ', ' for o in outs)})"])
     namespace = dict(_NUMERIC_GLOBALS)
     exec(compile(source, "<compile_numeric>", "exec"), namespace)
@@ -764,18 +766,28 @@ def compile_numeric(exprs: Sequence[Expr], names: Sequence[str]):
 
 
 def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
-                   prefix: str):
+                   prefix: str, fixed: Optional[dict] = None,
+                   hoisted: Optional[list] = None):
     """(lines, out_locals): straight-line float code for `exprs`, and the
     local holding each one's value.
 
-    `args` maps a symbol's name to the Python expression of its value,
-    which the code reads as `float(<expression>)`.  There is one local per
-    distinct tree node, named `prefix` and a number, in post-order, so the
-    code has no nesting limit; each node does the float operation
-    `eval_numeric` does, in the same order.  The lines read the names in
+    `args` maps a symbol's name to the local holding its float value,
+    which the code reads as is.  There is one local per distinct tree
+    node, named `prefix` and a number, in post-order, so the code has no
+    nesting limit; each node does the float operation `eval_numeric` does,
+    in the same order, except that a product starts from its first factor:
+    1.0 * a is a for a float a.  The lines read the names in
     _NUMERIC_GLOBALS.
+
+    For code inside a loop, `fixed` maps the nodes whose values the loop
+    does not change to the float locals holding them, and the lines of
+    `hoisted` run before the loop; the calls compiling one loop share both.
+    A constant, or a node whose operands are all in `fixed`, is computed
+    once in `hoisted`, into a local named `c` and a number, and joins
+    `fixed`.
     """
-    local: dict = {}         # node -> name of the local holding its value
+    local = dict(fixed or {})  # node -> name of the local holding its value
+    ints = set()     # nodes whose value is an int: an empty sum's 0, say
     body = []
     stack = [(e, False) for e in reversed(exprs)]
     while stack:
@@ -787,26 +799,37 @@ def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
             stack.append((node, True))
             stack.extend((k, False) for k in reversed(kids))
             continue
-        v = local[node] = f"{prefix}{len(local)}"
-        ops = [local[k] for k in kids]
-        if isinstance(node, Rational):
-            body.append(f"{v} = {float(node.value)!r}")
-        elif isinstance(node, Sym):
+        if isinstance(node, Sym):
             if node.info.name not in args:
                 raise UnboundSymbolError(node.info.name)
-            body.append(f"{v} = float({args[node.info.name]})")
+            local[node] = args[node.info.name]
+            continue
+        ops = [local[k] for k in kids]
+        if isinstance(node, (Sum, Power)) and all(k in ints for k in kids):
+            ints.add(node)
+        lines = body
+        if (fixed is not None and node not in ints
+                and all(k in fixed for k in kids)):
+            v = local[node] = fixed[node] = f"c{len(fixed)}"
+            lines = hoisted
+        else:
+            v = local[node] = f"{prefix}{len(local)}"
+        if isinstance(node, Rational):
+            lines.append(f"{v} = {float(node.value)!r}")
         elif isinstance(node, Sum):
-            body.append(f"{v} = sum(({''.join(o + ', ' for o in ops)}))")
+            lines.append(f"{v} = sum(({''.join(o + ', ' for o in ops)}))")
         elif isinstance(node, Product):
-            body.append(f"{v} = {' * '.join(['1.0'] + ops)}")
+            # the 1.0 start makes a product of ints a float
+            seed = ["1.0"] if all(k in ints for k in kids) else []
+            lines.append(f"{v} = {' * '.join(seed + ops)}")
         elif isinstance(node, Power):
             if node.exponent < 0:
-                body.append(f"if abs({ops[0]}) < {SINGULAR_GUARD!r}: "
-                            f"raise _near_singular({ops[0]})")
-            body.append(f"{v} = {ops[0]} ** {node.exponent}")
+                lines.append(f"if abs({ops[0]}) < {SINGULAR_GUARD!r}: "
+                             f"raise _near_singular({ops[0]})")
+            lines.append(f"{v} = {ops[0]} ** {node.exponent}")
         else:
             fn = "_sin" if isinstance(node, Sin) else "_cos"
-            body.append(f"{v} = {fn}({ops[0]})")
+            lines.append(f"{v} = {fn}({ops[0]})")
     return body, [local[e] for e in exprs]
 
 

@@ -605,8 +605,7 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
     # basis monomials guarantee, sorts after RAT0, so every member of
     # component k + 1 sorts before every member of component k.
     d, r = len(vectors), lie.r
-    free_params = tuple(SymbolInfo(f"a{i + 1}", Role.FREE_PARAMETER)
-                        for i in range(r * d))
+    free_params = _free_params(lie, r * d)
     members = [{j + k * width: v for j, v in vec.items()}
                for k in reversed(range(r)) for vec in vectors]
     # the free parameters of components 1..r, a run of d by block vector
@@ -626,6 +625,20 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
                             members=members, free_params=free_params,
                             multipliers=multipliers, lagrangians=lagrangians,
                             twins=twins)
+
+
+def _free_params(lie, count: int) -> tuple:
+    """a1..a<count>, each named apart from the group's own symbols with a
+    `_` suffix, as `dsl._fresh_params` does."""
+    taken = {s.name for s in (*lie.spec.params, *lie.spec.coords,
+                              *lie.fields, *itertools.chain(*lie.jets))}
+    out = []
+    for i in range(count):
+        name = f"a{i + 1}"
+        while name in taken:
+            name += "_"
+        out.append(SymbolInfo(name, Role.FREE_PARAMETER))
+    return tuple(out)
 
 
 def _weighted_sum(heads, exprs) -> Expr:

@@ -24,7 +24,7 @@ from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
                    Expr, NearSingularEvaluationError, Rational, Sym,
                    _NUMERIC_GLOBALS, _numeric_lines, canonicalize,
                    differentiate, equals, eval_numeric, format_expr,
-                   sample_expr, substitute)
+                   free_symbols, sample_expr, substitute)
 from .solver import rref
 
 
@@ -291,51 +291,63 @@ def _compile_orbit(lie):
     the largest Euclidean deviation.  Every float operation is the one
     that integrating over `compile_numeric` functions does, in the same
     order, `sum()` included (it is compensated on Python 3.12+), so every
-    value is bit-identical to that loop.  The function returns
-    (g, deviation, state, action at g); an evaluation that fails re-raises
-    with the g it was reached from as `orbit_g`.
+    value is bit-identical to that loop.  A value is computed once where
+    that loop recomputes it: the nodes over constants and the initial
+    state before the loop, the step sizes h, h / 2 and h / 6 once for the
+    full steps and once for the last, and g + h / 2 once a step.  The
+    function returns (g, deviation, state, action at g); an evaluation that
+    fails re-raises with the g it was reached from as `orbit_g`.
     """
     spec = lie.spec
     p = spec.params[0].name
     rhs = [lie.onshell[lie.jets[a][0]] for a in range(lie.n)]
-    # the initial state, the state, and a stage's argument
-    u, x, y = ([f"{c}{j}" for j in range(lie.n)] for c in "uxy")
+    reads_g = any(s.name == p for e in rhs for s in free_symbols(e))
+    # the initial state, the state, and the arguments of stages 2, 3 and 4
+    u, x, y, z, w = ([f"{c}{j}" for j in range(lie.n)] for c in "uxyzw")
+    fixed = {Sym(c): ui for c, ui in zip(spec.coords, u)}
+    hoisted = []
 
     def stage(prefix, g, state):
         fields = {fld.name: s for fld, s in zip(lie.fields, state)}
-        return _numeric_lines(rhs, {p: g, **fields}, prefix)
+        return _numeric_lines(rhs, {p: g, **fields}, prefix, fixed, hoisted)
 
-    def shifted(k, h):
-        return [f"{yi} = {xi} + {h} * {ki}" for yi, xi, ki in zip(y, x, k)]
+    def shifted(state, k, h):
+        return [f"{si} = {xi} + {h} * {ki}"
+                for si, xi, ki in zip(state, x, k)]
+
+    lines1, k1 = stage("k1_", "g", x)
+    lines2, k2 = stage("k2_", "gm", y)
+    lines3, k3 = stage("k3_", "gm", z)
+    lines4, k4 = stage("k4_", "ge", w)
+    action, exact = _numeric_lines(spec.action, {p: "g"}, "e", fixed, hoisted)
 
     def distance(state):
         """`dist`, from the state to the action of g on the initial state."""
-        coords = {c.name: ui for c, ui in zip(spec.coords, u)}
-        lines, exact = _numeric_lines(spec.action, {p: "g", **coords}, "e")
         squares = "".join(f"({s} - {e}) ** 2, " for s, e in zip(state, exact))
-        return [*lines, f"dist = _sqrt(sum(({squares})))"], exact
+        return [*action, f"dist = _sqrt(sum(({squares})))"]
 
-    lines1, k1 = stage("k1_", "g", x)
-    lines2, k2 = stage("k2_", "g + h / 2", y)
-    lines3, k3 = stage("k3_", "g + h / 2", y)
-    lines4, k4 = stage("k4_", "g + h", y)
-    first, exact = distance(u)
     step_lines = [
-        "h = (step if i < n_full else rem) * sign",
-        *lines1, *shifted(k1, "h / 2"),
-        *lines2, *shifted(k2, "h / 2"),
-        *lines3, *shifted(k3, "h"),
+        *lines1, *shifted(y, k1, "h2"), *(["gm = g + h2"] if reads_g else []),
+        *lines2, *shifted(z, k2, "h2"),
+        *lines3, *shifted(w, k3, "h"), *(["ge = g + h"] if reads_g else []),
         *lines4,
-        *(f"{xi} = {xi} + h / 6 * ({a} + 2 * {b} + 2 * {c} + {d})"
-          for xi, a, b, c, d in zip(x, k1, k2, k3, k4)),
-        "g = g + h", *distance(x)[0], "if dist > dev: dev = dist"]
+        f"{', '.join(x)} = " + ", ".join(
+            f"{xi} + h6 * ({a} + 2 * {b} + 2 * {c} + {d})"
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)),
+        "g = ge" if reads_g else "g = g + h",
+        *distance(x), "if dist > dev: dev = dist"]
     source = "\n".join([
         f"def orbit(g, step, rem, sign, n_full, steps, {', '.join(u)}):",
         "    try:",
-        *("        " + line for line in first), "        dev = dist",
-        *(f"        {xi} = {ui}" for xi, ui in zip(x, u)),
-        "        for i in range(steps):",
-        *("            " + line for line in step_lines),
+        *("        " + line for line in [*hoisted, *distance(u)]),
+        "        dev = dist",
+        f"        {', '.join(x)} = {', '.join(u)}",
+        "        for size, count in ((step, n_full), (rem, steps - n_full)):",
+        "            h = size * sign",
+        "            h2 = h / 2",
+        "            h6 = h / 6",
+        "            for _ in range(count):",
+        *("                " + line for line in step_lines),
         f"        return g, dev, ({''.join(xi + ', ' for xi in x)}), "
         f"({''.join(e + ', ' for e in exact)})",
         "    except (_NearSingular, OverflowError) as exc:",

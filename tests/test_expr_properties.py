@@ -288,6 +288,23 @@ def test_compiled_sum_starts_from_integer_zero():
         [(v, math.copysign(1.0, v)) for v in want]
 
 
+def test_compiled_arguments_are_converted_on_entry():
+    # int arguments, and an argument that no expression reads, give the
+    # floats eval_numeric gives, bit for bit; so do products of an empty
+    # sum's integer 0
+    x, y = (Sym(v) for v in VARS[:2])
+    zero = Sum(())
+    exprs = [x, Product((x,)), Product((x, y)), Product((Rational(-1), x)),
+             Sum((x, Rational(1, 3))), Power(y, -2), Sin(x),
+             Product((zero,)), Product((zero, Power(zero, 2))), Product(())]
+    fn = compile_numeric(exprs, ["x", "y", "z"])
+    for point in ({"x": 3, "y": -2, "z": 7}, {"x": 0, "y": 5, "z": 0}):
+        got = fn(point["x"], point["y"], point["z"])
+        want = [eval_numeric(e, point) for e in exprs]
+        assert all(type(v) is float for v in got + tuple(want))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 def test_compiled_unbound_symbol_fails_at_compile_time():
     x, y = (Sym(v) for v in VARS[:2])
     with pytest.raises(UnboundSymbolError) as err:

@@ -819,6 +819,23 @@ def test_affine_family_shape(affine_family):
         [f"a{i}" for i in range(1, 41)]
 
 
+def test_free_params_are_named_apart_from_the_group():
+    # affine1 with its parameters named a1, a2: the family's own a1, a2
+    # would print the same as them, so they take a `_` suffix
+    source = lf.bundled_source("affine1").replace("g1", "a1").replace("g2",
+                                                                      "a2")
+    lie = lf.constraints(lf.parse(source))
+    family = lf.solve_family(lie, lf.build_ansatz(lie, deg_x=1,
+                                                  deg_g=(-1, 0)))
+    names = [p.name for p in family.free_params]
+    assert names == ["a1_", "a2_"] + [f"a{i}" for i in range(3, 41)]
+    taken = {s.name for s in (*lie.spec.params, *lie.spec.coords,
+                              *lie.fields, *itertools.chain(*lie.jets))}
+    assert taken.isdisjoint(names)
+    assert {s.name for s in lf.free_symbols(family.lagrangians[1])} >= \
+        {"a1", "a2", "a10"}
+
+
 MODULUS = 2 ** 61 - 1        # a prime
 
 
@@ -865,7 +882,8 @@ def _rank_mod(rows, p=MODULUS):
 @pytest.mark.parametrize("source, deg_x, deg_g", [
     ("so2", 3, (0, 0)), ("affine1", 1, (-1, 1)),
     ("perfbench/groups/se2.grp", 1, (0, 0)),
-    ("perfbench/groups/se2.grp", 2, (0, 0))])
+    ("perfbench/groups/se2.grp", 2, (0, 0)),
+    ("affine1", 1, (-1, 0)), ("affine1", 2, (-1, 0)), ("so2", 4, (0, 0))])
 def test_functional_rank_equals_split_rank(source, deg_x, deg_g):
     # The block's rank counts its residuals split into monomials in the
     # fields, the parameters and their sines and cosines, as if those were

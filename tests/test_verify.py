@@ -351,6 +351,46 @@ def _bits(orbit):
             [v.hex() for v in orbit.final_exact])
 
 
+# (source, x0, g_end, step) -> the orbit's bits, as the straight compile of
+# every tree node gave them before its code hoisted loop invariants; the
+# same on CPython 3.10 to 3.13.  The compiled references above share
+# `_numeric_lines` with the orbit, so only fixed values guard its codegen.
+ORBIT_BITS = [
+    ("so2", (1.0, 0.0), 2 * math.pi, 1e-3,
+     ("0x1.1205c2f77209fp-41", 6284,
+      ["0x1.0000000000018p+0", "-0x1.ea4db00000000p-45"],
+      ["0x1.0000000000000p+0", "0x1.e6b9676733ae9p-42"])),
+    ("so2", (0.3, -1.7), -2.5, 7e-3,
+     ("0x1.7b9222ccc881cp-34", 358,
+      ["-0x1.41fb9fc7be465p+0", "0x1.2eb1ee31acc92p+0"],
+      ["-0x1.41fb9fc77daeep+0", "0x1.2eb1ee31f24d6p+0"])),
+    (SCALE, (1.0, -2.0), 1.5, 1e-2,
+     ("0x1.ad5336963eefcp-46", 150,
+      ["0x1.3ffffffffffeap+1", "-0x1.3ffffffffffeap+2"],
+      ["0x1.4000000000002p+1", "-0x1.4000000000002p+2"])),
+    (SCALE, (1.0, -2.0), -0.5, 1e-2,
+     ("0x1.1e3779b97f4a8p-51", 50,
+      ["0x1.ffffffffffff8p-2", "-0x1.ffffffffffff8p-1"],
+      ["0x1.ffffffffffffcp-2", "-0x1.ffffffffffffcp-1"])),
+    (SCALE3, (1.0, 0.5, -0.25), 1.5, 1e-3,
+     ("0x1.82f7d049170b8p-43", 1500,
+      ["0x1.3fffffffffe8cp+1", "0x1.600000000006cp+1",
+       "-0x1.8fffffffffe75p+0"],
+      ["0x1.3ffffffffff86p+1", "0x1.5ffffffffff48p+1",
+       "-0x1.8fffffffffecep+0"])),
+]
+
+
+@pytest.mark.parametrize("source,x0,g_end,step,want", ORBIT_BITS,
+                         ids=["so2-full-turn", "so2-backwards", "scale",
+                              "scale-backwards", "scale3"])
+def test_orbit_bits_are_pinned(source, x0, g_end, step, want):
+    source = lf.bundled_source(source) if source == "so2" else source
+    lie = lf.constraints(lf.parse(source))
+    assert _bits(lf.numeric_orbit_check(lie, x0, g_end, step=step)) == \
+        want
+
+
 @pytest.mark.parametrize("x0,g_end,step", [
     ((1.0, 0.0), 2 * math.pi, 1e-3),
     ((0.3, -1.7), -2.5, 7e-3),
