@@ -81,8 +81,9 @@ _TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v >= 0,
                       "finite and non-negative")
 # a sampled residual is never exact, so a zero --tol would turn float
 # rounding into a Failed verdict
-_POSITIVE_TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v > 0,
-                               "finite and positive")
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                     "finite and positive")
+_FINITE = _checked(float, math.isfinite, "finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"sampling seed (default: {DEFAULT_SEED})")
         p.add_argument("--samples", type=_AT_LEAST_ONE, default=EQUALS_SAMPLES,
                        help="sample count for numeric equality checks")
-        p.add_argument("--tol", type=_POSITIVE_TOLERANCE, default=EQUALS_TOL,
+        p.add_argument("--tol", type=_POSITIVE, default=EQUALS_TOL,
                        help="tolerance for numeric equality checks")
 
     def solve_flags(p):
@@ -121,9 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the numeric orbit integration")
         p.add_argument("--x0", metavar="A,B,...",
                        help="initial point for the orbit integration")
-        p.add_argument("--g-end", type=float,
+        p.add_argument("--g-end", type=_FINITE,
                        help="final group parameter value for the orbit")
-        p.add_argument("--step", type=float,
+        p.add_argument("--step", type=_POSITIVE,
                        help="orbit integration step")
         p.add_argument("--orbit-tol", type=_TOLERANCE,
                        help="max allowed orbit deviation")

@@ -23,7 +23,8 @@ from typing import Optional
 
 from .expr import (DEFAULT_SEED, EQUALS_TOL, Cos, Expr, Power, Product,
                    RAT0, RAT_M1, Rational, Role, Sin, Sum, Sym, SymbolInfo,
-                   canonicalize, format_expr, sample_expr, substitute)
+                   _operands, canonicalize, format_expr, sample_expr,
+                   substitute)
 
 CLAUSES = ("params", "coords", "identity", "inverse", "multiply", "action")
 RESERVED = set(CLAUSES) | {"group", "sin", "cos", "lhs", "rhs"}
@@ -256,16 +257,10 @@ def _divides_by_zero(e: Expr) -> bool:
     """Whether a resolved formula raises a base that canonicalizes to 0 to
     a negative power anywhere.  It runs before `canonicalize`, which would
     multiply a zero coefficient through and drop the division."""
-    if isinstance(e, Power):
-        return ((e.exponent < 0 and canonicalize(e.base) == RAT0)
-                or _divides_by_zero(e.base))
-    if isinstance(e, (Sin, Cos)):
-        return _divides_by_zero(e.argument)
-    if isinstance(e, Sum):
-        return any(map(_divides_by_zero, e.terms))
-    if isinstance(e, Product):
-        return any(map(_divides_by_zero, e.factors))
-    return False
+    if (isinstance(e, Power) and e.exponent < 0
+            and canonicalize(e.base) == RAT0):
+        return True
+    return any(map(_divides_by_zero, _operands(e)))
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,11 @@ class Power(Expr):
         return (2, self.base.sort_key(), self.exponent)
 
 
-class Sin(Expr):
+class Trig(Expr):
+    """A sine or cosine of its argument; a subclass names the function
+    (`fn`, also the name the printers and the numeric code use) and its
+    place in the sort order (`rank`)."""
+
     __slots__ = ("argument",)
 
     def __init__(self, argument: Expr):
@@ -213,18 +217,17 @@ class Sin(Expr):
         self.argument = argument
 
     def _make_key(self):
-        return (3, 0, self.argument.sort_key())
+        return (3, self.rank, self.argument.sort_key())
 
 
-class Cos(Expr):
-    __slots__ = ("argument",)
+class Sin(Trig):
+    __slots__ = ()
+    fn, rank = "sin", 0
 
-    def __init__(self, argument: Expr):
-        super().__init__()
-        self.argument = argument
 
-    def _make_key(self):
-        return (3, 1, self.argument.sort_key())
+class Cos(Trig):
+    __slots__ = ()
+    fn, rank = "cos", 1
 
 
 class Product(Expr):
@@ -275,7 +278,7 @@ def as_expr(value) -> Expr:
 #
 # Internally an expression is handled as a list of monomials
 # (coefficient, ((atom, exponent), ...)) where atoms are canonical Sym,
-# Sin, Cos nodes or sums kept whole under a negative exponent.
+# Trig nodes or sums kept whole under a negative exponent.
 
 
 def _mark(e: Expr) -> Expr:
@@ -440,10 +443,10 @@ def _canon_product(factors) -> Expr:
             pairs.append((s, n))
         else:
             expansions.append((s, n))
-    base = (coeff, _norm_pairs(pairs))
+    pairs = _norm_pairs(pairs)
     if not expansions:
-        return _mono_expr(*base)
-    poly = [base]
+        return _mono_expr(coeff, pairs)
+    poly = [(_number(coeff), pairs)]  # an int keeps the expansion in ints
     for s, n in expansions:
         sp = _as_monomials(s)
         for _ in range(n):
@@ -473,14 +476,8 @@ def _canon_power(base, exponent: int) -> Expr:
         return _canon_power(b.base, b.exponent * exponent)
     if isinstance(b, Product):
         return _canon_product(tuple(Power(f, exponent) for f in b.factors))
-    if isinstance(b, Sum):
-        if exponent < 0:
-            return _mark(Power(b, exponent))
-        poly = _as_monomials(b)
-        out = poly
-        for _ in range(exponent - 1):
-            out = _poly_mul(out, poly)
-        return polynomial_expr(out)
+    if isinstance(b, Sum) and exponent > 0:
+        return _canon_product((b,) * exponent)
     return _mark(Power(b, exponent))
 
 
@@ -494,16 +491,11 @@ def canonicalize(e: Expr) -> Expr:
         return _canon_product(e.factors)
     if isinstance(e, Power):
         return _canon_power(e.base, e.exponent)
-    if isinstance(e, Sin):
+    if isinstance(e, Trig):
         a = canonicalize(e.argument)
         if a == RAT0:
-            return RAT0
-        return _mark(Sin(a))
-    if isinstance(e, Cos):
-        a = canonicalize(e.argument)
-        if a == RAT0:
-            return RAT1
-        return _mark(Cos(a))
+            return RAT1 if isinstance(e, Cos) else RAT0
+        return _mark(type(e)(a))
     return _mark(e)  # Rational / Sym are born canonical
 
 
@@ -683,23 +675,14 @@ def _subst(e: Expr, table) -> Expr:
 
 def free_symbols(e: Expr) -> set:
     out = set()
-    _free(e, out)
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Sym):
+            out.add(e.info)
+        else:
+            stack.extend(_operands(e))
     return out
-
-
-def _free(e: Expr, out: set):
-    if isinstance(e, Sym):
-        out.add(e.info)
-    elif isinstance(e, Sum):
-        for t in e.terms:
-            _free(t, out)
-    elif isinstance(e, Product):
-        for f in e.factors:
-            _free(f, out)
-    elif isinstance(e, Power):
-        _free(e.base, out)
-    elif isinstance(e, (Sin, Cos)):
-        _free(e.argument, out)
 
 
 def eval_numeric(e: Expr, env: Mapping[str, float]) -> float:
@@ -828,8 +811,7 @@ def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
                              f"raise _near_singular({ops[0]})")
             lines.append(f"{v} = {ops[0]} ** {node.exponent}")
         else:
-            fn = "_sin" if isinstance(node, Sin) else "_cos"
-            lines.append(f"{v} = {fn}({ops[0]})")
+            lines.append(f"{v} = _{node.fn}({ops[0]})")
     return body, [local[e] for e in exprs]
 
 
@@ -842,7 +824,7 @@ def _operands(e: Expr) -> tuple:
         return e.factors
     if isinstance(e, Power):
         return (e.base,)
-    if isinstance(e, (Sin, Cos)):
+    if isinstance(e, Trig):
         return (e.argument,)
     raise TypeError(f"cannot evaluate {type(e).__name__}")
 
@@ -956,10 +938,8 @@ def _fmt_factor(f: Expr) -> str:
         return str(f.value) if f.value >= 0 else f"(0 - {-f.value})"
     if isinstance(f, Sym):
         return f.info.name
-    if isinstance(f, Sin):
-        return f"sin({format_expr(f.argument)})"
-    if isinstance(f, Cos):
-        return f"cos({format_expr(f.argument)})"
+    if isinstance(f, Trig):
+        return f"{f.fn}({format_expr(f.argument)})"
     if isinstance(f, Sum):
         return f"({format_expr(f)})"
     raise TypeError(f"cannot format {type(f).__name__}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .expr import (Cos, Expr, Rational, Role, Sin, Sum, Sym, SymbolInfo,
+from .expr import (Expr, Rational, Role, Sum, Sym, SymbolInfo, Trig,
                    _as_monomials, canonicalize, term_factors)
 
 
@@ -36,16 +36,14 @@ def _prefix_term(coeff, pairs) -> str:
 def _prefix_atom(atom: Expr) -> str:
     if isinstance(atom, Sym):
         return atom.info.name
-    if isinstance(atom, Sin):
-        return f"(sin {prefix_expr(atom.argument)})"
-    if isinstance(atom, Cos):
-        return f"(cos {prefix_expr(atom.argument)})"
+    if isinstance(atom, Trig):
+        return f"({atom.fn} {prefix_expr(atom.argument)})"
     if isinstance(atom, (Sum, Rational)):
         return prefix_expr(atom)
     raise TypeError(f"cannot render {type(atom).__name__}")
 
 
-_NAME_RE = re.compile(r"^([A-Za-z]+)(\d*)('?)$")
+_NAME_RE = re.compile(r"^([A-Za-z]+)(\d*)('?)(_*)$")
 
 
 def default_symbol_latex(info: SymbolInfo) -> str:
@@ -57,12 +55,13 @@ def default_symbol_latex(info: SymbolInfo) -> str:
         return f"X'^{{{info.index[0]}}}"
     m = _NAME_RE.match(info.name)
     if m:
-        stem, digits, prime = m.groups()
+        stem, digits, prime, marks = m.groups()
         if info.role == Role.FREE_PARAMETER and stem == "a" and digits:
-            return f"\\alpha_{{{digits}}}"
-        if digits:
-            return f"{stem}{prime}^{{{digits}}}"
-        return stem + prime
+            # the `_`s that name a free parameter apart from the group's
+            # symbols print as primes
+            return "\\alpha" + "'" * len(marks) + f"_{{{digits}}}"
+        if not marks:
+            return f"{stem}{prime}^{{{digits}}}" if digits else stem + prime
     return "\\mathrm{" + info.name.replace("_", r"\_") + "}"
 
 
@@ -109,12 +108,8 @@ def _latex_factor(f: Expr) -> str:
     """An atom of a monomial, or the base of its power."""
     if isinstance(f, Sym):
         return default_symbol_latex(f.info)
-    if isinstance(f, Sin):
-        return f"\\sin\\left({_latex(f.argument)}\\right)"
-    if isinstance(f, Cos):
-        return f"\\cos\\left({_latex(f.argument)}\\right)"
-    if isinstance(f, Sum):
-        return f"\\left({_latex(f)}\\right)"
+    if isinstance(f, Trig):
+        return f"\\{f.fn}\\left({_latex(f.argument)}\\right)"
     if isinstance(f, Rational):
         return _latex_rational(f.value)
     raise TypeError(f"cannot render {type(f).__name__}")

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import lagrforge as lf
 from lagrforge import cli
 from lagrforge.cli import run
 from lagrforge.expr import DEFAULT_SEED
@@ -194,6 +195,19 @@ def test_example_so2_latex(capsys):
             " + \\alpha_{2} (X'^{2})^{2} \\\\") in out
 
 
+def test_suffixed_free_parameters_print_primed_in_latex(capsys, tmp_path):
+    # affine1 with its parameters named a1, a2: the family's first two free
+    # parameters become a1_, a2_, which print as alpha primes
+    path = tmp_path / "renamed.grp"
+    path.write_text(lf.bundled_source("affine1").replace("g1", "a1")
+                    .replace("g2", "a2"))
+    code, out, err = capture(capsys, ["solve", str(path), "--deg-g-min", "-1",
+                                      "--format", "latex"])
+    assert (code, err) == (0, "")
+    assert "\\alpha'_{1}" in out and "\\alpha'_{2}" in out
+    assert "\\alpha_{3}" in out and "\\mathrm" not in out
+
+
 def test_example_affine1(capsys):
     code, out, _ = capture(capsys, ["example", "affine1"])
     assert code == 0
@@ -297,6 +311,18 @@ GOLDEN = [
      "9795e676b4dbb74e4a5bb2d05ff6fe83e1ec441f98bcf3ed2ab4d2769d1a544c"),
     ("verify perfbench/groups/se2.grp", "json", 1,
      "8ca9db8e6e0dbcba3976c8964df69639bd447e6d21c39c07e37d493737396312"),
+    # SE(2) puts sin(t) and cos(t) inside products and powers, in every
+    # printer; recorded before sine and cosine became one node kind.
+    ("derive perfbench/groups/se2.grp", "text", 0,
+     "eaa6ccbab7d674868153b7811302c85c1d6a2c88bb1e0158bd280b4f313acb96"),
+    ("derive perfbench/groups/se2.grp", "json", 0,
+     "70416cb2a3feee180879adff419e283addad01359eb689f4379435675ef613fd"),
+    ("derive perfbench/groups/se2.grp", "latex", 0,
+     "b3da69cd0d48feacb721cdbb34d3a77ede8132af87a229490d3aae5f2960429f"),
+    ("verify perfbench/groups/se2.grp", "text", 1,
+     "df113c3720a5cd1f7fcc0ed13bfd4c7cd8a393d2f288f6862c1ef6de34ad5cf6"),
+    ("verify perfbench/groups/se2.grp", "latex", 1,
+     "bd8ebd8b8c9472b42de48832852176d05326c9b48a1043c2ff3a697c955c6e14"),
 ]
 
 
@@ -376,15 +402,11 @@ def test_overflowing_sample_is_a_rejected_draw(capsys, tmp_path):
 @pytest.mark.parametrize("flags,named", [
     (["--g-end", "1e300"], "--g-end 1e+300 and --step 0.001 ask for 1e+303 "
                            "orbit steps; the limit is 1000000"),
-    (["--g-end", "nan"], "--g-end must be finite, got nan"),
-    (["--g-end", "inf"], "--g-end must be finite, got inf"),
-    (["--step", "nan"], "--step must be positive and finite, got nan"),
     (["--g-end", "0"], "--g-end 0.0 leaves no orbit step from the identity "
                        "value 0.0"),
     (["--g-end", "1e-13"], "--g-end 1e-13 leaves no orbit step from the "
                            "identity value 0.0"),
-], ids=["g-end-1e300", "g-end-nan", "g-end-inf", "step-nan", "g-end-identity",
-        "g-end-below-a-step"])
+], ids=["g-end-1e300", "g-end-identity", "g-end-below-a-step"])
 def test_orbit_input_errors_exit_2(capsys, flags, named):
     code, out, err = capture(capsys, ["example", "so2"] + flags)
     assert (code, out, err) == (2, "", f"error: {named}\n")
@@ -463,9 +485,25 @@ def test_division_by_zero_in_a_formula_exits_2(capsys, tmp_path, old, new,
      "argument --deg-g-min: must be at most 0, got 1"),
     (["solve", "so2", "--deg-g-max", "-1"],
      "argument --deg-g-max: must be at least 0, got -1"),
+    (["example", "so2", "--g-end", "nan"],
+     "argument --g-end: must be finite, got nan"),
+    (["example", "so2", "--g-end", "inf"],
+     "argument --g-end: must be finite, got inf"),
+    (["example", "so2", "--step", "nan"],
+     "argument --step: must be finite and positive, got nan"),
+    # the converse check fails at a2=0 and the orbit is skipped, so the
+    # orbit's own checks would never see these
+    (["verify", "so2", "--params", "a2=0", "--numeric", "--x0", "1,0",
+      "--g-end", "1", "--step", "-1"],
+     "argument --step: must be finite and positive, got -1"),
+    (["verify", "so2", "--params", "a2=0", "--numeric", "--x0", "1,0",
+      "--g-end", "1", "--step", "0"],
+     "argument --step: must be finite and positive, got 0"),
 ], ids=["samples-0", "samples-neg", "tol-neg", "tol-zero", "tol-nan",
         "orbit-tol-inf", "orbit-tol-neg", "samples-not-int",
-        "max-unknowns-neg", "deg-x-neg", "deg-g-min-pos", "deg-g-max-neg"])
+        "max-unknowns-neg", "deg-x-neg", "deg-g-min-pos", "deg-g-max-neg",
+        "g-end-nan", "g-end-inf", "step-nan", "step-neg-orbit-skipped",
+        "step-zero-orbit-skipped"])
 def test_sampling_flags_rejected_at_parsing(capsys, argv, named):
     with pytest.raises(SystemExit) as exc:
         run(argv)

@@ -11,6 +11,7 @@ from lagrforge import (Cos, Equivalence, Power, Product, Rational, Role, Sin,
                        monomials, substitute)
 from lagrforge.expr import (NearSingularEvaluationError, UnboundSymbolError,
                             polynomial_expr, sample_expr)
+from lagrforge.printing import default_symbol_latex
 
 X = SymbolInfo("x", Role.BASE_COORDINATE)
 Y = SymbolInfo("y", Role.BASE_COORDINATE)
@@ -149,3 +150,18 @@ def test_format_expr():
     assert format_expr(canonicalize(Power(Sum((x, y)), -1))) == "(x + y)^-1"
     assert str(x + y) == "x + y"
     assert "Sum" in repr(x + y)
+
+
+@pytest.mark.parametrize("name,role,latex", [
+    ("a1", Role.FREE_PARAMETER, "\\alpha_{1}"),
+    ("a1_", Role.FREE_PARAMETER, "\\alpha'_{1}"),
+    ("a12__", Role.FREE_PARAMETER, "\\alpha''_{12}"),
+    ("a1_", Role.GROUP_PARAMETER, "\\mathrm{a1\\_}"),
+    ("x_", Role.BASE_COORDINATE, "\\mathrm{x\\_}"),
+    ("X2'", Role.BASE_COORDINATE, "X'^{2}"),
+    ("g", Role.GROUP_PARAMETER, "g"),
+], ids=["free", "free-suffixed", "free-two-suffixes", "group-suffixed",
+        "coordinate-suffixed", "primed", "plain"])
+def test_symbol_latex(name, role, latex):
+    # only a free parameter's `_` suffix prints, as a prime
+    assert default_symbol_latex(SymbolInfo(name, role)) == latex
