@@ -106,6 +106,9 @@ def test_build_ansatz(benchmark, affine_lie, deg_x, deg_g, size):
 def test_solve_family_affine(benchmark, affine_lie, affine_wide_ansatz):
     family = benchmark(lf.solve_family, affine_lie, affine_wide_ansatz)
     assert family.dimension == 104
+    # the sums over the free parameters are built only when read
+    assert "multipliers" not in vars(family)
+    assert "lagrangians" not in vars(family)
 
 
 @pytest.mark.parametrize("deg_x, deg_g, dimension",
@@ -124,12 +127,16 @@ def test_solve_family_affine_scale(benchmark, affine_lie, deg_x, deg_g,
     assert family.dimension == dimension
 
 
-def test_family_payload_affine(benchmark, affine_lie, affine_wide_ansatz):
-    # the JSON payload of `solve affine1 --deg-x 1 --deg-g-min -1
-    # --deg-g-max 1`: the family's multipliers and L_k in prefix text
-    family = lf.solve_family(affine_lie, affine_wide_ansatz)
+@pytest.mark.parametrize("deg_x, dimension", [(1, 104), (2, 180)],
+                         ids=["dx1-gm1_1", "dx2-gm1_1"])
+def test_family_payload_affine(benchmark, affine_lie, deg_x, dimension):
+    # the JSON payload of `solve affine1 --deg-x N --deg-g-min -1
+    # --deg-g-max 1`: the family's multipliers and L_k in prefix text,
+    # spliced from each block vector's text
+    family = lf.solve_family(affine_lie, lf.build_ansatz(
+        affine_lie, deg_x=deg_x, deg_g=(-1, 1)))
     payload = benchmark(cli._family_payload, family)
-    assert len(payload["family"]["free_params"]) == 104
+    assert len(payload["family"]["free_params"]) == dimension
 
 
 def test_substitute_onshell(benchmark, affine_family):

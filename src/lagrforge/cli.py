@@ -23,8 +23,8 @@ from .dsl import (DslError, bundled_source, parse, pretty_print,
 from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
                    format_expr)
 from .lie import constraints
-from .printing import latex_expr, prefix_expr
-from .solver import MAX_UNKNOWNS, build_ansatz, solve_family
+from .printing import latex_expr, prefix_cut, prefix_expr, prefix_weighted
+from .solver import MAX_UNKNOWNS, _slots, build_ansatz, solve_family
 from .verify import build_report, generic_params
 
 # Defaults of the solve and verify flags.
@@ -299,16 +299,40 @@ def _lie_rows(lie) -> list:
     ]
 
 
-def _family_rows(family) -> list:
-    """The solve stage's sections, as `_lie_rows`."""
+def _family_rows(family, prefix: bool = False) -> list:
+    """The solve stage's sections, as `_lie_rows`; with `prefix`, each
+    value is its prefix text from `_family_prefix`."""
+    multipliers, lagrangians = _family_prefix(family) if prefix else \
+        (family.multipliers, family.lagrangians)
     return [
         ("multipliers:",
          [(f"lambda[{k}][{a}][{s}]", f"\\lambda^{{{k}}}_{{{a}{s}}}", e)
-          for (k, a, s), e in sorted(family.multipliers.items())]),
+          for (k, a, s), e in sorted(multipliers.items())]),
         ("lagrangians:",
          [(f"L_{k}", f"L_{{{k}}}", L)
-          for k, L in enumerate(family.lagrangians, start=1)]),
+          for k, L in enumerate(lagrangians, start=1)]),
     ]
+
+
+def _family_prefix(family):
+    """The prefix texts of `family.multipliers` and `family.lagrangians`,
+    spliced from each block vector's texts, rendered once: component k's
+    sums walk its run of free parameters in name order.  No weighted sum
+    is built."""
+    tails = {}
+    cuts = [({slot: prefix_cut(e, tails) for slot, e in lam.items()},
+             prefix_cut(L, tails))
+            for lam, L in zip(family.block_multipliers,
+                              family.block_lagrangians)]
+    multipliers, lagrangians = {}, []
+    for k, run in enumerate(family.runs, start=1):
+        order = sorted(zip([p.name for p in run], cuts), key=lambda t: t[0])
+        for slot in _slots(family.lie):
+            multipliers[(k,) + slot] = prefix_weighted(
+                (name, lam[slot]) for name, (lam, _) in order)
+        lagrangians.append(prefix_weighted(
+            (name, L) for name, (_, L) in order))
+    return multipliers, lagrangians
 
 
 def _rows_text(sections) -> list:
@@ -321,7 +345,7 @@ def _rows_text(sections) -> list:
 
 def _family_payload(family) -> dict:
     lie, ansatz = family.lie, family.ansatz
-    (_, multipliers), (_, lagrangians) = _family_rows(family)
+    (_, multipliers), (_, lagrangians) = _family_rows(family, prefix=True)
     return {
         "ansatz": {
             "deg_x": ansatz.deg_x,
@@ -338,9 +362,8 @@ def _family_payload(family) -> dict:
         "family": {
             "dimension": family.dimension,
             "free_params": [p.name for p in family.free_params],
-            "multipliers": {label: prefix_expr(e)
-                            for label, _, e in multipliers},
-            "lagrangians": [prefix_expr(L) for _, _, L in lagrangians],
+            "multipliers": {label: text for label, _, text in multipliers},
+            "lagrangians": [text for _, _, text in lagrangians],
         },
         "components": lie.r,
     }

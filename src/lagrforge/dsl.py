@@ -17,14 +17,15 @@ valid inside the multiply clause and refer to the two group factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
 from .expr import (DEFAULT_SEED, EQUALS_TOL, Cos, Expr, Power, Product,
                    RAT0, RAT_M1, Rational, Role, Sin, Sum, Sym, SymbolInfo,
-                   _operands, canonicalize, format_expr, sample_expr,
-                   substitute)
+                   _as_monomials, _operands, canonicalize, format_expr,
+                   sample_expr, substitute)
 
 CLAUSES = ("params", "coords", "identity", "inverse", "multiply", "action")
 RESERVED = set(CLAUSES) | {"group", "sin", "cos", "lhs", "rhs"}
@@ -33,6 +34,12 @@ AXIOM_SAMPLES = 100
 # and the expression kernel recurse once or more per level, so deeper
 # input would exhaust the interpreter stack.
 MAX_NESTING = 100
+# What one '^' may build.  A positive power n of a k-term sum expands by n
+# multiplications, k * C(n + k - 1, k) monomial products at most; any
+# power of a coefficient c has about |n| * log2 of c's numerator or
+# denominator bits.  Past these the parse would run out of time or memory.
+MAX_POWER_PRODUCTS = 100_000
+MAX_POWER_BITS = 100_000
 
 
 class DslError(Exception):
@@ -189,7 +196,7 @@ class _Parser:
                 self.advance()
                 sign = -1
             tok = self.expect("int", "an integer exponent")
-            return ("pow", base, sign * int(tok.text))
+            return ("pow", base, sign * int(tok.text), tok.line, tok.col)
         return base
 
     def primary(self):
@@ -242,7 +249,10 @@ def _resolve(node, env: dict, qualified: bool) -> Expr:
     if kind == "neg":
         return Product((RAT_M1, _resolve(node[1], env, qualified)))
     if kind == "pow":
-        return Power(_resolve(node[1], env, qualified), node[2])
+        _, child, n, line, col = node
+        base = _resolve(child, env, qualified)
+        _check_power(canonicalize(base), n, line, col)
+        return Power(base, n)
     if kind == "call":
         arg = _resolve(node[2], env, qualified)
         return Sin(arg) if node[1] == "sin" else Cos(arg)
@@ -251,6 +261,28 @@ def _resolve(node, env: dict, qualified: bool) -> Expr:
                       for op, child in node[1])
         return Sum(parts) if kind == "sum" else Product(parts)
     raise AssertionError(f"unknown AST node {kind}")
+
+
+def _check_power(base: Expr, n: int, line: int, col: int) -> None:
+    """Raise GroupSyntaxError where the canonical `base` to the power n
+    would build past MAX_POWER_PRODUCTS or MAX_POWER_BITS."""
+    monos = _as_monomials(base)
+    if isinstance(base, Sum):
+        if n < 0:
+            return                   # a sum's inverse stays one atom
+        k = len(monos)
+        products = k * math.comb(n + k - 1, k)
+        if products > MAX_POWER_PRODUCTS:
+            raise GroupSyntaxError(
+                f"expanding power {n} of a {k}-term sum takes {products} "
+                f"monomial products; at most {MAX_POWER_PRODUCTS} are "
+                "allowed", line, col)
+    bits = abs(n) * max(math.log2(max(abs(c.numerator), c.denominator))
+                        for c, _ in monos)
+    if bits > MAX_POWER_BITS:
+        raise GroupSyntaxError(
+            f"power {n} makes a coefficient of about {bits:.0f} bits; at "
+            f"most {MAX_POWER_BITS} are allowed", line, col)
 
 
 def _divides_by_zero(e: Expr) -> bool:

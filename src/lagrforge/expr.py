@@ -88,7 +88,7 @@ class Expr:
     Nodes are never mutated after construction; `_canonical` marks trees
     already in canonical form so repeated canonicalization is O(1), and
     `_monos` caches a canonical node's monomial tuple once it is split
-    (a canonical sum is built from it).
+    (a node `polynomial_expr` builds is born with it).
     """
 
     __slots__ = ("_key", "_hash", "_canonical", "_monos")
@@ -383,17 +383,23 @@ def polynomial_expr(monomials) -> Expr:
             acc[k] = (acc[k][0] + coeff, pairs)
         else:
             acc[k] = (coeff, pairs)
-    monos = tuple((_number(c), p)
-                  for _, (c, p) in sorted(acc.items(), key=lambda kv: kv[0])
-                  if c)
+    return _sorted_expr(tuple(
+        (_number(c), p)
+        for _, (c, p) in sorted(acc.items(), key=lambda kv: kv[0]) if c))
+
+
+def _sorted_expr(monos: tuple) -> Expr:
+    """The canonical expression of collected non-zero monomials already in
+    signature order, their integral coefficients `int`s."""
     if not monos:
         return RAT0
     if len(monos) == 1:
-        return _mono_expr(*monos[0])
-    # the sum is born as its sorted monomial tuple; `Sum.terms` makes the
-    # term nodes only if something reads them
-    e = _mark(Sum(()))
-    e._terms = None
+        e = _mono_expr(*monos[0])
+    else:
+        # the sum is born as its sorted monomial tuple; `Sum.terms` makes
+        # the term nodes only if something reads them
+        e = _mark(Sum(()))
+        e._terms = None
     e._monos = monos
     return e
 

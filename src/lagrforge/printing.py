@@ -25,12 +25,49 @@ def prefix_expr(e: Expr) -> str:
     return "(+ " + " ".join(terms) + ")" if isinstance(e, Sum) else terms[0]
 
 
+def prefix_cut(e: Expr, tails: dict) -> list:
+    """The prefix texts of the terms of a * e, space-separated, cut where
+    the free parameter a goes: `name.join(cut)` renders them for a named
+    `name`, which must sort before every atom of `e`, and there are
+    len(cut) - 1 of them.  So a is the first factor after the
+    coefficient, and a bare a where that is 1 and there is no other.
+    `tails` keeps the text after a by the monomial's pairs, for reuse."""
+    terms = []
+    for c, pairs in _as_monomials(canonicalize(e)):
+        tail = tails.get(pairs)
+        if tail is None:
+            tail = tails[pairs] = "".join(
+                " " + _prefix_factor(atom, n)
+                for atom, n in term_factors(pairs)) + ")"
+        if c == 1:
+            terms.append("(* \0" + tail if pairs else "\0")
+        elif c:
+            terms.append(f"(* {c} \0{tail}")
+    return " ".join(terms).split("\0")
+
+
+def prefix_weighted(pieces) -> str:
+    """Prefix text of sum_b a_b * e_b from (name of a_b, prefix_cut(e_b)),
+    given in the order of the a_b's names, as `prefix_expr` prints it."""
+    texts, count = [], 0
+    for name, cut in pieces:
+        if len(cut) > 1:
+            texts.append(name.join(cut))
+            count += len(cut) - 1
+    if count > 1:
+        return "(+ " + " ".join(texts) + ")"
+    return texts[0] if texts else "0"
+
+
 def _prefix_term(coeff, pairs) -> str:
     parts = [str(coeff)] if coeff != 1 or not pairs else []
-    for atom, n in term_factors(pairs):
-        text = _prefix_atom(atom)
-        parts.append(text if n == 1 else f"(^ {text} {n})")
+    parts += [_prefix_factor(atom, n) for atom, n in term_factors(pairs)]
     return parts[0] if len(parts) == 1 else "(* " + " ".join(parts) + ")"
+
+
+def _prefix_factor(atom: Expr, n: int) -> str:
+    text = _prefix_atom(atom)
+    return text if n == 1 else f"(^ {text} {n})"
 
 
 def _prefix_atom(atom: Expr) -> str:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .expr import (Expr, RAT0, RAT_M1, Rational, Role, Sym, SymbolInfo,
-                   canonicalize, differentiate, free_symbols, _number,
-                   _poly_mul, _sig, monomials, polynomial_expr,
-                   product_monomials, substitute)
+from .expr import (Expr, RAT0, RAT_M1, Product, Rational, Role, Sym,
+                   SymbolInfo, canonicalize, differentiate, free_symbols,
+                   _number, _poly_mul, _sig, _sorted_expr, monomials,
+                   polynomial_expr, product_monomials, substitute)
 
 MAX_UNKNOWNS = 5000
 
@@ -461,18 +461,70 @@ def nullspace_vectors(system: LinearSystem):
 
 @dataclass
 class LagrangianFamily:
+    """The solution family, kept linear in its free parameters.
+
+    Each sorted block nullspace vector b fixes its multipliers lambda_b
+    and its Lagrangian L_b = sum_slot lambda_b * phi_slot, whatever the
+    component; component k's multipliers and L_k are the sums
+    sum_b a_b * lambda_b and sum_b a_b * L_b over its run of free
+    parameters (`runs`), built on first read.
+    """
+
     lie: object
     ansatz: MultiplierAnsatz
     system: LinearSystem
-    members: list            # {column: Fraction} vectors, a_d's at d - 1
+    blocks: list             # sorted lead-normalized block vectors
+    block_multipliers: list  # per block vector, (a, s) -> its multiplier
+    block_lagrangians: list  # per block vector, its L_b
     free_params: tuple       # SymbolInfo a1..ad
-    multipliers: dict        # (k, a, s) -> Expr linear in the free params
-    lagrangians: list        # L_k, k = 1..r, linear in the free params
-    twins: list              # k = 2..r: {a_d of component 1: its twin in k}
 
     @property
     def dimension(self) -> int:
-        return len(self.members)
+        return len(self.free_params)
+
+    @property
+    def runs(self) -> list:
+        """The free parameters of components 1..r, each a run of d by block
+        vector: a_1..a_d weight the block vectors in component r, the next
+        d in component r - 1, and so on."""
+        d, r = len(self.blocks), self.lie.r
+        return [self.free_params[(r - k) * d:(r - k + 1) * d]
+                for k in range(1, r + 1)]
+
+    @property
+    def twins(self) -> list:
+        """k = 2..r: {a_d of component 1: its twin in component k}."""
+        first, *rest = self.runs
+        return [dict(zip(first, run)) for run in rest]
+
+    @cached_property
+    def members(self) -> list:
+        """The {column: Fraction} vectors of the full system, a_i's at i - 1:
+        each block vector shifted into its component.
+
+        That is the order of the members' own sort keys, each its block's
+        padded with RAT0's in the other components' slots: a
+        lead-normalized block's first non-zero multiplier, which distinct
+        basis monomials guarantee, sorts after RAT0, so every member of
+        component k + 1 sorts before every member of component k."""
+        width = len(self.system.columns)
+        return [{j + k * width: v for j, v in vec.items()}
+                for k in reversed(range(self.lie.r)) for vec in self.blocks]
+
+    @cached_property
+    def multipliers(self) -> dict:
+        """(k, a, s) -> sum_b a_b * lambda_b[(a, s)] over component k's run,
+        linear in the free parameters."""
+        return {(k,) + slot: _weighted_sum(
+                    run, [lam[slot] for lam in self.block_multipliers])
+                for k, run in enumerate(self.runs, start=1)
+                for slot in _slots(self.lie)}
+
+    @cached_property
+    def lagrangians(self) -> list:
+        """L_k = sum_b a_b * L_b over component k's run, k = 1..r."""
+        return [_weighted_sum(run, self.block_lagrangians)
+                for run in self.runs]
 
     @cached_property
     def strong_el(self) -> list:
@@ -560,7 +612,7 @@ def _basis_vector(ansatz: MultiplierAnsatz, lambda_map: dict):
 
 
 def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
-    """Collect the weak E-L system and assemble the solution family.
+    """Collect the weak E-L system and solve it for the family.
 
     The components L_k differ only in the names of their unknowns, and
     each k owns a consecutive run of `width` columns, so the system is r
@@ -569,62 +621,42 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
     form, reduced and kept as `family.system`; the full system's rows and
     rank are r times the block's.  Each block nullspace vector gives one
     member per component k, shifted by k * width, and fixes that member's
-    multipliers and its Lagrangian L_b = sum_slot lambda_b * phi_slot
-    whatever k is; both are built once a vector, and component k's
-    multipliers and L_k collect them under the free parameters of its
-    members.
+    multipliers and its Lagrangian L_b whatever k is; both are built once
+    a vector, and the sums over the free parameters are left to the
+    family.
     """
     system = collect_system([weak_el_residual_of(lie, ansatz, alpha)
                              for alpha in range(1, lie.n + 1)], ansatz)
-    width = len(system.columns)
-    basis = [monomials(b) for b in ansatz.basis]
-    slots = [(a, s) for a in range(1, lie.n + 1)
-             for s in range(1, lie.r + 1)]
+    slots = _slots(lie)
     phis = [monomials(lie.phi[a - 1][s - 1]) for a, s in slots]
-    vectors = []
+    basis = _basis_terms(ansatz.basis)
+    blocks = []
     for vec in nullspace_vectors(system):
         lead = next(iter(vec.values()))
-        vectors.append(vec if lead == 1 else
-                       {j: v / lead for j, v in vec.items()})
-    exprs = [_block_multipliers(slots, basis, vec) for vec in vectors]
-    order = sorted(range(len(vectors)), key=lambda b: tuple(
-        exprs[b][slot].sort_key() for slot in slots))
-    vectors, exprs = [vectors[b] for b in order], [exprs[b] for b in order]
+        if lead != 1:
+            vec = {j: v / lead for j, v in vec.items()}
+        blocks.append((*_block_multipliers(slots, basis, vec), vec))
+    blocks.sort(key=lambda block: block[0])
+    multipliers = [lam for _, lam, _ in blocks]
     # each L_b is multiplied out on the monomial lists, never by
     # canonicalizing a product tree: that could cancel a sum against an
     # inverse-sum atom of phi, which no family multiplier, holding the free
     # parameters, ever met
-    block_L = [polynomial_expr([m for slot, phi in zip(slots, phis)
-                                for m in _poly_mul(monomials(lam[slot]), phi)])
-               for lam in exprs]
-    # The members run by component from the last: a_1..a_d are the sorted
-    # block vectors shifted into component r, the next d into component
-    # r - 1, and so on.  That is the order of the members' own sort keys,
-    # each its block's padded with RAT0's in the other components' slots:
-    # a lead-normalized block's first non-zero multiplier, which distinct
-    # basis monomials guarantee, sorts after RAT0, so every member of
-    # component k + 1 sorts before every member of component k.
-    d, r = len(vectors), lie.r
-    free_params = _free_params(lie, r * d)
-    members = [{j + k * width: v for j, v in vec.items()}
-               for k in reversed(range(r)) for vec in vectors]
-    # the free parameters of components 1..r, a run of d by block vector
-    runs = [free_params[i * d:(i + 1) * d] for i in reversed(range(r))]
-    twins = [dict(zip(runs[0], run)) for run in runs[1:]]
-    multipliers = {}
-    lagrangians = []
-    for k, run in enumerate(runs):
-        # the run's free parameters, each a monomial's first atom, as it
-        # sorts before every basis atom
-        heads = [((Sym(p), 1),) for p in run]
-        for slot in slots:
-            multipliers[(k + 1,) + slot] = _weighted_sum(
-                heads, [lam[slot] for lam in exprs])
-        lagrangians.append(_weighted_sum(heads, block_L))
+    lagrangians = [polynomial_expr([m for slot, phi in zip(slots, phis)
+                                    for m in _poly_mul(monomials(lam[slot]),
+                                                       phi)])
+                   for lam in multipliers]
     return LagrangianFamily(lie=lie, ansatz=ansatz, system=system,
-                            members=members, free_params=free_params,
-                            multipliers=multipliers, lagrangians=lagrangians,
-                            twins=twins)
+                            blocks=[vec for _, _, vec in blocks],
+                            block_multipliers=multipliers,
+                            block_lagrangians=lagrangians,
+                            free_params=_free_params(lie,
+                                                     lie.r * len(blocks)))
+
+
+def _slots(lie) -> list:
+    """The slots (a, s) of a component's multipliers, ascending."""
+    return [(a, s) for a in range(1, lie.n + 1) for s in range(1, lie.r + 1)]
 
 
 def _free_params(lie, count: int) -> tuple:
@@ -641,21 +673,48 @@ def _free_params(lie, count: int) -> tuple:
     return tuple(out)
 
 
-def _weighted_sum(heads, exprs) -> Expr:
-    """sum_b head_b * exprs[b], collected once; each head is the leading
-    (atom, exponent) pairs of every monomial it multiplies."""
+def _weighted_sum(params, exprs) -> Expr:
+    """sum_b params[b] * exprs[b], collected once.  A free parameter sorts
+    before every other atom, so it leads each monomial."""
+    heads = [((Sym(p), 1),) for p in params]
     return polynomial_expr([(c, head + pairs)
                             for head, e in zip(heads, exprs)
                             for c, pairs in monomials(e)])
 
 
-def _block_multipliers(slots, basis, vec) -> dict:
-    """Multipliers of one sparse block vector keyed by the slot (a, s) of
-    component 1, built from `basis`, the basis elements' monomial lists.
-    The i-th of the ascending `slots` owns the i-th run of len(basis)
-    columns."""
-    terms = {slot: [] for slot in slots}
+def _basis_terms(basis) -> list:
+    """(place in signature order, pairs, node key, factor keys) of each
+    basis element: a multiplier's monomials run in signature order, and
+    its term c * b_m has the node key of b_m if c is 1, else that of a
+    product led by Rational(c)."""
+    pairs = [monomials(b)[0][1] for b in basis]
+    order = sorted(range(len(basis)), key=lambda m: _sig(pairs[m]))
+    place = {m: i for i, m in enumerate(order)}
+    return [(place[m], pairs[m], b.sort_key(),
+             tuple(f.sort_key() for f in b.factors)
+             if isinstance(b, Product) else () if isinstance(b, Rational)
+             else (b.sort_key(),))
+            for m, b in enumerate(basis)]
+
+
+def _block_multipliers(slots, basis, vec) -> tuple:
+    """(sort key, multipliers) of one sparse block vector, keyed by the slot
+    (a, s) of component 1, from `_basis_terms`.  The i-th of the ascending
+    `slots` owns the i-th run of len(basis) columns.  The key is the
+    tuple of each multiplier's `Expr.sort_key`, made with no term node."""
+    terms = [[] for _ in slots]
     for j, c in vec.items():
         slot, m = divmod(j, len(basis))
-        terms[slots[slot]].extend((c * bc, pairs) for bc, pairs in basis[m])
-    return {slot: polynomial_expr(t) for slot, t in terms.items()}
+        terms[slot].append((basis[m], c))
+    keys, lams = [], {}
+    for slot, run in zip(slots, terms):
+        run.sort(key=lambda term: term[0][0])
+        lams[slot] = _sorted_expr(tuple((_number(c), pairs)
+                                        for (_, pairs, _, _), c in run))
+        tkeys = tuple(key if c == 1 else
+                      (4, (0, c.numerator, c.denominator)) + factors
+                      if factors else (0, c.numerator, c.denominator)
+                      for (_, _, key, factors), c in run)
+        keys.append(tkeys[0] if len(tkeys) == 1 else
+                    (5,) + tkeys if tkeys else RAT0.sort_key())
+    return tuple(keys), lams

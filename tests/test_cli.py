@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -563,6 +564,43 @@ def test_nesting_at_the_cap_parses(capsys, tmp_path, kind):
     code, out, err = capture(capsys, ["parse", str(path)])
     assert err == ""
     assert code in (0, 1) and "axioms:" in out
+
+
+@pytest.mark.parametrize("action, col, message", [
+    ("(X1 + g)^1000000000", 21, "expanding power 1000000000 of a 2-term sum "
+     "takes 1000000001000000000 monomial products; at most 100000 are "
+     "allowed"),
+    ("(X1 + X2 + g)^200", 26, "expanding power 200 of a 3-term sum takes "
+     "4060200 monomial products; at most 100000 are allowed"),
+    ("(X1 + g)^316", 21, "expanding power 316 of a 2-term sum takes 100172 "
+     "monomial products; at most 100000 are allowed"),
+    ("X1 + 10^1000000000*g", 20, "power 1000000000 makes a coefficient of "
+     "about 3321928095 bits; at most 100000 are allowed"),
+    ("X1 + g*(2*X2)^-100001", 27, "power -100001 makes a coefficient of "
+     "about 100001 bits; at most 100000 are allowed")],
+    ids=["sum-1e9", "3-term-sum-200", "sum-past-cap", "number-1e9",
+         "coefficient-inverse"])
+def test_unbounded_power_is_an_input_error(capsys, tmp_path, action, col,
+                                           message):
+    # the bound is checked while the formula is resolved, at the exponent,
+    # before anything is expanded
+    path = tmp_path / "power.grp"
+    path.write_text(SHEAR_10_400.replace("X1 + 10^400*g*X2", action))
+    start = time.perf_counter()
+    code, out, err = capture(capsys, ["parse", str(path)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: 8:{col}: {message}\n"
+
+
+@pytest.mark.parametrize("action, terms", [
+    ("(X1 + g)^315", 316), ("X1 + (X1 + X2 + g)^-1000000000*g", 2),
+    ("X1 + 1^1000000000*g", 2), ("X1 + 10^400*g", 2)])
+def test_power_within_the_bound_parses(action, terms):
+    # 315 is the last power of a 2-term sum under the cap; a sum's negative
+    # power stays one atom, and a power of 1 builds nothing
+    spec = lf.parse(SHEAR_10_400.replace("X1 + 10^400*g*X2", action))
+    assert len(lf.monomials(spec.action[0])) == terms
 
 
 # Flat chains of 3,000 operands, each a run of one operator.

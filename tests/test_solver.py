@@ -11,7 +11,7 @@ import pytest
 
 import lagrforge as lf
 from lagrforge import (BasisTooLargeError, NonlinearInUnknownsError, Power,
-                       Product, Rational, Role, Sum, Sym, canonicalize)
+                       Product, Rational, Role, Sum, Sym, canonicalize, cli)
 from lagrforge.expr import _subst
 from lagrforge.printing import prefix_expr
 from lagrforge.solver import (LinearSystem, compose_lagrangian, euler_lagrange,
@@ -87,6 +87,44 @@ def test_solve_family_builds_no_unknown(source, deg_x, deg_g):
     assert family.dimension > 0
     assert "unknowns" not in vars(ansatz)
     assert "lambdas" not in vars(ansatz)
+
+
+@pytest.mark.parametrize("source, deg_x, deg_g", [
+    ("affine1", 1, (-1, 1)), ("perfbench/groups/se2.grp", 1, (0, 0))])
+def test_json_solve_builds_no_weighted_sum(source, deg_x, deg_g):
+    # the JSON family is spliced from each block vector's prefix text: the
+    # sums over the free parameters, and the members, are left unbuilt
+    lie = _lie_of(source)
+    family = lf.solve_family(lie, lf.build_ansatz(lie, deg_x=deg_x,
+                                                  deg_g=deg_g))
+    payload = cli._family_payload(family)
+    assert payload["family"]["dimension"] == family.dimension > 0
+    assert "multipliers" not in vars(family)
+    assert "lagrangians" not in vars(family)
+    assert "members" not in vars(family)
+
+
+@pytest.mark.parametrize("source, deg_x, deg_g", [
+    ("so2", 3, (0, 0)), ("so2", 4, (0, 0)), ("affine1", 1, (-1, 0)),
+    ("affine1", 2, (-1, 0)), ("affine1", 1, (-1, 1)), ("affine1", 3, (-2, 2)),
+    ("perfbench/groups/se2.grp", 1, (0, 0)),
+    ("perfbench/groups/se2.grp", 2, (0, 0)), ("scale3", 1, (-1, 1)),
+    ("so2", 0, (0, 0)), ("affine1", 0, (0, 0)), ("affine1", 0, (-1, 0))])
+def test_spliced_family_matches_prefix_expr(source, deg_x, deg_g):
+    # each component's sum is spliced from its block vectors' texts in the
+    # order of their free parameters' names (a10 before a2), each name
+    # right after the coefficient; the sums built on first read print the
+    # same through prefix_expr.  The last three rungs hold an empty family
+    # (every slot 0), zero slots, and sums whose term is a bare a_d.
+    lie = _lie_of(source)
+    family = lf.solve_family(lie, lf.build_ansatz(lie, deg_x=deg_x,
+                                                  deg_g=deg_g))
+    payload = cli._family_payload(family)["family"]
+    assert payload["multipliers"] == {
+        f"lambda[{k}][{a}][{s}]": prefix_expr(e)
+        for (k, a, s), e in family.multipliers.items()}
+    assert payload["lagrangians"] == [prefix_expr(L)
+                                      for L in family.lagrangians]
 
 
 def test_build_ansatz_validation(so2_lie):

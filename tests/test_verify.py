@@ -87,9 +87,11 @@ def test_converse_mismatch_produces_witness(so2_family):
     # flipping the sign of the squares sends the E-L solve to the
     # opposite rotation direction
     bad = canonicalize(-f1 * j2 - f1 ** 2 + f2 * j1 - f2 ** 2)
-    tampered = dataclasses.replace(so2_family, lagrangians=[bad],
-                                   free_params=(), members=[],
-                                   multipliers={})
+    # a family with no free parameters whose one Lagrangian is `bad`; the
+    # lazily built sums are set in place of being built
+    tampered = dataclasses.replace(so2_family, free_params=(), blocks=[],
+                                   block_multipliers=[], block_lagrangians=[])
+    tampered.lagrangians = [bad]
     result = lf.converse_check(tampered, {})
     assert result.status == "Mismatch"
     # the witness is the first equation that does not vanish on shell
