@@ -259,8 +259,30 @@ def _resolve(node, env: dict, qualified: bool) -> Expr:
     if kind in ("sum", "product"):
         parts = tuple(_LINKS[op](_resolve(child, env, qualified))
                       for op, child in node[1])
-        return Sum(parts) if kind == "sum" else Product(parts)
+        if kind == "sum":
+            return Sum(parts)
+        _check_merged_powers(node[1], parts)
+        return Product(parts)
     raise AssertionError(f"unknown AST node {kind}")
+
+
+def _check_merged_powers(links, parts) -> None:
+    """A product merges the powers of equal canonical bases, so bound what
+    each merged power builds too, at the later factor's exponent.  A sum's
+    negative power stays one atom and cancels no expanded positive power,
+    so the exponents of each sign are summed apart."""
+    merged = {}
+    for (op, child), part in zip(links, parts):
+        if child[0] != "pow":
+            continue
+        _, _, n, line, col = child
+        power = part if op == "*" else part.base     # "/" wraps it in ^-1
+        base = canonicalize(power.base)
+        n = n if op == "*" else -n
+        key = (base.sort_key(), n > 0)
+        if key in merged:
+            _check_power(base, merged[key] + n, line, col)
+        merged[key] = merged.get(key, 0) + n
 
 
 def _check_power(base: Expr, n: int, line: int, col: int) -> None:

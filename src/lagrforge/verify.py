@@ -1,13 +1,18 @@
 """Verification that derived Lagrangians reproduce the group's Lie equations.
 
-Both directions read the family's strong Euler-Lagrange expressions,
-derived once with the free parameters symbolic.  The forward direction
-substitutes the on-shell jet values into them and checks that they vanish.
-The converse direction substitutes parameter values and treats the jets as
-the unknowns of the resulting system, which is linear in them: (a) the Lie
-values solve it when each equation vanishes on shell, and (b) they are its
-only solution for the jets whose columns keep full rank in the exact row
-reduction of the jet-coefficient matrix at one seeded rational point.
+Every check reads component 1's strong Euler-Lagrange expressions
+(`family.strong_el[0]`), derived once with the free parameters symbolic.
+They are linear in component 1's free parameters, and component k's are
+them with each parameter renamed to its twin, so each fact is derived from
+component 1 once per family (`_ComponentOne`): its on-shell forms F_alpha,
+and its jet coefficients at one seeded rational point, both split by free
+parameter.  The forward direction checks that each F_alpha vanishes, and
+each renamed for component k.  The converse direction treats the jets as
+the unknowns of the E-L system at given parameter values, which is linear
+in them: (a) the Lie values solve it when each equation vanishes on shell,
+F_alpha at component k's values; and (b) they are its only solution for
+the jets whose columns keep full rank in the exact row reduction of the
+jet-coefficient matrix, the split coefficients weighted by those values.
 Diagnostics cover parameter degeneracy, a planar kinetic identity, and a
 numeric orbit integration.
 """
@@ -18,14 +23,16 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
                    Expr, NearSingularEvaluationError, Rational, Sym,
                    _NUMERIC_GLOBALS, _numeric_lines, canonicalize,
                    differentiate, equals, eval_numeric, format_expr,
-                   free_symbols, sample_expr, substitute)
-from .solver import rref
+                   free_symbols, monomials, polynomial_expr, sample_expr,
+                   substitute)
+from .solver import _rename_params, rref
 
 
 # Longest orbit integration accepted, in steps: about 10 s for so2 on a
@@ -38,17 +45,115 @@ class ShapeMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Component 1's E-L expressions, which every check reads.
+
+
+class _ComponentOne:
+    """What the checks read off component 1's strong E-L expressions, each
+    built on first read and kept with the family (`_component_one`).
+
+    The E-L operator is linear, so the expressions are linear in component
+    1's free parameters, and component k's are them with each parameter
+    renamed to its twin (`family.twins`).  So a fact about component k is
+    component 1's, renamed, or read at k's values (`weights`) from its
+    split by free parameter (`_by_param`)."""
+
+    def __init__(self, family):
+        # no reference back to the family, which keeps this object
+        self.lie = family.lie
+        self.runs = family.runs
+        self.params = set(family.runs[0])
+        self.first = family.strong_el[0]
+        self._jet_tables = {}
+
+    @cached_property
+    def el(self) -> list:
+        """The expressions, split by free parameter."""
+        return [_by_param(e, self.params) for e in self.first]
+
+    @cached_property
+    def onshell(self) -> list:
+        """F_alpha: the expressions with the on-shell jet values
+        substituted, the free parameters kept symbolic."""
+        return [substitute(e, self.lie.onshell) for e in self.first]
+
+    @cached_property
+    def onshell_split(self) -> list:
+        """Each F_alpha split by free parameter; empty where F_alpha is 0."""
+        return [_by_param(F, self.params) for F in self.onshell]
+
+    def weights(self, values: dict) -> list:
+        """Per component k, {component 1's free parameter: the non-zero
+        value of its twin in k} and {None: 1}, from a full {SymbolInfo:
+        Fraction} map."""
+        first = self.runs[0]
+        return [{p: values[q] for p, q in zip(first, run) if values[q]}
+                | {None: 1} for run in self.runs]
+
+    def jet_tables(self, seed: int) -> list:
+        """[alpha][jet]: d E-L_alpha / d jet at the positive rational point
+        `seed` draws, split by free parameter."""
+        tables = self._jet_tables.get(seed)
+        if tables is None:
+            lie = self.lie
+            rng = random.Random(seed)
+            point = {s: Rational(Fraction(rng.randint(1, 2 ** 31),
+                                          rng.randint(1, 2 ** 31)))
+                     for s in lie.fields + lie.spec.params}
+            tables = self._jet_tables[seed] = [
+                [_by_param(substitute(differentiate(e, J), point),
+                           self.params) for J in lie.jet_list()]
+                for e in self.first]
+        return tables
+
+
+def _component_one(family) -> _ComponentOne:
+    """The family's `_ComponentOne`, made on first use."""
+    one = vars(family).get("_component_one")
+    if one is None:
+        one = family._component_one = _ComponentOne(family)
+    return one
+
+
+def _by_param(e: Expr, params) -> dict:
+    """{free parameter, or None: [(coefficient, the other pairs)]} of the
+    non-zero monomials of `e`, which is linear in `params`.  A free
+    parameter sorts before every other atom, so it leads each monomial
+    that holds it."""
+    split = {}
+    for c, pairs in monomials(e):
+        if not c:
+            continue
+        head = pairs[0][0] if pairs else None
+        if isinstance(head, Sym) and head.info in params:
+            split.setdefault(head.info, []).append((c, pairs[1:]))
+        else:
+            split.setdefault(None, []).append((c, pairs))
+    return split
+
+
+def _at(split: dict, weights: dict) -> Expr:
+    """A split expression with each free parameter at its weight and the
+    ones `weights` leaves out at 0: `substitute` of the values, with no
+    product multiplied out."""
+    return polynomial_expr([(c * w, rest) for p, w in weights.items()
+                            for c, rest in split.get(p, ())])
+
+
+# ---------------------------------------------------------------------------
 # Forward: the strong Euler-Lagrange expressions vanish on shell.
 
 
 def forward_check(family, samples: int = EQUALS_SAMPLES,
                   seed: int = DEFAULT_SEED, tol: float = EQUALS_TOL) -> list:
     """Verdict grid [k][alpha]: strong E-L vanishes on shell, free
-    parameters kept symbolic."""
-    onshell = family.lie.onshell
-    return [[equals(substitute(e, onshell), 0, samples=samples, seed=seed,
-                    tol=tol) for e in row]
-            for row in family.strong_el]
+    parameters kept symbolic.  Component k's on-shell forms are component
+    1's with each free parameter renamed to its twin."""
+    forms = _component_one(family).onshell
+    grid = [forms] + [[_rename_params(F, twin) for F in forms]
+                      for twin in family.twins]
+    return [[equals(F, 0, samples=samples, seed=seed, tol=tol) for F in row]
+            for row in grid]
 
 
 # ---------------------------------------------------------------------------
@@ -70,32 +175,39 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
                    seed: int = DEFAULT_SEED, tol: float = EQUALS_TOL) -> ConverseResult:
     """Check that the Lie values are the one solution of the E-L system.
 
-    The system is the family's strong E-L expressions with the parameter
-    values substituted.  It is linear in the jets, and the multipliers are
-    Laurent monomial combinations (`ansatz_from_basis`), so each jet
-    coefficient is a Laurent polynomial in the fields and group
-    parameters.  (a) The Lie values solve the system when every equation
-    vanishes on shell; the first that provably does not is a Mismatch.
+    The system is the family's strong E-L expressions at the parameter
+    values, equation (k, alpha) being component 1's alpha-th at component
+    k's values.  It is linear in the jets, and the multipliers are Laurent
+    monomial combinations (`ansatz_from_basis`), so each jet coefficient
+    is a Laurent polynomial in the fields and group parameters.
+    (a) The Lie values solve the system when every equation vanishes on
+    shell: component 1's on-shell form F_alpha at component k's values; an
+    F_alpha that is 0 vanishes at every value.  The first that provably
+    does not is a Mismatch.
     (b) They are its only solution for the jets whose columns have full
     rank: the exact rank of the coefficient matrix at one seeded positive
     rational point is a lower bound on its rank as a matrix of functions,
     since a minor non-zero at a point is not the zero function, and it
     equals that rank except with probability at most deg/2^31, deg the
     degree of a maximal minor with its denominators cleared (Schwartz
-    1980, Zippel 1979).  A pivot jet whose reduced row involves no free
+    1980, Zippel 1979).  The matrix is component 1's coefficients at that
+    point, split by free parameter once per family, weighted by each
+    component's values.  A pivot jet whose reduced row involves no free
     jet is determined, and its solution is the Lie value.
     """
     lie = family.lie
     values = family.param_values(params)
-    table = {p: Rational(v) for p, v in values.items()}
-    named = {p.name: v for p, v in values.items()}
-    equations = [(k, alpha, substitute(e, table))
-                 for k, row in enumerate(family.strong_el, start=1)
-                 for alpha, e in enumerate(row, start=1)]
+    one = _component_one(family)
+    weights = one.weights(values)
+    equations = [(k, alpha, _at(split, w))
+                 for k, w in enumerate(weights, start=1)
+                 for alpha, split in enumerate(one.el, start=1)]
 
     grade, witness = Equivalence.PROVED_EQUAL, None
-    for k, alpha, e in equations:
-        onshell = substitute(e, lie.onshell)
+    for k, alpha, onshell in ((k, alpha, _at(split, w))
+                              for k, w in enumerate(weights, start=1)
+                              for alpha, split in enumerate(
+                                  one.onshell_split, start=1) if split):
         verdict = equals(onshell, 0, samples=samples, seed=seed, tol=tol)
         if verdict == Equivalence.PROVED_UNEQUAL:
             outcome = sample_expr(onshell, samples=samples, seed=seed)
@@ -106,13 +218,8 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
         if verdict == Equivalence.NUMERICALLY_EQUAL:
             grade = verdict
 
-    rng = random.Random(seed)
-    point = {s: Rational(Fraction(rng.randint(1, 2 ** 31),
-                                  rng.randint(1, 2 ** 31)))
-             for s in lie.fields + lie.spec.params}
     jets = lie.jet_list()
-    reduced, pivots = rref([[substitute(differentiate(e, J), point).value
-                             for J in jets] for _, _, e in equations])
+    reduced, pivots = rref(_jet_matrix(one, weights, seed))
     free = [c for c in range(len(jets)) if c not in pivots]
     unsolved = tuple(jets[c].name for c in free)
     determined = [] if witness else [
@@ -120,11 +227,20 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
         if not any(f in row for f in free)]
     status = ("Mismatch" if witness else
               "Underdetermined" if unsolved else "Match")
-    return ConverseResult(params=named, equations=equations,
+    return ConverseResult(params={p.name: v for p, v in values.items()},
+                          equations=equations,
                           solved={J: lie.onshell[J] for J in determined},
                           unsolved=unsolved,
                           comparisons=[(J.name, grade) for J in determined],
                           status=status, witness=witness)
+
+
+def _jet_matrix(one: _ComponentOne, weights: list, seed: int) -> list:
+    """The E-L system's jet-coefficient matrix at the point `seed` draws,
+    rows (k, alpha): component 1's split coefficients at component k's
+    weights, in exact arithmetic."""
+    return [[_at(cell, w).value for cell in row]
+            for w in weights for row in one.jet_tables(seed)]
 
 
 # ---------------------------------------------------------------------------

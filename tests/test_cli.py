@@ -577,9 +577,15 @@ def test_nesting_at_the_cap_parses(capsys, tmp_path, kind):
     ("X1 + 10^1000000000*g", 20, "power 1000000000 makes a coefficient of "
      "about 3321928095 bits; at most 100000 are allowed"),
     ("X1 + g*(2*X2)^-100001", 27, "power -100001 makes a coefficient of "
-     "about 100001 bits; at most 100000 are allowed")],
+     "about 100001 bits; at most 100000 are allowed"),
+    # a product merges equal bases before expanding, so the bound is on the
+    # summed exponent, at the later factor's
+    ("(X1 + g)^300*(X1 + g)^300", 34, "expanding power 600 of a 2-term sum "
+     "takes 360600 monomial products; at most 100000 are allowed"),
+    ("(X1 + g)^300/(X1 + g)^-20", 35, "expanding power 320 of a 2-term sum "
+     "takes 102720 monomial products; at most 100000 are allowed")],
     ids=["sum-1e9", "3-term-sum-200", "sum-past-cap", "number-1e9",
-         "coefficient-inverse"])
+         "coefficient-inverse", "merged-sum-powers", "merged-quotient"])
 def test_unbounded_power_is_an_input_error(capsys, tmp_path, action, col,
                                            message):
     # the bound is checked while the formula is resolved, at the exponent,

@@ -10,9 +10,10 @@ import pytest
 import lagrforge as lf
 from lagrforge import (Equivalence, Power, Rational, SecondOrderJetError,
                        ShapeMismatchError, Sym, canonicalize, verify)
-from lagrforge.expr import NearSingularEvaluationError
+from lagrforge.expr import NearSingularEvaluationError, sample_expr
 from lagrforge.printing import prefix_expr
-from test_solver import SE2_SOURCE
+from lagrforge.solver import rref
+from test_solver import SCALE3_SOURCE, SE2_SOURCE
 
 SHEAR = """
 group shear {
@@ -102,17 +103,27 @@ def test_converse_mismatch_produces_witness(so2_family):
     assert result.solved == {} and result.comparisons == []
 
 
-@pytest.fixture(scope="module", params=["so2 dx3", "affine1 dx1 g[-1,1]",
-                                        "se2 dx1"])
-def ladder_family(request):
-    source, deg_x, deg_g = {
-        "so2 dx3": (lf.bundled_source("so2"), 3, (0, 0)),
-        "affine1 dx1 g[-1,1]": (lf.bundled_source("affine1"), 1, (-1, 1)),
-        "se2 dx1": (SE2_SOURCE, 1, (0, 0)),
-    }[request.param]
+FAMILIES = {
+    "so2 dx3": (lf.bundled_source("so2"), 3, (0, 0)),
+    "affine1 dx1 g[-1,1]": (lf.bundled_source("affine1"), 1, (-1, 1)),
+    "se2 dx1": (SE2_SOURCE, 1, (0, 0)),
+    "so2 dx4": (lf.bundled_source("so2"), 4, (0, 0)),
+    "se2 dx2": (SE2_SOURCE, 2, (0, 0)),
+    "scale3 dx1 g[-1,0]": (SCALE3_SOURCE, 1, (-1, 0)),
+}
+
+
+def _solved(name):
+    source, deg_x, deg_g = FAMILIES[name]
     lie = lf.constraints(lf.parse(source))
     return lf.solve_family(lie, lf.build_ansatz(lie, deg_x=deg_x,
                                                 deg_g=deg_g))
+
+
+@pytest.fixture(scope="module", params=["so2 dx3", "affine1 dx1 g[-1,1]",
+                                        "se2 dx1"])
+def ladder_family(request):
+    return _solved(request.param)
 
 
 def test_specialised_el_matches_derivation(ladder_family):
@@ -139,6 +150,137 @@ def test_specialised_el_matches_derivation(ladder_family):
         assert [(k, a) for k, a, _ in got] == [(k, a) for k, a, _ in expected]
         for (_, _, e), (_, _, ref) in zip(got, expected):
             assert parts(e) == parts(ref), assignment
+
+
+def _substituted_converse(family, params, seed):
+    """The converse check substituting into every component's strong E-L
+    expressions, equation by equation and jet cell by jet cell, as the
+    reference for the split one; with its jet matrix and the RREF."""
+    lie = family.lie
+    table = {p: Rational(v) for p, v in family.param_values(params).items()}
+    equations = [(k, alpha, lf.substitute(e, table))
+                 for k, row in enumerate(family.strong_el, start=1)
+                 for alpha, e in enumerate(row, start=1)]
+    grade, witness = Equivalence.PROVED_EQUAL, None
+    for k, alpha, e in equations:
+        onshell = lf.substitute(e, lie.onshell)
+        verdict = lf.equals(onshell, 0, seed=seed)
+        if verdict == Equivalence.PROVED_UNEQUAL:
+            outcome = sample_expr(onshell, seed=seed)
+            witness = {"component": k, "field": alpha,
+                       "expression": lf.format_expr(onshell),
+                       "point": outcome.witness, "magnitude": outcome.max_abs}
+            break
+        if verdict == Equivalence.NUMERICALLY_EQUAL:
+            grade = verdict
+    rng = random.Random(seed)
+    point = {s: Rational(Fraction(rng.randint(1, 2 ** 31),
+                                  rng.randint(1, 2 ** 31)))
+             for s in lie.fields + lie.spec.params}
+    jets = lie.jet_list()
+    matrix = [[lf.substitute(lf.differentiate(e, J), point).value
+               for J in jets] for _, _, e in equations]
+    reduced, pivots = rref(matrix)
+    free = [c for c in range(len(jets)) if c not in pivots]
+    determined = [] if witness else [
+        jets[c] for row, c in zip(reduced, pivots)
+        if not any(f in row for f in free)]
+    unsolved = tuple(jets[c].name for c in free)
+    result = verify.ConverseResult(
+        params={p.name: v for p, v in family.param_values(params).items()},
+        equations=equations,
+        solved={J: lie.onshell[J] for J in determined}, unsolved=unsolved,
+        comparisons=[(J.name, grade) for J in determined],
+        status="Mismatch" if witness else
+        "Underdetermined" if unsolved else "Match", witness=witness)
+    return result, matrix, (reduced, pivots)
+
+
+def _assignments(family):
+    """Generic values at two seeds, each of the first six directions alone,
+    and, with two or more components, values for component 2's run only."""
+    out = [verify.generic_params(family, seed) for seed in (1, 2)]
+    out += [{p.name: 1} for p in family.free_params[:6]]
+    if family.lie.r > 1:
+        generic = verify.generic_params(family, 3)
+        out.append({p.name: generic[p.name] for p in family.runs[1]})
+    return out
+
+
+@pytest.fixture(scope="module", params=sorted(FAMILIES))
+def any_family(request):
+    return _solved(request.param)
+
+
+def test_split_checks_match_substitution(any_family):
+    # the checks read component 1's E-L split by free parameter; the
+    # reference substitutes into every component's, equation by equation
+    family = any_family
+    lie = family.lie
+    assert verify.forward_check(family) == [
+        [lf.equals(lf.substitute(e, lie.onshell), 0) for e in row]
+        for row in family.strong_el]
+    one = verify._component_one(family)
+    for seed in (lf.DEFAULT_SEED, 7):
+        for assignment in _assignments(family):
+            got = lf.converse_check(family, assignment, seed=seed)
+            want, matrix, reduction = _substituted_converse(family,
+                                                            assignment, seed)
+            assert dataclasses.astuple(got) == dataclasses.astuple(want), \
+                assignment
+            assert [(k, a, prefix_expr(e)) for k, a, e in got.equations] == \
+                [(k, a, prefix_expr(e)) for k, a, e in want.equations]
+            split = verify._jet_matrix(
+                one, one.weights(family.param_values(assignment)), seed)
+            assert split == matrix
+            assert rref(split) == reduction
+
+
+def test_split_checks_match_substitution_off_the_family(so2_family):
+    # a Lagrangian with no free parameter, as in the mismatch test: its
+    # monomials are split under no parameter, with the opposite rotation
+    # (Mismatch) and with so2's own (Match)
+    lie = so2_family.lie
+    f1, f2 = (Sym(f) for f in lie.fields)
+    j1, j2 = Sym(lie.jets[0][0]), Sym(lie.jets[1][0])
+    statuses = []
+    for L in (canonicalize(-f1 * j2 - f1 ** 2 + f2 * j1 - f2 ** 2),
+              canonicalize(f1 * j2 - f1 ** 2 - f2 * j1 - f2 ** 2)):
+        tampered = dataclasses.replace(so2_family, free_params=(), blocks=[],
+                                       block_multipliers=[],
+                                       block_lagrangians=[])
+        tampered.lagrangians = [L]
+        got = lf.converse_check(tampered, {})
+        want, _, _ = _substituted_converse(tampered, {}, lf.DEFAULT_SEED)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        statuses.append(got.status)
+    assert statuses == ["Mismatch", "Match"]
+
+
+def test_checks_derive_component_one_once(monkeypatch):
+    # differentiate runs once per (alpha, jet) of component 1, however many
+    # assignments the degeneracy scan tries, and the on-shell values are
+    # substituted into component 1's n expressions and the kinetic
+    # identity's two, never again per check
+    family = _solved("so2 dx3")
+    lie = family.lie
+    calls = {"differentiate": 0, "onshell": 0}
+
+    def counted_differentiate(*args, **kwargs):
+        calls["differentiate"] += 1
+        return lf.differentiate(*args, **kwargs)
+
+    def counted_substitute(e, mapping):
+        calls["onshell"] += mapping is lie.onshell
+        return lf.substitute(e, mapping)
+
+    monkeypatch.setattr(verify, "differentiate", counted_differentiate)
+    monkeypatch.setattr(verify, "substitute", counted_substitute)
+    report = lf.build_report(family, {"a2": 1})
+    assert len(report.degeneracy.entries) == 5
+    n, jets = lie.n, len(lie.jet_list())
+    assert jets == n * lie.r
+    assert calls == {"differentiate": n * jets, "onshell": n + 2}
 
 
 def _to_sympy(e, sp):
