@@ -8,6 +8,8 @@ They run under pytest-benchmark and stay out of the tier-1 suite, whose
 
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,9 @@ from lagrforge import Power, Rational, Sum, Sym, cli
 from lagrforge.expr import polynomial_expr
 from lagrforge.solver import (collect_system, compose_lagrangian,
                               euler_lagrange, rref, weak_el_residual_of)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from orbit_bits import SCALE3   # a group of the pinned orbits
 
 POINT = (0.75, 1.0, -0.5)    # g, then the two fields or coordinates
 
@@ -72,6 +77,14 @@ def test_numeric_orbit_so2(benchmark, so2_lie):
     orbit = benchmark(lf.numeric_orbit_check, so2_lie, (1.0, 0.0),
                       2 * math.pi)
     assert orbit.steps == 6284 and orbit.max_deviation <= 1e-6
+
+
+def test_numeric_orbit_scale3(benchmark):
+    # three fields, (1 + g)^-1 with its guard in the Lie equations, and a
+    # short last step
+    lie = lf.constraints(lf.parse(SCALE3))
+    orbit = benchmark(lf.numeric_orbit_check, lie, (1.0, 0.5, -0.25), 1.5003)
+    assert orbit.steps == 1501 and orbit.max_deviation <= 1e-9
 
 
 def test_canonicalize_expansion(benchmark):

@@ -764,16 +764,18 @@ def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
     which the code reads as is.  There is one local per distinct tree
     node, named `prefix` and a number, in post-order, so the code has no
     nesting limit; each node does the float operation `eval_numeric` does,
-    in the same order, except that a product starts from its first factor:
-    1.0 * a is a for a float a.  The lines read the names in
-    _NUMERIC_GLOBALS.
+    in the same order, except that a product starts from its first factor
+    (1.0 * a is a for a float a) and a sum of two floats is `0.0 + a + b`
+    (`_sum_code`).  The lines read the names in _NUMERIC_GLOBALS.
 
     For code inside a loop, `fixed` maps the nodes whose values the loop
     does not change to the float locals holding them, and the lines of
     `hoisted` run before the loop; the calls compiling one loop share both.
     A constant, or a node whose operands are all in `fixed`, is computed
     once in `hoisted`, into a local named `c` and a number, and joins
-    `fixed`.
+    `fixed`.  So is a product's longest leading run of two or more factors
+    in `fixed`: Python multiplies left to right, so `c * x` does what
+    `a * b * x` does when c = a * b.
     """
     local = dict(fixed or {})  # node -> name of the local holding its value
     ints = set()     # nodes whose value is an int: an empty sum's 0, say
@@ -806,8 +808,17 @@ def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
         if isinstance(node, Rational):
             lines.append(f"{v} = {float(node.value)!r}")
         elif isinstance(node, Sum):
-            lines.append(f"{v} = sum(({''.join(o + ', ' for o in ops)}))")
+            lines.append(f"{v} = {_sum_code(ops, ints.isdisjoint(kids))}")
         elif isinstance(node, Product):
+            j = 0   # the factors before kids[j] are all in `fixed`
+            while fixed is not None and j < len(kids) and kids[j] in fixed:
+                j += 1
+            if 2 <= j < len(kids):
+                lead = Product(kids[:j])
+                if lead not in fixed:
+                    local[lead] = fixed[lead] = f"c{len(fixed)}"
+                    hoisted.append(f"{fixed[lead]} = {' * '.join(ops[:j])}")
+                ops[:j] = [fixed[lead]]
             # the 1.0 start makes a product of ints a float
             seed = ["1.0"] if all(k in ints for k in kids) else []
             lines.append(f"{v} = {' * '.join(seed + ops)}")
@@ -819,6 +830,21 @@ def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
         else:
             lines.append(f"{v} = _{node.fn}({ops[0]})")
     return body, [local[e] for e in exprs]
+
+
+def _sum_code(ops: Sequence[str], floats: bool) -> str:
+    """Code for the float sum of the values `ops`, as `sum()` gives it.
+
+    A sum of two floats is `0.0 + a + b`: `sum()`'s compensation on
+    Python 3.12+ adds back the error of a + b, which is below half an ulp
+    of the rounded sum and cannot move it, and the `0.0` start gives the
+    sign of zero `sum()` gives, 0.0 for -0.0 + -0.0.  (The sign of a NaN
+    made from two NaNs is outside this: CPython's `+` takes it from the
+    operand its C code puts first.)  Other sums, and sums with an int
+    operand (`floats` false), stay `sum()` calls."""
+    if len(ops) == 2 and floats:
+        return f"0.0 + {ops[0]} + {ops[1]}"
+    return f"sum(({''.join(o + ', ' for o in ops)}))"
 
 
 def _operands(e: Expr) -> tuple:

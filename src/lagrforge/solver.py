@@ -527,6 +527,13 @@ class LagrangianFamily:
                 for run in self.runs]
 
     @cached_property
+    def _first_strong_el(self) -> list:
+        """`strong_el[0]`, derived from L_1 alone: reading it builds no
+        other L_k and renames nothing."""
+        return strong_el(self.lie,
+                         _weighted_sum(self.runs[0], self.block_lagrangians))
+
+    @cached_property
     def strong_el(self) -> list:
         """Strong E-L expressions [k][alpha] with the free parameters kept
         symbolic.  They are linear in the a_d, like the Lagrangians, so
@@ -535,7 +542,7 @@ class LagrangianFamily:
         A member of component k and its twin in component 1 come from one
         block vector, so L_k is L_1 with each a_d renamed to its twin, and
         so are its E-L expressions: only those of L_1 are derived."""
-        first = strong_el(self.lie, self.lagrangians[0])
+        first = self._first_strong_el
         return [first] + [[_rename_params(e, twin) for e in first]
                           for twin in self.twins]
 

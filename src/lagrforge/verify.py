@@ -1,7 +1,7 @@
 """Verification that derived Lagrangians reproduce the group's Lie equations.
 
 Every check reads component 1's strong Euler-Lagrange expressions
-(`family.strong_el[0]`), derived once with the free parameters symbolic.
+(`family._first_strong_el`), derived once with the free parameters symbolic.
 They are linear in component 1's free parameters, and component k's are
 them with each parameter renamed to its twin, so each fact is derived from
 component 1 once per family (`_ComponentOne`): its on-shell forms F_alpha,
@@ -28,7 +28,7 @@ from typing import Optional
 
 from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
                    Expr, NearSingularEvaluationError, Rational, Sym,
-                   _NUMERIC_GLOBALS, _numeric_lines, canonicalize,
+                   _NUMERIC_GLOBALS, _numeric_lines, _sum_code, canonicalize,
                    differentiate, equals, eval_numeric, format_expr,
                    free_symbols, monomials, polynomial_expr, sample_expr,
                    substitute)
@@ -63,7 +63,7 @@ class _ComponentOne:
         self.lie = family.lie
         self.runs = family.runs
         self.params = set(family.runs[0])
-        self.first = family.strong_el[0]
+        self.first = family._first_strong_el
         self._jet_tables = {}
 
     @cached_property
@@ -404,15 +404,19 @@ def _compile_orbit(lie):
 
     Each step inlines the right-hand sides four times (`_numeric_lines`),
     updates the state and g, evaluates the action at the new g and keeps
-    the largest Euclidean deviation.  Every float operation is the one
-    that integrating over `compile_numeric` functions does, in the same
-    order, `sum()` included (it is compensated on Python 3.12+), so every
-    value is bit-identical to that loop.  A value is computed once where
-    that loop recomputes it: the nodes over constants and the initial
-    state before the loop, the step sizes h, h / 2 and h / 6 once for the
-    full steps and once for the last, and g + h / 2 once a step.  The
-    function returns (g, deviation, state, action at g); an evaluation that
-    fails re-raises with the g it was reached from as `orbit_g`.
+    the largest squared Euclidean deviation.  Every float operation is the
+    one that integrating over `compile_numeric` functions does, in the
+    same order, so every value is bit-identical to that loop: sums of
+    three or more terms stay `sum()` calls (compensated on Python 3.12+),
+    and a sum of two is `0.0 + a + b`, which `sum()` gives too.  A value is
+    computed once where that loop recomputes it: the nodes over constants
+    and the initial state, and the products' leading runs of such factors,
+    before the loop; the step sizes h, h / 2 and h / 6 once for the full
+    steps and once for the last; g + h / 2 once a step; and the square
+    root of the largest squared deviation once, on return, since sqrt is
+    correctly rounded and monotone.  The function returns
+    (g, deviation, state, action at g); an evaluation that fails re-raises
+    with the g it was reached from as `orbit_g`.
     """
     spec = lie.spec
     p = spec.params[0].name
@@ -438,9 +442,10 @@ def _compile_orbit(lie):
     action, exact = _numeric_lines(spec.action, {p: "g"}, "e", fixed, hoisted)
 
     def distance(state):
-        """`dist`, from the state to the action of g on the initial state."""
-        squares = "".join(f"({s} - {e}) ** 2, " for s, e in zip(state, exact))
-        return [*action, f"dist = _sqrt(sum(({squares})))"]
+        """`d2`, the squared distance from the state to the action of g on
+        the initial state."""
+        squares = [f"({s} - {e}) ** 2" for s, e in zip(state, exact)]
+        return [*action, f"d2 = {_sum_code(squares, True)}"]
 
     step_lines = [
         *lines1, *shifted(y, k1, "h2"), *(["gm = g + h2"] if reads_g else []),
@@ -451,12 +456,12 @@ def _compile_orbit(lie):
             f"{xi} + h6 * ({a} + 2 * {b} + 2 * {c} + {d})"
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)),
         "g = ge" if reads_g else "g = g + h",
-        *distance(x), "if dist > dev: dev = dist"]
+        *distance(x), "if d2 > dev2: dev2 = d2"]
     source = "\n".join([
         f"def orbit(g, step, rem, sign, n_full, steps, {', '.join(u)}):",
         "    try:",
         *("        " + line for line in [*hoisted, *distance(u)]),
-        "        dev = dist",
+        "        dev2 = d2",
         f"        {', '.join(x)} = {', '.join(u)}",
         "        for size, count in ((step, n_full), (rem, steps - n_full)):",
         "            h = size * sign",
@@ -464,7 +469,7 @@ def _compile_orbit(lie):
         "            h6 = h / 6",
         "            for _ in range(count):",
         *("                " + line for line in step_lines),
-        f"        return g, dev, ({''.join(xi + ', ' for xi in x)}), "
+        f"        return g, _sqrt(dev2), ({''.join(xi + ', ' for xi in x)}), "
         f"({''.join(e + ', ' for e in exact)})",
         "    except (_NearSingular, OverflowError) as exc:",
         "        exc.orbit_g = g",

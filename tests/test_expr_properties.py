@@ -6,6 +6,7 @@ import math
 import operator
 import random
 import re
+import struct
 from fractions import Fraction
 
 import pytest
@@ -286,6 +287,80 @@ def test_compiled_sum_starts_from_integer_zero():
     assert [math.copysign(1.0, v) for v in got] == [1.0, 1.0, 1.0, -1.0]
     assert [(v, math.copysign(1.0, v)) for v in got] == \
         [(v, math.copysign(1.0, v)) for v in want]
+
+
+# Floats at which a two-term float sum is most likely to round, signal or
+# sign its zero differently: signed zeros, infinities, a nan, subnormals, the
+# extremes, and values whose sums round to even or cancel.
+EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+               5e-324, -5e-324, 2.2250738585072014e-308,
+               -2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1.0, -1.0, 0.1, -0.3, 2.0 ** 53,
+               2.0 ** 53 + 2, 1.0 + 2.0 ** -52, 3.0)
+
+
+def _near_cancelling(rng, count):
+    """Pairs (a, b) with b within a few ulps of -a, or with a + b exactly
+    between two floats."""
+    pairs = []
+    for _ in range(count):
+        a = rng.uniform(-1, 1) * 2.0 ** rng.randint(-1074, 1023)
+        b = -a
+        for _ in range(rng.randint(0, 3)):
+            b = math.nextafter(b, rng.choice((math.inf, -math.inf)))
+        pairs.append((a, b))
+        c = rng.uniform(1, 2) * 2.0 ** rng.randint(-60, 60)
+        pairs.append((c, math.ulp(c) / 2 * rng.choice((1, -1))))
+    return pairs
+
+
+def test_two_float_sum_is_two_additions():
+    # `_numeric_lines` writes a sum of two floats as 0.0 + a + b: sum()'s
+    # compensation (Python 3.12+) adds back the error of a + b, which
+    # cannot move the rounded result, and its integer start makes
+    # -0.0 + -0.0 the 0.0 that 0.0 + a + b gives; checked on each
+    # interpreter.  float.hex compares the sign of zero and reads every NaN
+    # as "nan": the sign of a NaN that two NaNs give depends on the order in
+    # which the C code adds them, which differs even between CPython's own
+    # `+` paths
+    rng = random.Random(2718)
+    pairs = [(a, b) for a in EDGE_FLOATS for b in EDGE_FLOATS]
+    pairs += _near_cancelling(rng, 2000)
+    pairs += [struct.unpack("<2d", rng.randbytes(16)) for _ in range(4000)]
+    for a, b in pairs:
+        assert sum((a, b)).hex() == (0.0 + a + b).hex(), (a.hex(), b.hex())
+
+
+def _two_term_tree(rng, depth=2):
+    """A random tree of two-term sums over x, y, z, with products by
+    constants: nodes that give a float at every float point, infinite and
+    nan ones included."""
+    if depth == 0 or rng.random() < 0.3:
+        atom = Sym(rng.choice(VARS))
+        if rng.random() < 0.3:
+            return Product((Rational(rng.choice((-1, 3))), atom))
+        return atom
+    return Sum(tuple(_two_term_tree(rng, depth - 1) for _ in range(2)))
+
+
+def test_compiled_two_term_sums_are_bit_identical():
+    # compile_numeric against eval_numeric, which adds with sum(), at points
+    # holding the edge floats and near-cancelling pairs
+    rng = random.Random(1414)
+    names = [v.name for v in VARS]
+    pairs = _near_cancelling(rng, 200)
+    for _ in range(200):
+        exprs = [_two_term_tree(rng) for _ in range(3)]
+        fn = compile_numeric(exprs, names)
+        for _ in range(10):
+            if rng.random() < 0.5:
+                point = {n: rng.choice(EDGE_FLOATS) for n in names}
+            else:
+                a, b = rng.choice(pairs)
+                point = dict(zip(names, (a, b, rng.choice((a, b, -0.0)))))
+            got = fn(*(point[n] for n in names))
+            want = [eval_numeric(e, point) for e in exprs]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_compiled_arguments_are_converted_on_entry():

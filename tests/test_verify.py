@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from lagrforge import (Equivalence, Power, Rational, SecondOrderJetError,
 from lagrforge.expr import NearSingularEvaluationError, sample_expr
 from lagrforge.printing import prefix_expr
 from lagrforge.solver import rref
+from orbit_bits import (ORBIT_BITS, ORBIT_IDS, SCALE, SCALE3, orbit_bits,
+                        bits as _bits)
 from test_solver import SCALE3_SOURCE, SE2_SOURCE
 
 SHEAR = """
@@ -88,11 +91,11 @@ def test_converse_mismatch_produces_witness(so2_family):
     # flipping the sign of the squares sends the E-L solve to the
     # opposite rotation direction
     bad = canonicalize(-f1 * j2 - f1 ** 2 + f2 * j1 - f2 ** 2)
-    # a family with no free parameters whose one Lagrangian is `bad`; the
-    # lazily built sums are set in place of being built
+    # a family with no free parameters whose one Lagrangian is `bad`; its
+    # lazily derived E-L expressions are set in place of being derived
     tampered = dataclasses.replace(so2_family, free_params=(), blocks=[],
                                    block_multipliers=[], block_lagrangians=[])
-    tampered.lagrangians = [bad]
+    tampered._first_strong_el = lf.strong_el(lie, bad)
     result = lf.converse_check(tampered, {})
     assert result.status == "Mismatch"
     # the witness is the first equation that does not vanish on shell
@@ -249,7 +252,7 @@ def test_split_checks_match_substitution_off_the_family(so2_family):
         tampered = dataclasses.replace(so2_family, free_params=(), blocks=[],
                                        block_multipliers=[],
                                        block_lagrangians=[])
-        tampered.lagrangians = [L]
+        tampered._first_strong_el = lf.strong_el(lie, L)
         got = lf.converse_check(tampered, {})
         want, _, _ = _substituted_converse(tampered, {}, lf.DEFAULT_SEED)
         assert dataclasses.astuple(got) == dataclasses.astuple(want)
@@ -281,6 +284,18 @@ def test_checks_derive_component_one_once(monkeypatch):
     n, jets = lie.n, len(lie.jet_list())
     assert jets == n * lie.r
     assert calls == {"differentiate": n * jets, "onshell": n + 2}
+
+
+def test_checks_build_component_one_alone():
+    # affine1 has two components: the checks read component 1's E-L from
+    # L_1 alone, and never build L_2 or rename E-L into component 2
+    family = _solved("affine1 dx1 g[-1,1]")
+    assert family.lie.r == 2
+    lf.forward_check(family)
+    lf.converse_check(family, verify.generic_params(family, 1))
+    assert {"lagrangians", "strong_el"}.isdisjoint(vars(family))
+    assert family.strong_el[0] == \
+        lf.strong_el(family.lie, family.lagrangians[0])
 
 
 def _to_sympy(e, sp):
@@ -404,30 +419,6 @@ def test_orbit_rejects_bad_input(so2_lie, affine_lie):
             lf.numeric_orbit_check(so2_lie, (1.0, 0.0), g_end, step=step)
 
 
-SCALE = """
-group scale {
-  params: g;
-  coords: X1, X2;
-  identity: (0);
-  inverse: (-g/(1 + g));
-  multiply: (lhs.g + rhs.g + lhs.g*rhs.g);
-  action: (X1*(1 + g), X2*(1 + g));
-}
-"""
-
-
-SCALE3 = """
-group scale3d {
-  params: g;
-  coords: X1, X2, X3;
-  identity: (0);
-  inverse: (-g/(1 + g));
-  multiply: (lhs.g + rhs.g + lhs.g*rhs.g);
-  action: ((1 + g)*X1, (1 + g)*X2 + g, (1 + g)^2*X3);
-}
-"""
-
-
 def reference_orbit(lie, x0, g_end, step, compiled=False):
     """The orbit integration as a Python loop over the steps, walking the
     trees with eval_numeric or calling compile_numeric functions; a failed
@@ -489,50 +480,10 @@ def reference_orbit(lie, x0, g_end, step, compiled=False):
                               final_exact=tuple(exact(g)))
 
 
-def _bits(orbit):
-    return (orbit.max_deviation.hex(), orbit.steps,
-            [v.hex() for v in orbit.final_state],
-            [v.hex() for v in orbit.final_exact])
-
-
-# (source, x0, g_end, step) -> the orbit's bits, as the straight compile of
-# every tree node gave them before its code hoisted loop invariants; the
-# same on CPython 3.10 to 3.13.  The compiled references above share
-# `_numeric_lines` with the orbit, so only fixed values guard its codegen.
-ORBIT_BITS = [
-    ("so2", (1.0, 0.0), 2 * math.pi, 1e-3,
-     ("0x1.1205c2f77209fp-41", 6284,
-      ["0x1.0000000000018p+0", "-0x1.ea4db00000000p-45"],
-      ["0x1.0000000000000p+0", "0x1.e6b9676733ae9p-42"])),
-    ("so2", (0.3, -1.7), -2.5, 7e-3,
-     ("0x1.7b9222ccc881cp-34", 358,
-      ["-0x1.41fb9fc7be465p+0", "0x1.2eb1ee31acc92p+0"],
-      ["-0x1.41fb9fc77daeep+0", "0x1.2eb1ee31f24d6p+0"])),
-    (SCALE, (1.0, -2.0), 1.5, 1e-2,
-     ("0x1.ad5336963eefcp-46", 150,
-      ["0x1.3ffffffffffeap+1", "-0x1.3ffffffffffeap+2"],
-      ["0x1.4000000000002p+1", "-0x1.4000000000002p+2"])),
-    (SCALE, (1.0, -2.0), -0.5, 1e-2,
-     ("0x1.1e3779b97f4a8p-51", 50,
-      ["0x1.ffffffffffff8p-2", "-0x1.ffffffffffff8p-1"],
-      ["0x1.ffffffffffffcp-2", "-0x1.ffffffffffffcp-1"])),
-    (SCALE3, (1.0, 0.5, -0.25), 1.5, 1e-3,
-     ("0x1.82f7d049170b8p-43", 1500,
-      ["0x1.3fffffffffe8cp+1", "0x1.600000000006cp+1",
-       "-0x1.8fffffffffe75p+0"],
-      ["0x1.3ffffffffff86p+1", "0x1.5ffffffffff48p+1",
-       "-0x1.8fffffffffecep+0"])),
-]
-
-
 @pytest.mark.parametrize("source,x0,g_end,step,want", ORBIT_BITS,
-                         ids=["so2-full-turn", "so2-backwards", "scale",
-                              "scale-backwards", "scale3"])
+                         ids=ORBIT_IDS)
 def test_orbit_bits_are_pinned(source, x0, g_end, step, want):
-    source = lf.bundled_source(source) if source == "so2" else source
-    lie = lf.constraints(lf.parse(source))
-    assert _bits(lf.numeric_orbit_check(lie, x0, g_end, step=step)) == \
-        want
+    assert orbit_bits(source, x0, g_end, step) == want
 
 
 @pytest.mark.parametrize("x0,g_end,step", [
@@ -583,6 +534,67 @@ def test_compiled_orbit_matches_compiled_reference_at_a_pole():
     with pytest.raises(ValueError) as got:
         lf.numeric_orbit_check(lie, x0, -2.0)
     assert str(got.value) == str(want.value)
+
+
+def _orbit_source(monkeypatch, source, x0, g_end):
+    """The source `_compile_orbit` compiles for the orbit, as lines."""
+    sources = []
+
+    def spy(text, *args):
+        sources.append(text)
+        return compile(text, *args)
+
+    monkeypatch.setattr(verify, "compile", spy, raising=False)
+    lf.numeric_orbit_check(lf.constraints(lf.parse(source)), x0, g_end)
+    monkeypatch.undo()
+    (text,) = sources
+    return [line.strip() for line in text.splitlines()]
+
+
+def _operand_counts(line):
+    """The number of operands of each `sum((...))` call in a line."""
+    counts = []
+    for start in (m.end() for m in re.finditer(r"\bsum\(\(", line)):
+        depth, commas = 0, 0
+        for ch in line[start:]:
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                if depth == 0:
+                    break
+                depth -= 1
+            elif ch == "," and depth == 0:
+                commas += 1
+        counts.append(commas)   # each operand is followed by ", "
+    return counts
+
+
+@pytest.mark.parametrize("source,x0,g_end", [
+    (lf.bundled_source("so2"), (1.0, 0.0), 1.5003),
+    (SCALE3, (1.0, 0.5, -0.25), 1.5003),
+], ids=["so2", "scale3"])
+def test_orbit_source_sums_and_one_square_root(monkeypatch, source, x0,
+                                               g_end):
+    lines = _orbit_source(monkeypatch, source, x0, g_end)
+    counts = [n for line in lines for n in _operand_counts(line)]
+    assert 2 not in counts
+    assert any(" = 0.0 + " in line for line in lines)
+    # the deviation's square root is taken once, on return
+    assert [line for line in lines if "_sqrt" in line] == \
+        [line for line in lines if line.startswith("return ")]
+    assert lines[-4].startswith("return g, _sqrt(dev2), ")
+
+
+def test_orbit_source_hoists_invariant_product_prefixes(monkeypatch):
+    # so2's action term -1.0 * u1 * sin(g) multiplies its two loop-invariant
+    # factors once, before the loop; no product in the loop starts with two
+    lines = _orbit_source(monkeypatch, lf.bundled_source("so2"), (1.0, 0.0),
+                          1.5003)
+    loop = lines.index("for _ in range(count):")
+    invariant = r"[cu]\d+"
+    pair = rf"{invariant} \* {invariant}"
+    assert any(re.fullmatch(rf"c\d+ = {pair}", line) for line in lines[:loop])
+    assert not any(re.search(rf"= {pair}\b", line) for line in lines[loop:])
 
 
 def test_orbit_constant_too_large_names_the_identity():
