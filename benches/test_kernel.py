@@ -6,7 +6,6 @@ They run under pytest-benchmark and stay out of the tier-1 suite, whose
     PYTHONPATH=src python3 -m pytest benches
 """
 
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -20,6 +19,7 @@ from lagrforge.solver import (collect_system, compose_lagrangian,
                               euler_lagrange, rref, weak_el_residual_of)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from conftest import rebuilt
 from orbit_bits import SCALE3   # a group of the pinned orbits
 
 POINT = (0.75, 1.0, -0.5)    # g, then the two fields or coordinates
@@ -243,7 +243,7 @@ def test_build_report_so2_dx4(benchmark, so2_dx4_family):
     params = lf.verify.generic_params(family, lf.DEFAULT_SEED)
     report = benchmark.pedantic(
         lf.build_report,
-        setup=lambda: ((dataclasses.replace(family), params), {}),
+        setup=lambda: ((rebuilt(family), params), {}),
         rounds=5)
     assert report.ok and len(report.degeneracy.entries) == 5
 

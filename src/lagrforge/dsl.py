@@ -18,7 +18,6 @@ valid inside the multiply clause and refer to the two group factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
@@ -82,12 +81,14 @@ class DuplicateClauseError(DslError):
 _PUNCT = set("+-*/^(){}:;,.")
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "ident", "int", one of _PUNCT, "eof"
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "ident", "int", one of _PUNCT, "eof"
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(source: str) -> list[Token]:
@@ -176,10 +177,13 @@ class _Parser:
 
     def chain(self, kind: str, ops: tuple, operand):
         """One flat node for a run of `ops`, so that a long chain costs no
-        recursion; each link is (operator, operand), the first one ops[0]."""
-        links = [(ops[0], operand())]
+        recursion; each link is (operator, operand, line, col) at the
+        operator, the first one ops[0] at its operand."""
+        tok = self.peek()
+        links = [(ops[0], operand(), tok.line, tok.col)]
         while self.peek().kind in ops:
-            links.append((self.advance().kind, operand()))
+            tok = self.advance()
+            links.append((tok.kind, operand(), tok.line, tok.col))
         return links[0][1] if len(links) == 1 else (kind, links)
 
     def unary(self):
@@ -258,7 +262,7 @@ def _resolve(node, env: dict, qualified: bool) -> Expr:
         return Sin(arg) if node[1] == "sin" else Cos(arg)
     if kind in ("sum", "product"):
         parts = tuple(_LINKS[op](_resolve(child, env, qualified))
-                      for op, child in node[1])
+                      for op, child, _, _ in node[1])
         if kind == "sum":
             return Sum(parts)
         _check_merged_powers(node[1], parts)
@@ -268,17 +272,24 @@ def _resolve(node, env: dict, qualified: bool) -> Expr:
 
 def _check_merged_powers(links, parts) -> None:
     """A product merges the powers of equal canonical bases, so bound what
-    each merged power builds too, at the later factor's exponent.  A sum's
-    negative power stays one atom and cancels no expanded positive power,
-    so the exponents of each sign are summed apart."""
+    each merged power builds too, at the later factor's exponent, or at
+    its '*' where it is a plain sum, a power 1.  A sum's negative power
+    stays one atom and cancels no expanded positive power, so the
+    exponents of each sign are summed apart."""
     merged = {}
-    for (op, child), part in zip(links, parts):
-        if child[0] != "pow":
+    for (op, child, line, col), part in zip(links, parts):
+        if child[0] == "pow":
+            _, _, n, line, col = child
+            power = part if op == "*" else part.base     # "/" wraps it in ^-1
+            base = canonicalize(power.base)
+            n = n if op == "*" else -n
+        elif op == "*" and isinstance(part, (Sum, Product)):
+            base = canonicalize(part)
+            if not isinstance(base, Sum):
+                continue
+            n = 1
+        else:
             continue
-        _, _, n, line, col = child
-        power = part if op == "*" else part.base     # "/" wraps it in ^-1
-        base = canonicalize(power.base)
-        n = n if op == "*" else -n
         key = (base.sort_key(), n > 0)
         if key in merged:
             _check_power(base, merged[key] + n, line, col)
@@ -321,19 +332,27 @@ def _divides_by_zero(e: Expr) -> bool:
 # Specification object.
 
 
-@dataclass
 class GroupActionSpec:
     """Validated group-action description with canonical formulas."""
 
-    name: str
-    params: tuple
-    coords: tuple
-    identity: tuple
-    inverse: tuple
-    multiply: tuple
-    action: tuple
-    lhs_params: tuple
-    rhs_params: tuple
+    def __init__(self, name: str, params: tuple, coords: tuple,
+                 identity: tuple, inverse: tuple, multiply: tuple,
+                 action: tuple, lhs_params: tuple, rhs_params: tuple):
+        self.name = name
+        self.params = params
+        self.coords = coords
+        self.identity = identity
+        self.inverse = inverse
+        self.multiply = multiply
+        self.action = action
+        self.lhs_params = lhs_params
+        self.rhs_params = rhs_params
+
+    def __eq__(self, other):
+        # the fields are the whole state; parse positions are not kept
+        if other.__class__ is not GroupActionSpec:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def r(self) -> int:
@@ -477,21 +496,23 @@ def pretty_print(spec: GroupActionSpec) -> str:
 # Group axiom validation.
 
 
-@dataclass
 class AxiomCheck:
-    axiom: str
-    description: str
-    verdict: str  # "Symbolic" | "Numeric" | "Failed"
-    max_residual: Optional[float] = None
-    witness: Optional[dict] = None
+    def __init__(self, axiom: str, description: str, verdict: str,
+                 max_residual: Optional[float] = None,
+                 witness: Optional[dict] = None):
+        self.axiom = axiom
+        self.description = description
+        self.verdict = verdict  # "Symbolic" | "Numeric" | "Failed"
+        self.max_residual = max_residual
+        self.witness = witness
 
 
-@dataclass
 class AxiomReport:
-    group: str
-    samples: int
-    seed: int
-    checks: list
+    def __init__(self, group: str, samples: int, seed: int, checks: list):
+        self.group = group
+        self.samples = samples
+        self.seed = seed
+        self.checks = checks
 
     @property
     def ok(self) -> bool:

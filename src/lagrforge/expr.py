@@ -15,15 +15,11 @@ only appear in `eval_numeric` and the sampling-based equality fallback.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
-
-log = logging.getLogger(__name__)
 
 DEFAULT_SEED = 0xC0FFEE
 SINGULAR_GUARD = 1e-3
@@ -52,27 +48,36 @@ class Role(IntEnum):
     JET_VARIABLE = 5
 
 
-@dataclass(frozen=True)
 class SymbolInfo:
     """A named symbol with a fixed role.
 
     Jet variables carry index (alpha, i); field variables carry (alpha,);
     ansatz unknowns carry (column,), their column in the linear system.
-    Names must be unique within one derivation context.
+    Names must be unique within one derivation context.  Never mutated:
+    the hash is taken once, at construction.
     """
 
-    name: str
-    role: Role
-    index: Optional[tuple] = None
+    __slots__ = ("name", "role", "index", "_hash")
 
-    # The generated hash would rebuild and hash the field tuple on every
-    # set or dict lookup; it is taken once, with the same value.
-    def __post_init__(self):
-        object.__setattr__(self, "_hash",
-                           hash((self.name, self.role, self.index)))
+    def __init__(self, name: str, role: Role, index: Optional[tuple] = None):
+        self.name = name
+        self.role = role
+        self.index = index
+        self._hash = hash((name, role, index))
+
+    def __eq__(self, other):
+        if other.__class__ is not SymbolInfo:
+            return NotImplemented
+        return (self is other or self._hash == other._hash
+                and self.name == other.name and self.role == other.role
+                and self.index == other.index)
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return (f"SymbolInfo(name={self.name!r}, role={self.role!r}, "
+                f"index={self.index!r})")
 
     def __reduce__(self):
         # rebuilt through __init__, so an unpickled copy hashes afresh
@@ -871,11 +876,16 @@ class Equivalence(Enum):
     NUMERICALLY_EQUAL = "NumericallyEqual"
 
 
-@dataclass
 class SampleOutcome:
-    max_abs: float
-    witness: dict
-    aborted: bool
+    def __init__(self, max_abs: float, witness: dict, aborted: bool):
+        self.max_abs = max_abs
+        self.witness = witness
+        self.aborted = aborted
+
+    def __eq__(self, other):
+        if other.__class__ is not SampleOutcome:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
@@ -905,6 +915,8 @@ def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
         except (NearSingularEvaluationError, OverflowError):
             rejected += 1
             if rejected > MAX_REJECTIONS:
+                import logging  # only here: it is slow to import
+                log = logging.getLogger(__name__)
                 log.warning(
                     "sampling aborted: %d near-singular or overflowing "
                     "rejections for a %d-term expression",

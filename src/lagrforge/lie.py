@@ -12,7 +12,7 @@ variables X'^a_j (their derivatives along the group parameters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
                    Product, Role, Sum, Sym, SymbolInfo, canonicalize,
@@ -66,19 +66,22 @@ def auxiliary_functions(spec) -> list:
     return out
 
 
-@dataclass
 class LieData:
     """Derived Lie structure of one group action."""
 
-    spec: object
-    fields: tuple            # field variable symbols X'^a
-    jets: tuple              # jets[a][j] = X'^a_(j+1)
-    S: list                  # n x r, functions of the base coordinates
-    u: list                  # r x r, functions of the parameters
-    phi: list                # n x r constraint expressions
-    onshell: dict            # jet symbol -> u.S(X') substitution value
-    on_action: list = field(default_factory=list)  # n x r Equivalence grid
-    notes: list = field(default_factory=list)
+    def __init__(self, spec, fields: tuple, jets: tuple, S: list, u: list,
+                 phi: list, onshell: dict, on_action: Optional[list] = None,
+                 notes: Optional[list] = None):
+        self.spec = spec
+        self.fields = fields    # field variable symbols X'^a
+        self.jets = jets        # jets[a][j] = X'^a_(j+1)
+        self.S = S              # n x r, functions of the base coordinates
+        self.u = u              # r x r, functions of the parameters
+        self.phi = phi          # n x r constraint expressions
+        self.onshell = onshell  # jet symbol -> u.S(X') substitution value
+        # the n x r grid of Equivalence verdicts
+        self.on_action = [] if on_action is None else on_action
+        self.notes = [] if notes is None else notes
 
     @property
     def r(self) -> int:

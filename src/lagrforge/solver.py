@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -41,7 +40,6 @@ class SecondOrderJetError(ValueError):
 # Ansatz construction.
 
 
-@dataclass
 class MultiplierAnsatz:
     """Unknown multipliers lambda^k_{a,s} over a shared monomial basis.
 
@@ -51,10 +49,11 @@ class MultiplierAnsatz:
     (i+1)*|basis| - 1, one per basis monomial.
     """
 
-    lie: object
-    deg_x: int
-    deg_g: tuple
-    basis: tuple                 # canonical monomials in fields and params
+    def __init__(self, lie, deg_x: int, deg_g: tuple, basis: tuple):
+        self.lie = lie
+        self.deg_x = deg_x
+        self.deg_g = deg_g
+        self.basis = basis  # canonical monomials in fields and params
 
     @cached_property
     def unknowns(self) -> dict:
@@ -295,11 +294,12 @@ def lambda_map_residual(lie, lambda_map: dict, k: int, alpha: int) -> Expr:
 # Exact linear system.
 
 
-@dataclass
 class LinearSystem:
-    columns: range           # the column indices
-    rows: list               # sparse {column: int or Fraction} rows, or
-                             # dense ones with int 0 in the zero cells
+    def __init__(self, columns: range, rows: list):
+        self.columns = columns  # the column indices
+        # sparse {column: int or Fraction} rows, or dense ones with int 0
+        # in the zero cells
+        self.rows = rows
 
     @cached_property
     def reduced(self):
@@ -459,7 +459,6 @@ def nullspace_vectors(system: LinearSystem):
 # Lagrangian family.
 
 
-@dataclass
 class LagrangianFamily:
     """The solution family, kept linear in its free parameters.
 
@@ -470,13 +469,17 @@ class LagrangianFamily:
     parameters (`runs`), built on first read.
     """
 
-    lie: object
-    ansatz: MultiplierAnsatz
-    system: LinearSystem
-    blocks: list             # sorted lead-normalized block vectors
-    block_multipliers: list  # per block vector, (a, s) -> its multiplier
-    block_lagrangians: list  # per block vector, its L_b
-    free_params: tuple       # SymbolInfo a1..ad
+    def __init__(self, lie, ansatz: MultiplierAnsatz, system: LinearSystem,
+                 blocks: list, block_multipliers: list,
+                 block_lagrangians: list, free_params: tuple):
+        self.lie = lie
+        self.ansatz = ansatz
+        self.system = system
+        self.blocks = blocks  # sorted lead-normalized block vectors
+        # per block vector, (a, s) -> its multiplier
+        self.block_multipliers = block_multipliers
+        self.block_lagrangians = block_lagrangians  # per block vector, L_b
+        self.free_params = free_params  # SymbolInfo a1..ad
 
     @property
     def dimension(self) -> int:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -160,15 +159,19 @@ def forward_check(family, samples: int = EQUALS_SAMPLES,
 # Converse: the Lie values are the one solution of the E-L system.
 
 
-@dataclass
 class ConverseResult:
-    params: dict             # free parameter name -> Fraction
-    equations: list          # (k, alpha, Expr) strong E-L at the parameters
-    solved: dict             # determined jet SymbolInfo -> its Lie value
-    unsolved: tuple          # names of the jets without a pivot
-    comparisons: list        # (determined jet name, weakest verdict of (a))
-    status: str              # Match | Underdetermined | Mismatch
-    witness: Optional[dict] = None  # the first equation not zero on shell
+    def __init__(self, params: dict, equations: list, solved: dict,
+                 unsolved: tuple, comparisons: list, status: str,
+                 witness: Optional[dict] = None):
+        self.params = params        # free parameter name -> Fraction
+        # (k, alpha, Expr) strong E-L at the parameters
+        self.equations = equations
+        self.solved = solved        # determined jet SymbolInfo -> Lie value
+        self.unsolved = unsolved    # names of the jets without a pivot
+        # (determined jet name, weakest verdict of (a))
+        self.comparisons = comparisons
+        self.status = status        # Match | Underdetermined | Mismatch
+        self.witness = witness      # the first equation not zero on shell
 
 
 def converse_check(family, params, samples: int = EQUALS_SAMPLES,
@@ -247,17 +250,17 @@ def _jet_matrix(one: _ComponentOne, weights: list, seed: int) -> list:
 # Degeneracy scan.
 
 
-@dataclass
 class DegeneracyEntry:
-    label: str
-    assignment: dict         # parameter name -> Fraction
-    status: str
+    def __init__(self, label: str, assignment: dict, status: str):
+        self.label = label
+        self.assignment = assignment  # parameter name -> Fraction
+        self.status = status
 
 
-@dataclass
 class DegeneracyReport:
-    entries: list
-    degenerate: list         # labels with status != Match
+    def __init__(self, entries: list, degenerate: list):
+        self.entries = entries
+        self.degenerate = degenerate  # labels with status != Match
 
 
 def generic_params(family, seed: int) -> dict:
@@ -299,13 +302,17 @@ def degeneracy_scan(family, seed: int = DEFAULT_SEED,
 # Planar kinetic identity.
 
 
-@dataclass
 class KineticIdentity:
-    verdict: Equivalence
-    momentum_onshell: Expr       # X'^1 jet2 - jet1 X'^2 after substitution
-    energy_onshell: Expr         # jet1^2 + jet2^2 after substitution
-    special_lagrangian: Expr     # the momentum-minus-radius form
-    family_match: Optional[Equivalence] = None
+    def __init__(self, verdict: Equivalence, momentum_onshell: Expr,
+                 energy_onshell: Expr, special_lagrangian: Expr,
+                 family_match: Optional[Equivalence] = None):
+        self.verdict = verdict
+        # X'^1 jet2 - jet1 X'^2 after substitution
+        self.momentum_onshell = momentum_onshell
+        self.energy_onshell = energy_onshell  # jet1^2 + jet2^2, substituted
+        # the momentum-minus-radius form
+        self.special_lagrangian = special_lagrangian
+        self.family_match = family_match
 
 
 def kinetic_identity_check(lie, family=None, samples: int = EQUALS_SAMPLES,
@@ -341,12 +348,13 @@ def kinetic_identity_check(lie, family=None, samples: int = EQUALS_SAMPLES,
 # Numeric orbit integration.
 
 
-@dataclass
 class OrbitResult:
-    max_deviation: float
-    steps: int
-    final_state: tuple
-    final_exact: tuple
+    def __init__(self, max_deviation: float, steps: int, final_state: tuple,
+                 final_exact: tuple):
+        self.max_deviation = max_deviation
+        self.steps = steps
+        self.final_state = final_state
+        self.final_exact = final_exact
 
 
 def numeric_orbit_check(lie, x0, g_end: float, step: float = 1e-3) -> OrbitResult:
@@ -484,17 +492,22 @@ def _compile_orbit(lie):
 # Report assembly.
 
 
-@dataclass
 class VerificationReport:
-    lie: object
-    params: dict
-    forward: list                       # [k][alpha] Equivalence grid
-    converse: ConverseResult
-    degeneracy: Optional[DegeneracyReport] = None
-    kinetic: Optional[KineticIdentity] = None
-    orbit: Optional[OrbitResult] = None
-    orbit_tol: float = 1e-6
-    notes: list = field(default_factory=list)
+    def __init__(self, lie, params: dict, forward: list,
+                 converse: ConverseResult,
+                 degeneracy: Optional[DegeneracyReport] = None,
+                 kinetic: Optional[KineticIdentity] = None,
+                 orbit: Optional[OrbitResult] = None,
+                 orbit_tol: float = 1e-6, notes: Optional[list] = None):
+        self.lie = lie
+        self.params = params
+        self.forward = forward  # [k][alpha] Equivalence grid
+        self.converse = converse
+        self.degeneracy = degeneracy
+        self.kinetic = kinetic
+        self.orbit = orbit
+        self.orbit_tol = orbit_tol
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:

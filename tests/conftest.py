@@ -1,4 +1,12 @@
-"""Shared fixtures; the two bundled pipelines are solved once per session."""
+"""Shared fixtures; the two bundled pipelines are solved once per session.
+
+`rebuilt` and `field_values` read a record's fields off its constructor's
+signature.  A rebuilt record goes through its constructor, never through
+`copy.copy`: a copy would carry the cached properties of the original (a
+family's `_first_strong_el`, `multipliers`, a system's `reduced`) into it.
+"""
+
+import inspect
 
 import pytest
 
@@ -35,3 +43,19 @@ def affine_lie(affine_spec):
 def affine_family(affine_lie):
     return lf.solve_family(affine_lie, lf.build_ansatz(affine_lie, deg_x=1,
                                                        deg_g=(-1, 0)))
+
+
+def _fields(obj) -> dict:
+    return {name: getattr(obj, name)
+            for name in inspect.signature(type(obj)).parameters}
+
+
+def rebuilt(obj, **changes):
+    """A new record of obj's type, made by its constructor from obj's
+    fields with `changes` applied; an unknown field raises TypeError."""
+    return type(obj)(**(_fields(obj) | changes))
+
+
+def field_values(obj) -> tuple:
+    """obj's constructor fields, in order."""
+    return tuple(_fields(obj).values())

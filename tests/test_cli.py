@@ -566,6 +566,11 @@ def test_nesting_at_the_cap_parses(capsys, tmp_path, kind):
     assert code in (0, 1) and "axioms:" in out
 
 
+def plain_sum_product(m):
+    """(X1 + g) multiplied by itself m times, with no '^'."""
+    return "*".join(["(X1 + g)"] * m)
+
+
 @pytest.mark.parametrize("action, col, message", [
     ("(X1 + g)^1000000000", 21, "expanding power 1000000000 of a 2-term sum "
      "takes 1000000001000000000 monomial products; at most 100000 are "
@@ -583,9 +588,13 @@ def test_nesting_at_the_cap_parses(capsys, tmp_path, kind):
     ("(X1 + g)^300*(X1 + g)^300", 34, "expanding power 600 of a 2-term sum "
      "takes 360600 monomial products; at most 100000 are allowed"),
     ("(X1 + g)^300/(X1 + g)^-20", 35, "expanding power 320 of a 2-term sum "
-     "takes 102720 monomial products; at most 100000 are allowed")],
+     "takes 102720 monomial products; at most 100000 are allowed"),
+    # a plain sum factor is a power 1 of it, merged the same way, at its '*'
+    (plain_sum_product(316), 2846, "expanding power 316 of a 2-term sum "
+     "takes 100172 monomial products; at most 100000 are allowed")],
     ids=["sum-1e9", "3-term-sum-200", "sum-past-cap", "number-1e9",
-         "coefficient-inverse", "merged-sum-powers", "merged-quotient"])
+         "coefficient-inverse", "merged-sum-powers", "merged-quotient",
+         "plain-sum-product"])
 def test_unbounded_power_is_an_input_error(capsys, tmp_path, action, col,
                                            message):
     # the bound is checked while the formula is resolved, at the exponent,
@@ -601,10 +610,12 @@ def test_unbounded_power_is_an_input_error(capsys, tmp_path, action, col,
 
 @pytest.mark.parametrize("action, terms", [
     ("(X1 + g)^315", 316), ("X1 + (X1 + X2 + g)^-1000000000*g", 2),
-    ("X1 + 1^1000000000*g", 2), ("X1 + 10^400*g", 2)])
+    ("X1 + 1^1000000000*g", 2), ("X1 + 10^400*g", 2),
+    pytest.param(plain_sum_product(315), 316, id="plain-sum-product")])
 def test_power_within_the_bound_parses(action, terms):
-    # 315 is the last power of a 2-term sum under the cap; a sum's negative
-    # power stays one atom, and a power of 1 builds nothing
+    # 315 is the last power of a 2-term sum under the cap, with '^' or as
+    # 315 factors; a sum's negative power stays one atom, and a power of 1
+    # builds nothing
     spec = lf.parse(SHEAR_10_400.replace("X1 + 10^400*g*X2", action))
     assert len(lf.monomials(spec.action[0])) == terms
 
@@ -660,3 +671,36 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "axioms: ok" in proc.stdout
+
+
+def cli_start_up(before: str, after: str) -> str:
+    """What `after` prints in a fresh isolated interpreter that runs
+    `before`, then imports lagrforge.cli from src/ and builds its parser,
+    as each invocation does before any stage runs."""
+    code = (f"import sys\n{before}\nsys.path.insert(0, sys.argv[1])\n"
+            f"import lagrforge.cli as cli\ncli.build_parser()\n{after}")
+    proc = subprocess.run([sys.executable, "-I", "-c", code,
+                           str(ROOT / "src")],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+def test_cli_import_leaves_out_dataclasses_and_logging():
+    # both are slow to import, and no stage needs them up front
+    assert cli_start_up("", "print(sorted({'dataclasses', 'logging'} "
+                            "& set(sys.modules)))") == "[]\n"
+
+
+def test_cli_import_compiles_no_generated_code():
+    # generated source (a dataclass's methods, a namedtuple's __new__) is
+    # compiled under a '<...>' name; the standard library the package
+    # imports is loaded first, so only the package's own import is seen
+    made = cli_start_up(
+        "import argparse, collections, enum, fractions, functools, "
+        "importlib.resources, itertools, json, math, os, random, re, "
+        "typing\nmade = []\n"
+        "sys.addaudithook(lambda event, args: event == 'compile' and "
+        "str(args[1]).startswith('<') and made.append(args[1]))",
+        "print(made)")
+    assert made == "[]\n"
