@@ -5,7 +5,8 @@ stages, parse -> axioms -> derive -> solve -> verify, and stops after its
 last one.  Output formats: text (human-readable), json (stable machine
 format; expressions in prefix notation), latex (math fragment).  Exit
 codes: 0 success, 1 a group law or a verification check failed, 2 bad
-input or usage.
+input or usage, 141 standard output closed before all was written (as a
+shell reports a writer killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from functools import cache, partial
 
 from .dsl import (DslError, bundled_source, parse, pretty_print,
                   validate_axioms)
-from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
-                   format_expr)
+from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, INFIX,
+                   Equivalence, Sym, format_expr, render, render_cuts,
+                   render_weighted)
 from .lie import constraints
-from .printing import latex_expr, prefix_cut, prefix_expr, prefix_weighted
+from .printing import LATEX, PREFIX, latex_expr, prefix_expr
 from .solver import MAX_UNKNOWNS, _slots, build_ansatz, solve_family
 from .verify import build_report, generic_params
 
@@ -53,6 +55,11 @@ def run(argv=None) -> int:
     except DslError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: say nothing, and let the exit flush write
+        # what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (KeyError, ValueError, OSError) as exc:
         message = exc.args[0] if exc.args else exc
         if isinstance(exc, OSError) and exc.strerror:  # args[0] is the errno
@@ -282,11 +289,12 @@ def _lie_payload(lie) -> dict:
     }
 
 
-def _lie_rows(lie) -> list:
+def _lie_rows(lie, fmt) -> list:
     """The derive stage's sections, (heading, [(text label, LaTeX label,
-    expression)]); the Lie equations have no LaTeX label."""
+    `fmt` text)]); LaTeX leaves out the Lie equations, which have none."""
     def grid(name, tex, matrix):
-        return [(f"{name}[{i}][{j}]", f"{tex}^{{{i}}}_{{{j}}}", e)
+        return [(f"{name}[{i}][{j}]", f"{tex}^{{{i}}}_{{{j}}}",
+                 render(e, fmt))
                 for i, row in enumerate(matrix, start=1)
                 for j, e in enumerate(row, start=1)]
     return [
@@ -295,57 +303,46 @@ def _lie_rows(lie) -> list:
         ("constraints phi[a][j] = X'^a_j - sum_s u[s][j]*S[a][s]:",
          grid("phi", "\\varphi", lie.phi)),
         ("lie equations (on-shell jet values):",
-         [(j.name, None, lie.onshell[j]) for j in lie.jet_list()]),
+         [] if fmt is LATEX else [(j.name, None, render(lie.onshell[j], fmt))
+                                  for j in lie.jet_list()]),
     ]
 
 
-def _family_rows(family, prefix: bool = False) -> list:
-    """The solve stage's sections, as `_lie_rows`; with `prefix`, each
-    value is its prefix text from `_family_prefix`."""
-    multipliers, lagrangians = _family_prefix(family) if prefix else \
-        (family.multipliers, family.lagrangians)
-    return [
-        ("multipliers:",
-         [(f"lambda[{k}][{a}][{s}]", f"\\lambda^{{{k}}}_{{{a}{s}}}", e)
-          for (k, a, s), e in sorted(multipliers.items())]),
-        ("lagrangians:",
-         [(f"L_{k}", f"L_{{{k}}}", L)
-          for k, L in enumerate(lagrangians, start=1)]),
-    ]
-
-
-def _family_prefix(family):
-    """The prefix texts of `family.multipliers` and `family.lagrangians`,
-    spliced from each block vector's texts, rendered once: component k's
-    sums walk its run of free parameters in name order.  No weighted sum
-    is built."""
-    tails = {}
-    cuts = [({slot: prefix_cut(e, tails) for slot, e in lam.items()},
-             prefix_cut(L, tails))
-            for lam, L in zip(family.block_multipliers,
-                              family.block_lagrangians)]
-    multipliers, lagrangians = {}, []
+def _family_rows(family, fmt) -> list:
+    """The solve stage's sections, as `_lie_rows`, each sum spliced from
+    its block vectors' `fmt` texts: component k's walk its run of free
+    parameters in name order.  No weighted sum is built."""
+    slots = _slots(family.lie)
+    width = len(slots) + 1
+    # block vector b's multipliers by slot, then its L_b, from b * width on
+    cuts = render_cuts([e for lam, L in zip(family.block_multipliers,
+                                            family.block_lagrangians)
+                        for e in [lam[slot] for slot in slots] + [L]], fmt)
+    multipliers, lagrangians = [], []
     for k, run in enumerate(family.runs, start=1):
-        order = sorted(zip([p.name for p in run], cuts), key=lambda t: t[0])
-        for slot in _slots(family.lie):
-            multipliers[(k,) + slot] = prefix_weighted(
-                (name, lam[slot]) for name, (lam, _) in order)
-        lagrangians.append(prefix_weighted(
-            (name, L) for name, (_, L) in order))
-    return multipliers, lagrangians
+        order = sorted(range(len(run)), key=lambda b: run[b].name)
+        names = [fmt[0](Sym(run[b]), 1) for b in order]
+        starts = [b * width for b in order]
+        *lams, L = [render_weighted(names, [cuts[b + i] for b in starts], fmt)
+                    for i in range(width)]
+        multipliers += [(f"lambda[{k}][{a}][{s}]",
+                         f"\\lambda^{{{k}}}_{{{a}{s}}}", text)
+                        for (a, s), text in zip(slots, lams)]
+        lagrangians.append((f"L_{k}", f"L_{{{k}}}", L))
+    return [("multipliers:", multipliers), ("lagrangians:", lagrangians)]
 
 
 def _rows_text(sections) -> list:
     lines = []
     for heading, rows in sections:
         lines.append(heading)
-        lines += [f"  {label} = {format_expr(e)}" for label, _, e in rows]
+        lines += [f"  {label} = {text}" for label, _, text in rows]
     return lines
 
 
 def _family_payload(family) -> dict:
     lie, ansatz = family.lie, family.ansatz
-    (_, multipliers), (_, lagrangians) = _family_rows(family, prefix=True)
+    (_, multipliers), (_, lagrangians) = _family_rows(family, PREFIX)
     return {
         "ansatz": {
             "deg_x": ansatz.deg_x,
@@ -381,7 +378,7 @@ def _family_text(family) -> list:
                  f"nullspace dimension {family.dimension}")
     names = ", ".join(p.name for p in family.free_params) or "none"
     lines.append(f"free parameters: {names}")
-    return lines + _rows_text(_family_rows(family))
+    return lines + _rows_text(_family_rows(family, INFIX))
 
 
 def _report_payload(report) -> dict:
@@ -486,16 +483,15 @@ def _report_text(report) -> list:
 
 
 def _latex_lines(sections) -> list:
-    """One aligned block of the rows that have a LaTeX label."""
+    """One aligned block of the rows, by their LaTeX labels."""
     lines = ["\\[", "\\begin{aligned}"]
     for _, rows in sections:
-        lines += [f"{label} &= {latex_expr(e)} \\\\"
-                  for _, label, e in rows if label is not None]
+        lines += [f"{label} &= {text} \\\\" for _, label, text in rows]
     return lines + ["\\end{aligned}", "\\]"]
 
 
 def _spec_latex(spec) -> list:
-    return _latex_lines([("", [(None, f"(S_g X)^{{{a}}}", e)
+    return _latex_lines([("", [(None, f"(S_g X)^{{{a}}}", latex_expr(e))
                                for a, e in enumerate(spec.action, start=1)])])
 
 
@@ -536,11 +532,12 @@ def run_stages(args) -> int:
             payload = {"command": args.command, "ok": ok}
             for keys, _, _ in stages:
                 payload.update(keys())
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            out = json.dumps(payload, indent=2, sort_keys=True)
         elif args.format == "text":
-            print("\n".join(line for _, text, _ in stages for line in text()))
+            out = "\n".join(line for _, text, _ in stages for line in text())
         else:
-            print("\n".join(stages[-1][2]()))
+            out = "\n".join(stages[-1][2]())
+        print(out, flush=True)  # a closed pipe is met here, not at exit
         return 0 if ok else 1
 
     if not axioms.ok or last == "parse":
@@ -549,8 +546,8 @@ def run_stages(args) -> int:
     lie = constraints(spec, samples=args.samples, seed=args.seed,
                       tol=args.tol)
     stages.append((lambda: {"lie": _lie_payload(lie)},
-                   lambda: _rows_text(_lie_rows(lie)),
-                   lambda: _latex_lines(_lie_rows(lie))))
+                   lambda: _rows_text(_lie_rows(lie, INFIX)),
+                   lambda: _latex_lines(_lie_rows(lie, LATEX))))
     if last == "derive":
         return finish(True)
 
@@ -563,7 +560,7 @@ def run_stages(args) -> int:
         max_unknowns=args.max_unknowns))
     stages.append((partial(_family_payload, family),
                    partial(_family_text, family),
-                   lambda: _latex_lines(_family_rows(family))))
+                   lambda: _latex_lines(_family_rows(family, LATEX))))
     if last == "solve":
         return finish(True)
 

@@ -186,9 +186,10 @@ class Sym(Expr):
     __slots__ = ("info",)
 
     def __init__(self, info: SymbolInfo):
-        super().__init__()
-        self.info = info
+        # the base's fields set here, as Sym is built often
+        self._key = self._hash = self._monos = None
         self._canonical = True
+        self.info = info
 
     def _make_key(self):
         return (1, int(self.info.role), self.info.name)
@@ -952,38 +953,78 @@ def equals(e1, e2, samples: int = EQUALS_SAMPLES, seed: int = DEFAULT_SEED,
 
 
 # ---------------------------------------------------------------------------
-# Infix formatting (reparseable by the group DSL).
+# Rendering.  A format is (factor, term, whole): the text of an atom to a
+# power, factor(atom, n); of a term as it follows another, term(coeff,
+# factor texts); of a sum, whole(joined term texts, their count).  A term
+# with coefficient 0 is left out, so 0 has none.
+
+
+def render(e: Expr, fmt) -> str:
+    """Text of the canonical form of `e` in `fmt`, written from its
+    monomials, so a sum builds no term nodes."""
+    factor, term, whole = fmt
+    terms = [term(c, [factor(atom, n) for atom, n in term_factors(pairs)])
+             for c, pairs in _as_monomials(canonicalize(e)) if c]
+    return whole("".join(terms), len(terms))
+
+
+def render_cuts(exprs, fmt) -> list:
+    """For each e of `exprs`, the `fmt` texts of the terms of a * e, cut
+    where the free parameter a goes, first after the coefficient:
+    `name.join(cut)` renders the len(cut) - 1 terms for an a whose text is
+    `name`; a must sort before every atom of e.  Factor texts are made
+    once per monomial."""
+    factor, term, _ = fmt
+    tails, cuts = {}, []
+    for e in exprs:
+        terms = []
+        for c, pairs in _as_monomials(canonicalize(e)):
+            if c:
+                factors = tails.get(pairs)
+                if factors is None:
+                    factors = tails[pairs] = ["\0"] + [
+                        factor(atom, n) for atom, n in term_factors(pairs)]
+                terms.append(term(c, factors))
+        cuts.append("".join(terms).split("\0"))
+    return cuts
+
+
+def render_weighted(names, cuts, fmt) -> str:
+    """Text in `fmt` of sum_b a_b * e_b from the texts of the a_b and the
+    `render_cuts` of the e_b, given in the order of the a_b's names, as
+    `render` prints the sum."""
+    text = "".join([name.join(cut) for name, cut in zip(names, cuts)])
+    return fmt[2](text, sum(map(len, cuts)) - len(cuts))
+
+
+def _infix_factor(atom: Expr, n: int) -> str:
+    if isinstance(atom, Rational):
+        text = str(atom.value) if atom.value >= 0 else f"(0 - {-atom.value})"
+    elif isinstance(atom, Sym):
+        text = atom.info.name
+    elif isinstance(atom, Trig):
+        text = f"{atom.fn}({format_expr(atom.argument)})"
+    elif isinstance(atom, Sum):
+        text = f"({format_expr(atom)})"
+    else:
+        raise TypeError(f"cannot format {type(atom).__name__}")
+    return text if n == 1 else f"{text}^{n}"
+
+
+def _infix_term(coeff: Number, factors: list) -> str:
+    c = abs(coeff)
+    if c != 1 or not factors:
+        factors = [str(c)] + factors
+    return (" - " if coeff < 0 else " + ") + "*".join(factors)
+
+
+def _infix_whole(text: str, count: int) -> str:
+    return ("-" if text.startswith(" - ") else "") + text[3:] if count else "0"
+
+
+# Infix text, reparseable by the group DSL.
+INFIX = (_infix_factor, _infix_term, _infix_whole)
 
 
 def format_expr(e: Expr) -> str:
-    out = ""
-    for coeff, pairs in _as_monomials(canonicalize(e)):
-        sign, body = _split_sign(coeff, pairs)
-        if out:
-            out += (" - " if sign < 0 else " + ") + body
-        else:
-            out = "-" + body if sign < 0 else body
-    return out
-
-
-def _split_sign(coeff: Number, pairs):
-    """(sign, magnitude text) of a monomial."""
-    c = abs(coeff)
-    parts = [str(c)] if c != 1 or not pairs else []
-    for atom, n in term_factors(pairs):
-        text = _fmt_factor(atom)
-        parts.append(text if n == 1 else f"{text}^{n}")
-    return (-1 if coeff < 0 else 1, "*".join(parts))
-
-
-def _fmt_factor(f: Expr) -> str:
-    """An atom of a monomial, or the base of its power."""
-    if isinstance(f, Rational):
-        return str(f.value) if f.value >= 0 else f"(0 - {-f.value})"
-    if isinstance(f, Sym):
-        return f.info.name
-    if isinstance(f, Trig):
-        return f"{f.fn}({format_expr(f.argument)})"
-    if isinstance(f, Sum):
-        return f"({format_expr(f)})"
-    raise TypeError(f"cannot format {type(f).__name__}")
+    return render(e, INFIX)

@@ -14,70 +14,39 @@ from __future__ import annotations
 import re
 
 from .expr import (Expr, Rational, Role, Sum, Sym, SymbolInfo, Trig,
-                   _as_monomials, canonicalize, term_factors)
+                   render)
 
 
 def prefix_expr(e: Expr) -> str:
-    """Prefix text of the canonical form, written from its monomials, so
-    a sum builds no term nodes."""
-    e = canonicalize(e)
-    terms = [_prefix_term(c, pairs) for c, pairs in _as_monomials(e)]
-    return "(+ " + " ".join(terms) + ")" if isinstance(e, Sum) else terms[0]
-
-
-def prefix_cut(e: Expr, tails: dict) -> list:
-    """The prefix texts of the terms of a * e, space-separated, cut where
-    the free parameter a goes: `name.join(cut)` renders them for a named
-    `name`, which must sort before every atom of `e`, and there are
-    len(cut) - 1 of them.  So a is the first factor after the
-    coefficient, and a bare a where that is 1 and there is no other.
-    `tails` keeps the text after a by the monomial's pairs, for reuse."""
-    terms = []
-    for c, pairs in _as_monomials(canonicalize(e)):
-        tail = tails.get(pairs)
-        if tail is None:
-            tail = tails[pairs] = "".join(
-                " " + _prefix_factor(atom, n)
-                for atom, n in term_factors(pairs)) + ")"
-        if c == 1:
-            terms.append("(* \0" + tail if pairs else "\0")
-        elif c:
-            terms.append(f"(* {c} \0{tail}")
-    return " ".join(terms).split("\0")
-
-
-def prefix_weighted(pieces) -> str:
-    """Prefix text of sum_b a_b * e_b from (name of a_b, prefix_cut(e_b)),
-    given in the order of the a_b's names, as `prefix_expr` prints it."""
-    texts, count = [], 0
-    for name, cut in pieces:
-        if len(cut) > 1:
-            texts.append(name.join(cut))
-            count += len(cut) - 1
-    if count > 1:
-        return "(+ " + " ".join(texts) + ")"
-    return texts[0] if texts else "0"
-
-
-def _prefix_term(coeff, pairs) -> str:
-    parts = [str(coeff)] if coeff != 1 or not pairs else []
-    parts += [_prefix_factor(atom, n) for atom, n in term_factors(pairs)]
-    return parts[0] if len(parts) == 1 else "(* " + " ".join(parts) + ")"
+    """Prefix text of the canonical form of `e`."""
+    return render(e, PREFIX)
 
 
 def _prefix_factor(atom: Expr, n: int) -> str:
-    text = _prefix_atom(atom)
+    if isinstance(atom, Sym):
+        text = atom.info.name
+    elif isinstance(atom, Trig):
+        text = f"({atom.fn} {prefix_expr(atom.argument)})"
+    elif isinstance(atom, (Sum, Rational)):
+        text = prefix_expr(atom)
+    else:
+        raise TypeError(f"cannot render {type(atom).__name__}")
     return text if n == 1 else f"(^ {text} {n})"
 
 
-def _prefix_atom(atom: Expr) -> str:
-    if isinstance(atom, Sym):
-        return atom.info.name
-    if isinstance(atom, Trig):
-        return f"({atom.fn} {prefix_expr(atom.argument)})"
-    if isinstance(atom, (Sum, Rational)):
-        return prefix_expr(atom)
-    raise TypeError(f"cannot render {type(atom).__name__}")
+def _prefix_term(coeff, factors: list) -> str:
+    if coeff != 1 or not factors:
+        return f" (* {coeff} {' '.join(factors)})" if factors else f" {coeff}"
+    if len(factors) == 1:
+        return " " + factors[0]
+    return " (* " + " ".join(factors) + ")"
+
+
+def _prefix_whole(text: str, count: int) -> str:
+    return "(+" + text + ")" if count > 1 else text[1:] if count else "0"
+
+
+PREFIX = (_prefix_factor, _prefix_term, _prefix_whole)
 
 
 _NAME_RE = re.compile(r"^([A-Za-z]+)(\d*)('?)(_*)$")
@@ -103,34 +72,33 @@ def default_symbol_latex(info: SymbolInfo) -> str:
 
 
 def latex_expr(e: Expr) -> str:
-    return _latex(canonicalize(e))
+    return render(e, LATEX)
 
 
-def _latex(e: Expr) -> str:
-    out = ""
-    for coeff, pairs in _as_monomials(e):
-        s = _latex_term(coeff, pairs)
-        if out:
-            out += " " + s if s.startswith("-") else " + " + s
-        else:
-            out = s
-    return out
+def _latex_factor(atom: Expr, n: int) -> str:
+    if isinstance(atom, Sym):
+        text = default_symbol_latex(atom.info)
+    elif isinstance(atom, Trig):
+        text = f"\\{atom.fn}\\left({latex_expr(atom.argument)}\\right)"
+    elif isinstance(atom, Rational):
+        text = _latex_rational(atom.value)
+    elif isinstance(atom, Sum) and n != 1:
+        return f"\\left({latex_expr(atom)}\\right)^{{{n}}}"
+    else:
+        raise TypeError(f"cannot render {type(atom).__name__}")
+    return text if n == 1 else f"({text})^{{{n}}}"
 
 
-def _latex_term(coeff, pairs) -> str:
-    if not pairs:
-        return _latex_rational(coeff)
-    head = "" if coeff == 1 else "-" if coeff == -1 \
-        else _latex_rational(coeff) + " "
-    parts = []
-    for atom, n in term_factors(pairs):
-        if n == 1:
-            parts.append(_latex_factor(atom))
-        elif isinstance(atom, Sum):
-            parts.append(f"\\left({_latex(atom)}\\right)^{{{n}}}")
-        else:
-            parts.append(f"({_latex_factor(atom)})^{{{n}}}")
-    return head + " ".join(parts)
+def _latex_term(coeff, factors: list) -> str:
+    head = _latex_rational(coeff)
+    if factors:
+        head = "" if coeff == 1 else "-" if coeff == -1 else head + " "
+    text = head + " ".join(factors)
+    return " " + text if text.startswith("-") else " + " + text
+
+
+def _latex_whole(text: str, count: int) -> str:
+    return (text[3:] if text.startswith(" + ") else text[1:]) if count else "0"
 
 
 def _latex_rational(v) -> str:
@@ -141,12 +109,4 @@ def _latex_rational(v) -> str:
     return f"{sign}\\tfrac{{{v.numerator}}}{{{v.denominator}}}"
 
 
-def _latex_factor(f: Expr) -> str:
-    """An atom of a monomial, or the base of its power."""
-    if isinstance(f, Sym):
-        return default_symbol_latex(f.info)
-    if isinstance(f, Trig):
-        return f"\\{f.fn}\\left({_latex(f.argument)}\\right)"
-    if isinstance(f, Rational):
-        return _latex_rational(f.value)
-    raise TypeError(f"cannot render {type(f).__name__}")
+LATEX = (_latex_factor, _latex_term, _latex_whole)

@@ -11,9 +11,10 @@ import pytest
 
 import lagrforge as lf
 from lagrforge import (BasisTooLargeError, NonlinearInUnknownsError, Power,
-                       Product, Rational, Role, Sum, Sym, canonicalize, cli)
+                       Product, Rational, Role, Sum, Sym, canonicalize, cli,
+                       format_expr)
 from lagrforge.expr import _subst
-from lagrforge.printing import prefix_expr
+from lagrforge.printing import latex_expr, prefix_expr
 from lagrforge.solver import (LinearSystem, compose_lagrangian, euler_lagrange,
                               rref)
 
@@ -89,14 +90,25 @@ def test_solve_family_builds_no_unknown(source, deg_x, deg_g):
     assert "lambdas" not in vars(ansatz)
 
 
+# Each format's family builder, as the CLI calls it.
+FAMILY_BUILDERS = {
+    "json": cli._family_payload,
+    "text": cli._family_text,
+    "latex": lambda family: cli._latex_lines(
+        cli._family_rows(family, cli.LATEX)),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FAMILY_BUILDERS))
 @pytest.mark.parametrize("source, deg_x, deg_g", [
     ("affine1", 1, (-1, 1)), ("perfbench/groups/se2.grp", 1, (0, 0))])
-def test_json_solve_builds_no_weighted_sum(source, deg_x, deg_g):
-    # the JSON family is spliced from each block vector's prefix text: the
+def test_solve_builds_no_weighted_sum(source, deg_x, deg_g, fmt):
+    # every format splices the family from each block vector's texts: the
     # sums over the free parameters, and the members, are left unbuilt
     lie = _lie_of(source)
     family = lf.solve_family(lie, lf.build_ansatz(lie, deg_x=deg_x,
                                                   deg_g=deg_g))
+    assert FAMILY_BUILDERS[fmt](family)
     payload = cli._family_payload(family)
     assert payload["family"]["dimension"] == family.dimension > 0
     assert "multipliers" not in vars(family)
@@ -110,15 +122,23 @@ def test_json_solve_builds_no_weighted_sum(source, deg_x, deg_g):
     ("perfbench/groups/se2.grp", 1, (0, 0)),
     ("perfbench/groups/se2.grp", 2, (0, 0)), ("scale3", 1, (-1, 1)),
     ("so2", 0, (0, 0)), ("affine1", 0, (0, 0)), ("affine1", 0, (-1, 0))])
-def test_spliced_family_matches_prefix_expr(source, deg_x, deg_g):
+def test_spliced_family_matches_each_printer(source, deg_x, deg_g):
     # each component's sum is spliced from its block vectors' texts in the
     # order of their free parameters' names (a10 before a2), each name
     # right after the coefficient; the sums built on first read print the
-    # same through prefix_expr.  The last three rungs hold an empty family
-    # (every slot 0), zero slots, and sums whose term is a bare a_d.
+    # same through each format's printer.  The last three rungs hold an
+    # empty family (every slot 0), zero slots, and sums whose term is a
+    # bare a_d.
     lie = _lie_of(source)
     family = lf.solve_family(lie, lf.build_ansatz(lie, deg_x=deg_x,
                                                   deg_g=deg_g))
+    for fmt, printer in [(cli.PREFIX, prefix_expr), (cli.INFIX, format_expr),
+                         (cli.LATEX, latex_expr)]:
+        (_, multipliers), (_, lagrangians) = cli._family_rows(family, fmt)
+        assert [text for _, _, text in multipliers] == \
+            [printer(e) for _, e in sorted(family.multipliers.items())]
+        assert [text for _, _, text in lagrangians] == \
+            [printer(L) for L in family.lagrangians]
     payload = cli._family_payload(family)["family"]
     assert payload["multipliers"] == {
         f"lambda[{k}][{a}][{s}]": prefix_expr(e)
