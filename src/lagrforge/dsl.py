@@ -18,13 +18,14 @@ valid inside the multiply clause and refer to the two group factors.
 from __future__ import annotations
 
 import math
+import sys
 from importlib import resources
 from typing import Optional
 
 from .expr import (DEFAULT_SEED, EQUALS_TOL, Cos, Expr, Power, Product,
                    RAT0, RAT_M1, Rational, Role, Sin, Sum, Sym, SymbolInfo,
-                   _as_monomials, _operands, canonicalize, format_expr,
-                   sample_expr, substitute)
+                   _as_monomials, _fresh_name, _operands, canonicalize,
+                   format_expr, sample_expr, substitute)
 
 CLAUSES = ("params", "coords", "identity", "inverse", "multiply", "action")
 RESERVED = set(CLAUSES) | {"group", "sin", "cos", "lhs", "rhs"}
@@ -113,9 +114,9 @@ def tokenize(source: str) -> list[Token]:
                 i += 1
                 col += 1
             out.append(Token("ident", source[start:i], line, startcol))
-        elif c.isdigit():
+        elif c.isdecimal():
             start, startcol = i, col
-            while i < n and source[i].isdigit():
+            while i < n and source[i].isdecimal():
                 i += 1
                 col += 1
             out.append(Token("int", source[start:i], line, startcol))
@@ -200,14 +201,14 @@ class _Parser:
                 self.advance()
                 sign = -1
             tok = self.expect("int", "an integer exponent")
-            return ("pow", base, sign * int(tok.text), tok.line, tok.col)
+            return ("pow", base, sign * _int(tok), tok.line, tok.col)
         return base
 
     def primary(self):
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return ("int", int(tok.text))
+            return ("int", _int(tok))
         if tok.kind == "(":
             node = self.nested(self.advance(), self.expr)
             self.expect(")")
@@ -228,6 +229,16 @@ class _Parser:
             "expected an expression (integer, identifier, unary '-', "
             f"'(' or sin/cos call), found '{tok.text or 'end of input'}'",
             tok.line, tok.col)
+
+
+def _int(tok: Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:    # past the interpreter's integer-string limit
+        raise GroupSyntaxError(
+            f"integer literal of {len(tok.text)} digits is longer than the "
+            f"{sys.get_int_max_str_digits()} this interpreter reads",
+            tok.line, tok.col) from None
 
 
 # How a chain link enters its Sum or Product.
@@ -361,6 +372,22 @@ class GroupActionSpec:
     @property
     def n(self) -> int:
         return len(self.coords)
+
+    def act(self, g=None, X=None) -> tuple:
+        """The action S_g X with the parameters set to the expressions `g`
+        and the coordinates to `X`; a side left out keeps its symbols."""
+        table = {}
+        if g is not None:
+            table.update(zip(self.params, g))
+        if X is not None:
+            table.update(zip(self.coords, X))
+        return tuple(substitute(a, table) for a in self.action)
+
+    def compose(self, g, h) -> tuple:
+        """The product g h: the multiply clause at lhs = g, rhs = h."""
+        table = dict(zip(self.lhs_params, g))
+        table.update(zip(self.rhs_params, h))
+        return tuple(substitute(m, table) for m in self.multiply)
 
 
 def parse(source: str) -> GroupActionSpec:
@@ -519,16 +546,27 @@ class AxiomReport:
         return all(c.verdict != "Failed" for c in self.checks)
 
 
-def _fresh_params(spec: GroupActionSpec, suffix: str):
-    declared = {s.name for s in spec.params + spec.coords}
-    fresh = []
-    for p in spec.params:
-        name = f"{p.name}_{suffix}"
-        while name in declared:
-            name += "_"
-        declared.add(name)
-        fresh.append(SymbolInfo(name, Role.GROUP_PARAMETER))
-    return tuple(fresh)
+def _fresh_params(spec: GroupActionSpec, suffix: str) -> tuple:
+    """Symbols for a copy of the parameters, named apart from the group's."""
+    taken = {s.name for s in spec.params + spec.coords}
+    return tuple(Sym(SymbolInfo(_fresh_name(f"{p.name}_{suffix}", taken, "_"),
+                                Role.GROUP_PARAMETER)) for p in spec.params)
+
+
+def _law_check(axiom: str, description: str, diffs, samples: int, seed: int,
+               tol: float) -> AxiomCheck:
+    """Symbolic when every difference canonicalizes to 0, else Numeric
+    unless a sampled one exceeds `tol`; difference j samples at seed + j."""
+    if all(isinstance(d, Rational) and d.value == 0 for d in diffs):
+        return AxiomCheck(axiom, description, "Symbolic")
+    worst = 0.0
+    for j, d in enumerate(diffs):
+        out = sample_expr(d, samples=samples, seed=seed + j)
+        if out.aborted or out.max_abs > tol:
+            return AxiomCheck(axiom, description, "Failed",
+                              max_residual=out.max_abs, witness=out.witness)
+        worst = max(worst, out.max_abs)
+    return AxiomCheck(axiom, description, "Numeric", max_residual=worst)
 
 
 def validate_axioms(spec: GroupActionSpec, samples: int = AXIOM_SAMPLES,
@@ -539,59 +577,22 @@ def validate_axioms(spec: GroupActionSpec, samples: int = AXIOM_SAMPLES,
     whose image is a proper subset of the coordinate space (constant
     components) still validate.
     """
+    g = tuple(map(Sym, spec.params))
     h = _fresh_params(spec, "h")
-    h_map = {p: Sym(hp) for p, hp in zip(spec.params, h)}
-    id_map = {p: e for p, e in zip(spec.params, spec.identity)}
-
-    # S_h X with independent parameters h
-    inner = [substitute(a, h_map) for a in spec.action]
-    inner_map = {c: e for c, e in zip(spec.coords, inner)}
-
-    checks = []
-
-    def run(axiom: str, description: str, diffs, offset: int):
-        if all(isinstance(d, Rational) and d.value == 0 for d in diffs):
-            checks.append(AxiomCheck(axiom, description, "Symbolic"))
-            return
-        worst = 0.0
-        for j, d in enumerate(diffs):
-            out = sample_expr(d, samples=samples, seed=seed + offset * 101 + j)
-            if out.aborted or out.max_abs > tol:
-                checks.append(AxiomCheck(axiom, description, "Failed",
-                                         max_residual=out.max_abs,
-                                         witness=out.witness))
-                return
-            worst = max(worst, out.max_abs)
-        checks.append(AxiomCheck(axiom, description, "Numeric",
-                                 max_residual=worst))
-
-    # (a) the identity element acts trivially on every transformed point
-    id_on = [substitute(a, {**id_map, **inner_map}) for a in spec.action]
-    run("identity_action", "action at the identity element is trivial",
-        [l - r for l, r in zip(id_on, inner)], 1)
-
-    # (b) multiply(g, inverse(g)) = identity
-    inv_map = {rp: e for rp, e in zip(spec.rhs_params, spec.inverse)}
-    inv_map.update({lp: Sym(p) for lp, p in zip(spec.lhs_params, spec.params)})
-    prod_inv = [substitute(m, inv_map) for m in spec.multiply]
-    run("inverse", "composition with the inverse yields the identity",
-        [l - r for l, r in zip(prod_inv, spec.identity)], 2)
-
-    # (c) S_g(S_h X) = S_{g h} X
-    left = [substitute(a, inner_map) for a in spec.action]
-    gh_map = {lp: Sym(p) for lp, p in zip(spec.lhs_params, spec.params)}
-    gh_map.update({rp: Sym(hp) for rp, hp in zip(spec.rhs_params, h)})
-    gh = [substitute(m, gh_map) for m in spec.multiply]
-    right = [substitute(a, {p: e for p, e in zip(spec.params, gh)})
-             for a in spec.action]
-    run("composition", "acting twice equals acting by the product",
-        [l - r for l, r in zip(left, right)], 3)
-
-    # (d) multiply(identity, g) = g
-    lid_map = {lp: e for lp, e in zip(spec.lhs_params, spec.identity)}
-    lid_map.update({rp: Sym(p) for rp, p in zip(spec.rhs_params, spec.params)})
-    lid = [substitute(m, lid_map) for m in spec.multiply]
-    run("identity_element", "the identity element is a left unit",
-        [l - Sym(p) for l, p in zip(lid, spec.params)], 4)
-
+    hX = spec.act(g=h)              # S_h X with independent parameters h
+    laws = [
+        ("identity_action", "action at the identity element is trivial",
+         spec.act(g=spec.identity, X=hX), hX),
+        ("inverse", "composition with the inverse yields the identity",
+         spec.compose(g, spec.inverse), spec.identity),
+        ("composition", "acting twice equals acting by the product",
+         spec.act(X=hX), spec.act(g=spec.compose(g, h))),
+        ("identity_element", "the identity element is a left unit",
+         spec.compose(spec.identity, g), g),
+    ]
+    checks = [_law_check(axiom, description,
+                         [l - r for l, r in zip(left, right)],
+                         samples, seed + offset * 101, tol)
+              for offset, (axiom, description, left, right)
+              in enumerate(laws, start=1)]
     return AxiomReport(spec.name, samples, seed, checks)

@@ -84,6 +84,15 @@ class SymbolInfo:
         return (SymbolInfo, (self.name, self.role, self.index))
 
 
+def _fresh_name(name: str, taken: set, mark: str) -> str:
+    """`name` with `mark` appended until no name in `taken` equals it; the
+    result joins `taken`, so a later call names its symbol apart too."""
+    while name in taken:
+        name += mark
+    taken.add(name)
+    return name
+
+
 Number = Union[int, Fraction]
 
 

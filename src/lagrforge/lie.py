@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .dsl import _fresh_params
 from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
-                   Product, Role, Sum, Sym, SymbolInfo, canonicalize,
-                   differentiate, equals, free_symbols, substitute)
+                   Product, Role, Sum, Sym, SymbolInfo, _fresh_name,
+                   canonicalize, differentiate, equals, free_symbols,
+                   substitute)
 
 CONVENTION_NOTE = ("constraints follow the convention "
                    "phi[a][j] = X'[a]_j - sum_s u[s][j](g) * S[a][s](X'); "
@@ -43,19 +45,14 @@ def infinitesimal_coefficients(spec) -> list:
 
 def auxiliary_functions(spec) -> list:
     """u[i][j](g) = d(multiply(g, h)_i)/d(g_j) at h = inverse(g)."""
-    from .dsl import _fresh_params  # shared fresh-name helper
-
     h = _fresh_params(spec, "h")
-    g_map = {lp: Sym(p) for lp, p in zip(spec.lhs_params, spec.params)}
-    g_map.update({rp: Sym(hp) for rp, hp in zip(spec.rhs_params, h)})
-    inv_map = {hp: e for hp, e in zip(h, spec.inverse)}
+    at_inverse = dict(zip(h, spec.inverse))
     params = set(spec.params)
     out = []
-    for m in spec.multiply:
-        mg = substitute(m, g_map)
+    for mg in spec.compose(tuple(map(Sym, spec.params)), h):
         row = []
         for p in spec.params:
-            entry = substitute(differentiate(mg, p), inv_map)
+            entry = substitute(differentiate(mg, p), at_inverse)
             extra = free_symbols(entry) - params
             if extra:
                 names = ", ".join(sorted(s.name for s in extra))
@@ -107,15 +104,10 @@ def constraints(spec, samples: int = EQUALS_SAMPLES, seed: int = DEFAULT_SEED,
     S = infinitesimal_coefficients(spec)
     u = auxiliary_functions(spec)
 
-    declared = {s.name for s in spec.params + spec.coords}
-    fields = []
-    for a, c in enumerate(spec.coords, start=1):
-        name = f"{c.name}'"
-        while name in declared:
-            name += "'"
-        declared.add(name)
-        fields.append(SymbolInfo(name, Role.FIELD_VARIABLE, (a,)))
-    fields = tuple(fields)
+    taken = {s.name for s in spec.params + spec.coords}
+    fields = tuple(SymbolInfo(_fresh_name(f"{c.name}'", taken, "'"),
+                              Role.FIELD_VARIABLE, (a,))
+                   for a, c in enumerate(spec.coords, start=1))
 
     jets = []
     for a, f in enumerate(fields, start=1):

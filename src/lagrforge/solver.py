@@ -18,8 +18,8 @@ from functools import cached_property
 
 from .expr import (Expr, RAT0, RAT_M1, Product, Rational, Role, Sym,
                    SymbolInfo, canonicalize, differentiate, free_symbols,
-                   _number, _poly_mul, _sig, _sorted_expr, monomials,
-                   polynomial_expr, product_monomials, substitute)
+                   _fresh_name, _number, _poly_mul, _sig, _sorted_expr,
+                   monomials, polynomial_expr, product_monomials, substitute)
 
 MAX_UNKNOWNS = 5000
 
@@ -671,16 +671,11 @@ def _slots(lie) -> list:
 
 def _free_params(lie, count: int) -> tuple:
     """a1..a<count>, each named apart from the group's own symbols with a
-    `_` suffix, as `dsl._fresh_params` does."""
+    `_` suffix."""
     taken = {s.name for s in (*lie.spec.params, *lie.spec.coords,
                               *lie.fields, *itertools.chain(*lie.jets))}
-    out = []
-    for i in range(count):
-        name = f"a{i + 1}"
-        while name in taken:
-            name += "_"
-        out.append(SymbolInfo(name, Role.FREE_PARAMETER))
-    return tuple(out)
+    return tuple(SymbolInfo(_fresh_name(f"a{i + 1}", taken, "_"),
+                            Role.FREE_PARAMETER) for i in range(count))
 
 
 def _weighted_sum(params, exprs) -> Expr:

@@ -1,5 +1,7 @@
 """Group DSL parsing, axiom validation, and rendering."""
 
+import sys
+
 import pytest
 
 import lagrforge as lf
@@ -86,6 +88,35 @@ def test_nesting_cap_position():
     column = source.splitlines()[7].index("sin(") + 1
     assert (err.value.line, err.value.col) == (8, column)
     lf.parse(MINI.replace("X1 + t + 0*X1^3", "-" * 100 + "X1 + t"))
+
+
+def test_non_ascii_digit_is_an_unexpected_character():
+    # '²' is a digit to str.isdigit but not one int() reads
+    source = MINI.replace("X1 + t + 0*X1^3", "X1 + t*²")
+    with pytest.raises(GroupSyntaxError) as err:
+        lf.parse(source)
+    assert err.value.message == "unexpected character '²'"
+    column = source.splitlines()[7].index("²") + 1
+    assert (err.value.line, err.value.col) == (8, column)
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT,
+                    reason="the interpreter reads integers of any length")
+@pytest.mark.parametrize("formula", ["X1 + t*{digits}", "X1 + t^{digits}"],
+                         ids=["factor", "exponent"])
+def test_integer_literal_past_the_digit_limit(formula):
+    digits = "9" * (DIGIT_LIMIT + 1)
+    source = MINI.replace("X1 + t + 0*X1^3", formula.format(digits=digits))
+    with pytest.raises(GroupSyntaxError) as err:
+        lf.parse(source)
+    assert err.value.message == (
+        f"integer literal of {DIGIT_LIMIT + 1} digits is longer than the "
+        f"{DIGIT_LIMIT} this interpreter reads")
+    column = source.splitlines()[7].index(digits) + 1
+    assert (err.value.line, err.value.col) == (8, column)
 
 
 def test_missing_clause():
@@ -196,3 +227,68 @@ def test_axioms_flag_wrong_inverse():
     check = next(c for c in report.checks if c.axiom == "inverse")
     assert check.max_residual > 1e-9
     assert check.witness is not None
+
+
+def _one_coordinate_group(params="g", identity="0", inverse="-g",
+                          multiply="lhs.g + rhs.g", action="X1 + g"):
+    return f"""
+group pinned {{
+  params: {params};
+  coords: X1;
+  identity: ({identity});
+  inverse: ({inverse});
+  multiply: ({multiply});
+  action: ({action});
+}}
+"""
+
+
+SYMBOLIC = ("Symbolic", None, None)
+
+
+@pytest.mark.parametrize("source, pinned", [
+    # a constant identity other than the additive one breaks three laws
+    (_one_coordinate_group(identity="1"),
+     {"identity_action": ("Failed", 1.0, {}),
+      "inverse": ("Failed", 1.0, {}),
+      "composition": SYMBOLIC,
+      "identity_element": ("Failed", 1.0, {})}),
+    (_one_coordinate_group(action="X1*(1 + g)"),
+     {"identity_action": SYMBOLIC,
+      "inverse": SYMBOLIC,
+      "composition": ("Failed", 5.5923860535880285,
+                      {"g": 1.6822199556766324, "g_h": -1.9213536605715853,
+                       "X1": -1.7302428023201437}),
+      "identity_element": SYMBOLIC}),
+    (_one_coordinate_group(multiply="lhs.g + 2*rhs.g", inverse="-g/2"),
+     {"identity_action": SYMBOLIC,
+      "inverse": SYMBOLIC,
+      "composition": ("Failed", 1.9479182485088442,
+                      {"g_h": -1.9479182485088442}),
+      "identity_element": ("Failed", 1.9818028944638035,
+                           {"g": 1.9818028944638035})}),
+    # the copies of g and g_h are named apart from the declared g_h
+    (_one_coordinate_group(params="g, g_h", identity="0, 0",
+                           inverse="-g, -g_h",
+                           multiply="lhs.g + rhs.g, lhs.g_h + rhs.g_h",
+                           action="X1*(1 + g) + g_h"),
+     {"identity_action": SYMBOLIC,
+      "inverse": SYMBOLIC,
+      "composition": ("Failed", 9.155815744393365,
+                      {"g": -1.919322926809377, "g_h_": -1.8842746123630567,
+                       "g_h_h": 1.2118263754487844,
+                       "X1": -1.8885303962741924}),
+      "identity_element": SYMBOLIC}),
+    (lf.bundled_source("so2"),
+     {"identity_action": SYMBOLIC,
+      "inverse": SYMBOLIC,
+      "composition": ("Numeric", 5.204170427930421e-16, None),
+      "identity_element": SYMBOLIC}),
+], ids=["constant_identity", "scaled_action", "skew_multiply",
+        "declared_h_name", "so2"])
+def test_axiom_checks_are_pinned(source, pinned):
+    report = lf.validate_axioms(lf.parse(source))
+    assert [(c.axiom, c.verdict, c.max_residual, c.witness)
+            for c in report.checks] == [(axiom, *pinned[axiom]) for axiom in
+                                        ("identity_action", "inverse",
+                                         "composition", "identity_element")]
