@@ -556,11 +556,15 @@ def _fresh_params(spec: GroupActionSpec, suffix: str) -> tuple:
 def _law_check(axiom: str, description: str, diffs, samples: int, seed: int,
                tol: float) -> AxiomCheck:
     """Symbolic when every difference canonicalizes to 0, else Numeric
-    unless a sampled one exceeds `tol`; difference j samples at seed + j."""
-    if all(isinstance(d, Rational) and d.value == 0 for d in diffs):
+    unless a sampled one exceeds `tol`; difference j samples at seed + j,
+    and one that is 0 is not sampled."""
+    zero = [isinstance(d, Rational) and d.value == 0 for d in diffs]
+    if all(zero):
         return AxiomCheck(axiom, description, "Symbolic")
     worst = 0.0
     for j, d in enumerate(diffs):
+        if zero[j]:
+            continue
         out = sample_expr(d, samples=samples, seed=seed + j)
         if out.aborted or out.max_abs > tol:
             return AxiomCheck(axiom, description, "Failed",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -102,16 +103,11 @@ class Expr:
     Nodes are never mutated after construction; `_canonical` marks trees
     already in canonical form so repeated canonicalization is O(1), and
     `_monos` caches a canonical node's monomial tuple once it is split
-    (a node `polynomial_expr` builds is born with it).
+    (a node `polynomial_expr` builds is born with it).  Each subclass's
+    constructor sets these four fields itself, as nodes are built often.
     """
 
     __slots__ = ("_key", "_hash", "_canonical", "_monos")
-
-    def __init__(self) -> None:
-        self._key = None
-        self._hash = None
-        self._canonical = False
-        self._monos = None
 
     def _make_key(self):
         raise NotImplementedError
@@ -175,7 +171,6 @@ class Rational(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value, denominator=None):
-        super().__init__()
         if isinstance(value, float):
             raise TypeError("expression constants must be exact rationals")
         if denominator is not None:
@@ -183,6 +178,7 @@ class Rational(Expr):
         elif not isinstance(value, Fraction):
             value = Fraction(value)
         self.value = value
+        self._key = self._hash = self._monos = None
         self._canonical = True
 
     def _make_key(self):
@@ -195,7 +191,6 @@ class Sym(Expr):
     __slots__ = ("info",)
 
     def __init__(self, info: SymbolInfo):
-        # the base's fields set here, as Sym is built often
         self._key = self._hash = self._monos = None
         self._canonical = True
         self.info = info
@@ -210,9 +205,10 @@ class Power(Expr):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: int):
-        super().__init__()
         if not isinstance(exponent, int):
             raise TypeError("power exponent must be an integer")
+        self._key = self._hash = self._monos = None
+        self._canonical = False
         self.base = base
         self.exponent = exponent
 
@@ -228,7 +224,8 @@ class Trig(Expr):
     __slots__ = ("argument",)
 
     def __init__(self, argument: Expr):
-        super().__init__()
+        self._key = self._hash = self._monos = None
+        self._canonical = False
         self.argument = argument
 
     def _make_key(self):
@@ -249,7 +246,8 @@ class Product(Expr):
     __slots__ = ("factors",)
 
     def __init__(self, factors: Sequence[Expr]):
-        super().__init__()
+        self._key = self._hash = self._monos = None
+        self._canonical = False
         self.factors = tuple(factors)
 
     def _make_key(self):
@@ -260,7 +258,8 @@ class Sum(Expr):
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Sequence[Expr]):
-        super().__init__()
+        self._key = self._hash = self._monos = None
+        self._canonical = False
         self._terms = tuple(terms)
 
     @property
@@ -346,12 +345,16 @@ def _factor_key(pair):
     return atom.sort_key() if n == 1 else (2, atom.sort_key(), n)
 
 
-def term_factors(pairs) -> list:
+def term_factors(pairs) -> Sequence:
     """A monomial's (atom, exponent) pairs in the order of the factors of
     its canonical product, which the printers follow: an atom under its
     own sort key, a power under the key of its Power node.  A coefficient
-    other than 1 comes before them all."""
-    return sorted(pairs, key=_factor_key)
+    other than 1 comes before them all.  The pairs come sorted by atom,
+    which is that order when every exponent is 1."""
+    for _, n in pairs:
+        if n != 1:
+            return sorted(pairs, key=_factor_key)
+    return pairs
 
 
 def _mono_expr(coeff: Number, pairs) -> Expr:
@@ -793,26 +796,15 @@ def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
     `a * b * x` does when c = a * b.
     """
     local = dict(fixed or {})  # node -> name of the local holding its value
-    ints = set()     # nodes whose value is an int: an empty sum's 0, say
+    ints = set()
     body = []
-    stack = [(e, False) for e in reversed(exprs)]
-    while stack:
-        node, ready = stack.pop()
-        if node in local:
-            continue
-        kids = _operands(node)
-        if not ready:
-            stack.append((node, True))
-            stack.extend((k, False) for k in reversed(kids))
-            continue
+    for node, kids in _distinct_nodes(exprs, local, ints):
         if isinstance(node, Sym):
             if node.info.name not in args:
                 raise UnboundSymbolError(node.info.name)
             local[node] = args[node.info.name]
             continue
         ops = [local[k] for k in kids]
-        if isinstance(node, (Sum, Power)) and all(k in ints for k in kids):
-            ints.add(node)
         lines = body
         if (fixed is not None and node not in ints
                 and all(k in fixed for k in kids)):
@@ -845,6 +837,98 @@ def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
         else:
             lines.append(f"{v} = _{node.fn}({ops[0]})")
     return body, [local[e] for e in exprs]
+
+
+def _distinct_nodes(exprs: Sequence[Expr], done, ints: set):
+    """Yield (node, operands) for each distinct node of `exprs` that is not
+    in `done`, after its operands, in post-order: the order in which
+    `eval_numeric` first finishes each node.  The caller puts each node in
+    `done` before taking the next.  A sum or power whose operands are all
+    in `ints` joins it: its value is an int, as an empty sum's 0 is."""
+    stack = [(e, False) for e in reversed(exprs)]
+    while stack:
+        node, ready = stack.pop()
+        if node in done:
+            continue
+        kids = _operands(node)
+        if not ready:
+            stack.append((node, True))
+            stack.extend((k, False) for k in reversed(kids))
+            continue
+        if isinstance(node, (Sum, Power)) and all(k in ints for k in kids):
+            ints.add(node)
+        yield node, kids
+
+
+def _batch_values(e: Expr, cols: Mapping, n: int):
+    """(values, errors): the value of `e` at each of n points, and the
+    exception that evaluating it at a point raised, by the point's index.
+
+    `cols` maps each symbol of `e` to its n floats.  Each distinct node is
+    evaluated once over all the points, with the float operation the code
+    of `_numeric_lines` does for it, so a value is the one `compile_numeric`
+    gives, and a point's exception is the first one a call there raises.
+    The values at a point that raised are placeholders.
+    """
+    values = {}
+    ints = set()
+    errors = {}
+    for node, kids in _distinct_nodes([e], values, ints):
+        args = [values[k] for k in kids]
+        if isinstance(node, Sym):
+            out = cols[node.info]
+        elif isinstance(node, Rational):
+            try:
+                out = [float(node.value)] * n
+            except OverflowError as exc:
+                out = [1.0] * n
+                for i in range(n):
+                    errors.setdefault(i, exc)
+        elif isinstance(node, Sum):
+            if len(args) == 2 and ints.isdisjoint(kids):
+                out = [0.0 + a + b for a, b in zip(*args)]
+            else:
+                out = list(map(sum, zip(*args))) if args else [0] * n
+        elif isinstance(node, Product):
+            # from the first factor, or from 1.0 when every factor is an int
+            out = [1.0] * n if all(k in ints for k in kids) else args.pop(0)
+            for col in args:
+                out = list(map(operator.mul, out, col))
+        elif isinstance(node, Power):
+            col, p = args[0], node.exponent
+            if p < 0 and any(map(SINGULAR_GUARD.__gt__, map(abs, col))):
+                col = _column(_guard, [col], errors)
+            out = _column(pow, [col, [p] * n], errors)
+        else:
+            out = _column(getattr(math, node.fn), args, errors)
+        values[node] = out
+    return values[e], errors
+
+
+def _guard(v: float) -> float:
+    if abs(v) < SINGULAR_GUARD:
+        raise _near_singular(v)
+    return v
+
+
+def _column(op, args: list, errors: dict) -> list:
+    """list(map(op, *args)) where op may raise at some points: a point that
+    raises keeps its first exception in `errors` and, like a point already
+    there, gets the placeholder 1.0."""
+    try:
+        return list(map(op, *args))
+    except (ArithmeticError, ValueError):
+        pass
+    out = []
+    for i, xs in enumerate(zip(*args)):
+        if i not in errors:
+            try:
+                out.append(op(*xs))
+                continue
+            except (ArithmeticError, ValueError) as exc:
+                errors[i] = exc
+        out.append(1.0)
+    return out
 
 
 def _sum_code(ops: Sequence[str], floats: bool) -> str:
@@ -903,26 +987,36 @@ def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
     """Evaluate `e` at seeded random points, skipping near-singular and
     overflowing draws.
 
-    `e` is compiled once (`compile_numeric`), which gives the values
-    `eval_numeric` gives; a constant too large for a float cannot be
-    compiled, and then each draw walks the tree and is rejected.
+    The points still needed are drawn as one batch and evaluated together
+    (`_batch_values`), which gives the values `eval_numeric` gives; then
+    the draws are taken in order, as one draw at a time would take them.
     """
     _check_samples(samples)
     syms = sorted(free_symbols(e), key=lambda i: (int(i.role), i.name))
-    try:
-        fn = compile_numeric([e], [s.name for s in syms])
-    except OverflowError:
-        fn = None
-    rng = random.Random(seed)
+    names = [s.name for s in syms]
+    k = len(syms)
+    uniform = random.Random(seed).uniform
     accepted = 0
     rejected = 0
     max_abs = 0.0
     witness: dict = {}
     while accepted < samples:
-        point = {s.name: rng.uniform(-SAMPLE_SPAN, SAMPLE_SPAN) for s in syms}
-        try:
-            v = fn(*point.values())[0] if fn else eval_numeric(e, point)
-        except (NearSingularEvaluationError, OverflowError):
+        n = samples - accepted
+        # draw by draw, and within a draw by symbol
+        flat = [uniform(-SAMPLE_SPAN, SAMPLE_SPAN) for _ in range(n * k)]
+        values, errors = _batch_values(
+            e, {s: flat[j::k] for j, s in enumerate(syms)}, n)
+        for i, v in enumerate(values):
+            exc = errors.get(i)
+            if exc is None:
+                if abs(v) > max_abs:
+                    max_abs = abs(v)
+                    witness = dict(zip(names, flat[i * k:i * k + k]))
+                accepted += 1
+                continue
+            if not isinstance(exc, (NearSingularEvaluationError,
+                                    OverflowError)):
+                raise exc
             rejected += 1
             if rejected > MAX_REJECTIONS:
                 import logging  # only here: it is slow to import
@@ -932,12 +1026,8 @@ def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
                     "rejections for a %d-term expression",
                     rejected, len(e.terms) if isinstance(e, Sum) else 1)
                 log.debug("sampling aborted on %s", format_expr(e))
-                return SampleOutcome(math.inf, point, True)
-            continue
-        if abs(v) > max_abs:
-            max_abs = abs(v)
-            witness = point
-        accepted += 1
+                return SampleOutcome(
+                    math.inf, dict(zip(names, flat[i * k:i * k + k])), True)
     return SampleOutcome(max_abs, witness, False)
 
 

@@ -461,7 +461,7 @@ def _compile_orbit(lie):
         *lines3, *shifted(w, k3, "h"), *(["ge = g + h"] if reads_g else []),
         *lines4,
         f"{', '.join(x)} = " + ", ".join(
-            f"{xi} + h6 * ({a} + 2 * {b} + 2 * {c} + {d})"
+            f"{xi} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)),
         "g = ge" if reads_g else "g = g + h",
         *distance(x), "if d2 > dev2: dev2 = d2"]

@@ -731,3 +731,21 @@ def test_cli_import_compiles_no_generated_code():
         "str(args[1]).startswith('<') and made.append(args[1]))",
         "print(made)")
     assert made == "[]\n"
+
+
+@pytest.mark.parametrize("argv, compiled", [
+    (["verify", str(ROOT / "perfbench" / "groups" / "se2.grp"),
+      "--deg-x", "1"], []),
+    (["example", "so2"], ["<orbit>"]),
+])
+def test_sampled_checks_compile_nothing(argv, compiled):
+    # the sampled equality checks (group laws, Lie constraints, the verify
+    # checks) evaluate their draws as batches; only the orbit is compiled
+    made = cli_start_up("", (
+        "import contextlib, io\nmade = []\n"
+        "sys.addaudithook(lambda event, args: event == 'compile' and "
+        "str(args[1]).startswith('<') and made.append(args[1]))\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    cli.run({argv!r})\n"
+        "print(made)"))
+    assert made == f"{compiled}\n"

@@ -1,5 +1,6 @@
 """Group DSL parsing, axiom validation, and rendering."""
 
+import pathlib
 import sys
 
 import pytest
@@ -292,3 +293,23 @@ def test_axiom_checks_are_pinned(source, pinned):
             for c in report.checks] == [(axiom, *pinned[axiom]) for axiom in
                                         ("identity_action", "inverse",
                                          "composition", "identity_element")]
+
+
+SE2 = (pathlib.Path(__file__).resolve().parent.parent
+       / "perfbench" / "groups" / "se2.grp")
+
+
+def test_zero_law_difference_is_not_sampled(monkeypatch):
+    # SE(2)'s inverse law holds exactly in t and only through trigonometric
+    # identities in a and b: the t difference is 0 and is not sampled, and
+    # the other two keep their seeds
+    sampled = []
+    sample = lf.dsl.sample_expr
+    monkeypatch.setattr(lf.dsl, "sample_expr", lambda d, samples, seed:
+                        sampled.append(seed) or sample(d, samples, seed))
+    report = lf.validate_axioms(lf.parse(SE2.read_text()))
+    checks = {c.axiom: c for c in report.checks}
+    assert checks["inverse"].verdict == "Numeric"
+    inverse = lf.DEFAULT_SEED + 2 * 101
+    assert [s for s in sampled if inverse <= s < inverse + 3] == \
+        [inverse + 1, inverse + 2]

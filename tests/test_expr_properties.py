@@ -14,12 +14,14 @@ import pytest
 from lagrforge import (Cos, Power, Product, Rational, Role, Sin, Sum, Sym,
                        SymbolInfo, canonicalize, differentiate, free_symbols,
                        monomials, parse, substitute)
+from lagrforge import expr
 from lagrforge.dsl import MAX_NESTING
 from lagrforge.expr import (MAX_REJECTIONS, SAMPLE_SPAN,
                             NearSingularEvaluationError, SampleOutcome,
-                            UnboundSymbolError, _diff, _subst,
+                            UnboundSymbolError, _diff, _factor_key, _subst,
                             compile_numeric, eval_numeric, format_expr,
-                            polynomial_expr, product_monomials, sample_expr)
+                            polynomial_expr, product_monomials, sample_expr,
+                            term_factors)
 from lagrforge.printing import default_symbol_latex, latex_expr, prefix_expr
 
 from genexpr import VARS, random_expr, sample_point, try_eval
@@ -410,24 +412,63 @@ def tree_walk_sample(e, samples, seed):
     return SampleOutcome(max_abs, witness, False)
 
 
-def test_sample_expr_matches_tree_walk():
-    # sample_expr runs compiled code; its outcome, the witness point
-    # included, must be the tree walk's, for raw and canonical trees, for a
-    # constant too large to compile and for a run that aborts
-    rng = random.Random(2024)
+def _outcome(sample, e, seed):
+    """The outcome of sampling `e` 16 times, or the type and arguments of
+    the error it raises."""
+    try:
+        return sample(e, samples=16, seed=seed)
+    except ValueError as exc:
+        return type(exc), exc.args
+
+
+def _sampled_cases(rng):
     x, y = (Sym(v) for v in VARS[:2])
-    huge = Rational(10 ** 400) * x + y
-    pole = Power(Sum((x, Product((Rational(-1), x)))), -1)   # 1/0 everywhere
+    zero = Sum(())                  # the integer 0
     exprs = [random_expr(rng) for _ in range(200)]
-    exprs += [canonicalize(e) for e in exprs[:60]] + [huge, pole]
+    exprs += [canonicalize(e) for e in exprs[:60]]
+    exprs += [
+        Rational(10 ** 400) * x + y,    # a constant too large for a float
+        Power(Sum((x, Product((Rational(-1), x)))), -1),   # 1/0 everywhere
+        # integer-valued sums under a power and under a product
+        Sum((Power(zero, 2), x)), Sum((Power(Sum((zero, zero)), 3), y)),
+        Product((zero, x)), Product((zero, Power(zero, 2))),
+        Sum((Product((zero, zero)), Power(x, -1))), Power(zero, -1),
+        # free of symbols
+        Rational(3, 7), Sum((Rational(1), Rational(-2))), Sin(Rational(1)),
+        # sin(inf) raises ValueError at some draws, and where no earlier
+        # draw aborts the run the error comes out at that draw
+        Sin(Product((Rational(10 ** 308), x, x, x))),
+        Sum((Power(Power(x, 2) + Rational(-1), -1),
+             Cos(Product((Rational(10 ** 308), y, y))))),
+    ]
+    return exprs
+
+
+def test_sample_expr_matches_tree_walk(monkeypatch):
+    # sample_expr evaluates each batch of draws node by node; its outcome,
+    # the witness point and the abort point included, must be the tree
+    # walk's, for raw and canonical trees, a constant too large for a
+    # float, int-valued nodes, constants and a run that aborts
     with pytest.raises(OverflowError):
-        compile_numeric([huge], ["x", "y"])
-    aborted = 0
-    for seed, e in enumerate(exprs):
-        want = tree_walk_sample(e, samples=16, seed=seed)
-        assert sample_expr(e, samples=16, seed=seed) == want
-        aborted += want.aborted
-    assert aborted == 2
+        compile_numeric([Rational(10 ** 400) * Sym(VARS[0])], ["x"])
+    aborted = raised = 0
+    for seed, e in enumerate(_sampled_cases(random.Random(2024))):
+        want = _outcome(tree_walk_sample, e, seed)
+        assert _outcome(sample_expr, e, seed) == want
+        aborted += isinstance(want, SampleOutcome) and want.aborted
+        raised += not isinstance(want, SampleOutcome)
+    assert (aborted, raised) == (3, 2)
+    # with the guard at 0.5, draws are rejected inside a batch, and the
+    # next batch draws only the points still needed
+    monkeypatch.setattr(expr, "SINGULAR_GUARD", 0.5)
+    batches = []
+    batch = expr._batch_values
+    monkeypatch.setattr(expr, "_batch_values", lambda e, cols, n:
+                        batches.append(n) or batch(e, cols, n))
+    for seed, e in enumerate(_sampled_cases(random.Random(4048))):
+        want = _outcome(tree_walk_sample, e, seed)
+        assert _outcome(sample_expr, e, seed) == want
+    assert sum(0 < n < 16 for n in batches) > 50
 
 
 NESTED_GROUP = """
@@ -545,6 +586,25 @@ def _tree_latex(e):
         else:
             out = text
     return out
+
+
+def test_term_factors_match_the_factor_sort(affine_family):
+    # pairs whose exponents are all 1 come back as they are, which must be
+    # the order the sort by factor key gives; the others are sorted
+    rng = random.Random(7919)
+    exprs = [canonicalize(random_expr(rng)) for _ in range(300)]
+    exprs += [lam for block in affine_family.block_multipliers
+              for lam in block.values()]
+    exprs += affine_family.block_lagrangians
+    plain = powers = 0
+    for e in exprs:
+        for _, pairs in monomials(e):
+            assert list(term_factors(pairs)) == sorted(pairs, key=_factor_key)
+            if all(n == 1 for _, n in pairs):
+                plain += len(pairs) > 1
+            else:
+                powers += 1
+    assert plain > 40 and powers > 100
 
 
 def test_prefix_matches_tree_walk():
