@@ -16,8 +16,8 @@ from .lie import (ConventionViolationError, LieData, ResidualCoordinatesError,
 from .solver import (BasisTooLargeError, LagrangianFamily, MultiplierAnsatz,
                      NonlinearInUnknownsError, SecondOrderJetError,
                      ansatz_from_basis, build_ansatz, collect_system,
-                     lambda_map_residual, nullspace_vectors, solve_family,
-                     strong_el, weak_el_residual_of)
+                     nullspace_vectors, solve_family, strong_el,
+                     weak_el_residual_of)
 from .verify import (ConverseResult, ShapeMismatchError,
                      VerificationReport, build_report, converse_check,
                      degeneracy_scan, forward_check, kinetic_identity_check,
@@ -39,8 +39,8 @@ __all__ = [
     "auxiliary_functions", "constraints", "infinitesimal_coefficients",
     "BasisTooLargeError", "LagrangianFamily", "MultiplierAnsatz",
     "NonlinearInUnknownsError", "ansatz_from_basis", "build_ansatz",
-    "collect_system", "lambda_map_residual", "nullspace_vectors",
-    "solve_family", "weak_el_residual_of",
+    "collect_system", "nullspace_vectors", "solve_family",
+    "weak_el_residual_of",
     "ConverseResult", "SecondOrderJetError", "ShapeMismatchError",
     "VerificationReport", "build_report", "converse_check",
     "degeneracy_scan", "forward_check", "kinetic_identity_check",

@@ -346,7 +346,7 @@ def _family_payload(family) -> dict:
     return {
         "ansatz": {
             "deg_x": ansatz.deg_x,
-            "deg_g": list(ansatz.deg_g) if ansatz.deg_g else None,
+            "deg_g": list(ansatz.deg_g),
             "basis": [prefix_expr(b) for b in ansatz.basis],
             "unknowns": lie.r * len(family.system.columns),
         },
@@ -369,7 +369,7 @@ def _family_payload(family) -> dict:
 def _family_text(family) -> list:
     lines = []
     ansatz, r = family.ansatz, family.lie.r
-    lo, hi = ansatz.deg_g if ansatz.deg_g else ("?", "?")
+    lo, hi = ansatz.deg_g
     lines.append(f"ansatz: deg_x={ansatz.deg_x}, deg_g=[{lo},{hi}], "
                  f"basis size {len(ansatz.basis)}, "
                  f"{r * len(family.system.columns)} unknowns")

@@ -9,7 +9,9 @@ is split; a canonical sum is built as that list and makes its term nodes
 only when they are read.  `differentiate` and `substitute` work on it term
 by term, and a term goes back through a tree only where a sine, cosine or
 inverse sum is involved.  No floating point ever enters a tree; numerics
-only appear in `eval_numeric` and the sampling-based equality fallback.
+only appear in `eval_numeric`, in the code `compile_numeric` writes (the
+compiled orbit of `verify`), and in the batch sampler of the sampling-based
+equality fallback (`sample_expr`).
 """
 
 from __future__ import annotations
@@ -860,20 +862,22 @@ def _distinct_nodes(exprs: Sequence[Expr], done, ints: set):
         yield node, kids
 
 
-def _batch_values(e: Expr, cols: Mapping, n: int):
-    """(values, errors): the value of `e` at each of n points, and the
+def _batch_values(walk: Mapping, ints: set, cols: Mapping, n: int):
+    """(values, errors): the value of a tree at each of n points, and the
     exception that evaluating it at a point raised, by the point's index.
 
-    `cols` maps each symbol of `e` to its n floats.  Each distinct node is
-    evaluated once over all the points, with the float operation the code
-    of `_numeric_lines` does for it, so a value is the one `compile_numeric`
-    gives, and a point's exception is the first one a call there raises.
-    The values at a point that raised are placeholders.
+    `walk` maps each distinct node of the tree to its operands in
+    `_distinct_nodes`' post-order, which ends at the root, and `ints` is
+    the set that walk filled.  `cols` maps each symbol of the tree to its
+    n floats.  Each distinct node is evaluated once over all the points,
+    with the float operation the code of `_numeric_lines` does for it, so
+    a value is the one `compile_numeric` gives, and a point's exception is
+    the first one a call there raises.  The values at a point that raised
+    are placeholders.
     """
     values = {}
-    ints = set()
     errors = {}
-    for node, kids in _distinct_nodes([e], values, ints):
+    for node, kids in walk.items():
         args = [values[k] for k in kids]
         if isinstance(node, Sym):
             out = cols[node.info]
@@ -902,7 +906,7 @@ def _batch_values(e: Expr, cols: Mapping, n: int):
         else:
             out = _column(getattr(math, node.fn), args, errors)
         values[node] = out
-    return values[e], errors
+    return out, errors
 
 
 def _guard(v: float) -> float:
@@ -992,10 +996,17 @@ def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
     the draws are taken in order, as one draw at a time would take them.
     """
     _check_samples(samples)
-    syms = sorted(free_symbols(e), key=lambda i: (int(i.role), i.name))
+    # one walk serves every batch, and its symbols are the ones drawn
+    walk, ints = {}, set()
+    for node, kids in _distinct_nodes([e], walk, ints):
+        walk[node] = kids
+    syms = sorted((node.info for node in walk if isinstance(node, Sym)),
+                  key=lambda i: (int(i.role), i.name))
     names = [s.name for s in syms]
     k = len(syms)
-    uniform = random.Random(seed).uniform
+    # uniform(-SAMPLE_SPAN, SAMPLE_SPAN)'s own formula, a + (b - a) * random()
+    rand = random.Random(seed).random
+    low, width = -SAMPLE_SPAN, 2 * SAMPLE_SPAN
     accepted = 0
     rejected = 0
     max_abs = 0.0
@@ -1003,9 +1014,9 @@ def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
     while accepted < samples:
         n = samples - accepted
         # draw by draw, and within a draw by symbol
-        flat = [uniform(-SAMPLE_SPAN, SAMPLE_SPAN) for _ in range(n * k)]
+        flat = [low + width * rand() for _ in range(n * k)]
         values, errors = _batch_values(
-            e, {s: flat[j::k] for j, s in enumerate(syms)}, n)
+            walk, ints, {s: flat[j::k] for j, s in enumerate(syms)}, n)
         for i, v in enumerate(values):
             exc = errors.get(i)
             if exc is None:

@@ -116,9 +116,9 @@ def build_ansatz(lie, deg_x: int = 1, deg_g=(0, 0),
     return MultiplierAnsatz(lie, deg_x, (lo, hi), tuple(basis))
 
 
-def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
-                      max_unknowns: int = MAX_UNKNOWNS) -> MultiplierAnsatz:
-    """Ansatz over an explicit list of basis monomials.
+def ansatz_from_basis(lie, basis) -> MultiplierAnsatz:
+    """Ansatz over an explicit list of basis monomials, with no degree
+    bounds (its `deg_x` and `deg_g` are None).
 
     Each element must be a coefficient-1 monomial in the fields and group
     parameters, negative exponents allowed.  The E-L jet coefficients are
@@ -136,8 +136,8 @@ def ansatz_from_basis(lie, basis, deg_x=None, deg_g=None,
     if len(set(basis)) < len(basis):
         # it would add members with every multiplier 0 to the family
         raise ValueError("the basis repeats a monomial")
-    _check_unknowns(lie.r * lie.n * lie.r * len(basis), max_unknowns)
-    return MultiplierAnsatz(lie=lie, deg_x=deg_x, deg_g=deg_g, basis=basis)
+    _check_unknowns(lie.r * lie.n * lie.r * len(basis), MAX_UNKNOWNS)
+    return MultiplierAnsatz(lie, None, None, basis)
 
 
 def _check_unknowns(count: int, max_unknowns: int) -> None:
@@ -279,15 +279,6 @@ def _lowered(sig, key):
         if k == key:
             return e, sig[:i] + (((k, e - 1),) if e != 1 else ()) + sig[i + 1:]
     return 0, None
-
-
-def lambda_map_residual(lie, lambda_map: dict, k: int, alpha: int) -> Expr:
-    """Residual for explicit multiplier expressions keyed by (a, s) or
-    (k, a, s); useful for checking a candidate solution directly."""
-    lambdas = {(k, a, s): lambda_map.get((k, a, s),
-                                         lambda_map.get((a, s), RAT0))
-               for a in range(1, lie.n + 1) for s in range(1, lie.r + 1)}
-    return weak_el_residual_of(lie, compose_lagrangian(lie, lambdas, k), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -570,27 +561,6 @@ class LagrangianFamily:
         table = {p: Rational(v) for p, v in values.items()}
         return {key: substitute(e, table) for key, e in self.multipliers.items()}
 
-    def coordinates_of(self, lambda_map: dict):
-        """Free-parameter values realizing explicit multipliers, or None.
-
-        The multipliers must be expressible over the ansatz basis and lie
-        in the span of the family members.
-        """
-        w = _basis_vector(self.ansatz, lambda_map)
-        if w is None:
-            return None
-        d = len(self.members)
-        # one equation per column that w or a member holds
-        support = sorted(set(w).union(*self.members))
-        reduced, pivots = rref([[m.get(i, 0) for m in self.members]
-                                + [w.get(i, 0)] for i in support])
-        if d in pivots:
-            return None  # inconsistent: w outside the span
-        # consistent, so the reduced right-hand side solves it exactly
-        t = {pc: row.get(d, Fraction(0)) for row, pc in zip(reduced, pivots)}
-        return {p.name: t.get(j, Fraction(0))
-                for j, p in enumerate(self.free_params)}
-
 
 def _rename_params(e: Expr, twin: dict) -> Expr:
     """`e`, linear in the free parameters, with each renamed by `twin`.  A
@@ -599,26 +569,6 @@ def _rename_params(e: Expr, twin: dict) -> Expr:
     syms = {p: Sym(q) for p, q in twin.items()}
     return polynomial_expr([(c, ((syms[pairs[0][0].info], 1),) + pairs[1:])
                             for c, pairs in monomials(e) if c])
-
-
-def _basis_vector(ansatz: MultiplierAnsatz, lambda_map: dict):
-    """Sparse {column: Fraction} coefficients of explicit multipliers over
-    the ansatz columns."""
-    sig_to_m = {_sig(monomials(b)[0][1]): m
-                for m, b in enumerate(ansatz.basis)}
-    w = defaultdict(Fraction)
-    for key, infos in ansatz.unknowns.items():
-        expr = lambda_map.get(key, lambda_map.get(key[1:]))
-        if expr is None:
-            continue
-        for coeff, pairs in monomials(canonicalize(expr)):
-            if coeff == 0:
-                continue
-            m = sig_to_m.get(_sig(pairs))
-            if m is None:
-                return None
-            w[infos[m].index[0]] += coeff
-    return dict(w)
 
 
 def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:

@@ -13,7 +13,7 @@ import time
 import pytest
 
 import lagrforge as lf
-from lagrforge import cli
+from lagrforge import cli, solver
 from lagrforge.cli import run
 from lagrforge.expr import DEFAULT_SEED
 
@@ -347,6 +347,7 @@ GOLDEN = [
 ]
 
 
+@pytest.mark.hash_order
 @pytest.mark.parametrize("argv,fmt,code,digest", GOLDEN,
                          ids=[f"{a} {f}" for a, f, _, _ in GOLDEN])
 def test_golden_output(capsys, argv, fmt, code, digest):
@@ -379,6 +380,28 @@ def test_only_the_requested_format_is_built(capsys, monkeypatch, fmt,
     got, out, err = capture(capsys, argv.split() + ["--format", fmt])
     assert (got, err) == (code, "")
     assert out
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+@pytest.mark.parametrize("argv", [
+    "example so2", "example affine1",
+    "verify affine1 --deg-x 1 --deg-g-min -1 --deg-g-max 1",
+    "verify perfbench/groups/se2.grp --deg-x 1"])
+def test_cli_never_reads_the_expression_reference_path(capsys, monkeypatch,
+                                                       argv, fmt):
+    # the unknowns as symbols, the multipliers and Lagrangians built from
+    # them, and the dense rows over them serve only the tests' reference;
+    # SE(2) verifies as FAILED and exits 1 either way
+    def refuse(*args):
+        raise AssertionError("read the expression reference path")
+    args = [str(ROOT / a) if a.endswith(".grp") else a for a in argv.split()]
+    with monkeypatch.context() as patched:
+        for name in ("unknowns", "lambdas"):
+            patched.setattr(solver.MultiplierAnsatz, name, property(refuse))
+        for name in ("compose_lagrangian", "_unknown_table"):
+            patched.setattr(solver, name, refuse)
+        guarded = capture(capsys, args + ["--format", fmt])
+    assert guarded[:2] == capture(capsys, args + ["--format", fmt])[:2]
 
 
 # Not a group: X -> g*X + g composed twice is not the action of the sum.
@@ -733,6 +756,7 @@ def test_cli_import_compiles_no_generated_code():
     assert made == "[]\n"
 
 
+@pytest.mark.hash_order
 @pytest.mark.parametrize("argv, compiled", [
     (["verify", str(ROOT / "perfbench" / "groups" / "se2.grp"),
       "--deg-x", "1"], []),

@@ -247,6 +247,7 @@ group pinned {{
 SYMBOLIC = ("Symbolic", None, None)
 
 
+@pytest.mark.hash_order
 @pytest.mark.parametrize("source, pinned", [
     # a constant identity other than the additive one breaks three laws
     (_one_coordinate_group(identity="1"),
@@ -299,6 +300,7 @@ SE2 = (pathlib.Path(__file__).resolve().parent.parent
        / "perfbench" / "groups" / "se2.grp")
 
 
+@pytest.mark.hash_order
 def test_zero_law_difference_is_not_sampled(monkeypatch):
     # SE(2)'s inverse law holds exactly in t and only through trigonometric
     # identities in a and b: the t difference is 0 and is not sampled, and

@@ -67,6 +67,7 @@ def _has_chain_atom(e):
                getattr(e, "factors", ()))
 
 
+@pytest.mark.hash_order
 def test_differentiate_matches_tree_walk():
     # the term-by-term derivative is the canonicalized chain-rule tree of
     # the whole canonical form, by each variable and by an absent symbol
@@ -116,6 +117,7 @@ def _with_inverse(rng, e):
     return Product((e, Power(base, rng.choice((-1, -2)))))
 
 
+@pytest.mark.hash_order
 def test_substitute_matches_tree_walk():
     # the term-by-term substitution is the canonicalized substitution tree
     # of the whole canonical form, for raw and canonical input alike
@@ -444,6 +446,7 @@ def _sampled_cases(rng):
     return exprs
 
 
+@pytest.mark.hash_order
 def test_sample_expr_matches_tree_walk(monkeypatch):
     # sample_expr evaluates each batch of draws node by node; its outcome,
     # the witness point and the abort point included, must be the tree
@@ -459,15 +462,22 @@ def test_sample_expr_matches_tree_walk(monkeypatch):
         raised += not isinstance(want, SampleOutcome)
     assert (aborted, raised) == (3, 2)
     # with the guard at 0.5, draws are rejected inside a batch, and the
-    # next batch draws only the points still needed
+    # next batch draws only the points still needed; every batch of one
+    # call evaluates the one walk of its tree
     monkeypatch.setattr(expr, "SINGULAR_GUARD", 0.5)
     batches = []
     batch = expr._batch_values
-    monkeypatch.setattr(expr, "_batch_values", lambda e, cols, n:
-                        batches.append(n) or batch(e, cols, n))
+    monkeypatch.setattr(expr, "_batch_values", lambda walk, ints, cols, n:
+                        batches.append(n) or batch(walk, ints, cols, n))
+    walks = []
+    distinct_nodes = expr._distinct_nodes
+    monkeypatch.setattr(expr, "_distinct_nodes", lambda *args:
+                        walks.append(1) or distinct_nodes(*args))
     for seed, e in enumerate(_sampled_cases(random.Random(4048))):
         want = _outcome(tree_walk_sample, e, seed)
+        walks.clear()
         assert _outcome(sample_expr, e, seed) == want
+        assert len(walks) == 1
     assert sum(0 < n < 16 for n in batches) > 50
 
 
@@ -607,6 +617,7 @@ def test_term_factors_match_the_factor_sort(affine_family):
     assert plain > 40 and powers > 100
 
 
+@pytest.mark.hash_order
 def test_prefix_matches_tree_walk():
     # the prefix, infix and LaTeX printers write a sum from its monomials,
     # each term's factors in the order of `expr.term_factors`; walking the

@@ -215,6 +215,7 @@ def any_family(request):
     return _solved(request.param)
 
 
+@pytest.mark.hash_order
 def test_split_checks_match_substitution(any_family):
     # the checks read component 1's E-L split by free parameter; the
     # reference substitutes into every component's, equation by equation
@@ -239,6 +240,7 @@ def test_split_checks_match_substitution(any_family):
             assert rref(split) == reduction
 
 
+@pytest.mark.hash_order
 def test_split_checks_match_substitution_off_the_family(so2_family):
     # a Lagrangian with no free parameter, as in the mismatch test: its
     # monomials are split under no parameter, with the opposite rotation
@@ -480,12 +482,14 @@ def reference_orbit(lie, x0, g_end, step, compiled=False):
                               final_exact=tuple(exact(g)))
 
 
+@pytest.mark.hash_order
 @pytest.mark.parametrize("source,x0,g_end,step,want", ORBIT_BITS,
                          ids=ORBIT_IDS)
 def test_orbit_bits_are_pinned(source, x0, g_end, step, want):
     assert orbit_bits(source, x0, g_end, step) == want
 
 
+@pytest.mark.hash_order
 @pytest.mark.parametrize("x0,g_end,step", [
     ((1.0, 0.0), 2 * math.pi, 1e-3),
     ((0.3, -1.7), -2.5, 7e-3),
@@ -495,6 +499,7 @@ def test_orbit_matches_tree_walking_reference_so2(so2_lie, x0, g_end, step):
         _bits(reference_orbit(so2_lie, x0, g_end, step))
 
 
+@pytest.mark.hash_order
 @pytest.mark.parametrize("g_end", [1.5, -0.5])
 def test_orbit_matches_tree_walking_reference_negative_power(g_end):
     # the right-hand sides carry (1 + g)^-1, so the guard is compiled in
@@ -508,6 +513,7 @@ def test_orbit_matches_tree_walking_reference_negative_power(g_end):
                                                  1e-2))
 
 
+@pytest.mark.hash_order
 @pytest.mark.parametrize("x0,g_end", [
     ((1.0, 0.0), 2 * math.pi),      # a full turn
     ((0.3, -1.7), -3.0),            # backwards
@@ -520,6 +526,7 @@ def test_compiled_orbit_matches_compiled_reference_so2(so2_lie, x0, g_end):
                                                  compiled=True))
 
 
+@pytest.mark.hash_order
 def test_compiled_orbit_matches_compiled_reference_at_a_pole():
     # three fields, and (1 + g)^-1 in the Lie equations: the orbit to g = -2
     # trips SINGULAR_GUARD in a stage and must name the same g
@@ -569,6 +576,7 @@ def _operand_counts(line):
     return counts
 
 
+@pytest.mark.hash_order
 @pytest.mark.parametrize("source,x0,g_end", [
     (lf.bundled_source("so2"), (1.0, 0.0), 1.5003),
     (SCALE3, (1.0, 0.5, -0.25), 1.5003),
@@ -585,6 +593,7 @@ def test_orbit_source_sums_and_one_square_root(monkeypatch, source, x0,
     assert lines[-4].startswith("return g, _sqrt(dev2), ")
 
 
+@pytest.mark.hash_order
 def test_orbit_source_hoists_invariant_product_prefixes(monkeypatch):
     # so2's action term -1.0 * u1 * sin(g) multiplies its two loop-invariant
     # factors once, before the loop; no product in the loop starts with two
