@@ -22,10 +22,12 @@ import sys
 from importlib import resources
 from typing import Optional
 
-from .expr import (DEFAULT_SEED, EQUALS_TOL, Cos, Expr, Power, Product,
-                   RAT0, RAT_M1, Rational, Role, Sin, Sum, Sym, SymbolInfo,
-                   _as_monomials, _fresh_name, _operands, canonicalize,
-                   format_expr, sample_expr, substitute)
+from .expr import (DEFAULT_SEED, EQUALS_TOL, EXACT_POINTS, Clash, Cos, Expr,
+                   Power, Product, RAT0, RAT_M1, Rational, Role,
+                   SampleOutcome, Sin, Sum, Sym, SymbolInfo, _as_monomials,
+                   _fresh_name, _operands, at_exact_points, batch_value,
+                   canonicalize, exact_values, format_expr, sample_batches,
+                   substitute, trig_symbols)
 
 CLAUSES = ("params", "coords", "identity", "inverse", "multiply", "action")
 RESERVED = set(CLAUSES) | {"group", "sin", "cos", "lhs", "rhs"}
@@ -373,21 +375,21 @@ class GroupActionSpec:
     def n(self) -> int:
         return len(self.coords)
 
-    def act(self, g=None, X=None) -> tuple:
-        """The action S_g X with the parameters set to the expressions `g`
-        and the coordinates to `X`; a side left out keeps its symbols."""
-        table = {}
-        if g is not None:
-            table.update(zip(self.params, g))
-        if X is not None:
-            table.update(zip(self.coords, X))
-        return tuple(substitute(a, table) for a in self.action)
-
     def compose(self, g, h) -> tuple:
         """The product g h: the multiply clause at lhs = g, rhs = h."""
         table = dict(zip(self.lhs_params, g))
         table.update(zip(self.rhs_params, h))
         return tuple(substitute(m, table) for m in self.multiply)
+
+    def angles(self) -> tuple:
+        """Indices of the parameters inside a sine or cosine argument of
+        some clause, a `lhs.`/`rhs.` copy counting as its parameter."""
+        inside = set()
+        for e in self.inverse + self.multiply + self.action:
+            inside |= trig_symbols(e)
+        return tuple(j for j, names in enumerate(zip(
+            self.params, self.lhs_params, self.rhs_params))
+            if not inside.isdisjoint(names))
 
 
 def parse(source: str) -> GroupActionSpec:
@@ -529,7 +531,7 @@ class AxiomCheck:
                  witness: Optional[dict] = None):
         self.axiom = axiom
         self.description = description
-        self.verdict = verdict  # "Symbolic" | "Numeric" | "Failed"
+        self.verdict = verdict  # "Exact" | "Numeric" | "Failed"
         self.max_residual = max_residual
         self.witness = witness
 
@@ -553,50 +555,121 @@ def _fresh_params(spec: GroupActionSpec, suffix: str) -> tuple:
                                 Role.GROUP_PARAMETER)) for p in spec.params)
 
 
-def _law_check(axiom: str, description: str, diffs, samples: int, seed: int,
-               tol: float) -> AxiomCheck:
-    """Symbolic when every difference canonicalizes to 0, else Numeric
-    unless a sampled one exceeds `tol`; difference j samples at seed + j,
-    and one that is 0 is not sampled."""
-    zero = [isinstance(d, Rational) and d.value == 0 for d in diffs]
-    if all(zero):
-        return AxiomCheck(axiom, description, "Symbolic")
-    worst = 0.0
-    for j, d in enumerate(diffs):
-        if zero[j]:
-            continue
-        out = sample_expr(d, samples=samples, seed=seed + j)
-        if out.aborted or out.max_abs > tol:
-            return AxiomCheck(axiom, description, "Failed",
-                              max_residual=out.max_abs, witness=out.witness)
-        worst = max(worst, out.max_abs)
-    return AxiomCheck(axiom, description, "Numeric", max_residual=worst)
+class _Clauses:
+    """The clauses of a group as functions of values in one arithmetic:
+    `evaluate(exprs, env, angles)` gives the values of `exprs` at `env`,
+    each one whose index is in `angles` as an angle."""
+
+    def __init__(self, spec: GroupActionSpec, evaluate, angles=()):
+        self.spec = spec
+        self.evaluate = evaluate
+        self.angles = angles
+        self.identity = evaluate(spec.identity, {}, angles)
+
+    def act(self, g, X) -> tuple:
+        env = dict(zip(self.spec.params, g))
+        env.update(zip(self.spec.coords, X))
+        return self.evaluate(self.spec.action, env, ())
+
+    def compose(self, g, h) -> tuple:
+        env = dict(zip(self.spec.lhs_params, g))
+        env.update(zip(self.spec.rhs_params, h))
+        return self.evaluate(self.spec.multiply, env, self.angles)
+
+    def inverse(self, g) -> tuple:
+        return self.evaluate(self.spec.inverse, dict(zip(self.spec.params, g)),
+                             self.angles)
+
+
+# The four laws: (axiom, description, sides), where sides(G, g, h, X) gives
+# the two tuples of values the law equates, for the clauses G in one
+# arithmetic at parameters g, h and coordinates X.  The identity-action law
+# is checked on transformed points, so actions whose image is a proper
+# subset of the coordinate space (constant components) still validate.
+LAWS = (
+    ("identity_action", "action at the identity element is trivial",
+     lambda G, g, h, X: (G.act(G.identity, G.act(h, X)), G.act(h, X))),
+    ("inverse", "composition with the inverse yields the identity",
+     lambda G, g, h, X: (G.compose(g, G.inverse(g)), G.identity)),
+    ("composition", "acting twice equals acting by the product",
+     lambda G, g, h, X: (G.act(g, G.act(h, X)), G.act(G.compose(g, h), X))),
+    ("identity_element", "the identity element is a left unit",
+     lambda G, g, h, X: (G.compose(G.identity, g), g)),
+)
+
+
+def _ghX(spec: GroupActionSpec, h: tuple, values) -> tuple:
+    """(g, h, X), each a tuple of `values` of the parameters, their copies
+    `h` and the coordinates."""
+    return tuple(tuple(values[s] for s in syms)
+                 for syms in (spec.params, h, spec.coords))
+
+
+def _exact_holds(spec: GroupActionSpec, h: tuple, seed: int) -> list:
+    """For each law, whether it holds at EXACT_POINTS seeded points mod
+    MODULUS; raises Clash where exact evaluation cannot decide."""
+    angles = spec.angles()
+    G = _Clauses(spec, exact_values, angles)
+
+    def holds(env):
+        return [left == right for left, right in
+                (sides(G, *_ghX(spec, h, env)) for _, _, sides in LAWS)]
+
+    drawn = at_exact_points(holds, spec.params + h + spec.coords,
+                            {s for j in angles for s in (spec.params[j], h[j])},
+                            seed)
+    return [all(point[i] for point in drawn) for i in range(len(LAWS))]
+
+
+def _sample_law(spec: GroupActionSpec, h: tuple, law: int, samples: int,
+                seed: int) -> SampleOutcome:
+    """The largest float difference of one law's sides at seeded points."""
+    axiom, _, sides = LAWS[law]
+
+    def batch(cols, n):
+        errors = {}
+        G = _Clauses(spec, lambda exprs, env, _: tuple(
+            batch_value(e, env, n, errors) for e in exprs))
+        left, right = sides(G, *_ghX(spec, h, cols))
+        worst = [0.0] * n
+        for a, b in zip(left, right):
+            worst = list(map(max, worst, (abs(x - y) for x, y in zip(a, b))))
+        return worst, errors
+
+    return sample_batches(batch, spec.params + h + spec.coords, samples, seed,
+                          lambda: (f"the {axiom} law of {spec.name}",) * 2)
 
 
 def validate_axioms(spec: GroupActionSpec, samples: int = AXIOM_SAMPLES,
                     seed: int = DEFAULT_SEED, tol: float = EQUALS_TOL) -> AxiomReport:
-    """Check the four action/group laws, symbolically where possible.
+    """Check the four action/group laws, each side evaluated as values,
+    never composed as a tree.
 
-    The identity-action law is checked on transformed points, so actions
-    whose image is a proper subset of the coordinate space (constant
-    components) still validate.
+    `Exact`: the sides agree at EXACT_POINTS seeded points mod MODULUS, so
+    a false law passes with probability at most (degree / MODULUS) **
+    EXACT_POINTS; not a canonical identity.  `Failed`: they differ, and
+    the float evaluation of the law at `samples` points gives the witness
+    and largest residual.  Where exact evaluation meets a Clash, every law
+    is sampled in floats instead: `Numeric` within `tol`, else `Failed`.
+    Law i samples at seed + 101 * i, from i = 1.
     """
-    g = tuple(map(Sym, spec.params))
-    h = _fresh_params(spec, "h")
-    hX = spec.act(g=h)              # S_h X with independent parameters h
-    laws = [
-        ("identity_action", "action at the identity element is trivial",
-         spec.act(g=spec.identity, X=hX), hX),
-        ("inverse", "composition with the inverse yields the identity",
-         spec.compose(g, spec.inverse), spec.identity),
-        ("composition", "acting twice equals acting by the product",
-         spec.act(X=hX), spec.act(g=spec.compose(g, h))),
-        ("identity_element", "the identity element is a left unit",
-         spec.compose(spec.identity, g), g),
-    ]
-    checks = [_law_check(axiom, description,
-                         [l - r for l, r in zip(left, right)],
-                         samples, seed + offset * 101, tol)
-              for offset, (axiom, description, left, right)
-              in enumerate(laws, start=1)]
-    return AxiomReport(spec.name, samples, seed, checks)
+    h = tuple(s.info for s in _fresh_params(spec, "h"))
+    try:
+        holds = _exact_holds(spec, h, seed)
+    except Clash:
+        holds = None
+    checks = []
+    for law, (axiom, description, _) in enumerate(LAWS):
+        if holds is not None and holds[law]:
+            checks.append(AxiomCheck(axiom, description, "Exact"))
+            continue
+        out = _sample_law(spec, h, law, samples, seed + (law + 1) * 101)
+        if holds is None and not out.aborted and out.max_abs <= tol:
+            checks.append(AxiomCheck(axiom, description, "Numeric",
+                                     max_residual=out.max_abs))
+        else:
+            checks.append(AxiomCheck(axiom, description, "Failed",
+                                     max_residual=out.max_abs,
+                                     witness=out.witness))
+    return AxiomReport(spec.name, samples if holds is None else EXACT_POINTS,
+                       seed, checks)

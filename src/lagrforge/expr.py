@@ -11,7 +11,8 @@ by term, and a term goes back through a tree only where a sine, cosine or
 inverse sum is involved.  No floating point ever enters a tree; numerics
 only appear in `eval_numeric`, in the code `compile_numeric` writes (the
 compiled orbit of `verify`), and in the batch sampler of the sampling-based
-equality fallback (`sample_expr`).
+equality fallback (`sample_expr`, `sample_batches`).  `exact_value`
+evaluates a canonical tree exactly, modulo a prime, at a seeded point.
 """
 
 from __future__ import annotations
@@ -964,6 +965,152 @@ def _operands(e: Expr) -> tuple:
     raise TypeError(f"cannot evaluate {type(e).__name__}")
 
 
+def batch_value(e: Expr, env: Mapping, n: int, errors: dict) -> list:
+    """The float values of `e` at n points, `env` mapping each symbol's
+    SymbolInfo to its n values, as `_batch_values` computes them; the
+    exception a point raises joins `errors` unless that point has one."""
+    walk, ints = {}, set()
+    for node, kids in _distinct_nodes([e], walk, ints):
+        walk[node] = kids
+    values, raised = _batch_values(walk, ints, env, n)
+    for i, exc in raised.items():
+        errors.setdefault(i, exc)
+    return values
+
+
+# ---------------------------------------------------------------------------
+# Exact evaluation at seeded points, modulo the prime MODULUS.  A symbol's
+# value is a residue, or, for an angle, the point (cos, sin) of the unit
+# circle, of which a sum of angles is the product.  A rational function
+# that is 0 takes the value 0 at every point where no denominator
+# vanishes; one that is not takes it at a random point with probability
+# at most its degree over MODULUS (Schwartz 1980; Zippel 1979).  Circle
+# points are rational, so sines and cosines of integer-linear sums of
+# angles obey every identity the real ones do.
+
+MODULUS = 2 ** 61 - 1          # a prime, 3 mod 4: 1 + u^2 is never 0
+EXACT_POINTS = 3
+
+
+class Clash(ValueError):
+    """A value exact evaluation cannot take: an angle used other than in
+    an integer-linear sin/cos argument, another sin/cos argument, or a
+    constant whose denominator MODULUS divides."""
+
+
+def trig_symbols(e: Expr) -> set:
+    """The symbols inside a sine or cosine argument of the canonical `e`."""
+    out = set()
+    for _, pairs in _as_monomials(canonicalize(e)):
+        for atom, _ in pairs:
+            if isinstance(atom, Trig):
+                out |= free_symbols(atom.argument)
+            elif isinstance(atom, Sum):
+                out |= trig_symbols(atom)
+    return out
+
+
+def exact_value(e: Expr, env: Mapping, memo: dict) -> int:
+    """The value mod MODULUS of the canonical `e` at `env`, which maps each
+    symbol's SymbolInfo to a residue or an angle's circle point; `memo`
+    keeps the values of atoms at this `env`.  Raises ZeroDivisionError
+    where a denominator is 0 at this point, and Clash."""
+    total = 0
+    for coeff, pairs in _as_monomials(canonicalize(e)):
+        v = _exact_number(coeff)
+        for atom, n in pairs:
+            if atom.__class__ is Sym:
+                x = env[atom.info]
+                if x.__class__ is tuple:
+                    raise Clash(f"angle {atom.info.name} outside sin/cos")
+            elif atom in memo:
+                x = memo[atom]
+            elif isinstance(atom, Trig):
+                c, s = exact_angle(atom.argument, env)
+                x = memo[atom] = s if isinstance(atom, Sin) else c
+            else:                               # a sum kept whole
+                x = memo[atom] = exact_value(atom, env, memo)
+            if n < 0 and not x:
+                raise ZeroDivisionError("a denominator is 0 at this point")
+            v = v * (x if n == 1 else pow(x, n, MODULUS)) % MODULUS
+        total += v
+    return total % MODULUS
+
+
+def exact_angle(e: Expr, env: Mapping) -> tuple:
+    """The circle point (cos, sin) of the canonical `e`, an integer-linear
+    sum of angles in `env`; the constant 0 is the angle 0.  Raises Clash
+    for any other `e`."""
+    c, s = 1, 0
+    for coeff, pairs in _as_monomials(canonicalize(e)):
+        if not pairs and not coeff:
+            continue
+        atom, n = pairs[0] if len(pairs) == 1 else (None, 0)
+        point = env.get(atom.info) if atom.__class__ is Sym else None
+        if n != 1 or coeff.__class__ is not int or point.__class__ is not tuple:
+            raise Clash(f"{format_expr(e)} is no integer sum of angles")
+        pc, ps = point if coeff == 1 else _turn(point, coeff)
+        c, s = (c * pc - s * ps) % MODULUS, (c * ps + s * pc) % MODULUS
+    return c, s
+
+
+def _turn(point: tuple, n: int) -> tuple:
+    """The circle point of n times the angle of `point`, by squaring."""
+    c, s = point[0], point[1] if n > 0 else -point[1]
+    rc, rs = 1, 0
+    for bit in bin(abs(n))[2:]:
+        rc, rs = (rc * rc - rs * rs) % MODULUS, 2 * rc * rs % MODULUS
+        if bit == "1":
+            rc, rs = (rc * c - rs * s) % MODULUS, (rc * s + rs * c) % MODULUS
+    return rc, rs
+
+
+def _exact_number(c: Number) -> int:
+    if c.__class__ is int:
+        return c % MODULUS
+    if c.denominator % MODULUS == 0:
+        raise Clash(f"the modulus divides the denominator of {c}")
+    return c.numerator * pow(c.denominator, -1, MODULUS) % MODULUS
+
+
+def exact_values(exprs: Sequence[Expr], env: Mapping,
+                 angles=()) -> tuple:
+    """The values of `exprs` at `env`, each one whose index is in `angles`
+    as an angle (`exact_angle`), the others as residues (`exact_value`)."""
+    memo = {}
+    return tuple(exact_angle(e, env) if j in angles
+                 else exact_value(e, env, memo) for j, e in enumerate(exprs))
+
+
+def circle_point(u: int) -> tuple:
+    """The point ((1 - u^2)/(1 + u^2), 2u/(1 + u^2)) of the unit circle
+    mod MODULUS, the (cos, sin) of the angle 2 atan(u)."""
+    d = pow(1 + u * u, -1, MODULUS)
+    return (1 - u * u) * d % MODULUS, 2 * u * d % MODULUS
+
+
+def at_exact_points(fn, syms: Sequence, angles, seed: int) -> list:
+    """[fn(env) for each of EXACT_POINTS seeded points env]: env maps each
+    of `syms` to a uniform residue, or, for one in `angles`, to the circle
+    point of one.  A point where fn raises ZeroDivisionError is drawn
+    again; past MAX_REJECTIONS such points, Clash is raised."""
+    rng = random.Random(seed)
+    out, redrawn = [], 0
+    while len(out) < EXACT_POINTS:
+        env = {}
+        for s in syms:
+            u = rng.randrange(MODULUS)
+            env[s] = circle_point(u) if s in angles else u
+        try:
+            out.append(fn(env))
+        except ZeroDivisionError:
+            redrawn += 1
+            if redrawn > MAX_REJECTIONS:
+                raise Clash(f"a denominator is 0 at {redrawn} points") \
+                    from None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Equality decision.
 
@@ -972,6 +1119,8 @@ class Equivalence(Enum):
     PROVED_EQUAL = "ProvedEqual"
     PROVED_UNEQUAL = "ProvedUnequal"
     NUMERICALLY_EQUAL = "NumericallyEqual"
+    # 0 at EXACT_POINTS seeded points mod MODULUS: not a canonical identity
+    EXACTLY_EQUAL = "ExactlyEqual"
 
 
 class SampleOutcome:
@@ -995,13 +1144,30 @@ def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
     (`_batch_values`), which gives the values `eval_numeric` gives; then
     the draws are taken in order, as one draw at a time would take them.
     """
-    _check_samples(samples)
     # one walk serves every batch, and its symbols are the ones drawn
     walk, ints = {}, set()
     for node, kids in _distinct_nodes([e], walk, ints):
         walk[node] = kids
-    syms = sorted((node.info for node in walk if isinstance(node, Sym)),
-                  key=lambda i: (int(i.role), i.name))
+    return sample_batches(
+        lambda cols, n: _batch_values(walk, ints, cols, n),
+        [node.info for node in walk if isinstance(node, Sym)], samples, seed,
+        lambda: (f"a {len(e.terms) if isinstance(e, Sum) else 1}-term "
+                 "expression", format_expr(e)))
+
+
+def sample_batches(batch, syms, samples: int, seed: int,
+                   describe) -> SampleOutcome:
+    """The largest magnitude of a seeded float evaluation, and its witness.
+
+    `batch(cols, n)` returns (values, errors) for n points, as
+    `_batch_values` does, `cols` mapping each of `syms` to its n values
+    drawn uniformly from [-SAMPLE_SPAN, SAMPLE_SPAN].  A point where it
+    raised a near-singular or overflow error is drawn again; past
+    MAX_REJECTIONS such points sampling aborts and logs, naming what
+    `describe()` gives: (the WARNING's subject, the DEBUG detail).
+    """
+    _check_samples(samples)
+    syms = sorted(syms, key=lambda i: (int(i.role), i.name))
     names = [s.name for s in syms]
     k = len(syms)
     # uniform(-SAMPLE_SPAN, SAMPLE_SPAN)'s own formula, a + (b - a) * random()
@@ -1015,8 +1181,7 @@ def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
         n = samples - accepted
         # draw by draw, and within a draw by symbol
         flat = [low + width * rand() for _ in range(n * k)]
-        values, errors = _batch_values(
-            walk, ints, {s: flat[j::k] for j, s in enumerate(syms)}, n)
+        values, errors = batch({s: flat[j::k] for j, s in enumerate(syms)}, n)
         for i, v in enumerate(values):
             exc = errors.get(i)
             if exc is None:
@@ -1032,11 +1197,10 @@ def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
             if rejected > MAX_REJECTIONS:
                 import logging  # only here: it is slow to import
                 log = logging.getLogger(__name__)
-                log.warning(
-                    "sampling aborted: %d near-singular or overflowing "
-                    "rejections for a %d-term expression",
-                    rejected, len(e.terms) if isinstance(e, Sum) else 1)
-                log.debug("sampling aborted on %s", format_expr(e))
+                subject, detail = describe()
+                log.warning("sampling aborted: %d near-singular or "
+                            "overflowing rejections for %s", rejected, subject)
+                log.debug("sampling aborted on %s", detail)
                 return SampleOutcome(
                     math.inf, dict(zip(names, flat[i * k:i * k + k])), True)
     return SampleOutcome(max_abs, witness, False)

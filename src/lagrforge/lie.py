@@ -15,10 +15,13 @@ from __future__ import annotations
 from typing import Optional
 
 from .dsl import _fresh_params
-from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
-                   Product, Role, Sum, Sym, SymbolInfo, _fresh_name,
-                   canonicalize, differentiate, equals, free_symbols,
-                   substitute)
+# `equals` is no longer called here, but perfbench/spans.py wraps lie.equals
+# as a kernel leaf and requires the name
+from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Clash,
+                   Equivalence, Product, Role, Sum, Sym, SymbolInfo,
+                   _fresh_name, at_exact_points, batch_value, canonicalize,
+                   differentiate, equals, exact_values, free_symbols,
+                   sample_batches, substitute)
 
 CONVENTION_NOTE = ("constraints follow the convention "
                    "phi[a][j] = X'[a]_j - sum_s u[s][j](g) * S[a][s](X'); "
@@ -33,14 +36,17 @@ class ConventionViolationError(ValueError):
     """Constraints failed to vanish on the action itself."""
 
 
-def infinitesimal_coefficients(spec) -> list:
-    """S[a][j] = d(action_a)/d(g_j) evaluated at the identity element."""
+def infinitesimal_coefficients(spec, jacobian=None) -> list:
+    """S[a][j] = d(action_a)/d(g_j) evaluated at the identity element;
+    `jacobian` is the grid of those derivatives where the caller has it."""
+    if jacobian is None:
+        jacobian = _jacobian(spec)
     id_map = {p: e for p, e in zip(spec.params, spec.identity)}
-    out = []
-    for a in spec.action:
-        out.append([substitute(differentiate(a, p), id_map)
-                    for p in spec.params])
-    return out
+    return [[substitute(d, id_map) for d in row] for row in jacobian]
+
+
+def _jacobian(spec) -> list:
+    return [[differentiate(a, p) for p in spec.params] for a in spec.action]
 
 
 def auxiliary_functions(spec) -> list:
@@ -96,12 +102,15 @@ def constraints(spec, samples: int = EQUALS_SAMPLES, seed: int = DEFAULT_SEED,
                 tol: float = EQUALS_TOL) -> LieData:
     """Derive S, u, and the constraints phi; verify phi vanishes on the action.
 
-    The vanishing check substitutes the action formulas for the fields and
-    their parameter derivatives for the jets and decides each by `equals`
-    with `samples`, `seed` and `tol`; a ProvedUnequal result means the
-    group data and the constraint convention disagree.
+    The check evaluates phi with the fields at the action's values and the
+    jets at its parameter derivatives', as `dsl.validate_axioms` evaluates
+    a law: `ExactlyEqual` when phi is 0 at EXACT_POINTS seeded points mod
+    MODULUS, else, on a Clash, `NumericallyEqual` within `tol` at `samples`
+    float points from `seed`.  A phi that does not vanish means the group
+    data and the constraint convention disagree.
     """
-    S = infinitesimal_coefficients(spec)
+    jacobian = _jacobian(spec)
+    S = infinitesimal_coefficients(spec, jacobian)
     u = auxiliary_functions(spec)
 
     taken = {s.name for s in spec.params + spec.coords}
@@ -132,24 +141,50 @@ def constraints(spec, samples: int = EQUALS_SAMPLES, seed: int = DEFAULT_SEED,
             row.append(Sym(jets[a][j]) - value)
         phi.append(row)
 
-    on_action = []
-    subs = {}
-    for a in range(spec.n):
-        subs[fields[a]] = spec.action[a]
-        for j, p in enumerate(spec.params):
-            subs[jets[a][j]] = differentiate(spec.action[a], p)
-    for a in range(spec.n):
-        row = []
-        for j in range(spec.r):
-            verdict = equals(substitute(phi[a][j], subs), 0, samples=samples,
-                             seed=seed, tol=tol)
-            if verdict == Equivalence.PROVED_UNEQUAL:
-                raise ConventionViolationError(
-                    f"constraint phi[{a + 1}][{j + 1}] does not vanish on "
-                    "the group action; the group data is inconsistent")
-            row.append(verdict)
-        on_action.append(row)
+    lie = LieData(spec=spec, fields=fields, jets=jets, S=S, u=u, phi=phi,
+                  onshell=onshell, notes=[CONVENTION_NOTE])
+    lie.on_action = _on_action(lie, jacobian, samples, seed, tol)
+    return lie
 
-    return LieData(spec=spec, fields=fields, jets=jets, S=S, u=u, phi=phi,
-                   onshell=onshell, on_action=on_action,
-                   notes=[CONVENTION_NOTE])
+
+def _on_action(lie, jacobian: list, samples: int, seed: int,
+               tol: float) -> list:
+    """The grid of verdicts that phi vanishes on the action."""
+    spec = lie.spec
+    # the fields and jets take the values of the action and its derivatives
+    names = lie.fields + tuple(lie.jet_list())
+    exprs = spec.action + tuple(d for row in jacobian for d in row)
+    flat = [e for row in lie.phi for e in row]
+
+    def violation(k):
+        a, j = divmod(k, spec.r)
+        return ConventionViolationError(
+            f"constraint phi[{a + 1}][{j + 1}] does not vanish on the group "
+            "action; the group data is inconsistent")
+
+    def vanishes(env):
+        env.update(zip(names, exact_values(exprs, env)))
+        for k, v in enumerate(exact_values(flat, env)):
+            if v:
+                raise violation(k)
+
+    try:
+        at_exact_points(vanishes, spec.params + spec.coords,
+                        {spec.params[j] for j in spec.angles()}, seed)
+        return [[Equivalence.EXACTLY_EQUAL] * spec.r for _ in range(spec.n)]
+    except Clash:
+        pass
+    for k, e in enumerate(flat):
+        def batch(cols, n, e=e):
+            errors = {}
+            at = dict(cols)
+            at.update(zip(names, [batch_value(x, cols, n, errors)
+                                  for x in exprs]))
+            return batch_value(e, at, n, errors), errors
+
+        out = sample_batches(batch, spec.params + spec.coords, samples, seed,
+                             lambda: (f"a constraint of {spec.name} on its "
+                                      "action",) * 2)
+        if out.aborted or out.max_abs > tol:
+            raise violation(k)
+    return [[Equivalence.NUMERICALLY_EQUAL] * spec.r for _ in range(spec.n)]

@@ -43,8 +43,17 @@ def test_parse_json(capsys):
     assert payload["group"]["coords"] == ["X1", "X2"]
     verdicts = {c["axiom"]: c["verdict"]
                 for c in payload["axioms"]["checks"]}
-    assert verdicts["composition"] == "Numeric"
+    assert verdicts["composition"] == "Exact"
     assert payload["axioms"]["seed"] == 0xC0FFEE
+
+
+@pytest.mark.parametrize("tol", ["1e-17", "1e-300"])
+def test_exact_group_laws_hold_at_any_tol(capsys, tol):
+    # so2's laws are decided at exact points, where a float tolerance,
+    # however small, plays no part
+    code, out, err = capture(capsys, ["parse", "so2", "--tol", tol])
+    assert (code, err) == (0, "")
+    assert "axioms: ok" in out
 
 
 def test_run_builds_its_parser_once(capsys, monkeypatch):
@@ -99,7 +108,7 @@ def test_derive_latex(capsys):
 
 
 # A valid group whose sampled on-action residual (rounding in a 33-term
-# difference) exceeds the default 1e-9 but not 1e-6.
+# difference) exceeded the default 1e-9 but not 1e-6 in floats.
 POWER16 = """
 group power16 {
   params: g;
@@ -115,10 +124,11 @@ group power16 {
 def test_derive_checks_the_action_under_the_sampling_flags(capsys, tmp_path):
     path = tmp_path / "power16.grp"
     path.write_text(POWER16)
-    code, out, err = capture(capsys, ["derive", str(path), "--tol", "1e-6",
-                                      "--format", "json"])
-    assert (code, err) == (0, "")
-    assert json.loads(out)["lie"]["on_action"] == [["NumericallyEqual"]] * 2
+    for flags in ([], ["--tol", "1e-6"]):
+        code, out, err = capture(capsys, ["derive", str(path), "--format",
+                                          "json"] + flags)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["lie"]["on_action"] == [["ExactlyEqual"]] * 2
 
 
 def test_solve_json(capsys):
@@ -232,116 +242,116 @@ def test_example_flags_override_defaults(capsys):
 # each determined jet.
 GOLDEN = [
     ("parse so2", "text", 0,
-     "f75fd83421fec697523091979e3582514dbe9f5421efdbb738fd83979eefddc6"),
+     "f0747387d83e901df904fb5203f5c1d78a94a92d8180c94ab635b823f0c89a51"),
     ("parse so2", "json", 0,
-     "0a6a103e5b25a780bc7b3345b9ebc8c1522399ff9ed78275b4bba62abf045e8f"),
+     "ef4d2dac2beb25eacb32de753f4a63015bce50bc1c300d30ea5dd32a886a0ff2"),
     ("parse so2", "latex", 0,
      "b85888159227104e58e3121ceb08a0210094cbd9fafea604f9adee297928bc38"),
     ("parse affine1", "text", 0,
-     "17d6c0a170983fb6eb3d38bfbce71c32e88d8fde2cf202286f58f743e744090c"),
+     "ea6d8036b3df9bb99e0da8ba8760f60a7cc31de7c388949d34f9b7682a87d838"),
     ("parse affine1", "json", 0,
-     "45845bd21c294ba912046014367a1049495d1f5e4d5ed063e2269f1298d58722"),
+     "116626d7119cab5a853a2b706311c69994550e1e00641b033586607c033be7bd"),
     ("parse affine1", "latex", 0,
      "22ab1a68c920174a763e60a656c0b417ab0e8bd34da5b64f3730b1ddc45b54d2"),
     ("derive so2", "text", 0,
-     "06eb78e5b246911e257b330100b45dbbc5ac01f20a3d38ea0ed9c2a537f04ce2"),
+     "b015e1e5389781e706ac202eba258f64ffcb76e1722aeee36b76f99a7fd7a7f9"),
     ("derive so2", "json", 0,
-     "0c5a684327cfb9ea51a20385b7de19a66e6d4a400265889b17ff1bb63a299ce1"),
+     "f24120c390d2a3e78c4d19c5968fdce58a43a698886cd20b698e2a8576875078"),
     ("derive so2", "latex", 0,
      "fc27a12bc1d2de49844e38a9d18b21c1ce6be0b6158bc2573f8e16986d51eef7"),
     ("derive affine1", "text", 0,
-     "710f6d8ed03ccc18789c9b9e6f36dab7c522f92bc31beca9a710e8e34e24d627"),
+     "37479cb83e57a449129d3937e1e0f79ebac2a86bde62417d4d1350bebc0b8a2e"),
     ("derive affine1", "json", 0,
-     "0b79e84fb1e0d5ce57b6d31484991ebae5e538d4b570a3ab764451e0da2c698e"),
+     "55fae89d8d8437e55649fa2c0809d39dd3ae3a568aa8f23d8749dcaf798e9164"),
     ("derive affine1", "latex", 0,
      "a5825b5a8f3cb1b658da10e49d42048fd8e32c7c022f461ca3c3b27ca9e098a7"),
     ("solve so2", "text", 0,
-     "bffca13b167d95b605a7009476a4e3b4cf358944436b2dc9eb08e6a0b1309b1a"),
+     "c81c340630f203949f621adc466fc683b6f668750144a9cb6042a2cd5890d74f"),
     ("solve so2", "json", 0,
-     "e2e7409c473abbbde346dff2ba1460b9fcf007094c117f514fa629f20e5e13f8"),
+     "963869d5a3fbcd7b4b4c64004f79c56620e445f18896341cfd69d61f75e84a75"),
     ("solve so2", "latex", 0,
      "804b5d27a7cb1ce00329b6f209a0a723f9f5aa8711abb0856a929932be2cca82"),
     ("solve affine1 --deg-g-min -1", "text", 0,
-     "960a64d99b82e389c432f9271adb884ea9d859ddc595036f9eb95014f1f4a35c"),
+     "a23875b116459354feae03f0f710940c9ce6716a48de7db97fd8300b2c7ddfdf"),
     ("solve affine1 --deg-g-min -1", "json", 0,
-     "9a706cb3d16582e7ac015bb7d116ad21ff2961732d73380cfb5ee17295c56e8f"),
+     "9c51229c064990af0ebcd74899fc42bb8562504e5a10a02834acd71235d6aa13"),
     ("solve affine1 --deg-g-min -1", "latex", 0,
      "35848f4d1283d98a0fef0e69c682d0c76e914de307bb42db2f28419729f6f446"),
     ("verify so2", "text", 0,
-     "eb9e5236515adb0ef106545395648f6fea70dd096e910b9a6911eaf766ce508b"),
+     "a7b8d8f067ba416233d9be2e480992e5736aee9f882f15257350b0f2f286fdca"),
     ("verify so2", "json", 0,
-     "d4eea91fa78414ff7c1d6eddf9461e6263267567167b75ad80de116390beba99"),
+     "caf22c291f438dad12ff610d3a7029d4c79d0f943e4c4e3952b814db9c35bbbc"),
     ("verify so2", "latex", 0,
      "804b5d27a7cb1ce00329b6f209a0a723f9f5aa8711abb0856a929932be2cca82"),
     ("verify affine1 --deg-g-min -1", "text", 0,
-     "54f3e126b39591171cb4ca9f23a0a2ef781dbcea4d5fa66784856eec53c63819"),
+     "91d5b31f29f7458debe78acd889ccad2ac998d0520c9041ae8996bb341ba21da"),
     ("verify affine1 --deg-g-min -1", "json", 0,
-     "98da9d919a5ad9961cc7986079d651ec8965858ad75605cbb0733a3969b9ad42"),
+     "85ba8a0910607d860e5002b573461b0abd807e37b91c0f6a203b3a37cd167250"),
     ("verify affine1 --deg-g-min -1", "latex", 0,
      "35848f4d1283d98a0fef0e69c682d0c76e914de307bb42db2f28419729f6f446"),
     ("verify so2 --params a2=0", "text", 1,
-     "ea80b137aede432390f647cea2262eb58245bf570438cf3d4c487a71a384ed25"),
+     "38c73f94b72f02e2416330b87ea7edd3d3238909de97a2e180863eb01e20354f"),
     ("verify so2 --params a2=0", "json", 1,
-     "6648e0565672dec33bf13fbce5def38a63af4ecacb2d8e58054d327dca7d7174"),
+     "44dd86f39dc17f9715c07f689e46fd60d884e187e58d1138647fb3d023ffe016"),
     ("verify so2 --params a2=0", "latex", 1,
      "804b5d27a7cb1ce00329b6f209a0a723f9f5aa8711abb0856a929932be2cca82"),
     ("example so2", "text", 0,
-     "2d6a931d0117ede695f68917f92e0f7bcd9185a5140506718c2c0dd2aac0a615"),
+     "0348a420e30bdfe3fbda93c3c08784848ebd3832717f866a2dbcbef80b52c1bf"),
     ("example so2", "json", 0,
-     "a8a4ddc0ec98377ee11b341b5f5fdb2cb91ef77a91b8e2cbcd103d412132dbfa"),
+     "89eecfa9718377f360ce417307fc3f3c3af4a063e636a75994f5bd99bd595a48"),
     ("example so2", "latex", 0,
      "804b5d27a7cb1ce00329b6f209a0a723f9f5aa8711abb0856a929932be2cca82"),
     ("example affine1", "text", 0,
-     "54f3e126b39591171cb4ca9f23a0a2ef781dbcea4d5fa66784856eec53c63819"),
+     "91d5b31f29f7458debe78acd889ccad2ac998d0520c9041ae8996bb341ba21da"),
     ("example affine1", "json", 0,
-     "47b294edc075ab07c3c2e3fd784e22afcfea4f7a7453bfedcea0a5f9f30be738"),
+     "fd573600c01b0deaac9073c56d4ce86224725389cf4d4ad93b3b815a5b2dfbd3"),
     ("example affine1", "latex", 0,
      "35848f4d1283d98a0fef0e69c682d0c76e914de307bb42db2f28419729f6f446"),
     # The rest of the benchmark ladder; a `.grp` path is resolved from the
     # repository root.  Their text and LaTeX digests were recorded before
     # those formats were spliced like the JSON.
     ("solve affine1 --deg-x 2 --deg-g-min -1", "json", 0,
-     "b75a31ce4e128d1f8bcf48401eb24aea86f79360bd0b19509ca5a8985a5812c4"),
+     "eac34ae710d168698e6694900044c2779310d8d03f52fe21e4706ce98ebb34bc"),
     ("solve affine1 --deg-x 2 --deg-g-min -1", "text", 0,
-     "fffd5a66512ef3e0e7062cff8a5131008e736a4d2a8aa0adc277f50366c54977"),
+     "2a2e94ad5a001c619aa0336f88555c7c3cd368afd1699718fac6cf377ff01f6b"),
     ("solve affine1 --deg-x 2 --deg-g-min -1", "latex", 0,
      "b06fa96886db61edfc81b1b67c4965ebbe24eebbd8ef389c133c487e1740d7fc"),
     ("solve affine1 --deg-g-min -1 --deg-g-max 1", "json", 0,
-     "4077b7b21c8ac58785f9959a92eca4e0953e3e503b74d0902a1c7894a8bab9c4"),
+     "2ee6084d6c2deeb8ad62eb83fefefcfb273e56926c50aeae806260e98fdd373f"),
     ("solve affine1 --deg-g-min -1 --deg-g-max 1", "text", 0,
-     "66fac60891330f1e7baa726aa0ebdfa2b1b94b26cd1a2a0f42b740d36c4f0c7f"),
+     "e7ac104314b796b43286cdb1ad4f07e54ec4d39f5af78b57b8b5330b24e20255"),
     ("solve affine1 --deg-g-min -1 --deg-g-max 1", "latex", 0,
      "2e0a5d1bc5768b7d42c0be2a88047f6aca5fa7f116021ef237839f2beece9eff"),
     ("verify affine1 --deg-g-min -1 --deg-g-max 1", "json", 0,
-     "0372b70eae08fd61e9cece527949bf0bd208ea42c2bc467556b650edefe6b3d3"),
+     "592622236ba057366d22255f6c63f824ed6e9079af027f9faffba566034b1538"),
     ("verify affine1 --deg-g-min -1 --deg-g-max 1", "text", 0,
-     "932799d92038947ecea8682050f47b72248da767d16bd5eb5bf9c90efd156b6a"),
+     "0beb8e3b7280053ddbda4bbde9cb37acc154081e0a35403d40a37516b02d8e56"),
     ("verify affine1 --deg-g-min -1 --deg-g-max 1", "latex", 0,
      "2e0a5d1bc5768b7d42c0be2a88047f6aca5fa7f116021ef237839f2beece9eff"),
     ("verify so2 --deg-x 3", "json", 0,
-     "c804603a9f5ce63853328555334a3c8e84a0b27df71ae98a0b47697e500d0a11"),
+     "125a411948cc544aafee2a9a033d7abc8915b41f460e885f49cc3cf7e55ec1be"),
     ("verify so2 --deg-x 3", "text", 0,
-     "ea0812fb27dd6e28d71b879f013ed45ab397ceafbb330deddc1028a0a1b3eb94"),
+     "5861ebfbd854e3ec01ca7316d6f7cc0ea85a657ab84e8f15cdb6f2cf372cc9ef"),
     ("verify so2 --deg-x 3", "latex", 0,
      "578f38d918ddfac271907a2200525221980e2ff027d50ba71d604fd05c34c45b"),
     ("verify so2 --deg-x 4", "json", 0,
-     "9795e676b4dbb74e4a5bb2d05ff6fe83e1ec441f98bcf3ed2ab4d2769d1a544c"),
+     "134e57bb2f5221cebf5eae5c452bff7b790f888968d41026b32d8f03cd352148"),
     ("verify so2 --deg-x 4", "text", 0,
-     "46de93b1f6c0dc037b07101ee5f41e268bcb9820fbca3872a7978dd235462367"),
+     "655e72d833a5430b4a4eb372a6cf6eb6adbfa7b13313ff01c8a5bf9a06fa81fd"),
     ("verify so2 --deg-x 4", "latex", 0,
      "578f38d918ddfac271907a2200525221980e2ff027d50ba71d604fd05c34c45b"),
     ("verify perfbench/groups/se2.grp", "json", 1,
-     "8ca9db8e6e0dbcba3976c8964df69639bd447e6d21c39c07e37d493737396312"),
+     "5e1928de79e52d80f683c0029326c4bc877a7af4e32dcebcd6ff1ea6326ae9cb"),
     # SE(2) puts sin(t) and cos(t) inside products and powers, in every
     # printer; recorded before sine and cosine became one node kind.
     ("derive perfbench/groups/se2.grp", "text", 0,
-     "eaa6ccbab7d674868153b7811302c85c1d6a2c88bb1e0158bd280b4f313acb96"),
+     "7e5c42374d038fdcc1a93e2c57dd9b641e0ae827bf757231c608599287d966cb"),
     ("derive perfbench/groups/se2.grp", "json", 0,
-     "70416cb2a3feee180879adff419e283addad01359eb689f4379435675ef613fd"),
+     "f2e76b0cce1dc3306ac3dc928245763bfe5706c2eb2f90e4f9079e0f0a22188b"),
     ("derive perfbench/groups/se2.grp", "latex", 0,
      "b3da69cd0d48feacb721cdbb34d3a77ede8132af87a229490d3aae5f2960429f"),
     ("verify perfbench/groups/se2.grp", "text", 1,
-     "df113c3720a5cd1f7fcc0ed13bfd4c7cd8a393d2f288f6862c1ef6de34ad5cf6"),
+     "d7d955f6cab69201b9383bc8a04675915d5b12a47a898f77e9c7097e69bd284d"),
     ("verify perfbench/groups/se2.grp", "latex", 1,
      "bd8ebd8b8c9472b42de48832852176d05326c9b48a1043c2ff3a697c955c6e14"),
 ]
@@ -431,6 +441,22 @@ def test_failed_group_law_stops_after_axioms(capsys, tmp_path, command):
     assert payload["command"] == command
     assert payload["ok"] is False and payload["axioms"]["ok"] is False
     assert sorted(payload) == ["axioms", "command", "group", "ok"]
+
+
+@pytest.mark.hash_order
+@pytest.mark.parametrize("n", [16, 48])
+def test_group_law_cost_is_bounded_by_the_input(capsys, tmp_path, n):
+    # the laws are evaluated as values, so the power is never composed
+    # with itself as a tree; the failed composition keeps a float witness
+    path = tmp_path / "power.grp"
+    path.write_text(NON_GROUP.replace("X*g + g", f"(X + g)^{n}"))
+    start = time.perf_counter()
+    code, out, err = capture(capsys, ["parse", str(path), "--format", "json"])
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (1, "")
+    checks = {c["axiom"]: c for c in json.loads(out)["axioms"]["checks"]}
+    assert checks["composition"]["verdict"] == "Failed"
+    assert sorted(checks["composition"]["witness"]) == ["X", "g", "g_h"]
 
 
 def test_overflowing_sample_is_a_rejected_draw(capsys, tmp_path):

@@ -203,20 +203,19 @@ def test_reserved_and_duplicate_names():
 def test_axioms_so2(so2_spec):
     report = lf.validate_axioms(so2_spec)
     assert report.ok
-    assert report.samples == 100
+    assert report.samples == lf.expr.EXACT_POINTS
     verdicts = {c.axiom: c.verdict for c in report.checks}
-    assert verdicts == {"identity_action": "Symbolic",
-                        "inverse": "Symbolic",
-                        "composition": "Numeric",
-                        "identity_element": "Symbolic"}
-    by_name = {c.axiom: c for c in report.checks}
-    assert by_name["composition"].max_residual <= 1e-9
+    assert verdicts == {"identity_action": "Exact",
+                        "inverse": "Exact",
+                        "composition": "Exact",
+                        "identity_element": "Exact"}
+    assert all(c.max_residual is None for c in report.checks)
 
 
 def test_axioms_affine_all_symbolic(affine_spec):
     report = lf.validate_axioms(affine_spec)
     assert report.ok
-    assert all(c.verdict == "Symbolic" for c in report.checks)
+    assert all(c.verdict == "Exact" for c in report.checks)
 
 
 def test_axioms_flag_wrong_inverse():
@@ -244,48 +243,60 @@ group pinned {{
 """
 
 
-SYMBOLIC = ("Symbolic", None, None)
+EXACT = ("Exact", None, None)
 
 
+# A Failed law's witness is the float point of its largest residual; the
+# law's float evaluation draws g, its copy g_h and X1 at every point.
 @pytest.mark.hash_order
 @pytest.mark.parametrize("source, pinned", [
     # a constant identity other than the additive one breaks three laws
     (_one_coordinate_group(identity="1"),
-     {"identity_action": ("Failed", 1.0, {}),
-      "inverse": ("Failed", 1.0, {}),
-      "composition": SYMBOLIC,
-      "identity_element": ("Failed", 1.0, {})}),
+     {"identity_action": ("Failed", 1.0,
+                          {"g": -1.3568298118335078, "g_h": 1.3913648014946673,
+                           "X1": 0.8094038583733325}),
+      "inverse": ("Failed", 1.0,
+                  {"g": -1.8895601240140354, "g_h": -0.9634779618748515,
+                   "X1": -1.7396127403149162}),
+      "composition": EXACT,
+      "identity_element": ("Failed", 1.0,
+                           {"g": -1.2472655376107111,
+                            "g_h": 0.17727190160438244,
+                            "X1": 1.9799039538246488})}),
     (_one_coordinate_group(action="X1*(1 + g)"),
-     {"identity_action": SYMBOLIC,
-      "inverse": SYMBOLIC,
-      "composition": ("Failed", 5.5923860535880285,
+     {"identity_action": EXACT,
+      "inverse": EXACT,
+      "composition": ("Failed", 5.592386053588028,
                       {"g": 1.6822199556766324, "g_h": -1.9213536605715853,
                        "X1": -1.7302428023201437}),
-      "identity_element": SYMBOLIC}),
+      "identity_element": EXACT}),
     (_one_coordinate_group(multiply="lhs.g + 2*rhs.g", inverse="-g/2"),
-     {"identity_action": SYMBOLIC,
-      "inverse": SYMBOLIC,
-      "composition": ("Failed", 1.9479182485088442,
-                      {"g_h": -1.9479182485088442}),
-      "identity_element": ("Failed", 1.9818028944638035,
-                           {"g": 1.9818028944638035})}),
+     {"identity_action": EXACT,
+      "inverse": EXACT,
+      "composition": ("Failed", 1.9945113522364206,
+                      {"g": -1.1365570783862746, "g_h": 1.9945113522364206,
+                       "X1": -0.24931996176676474}),
+      "identity_element": ("Failed", 1.959639645455332,
+                           {"g": -1.959639645455332, "g_h": 1.2439753942487233,
+                            "X1": 1.9080374782095286})}),
     # the copies of g and g_h are named apart from the declared g_h
     (_one_coordinate_group(params="g, g_h", identity="0, 0",
                            inverse="-g, -g_h",
                            multiply="lhs.g + rhs.g, lhs.g_h + rhs.g_h",
                            action="X1*(1 + g) + g_h"),
-     {"identity_action": SYMBOLIC,
-      "inverse": SYMBOLIC,
-      "composition": ("Failed", 9.155815744393365,
-                      {"g": -1.919322926809377, "g_h_": -1.8842746123630567,
-                       "g_h_h": 1.2118263754487844,
-                       "X1": -1.8885303962741924}),
-      "identity_element": SYMBOLIC}),
+     {"identity_action": EXACT,
+      "inverse": EXACT,
+      "composition": ("Failed", 6.195410830040187,
+                      {"g": 1.8276812589299363, "g_h": -0.32362949951907805,
+                       "g_h_": 1.9274673846004644,
+                       "g_h_h": -1.7066520805083818,
+                       "X1": -0.8732253565011536}),
+      "identity_element": EXACT}),
     (lf.bundled_source("so2"),
-     {"identity_action": SYMBOLIC,
-      "inverse": SYMBOLIC,
-      "composition": ("Numeric", 5.204170427930421e-16, None),
-      "identity_element": SYMBOLIC}),
+     {"identity_action": EXACT,
+      "inverse": EXACT,
+      "composition": EXACT,
+      "identity_element": EXACT}),
 ], ids=["constant_identity", "scaled_action", "skew_multiply",
         "declared_h_name", "so2"])
 def test_axiom_checks_are_pinned(source, pinned):
@@ -302,16 +313,18 @@ SE2 = (pathlib.Path(__file__).resolve().parent.parent
 
 @pytest.mark.hash_order
 def test_zero_law_difference_is_not_sampled(monkeypatch):
-    # SE(2)'s inverse law holds exactly in t and only through trigonometric
-    # identities in a and b: the t difference is 0 and is not sampled, and
-    # the other two keep their seeds
-    sampled = []
-    sample = lf.dsl.sample_expr
-    monkeypatch.setattr(lf.dsl, "sample_expr", lambda d, samples, seed:
-                        sampled.append(seed) or sample(d, samples, seed))
-    report = lf.validate_axioms(lf.parse(SE2.read_text()))
-    checks = {c.axiom: c for c in report.checks}
-    assert checks["inverse"].verdict == "Numeric"
-    inverse = lf.DEFAULT_SEED + 2 * 101
-    assert [s for s in sampled if inverse <= s < inverse + 3] == \
-        [inverse + 1, inverse + 2]
+    # SE(2)'s and so2's angles enter only through integer sums inside sin
+    # and cos, so both the group laws and the check that phi vanishes on
+    # the action are decided at exact points, with no float sampled
+    batches = []
+    batch = lf.expr._batch_values
+    monkeypatch.setattr(lf.expr, "_batch_values", lambda *args:
+                        batches.append(1) or batch(*args))
+    for source in (SE2.read_text(), lf.bundled_source("so2")):
+        spec = lf.parse(source)
+        report = lf.validate_axioms(spec)
+        assert [c.verdict for c in report.checks] == ["Exact"] * 4
+        lie = lf.constraints(spec)
+        assert {v for row in lie.on_action for v in row} == \
+            {lf.Equivalence.EXACTLY_EQUAL}
+    assert batches == []

@@ -11,20 +11,23 @@ from fractions import Fraction
 
 import pytest
 
-from lagrforge import (Cos, Power, Product, Rational, Role, Sin, Sum, Sym,
-                       SymbolInfo, canonicalize, differentiate, free_symbols,
-                       monomials, parse, substitute)
+from lagrforge import (Cos, Equivalence, Power, Product, Rational, Role, Sin,
+                       Sum, Sym, SymbolInfo, canonicalize, constraints,
+                       differentiate, free_symbols, monomials, parse,
+                       substitute, validate_axioms)
 from lagrforge import expr
-from lagrforge.dsl import MAX_NESTING
-from lagrforge.expr import (MAX_REJECTIONS, SAMPLE_SPAN,
+from lagrforge.dsl import AXIOM_SAMPLES, MAX_NESTING
+from lagrforge.expr import (MAX_REJECTIONS, MODULUS, SAMPLE_SPAN,
                             NearSingularEvaluationError, SampleOutcome,
                             UnboundSymbolError, _diff, _factor_key, _subst,
-                            compile_numeric, eval_numeric, format_expr,
+                            compile_numeric, eval_numeric, exact_value,
+                            format_expr,
                             polynomial_expr, product_monomials, sample_expr,
                             term_factors)
 from lagrforge.printing import default_symbol_latex, latex_expr, prefix_expr
 
-from genexpr import VARS, random_expr, sample_point, try_eval
+from genexpr import (ANGLES, VARS, fraction_value, random_exact_expr,
+                     random_expr, sample_point, try_eval)
 
 
 def test_differentiate_matches_finite_differences():
@@ -506,6 +509,87 @@ def test_compiled_action_nested_at_the_cap():
         want = tuple(eval_numeric(a, point) for a in spec.action)
         assert fn(point["g"], point["X1"], point["X2"]) == want
 
+
+
+def _residue(v):
+    return v.numerator * pow(v.denominator, -1, MODULUS) % MODULUS
+
+
+@pytest.mark.hash_order
+def test_exact_value_is_the_fraction_value_mod_p():
+    # at rational points and rational circle points, the value mod p of
+    # the canonical tree is the exact value of the raw one, reduced mod p
+    rng = random.Random(6101)
+    checked = 0
+    for _ in range(400):
+        e = random_exact_expr(rng)
+        c = canonicalize(e)
+        env = {v: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                           rng.randint(1, 9)) for v in VARS}
+        for a in ANGLES:
+            u = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            env[a] = ((1 - u * u) / (1 + u * u), 2 * u / (1 + u * u))
+        try:
+            want = fraction_value(e, env)
+        except ZeroDivisionError:
+            continue
+        point = {k: tuple(map(_residue, v)) if isinstance(v, tuple)
+                 else _residue(v) for k, v in env.items()}
+        assert exact_value(c, point, {}) == _residue(want), format_expr(c)
+        checked += 1
+    assert checked > 300
+
+
+def test_exact_evaluation_clashes_outside_its_arithmetic():
+    x, t = Sym(VARS[0]), Sym(ANGLES[1])
+    point = {VARS[0]: 3, ANGLES[1]: expr.circle_point(5)}
+    for e in (t * Cos(t), Sin(1 + t), Cos(x), Sin(Rational(1, 2) * t)):
+        with pytest.raises(expr.Clash):
+            exact_value(canonicalize(e), point, {})
+    assert exact_value(canonicalize(Sin(t - t) + Cos(Rational(0))),
+                       point, {}) == 1
+
+
+# X1 moves by g times a function of X2, which the action leaves alone.
+NESTED_ARGUMENT = """
+group nested_argument {
+  params: g;
+  coords: X1, X2;
+  identity: (0);
+  inverse: (-g);
+  multiply: (lhs.g + rhs.g);
+  action: (X1 + g*sin(1 + sin(1 + X2)), X2);
+}
+"""
+
+SHIFTED_ANGLE = """
+group shifted {
+  params: g;
+  coords: X1, X2;
+  identity: (1);
+  inverse: (2 - g);
+  multiply: (lhs.g + rhs.g - 1);
+  action: (X1*cos(g - 1) - X2*sin(g - 1), X1*sin(g - 1) + X2*cos(g - 1));
+}
+"""
+
+
+@pytest.mark.hash_order
+@pytest.mark.parametrize("source", [NESTED_ARGUMENT, SHIFTED_ANGLE],
+                         ids=["nested-argument", "angle-identity-1"])
+def test_a_clash_samples_every_law_in_floats(source):
+    # sin(1 + ...) is no integer sum of angles, and the angle g - 1 has the
+    # identity 1, not the angle 0: exact evaluation cannot take either
+    # group, so each law is sampled in floats, as is the check that phi
+    # vanishes on the action
+    spec = parse(source)
+    report = validate_axioms(spec)
+    assert report.ok and report.samples == AXIOM_SAMPLES
+    assert [c.verdict for c in report.checks] == ["Numeric"] * 4
+    assert all(c.max_residual <= 1e-9 for c in report.checks)
+    lie = constraints(spec)
+    assert {v for row in lie.on_action for v in row} == \
+        {Equivalence.NUMERICALLY_EQUAL}
 
 def _tree_prefix(e):
     """Prefix text walking the canonical tree's nodes."""

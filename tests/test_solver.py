@@ -13,7 +13,8 @@ import lagrforge as lf
 from lagrforge import (BasisTooLargeError, NonlinearInUnknownsError, Power,
                        Product, Rational, Role, Sum, Sym, canonicalize, cli,
                        format_expr, solver)
-from lagrforge.expr import _subst
+from lagrforge.expr import (MODULUS, _subst, circle_point, exact_value,
+                            polynomial_expr)
 from lagrforge.printing import latex_expr, prefix_expr
 from lagrforge.solver import (LinearSystem, compose_lagrangian, euler_lagrange,
                               rref)
@@ -911,30 +912,6 @@ def test_free_params_are_named_apart_from_the_group():
         {"a1", "a2", "a10"}
 
 
-MODULUS = 2 ** 61 - 1        # a prime
-
-
-def _exact_value(e, env, trig):
-    """Exact value of a canonical expression at a rational point: `env`
-    maps each symbol to a Fraction, `trig` each angle to its (cos, sin)."""
-    return sum((c * _pairs_value(pairs, env, trig)
-                for c, pairs in lf.monomials(e)), Fraction(0))
-
-
-def _pairs_value(pairs, env, trig):
-    """Exact value of a monomial's (atom, exponent) pairs."""
-    v = Fraction(1)
-    for atom, n in pairs:
-        if isinstance(atom, Sym):
-            v *= env[atom.info] ** n
-        elif isinstance(atom, (lf.Sin, lf.Cos)):
-            cos, sin = trig[atom.argument.info]
-            v *= (sin if isinstance(atom, lf.Sin) else cos) ** n
-        else:                                  # an inverse sum
-            v *= _exact_value(atom, env, trig) ** n
-    return v
-
-
 def _rank_mod(rows, p=MODULUS):
     """Rank of integer rows modulo the prime p, by row echelon form."""
     rows = [[v % p for v in row] for row in rows]
@@ -965,41 +942,37 @@ def test_functional_rank_equals_split_rank(source, deg_x, deg_g):
     # fields, the parameters and their sines and cosines, as if those were
     # independent; sin^2 + cos^2 = 1 says they need not be.  Evaluating
     # each column's coefficient, read off the expression path, exactly at
-    # seeded rational points, with (cos t, sin t) = ((1 - u^2)/(1 + u^2),
-    # 2u/(1 + u^2)), gives the rank of the residual map on functions.  It
-    # is at most the split rank and at least the rank of the evaluations
-    # modulo a prime, so equality there certifies that splitting loses no
+    # seeded points modulo a prime, each angle at a point of the unit
+    # circle, gives the rank of the residual map on functions.  It is at
+    # most the split rank and at least the rank of the evaluations modulo
+    # the prime, so equality there certifies that splitting loses no
     # Lagrangian of the ansatz.
     lie = _lie_of(source)
     ansatz = lf.build_ansatz(lie, deg_x=deg_x, deg_g=deg_g)
     system = lf.solve_family(lie, ansatz).system
     width = len(system.columns)
     L = ansatz.lagrangian_component(1)
-    residuals = []          # per field: (column, coefficient, rest) terms
+    residuals = []          # per field: {column: coefficient}
     for alpha in range(1, lie.n + 1):
-        terms = []
+        terms = {}
         for c, pairs in lf.monomials(lf.weak_el_residual_of(lie, L, alpha)):
             (unknown, n), *rest = pairs     # an unknown sorts first
             assert unknown.info.role == Role.ANSATZ_UNKNOWN and n == 1
-            terms.append((unknown.info.index[0], c, tuple(rest)))
-        residuals.append(terms)
+            terms.setdefault(unknown.info.index[0], []).append(
+                (c, tuple(rest)))
+        residuals.append({j: polynomial_expr(monos)
+                          for j, monos in terms.items()})
+    angles = {lie.spec.params[j] for j in lie.spec.angles()}
     rng = random.Random(0x5EED)
     rows = []
     for _ in range(system.rank // lie.n + 3):
-        env = {v: Fraction(rng.choice((-1, 1)) * rng.randint(1, 97),
-                           rng.randint(1, 97))
-               for v in lie.fields + lie.spec.params}
-        u = Fraction(rng.randint(1, 97), rng.randint(1, 97))
-        trig = {v: ((1 - u * u) / (1 + u * u), 2 * u / (1 + u * u))
-                for v in lie.spec.params}
-        values = {}
-        for terms in residuals:
-            row = [Fraction(0)] * width
-            for j, c, rest in terms:
-                if rest not in values:
-                    values[rest] = _pairs_value(rest, env, trig)
-                row[j] += c * values[rest]
-            rows.append([v.numerator * pow(v.denominator, -1, MODULUS)
-                         for v in row])
+        env = {v: rng.randrange(MODULUS) for v in lie.fields + lie.spec.params}
+        env.update((v, circle_point(env[v])) for v in angles)
+        memo = {}
+        for columns in residuals:
+            row = [0] * width
+            for j, coefficient in columns.items():
+                row[j] = exact_value(coefficient, env, memo)
+            rows.append(row)
     assert _rank_mod(rows) == system.rank
     assert system.rank < width
