@@ -26,8 +26,8 @@ from .expr import (DEFAULT_SEED, EQUALS_TOL, EXACT_POINTS, Clash, Cos, Expr,
                    Power, Product, RAT0, RAT_M1, Rational, Role,
                    SampleOutcome, Sin, Sum, Sym, SymbolInfo, _as_monomials,
                    _fresh_name, _operands, at_exact_points, batch_value,
-                   canonicalize, exact_values, format_expr, sample_batches,
-                   substitute, trig_symbols)
+                   canonicalize, exact_values, format_expr, relative_gap,
+                   sample_batches, substitute, trig_symbols)
 
 CLAUSES = ("params", "coords", "identity", "inverse", "multiply", "action")
 RESERVED = set(CLAUSES) | {"group", "sin", "cos", "lhs", "rhs"}
@@ -623,17 +623,21 @@ def _exact_holds(spec: GroupActionSpec, h: tuple, seed: int) -> list:
 
 def _sample_law(spec: GroupActionSpec, h: tuple, law: int, samples: int,
                 seed: int) -> SampleOutcome:
-    """The largest float difference of one law's sides at seeded points."""
+    """The largest float difference of one law's sides at seeded points,
+    relative to the sides' sizes (`batch_value`), so that rounding in
+    large values stays within `tol`."""
     axiom, _, sides = LAWS[law]
 
     def batch(cols, n):
         errors = {}
         G = _Clauses(spec, lambda exprs, env, _: tuple(
             batch_value(e, env, n, errors) for e in exprs))
-        left, right = sides(G, *_ghX(spec, h, cols))
+        at = {s: (col, list(map(abs, col))) for s, col in cols.items()}
+        left, right = sides(G, *_ghX(spec, h, at))
         worst = [0.0] * n
-        for a, b in zip(left, right):
-            worst = list(map(max, worst, (abs(x - y) for x, y in zip(a, b))))
+        for (a, a_size), (b, b_size) in zip(left, right):
+            worst = list(map(max, worst,
+                             map(relative_gap, a, b, a_size, b_size)))
         return worst, errors
 
     return sample_batches(batch, spec.params + h + spec.coords, samples, seed,
@@ -651,7 +655,9 @@ def validate_axioms(spec: GroupActionSpec, samples: int = AXIOM_SAMPLES,
     the float evaluation of the law at `samples` points gives the witness
     and largest residual.  Where exact evaluation meets a Clash, every law
     is sampled in floats instead: `Numeric` within `tol`, else `Failed`.
-    Law i samples at seed + 101 * i, from i = 1.
+    A float residual is relative to the sizes of the law's sides, as
+    `expr.relative_gap` gives it.  Law i samples at seed + 101 * i,
+    from i = 1.
     """
     h = tuple(s.info for s in _fresh_params(spec, "h"))
     try:

@@ -863,9 +863,11 @@ def _distinct_nodes(exprs: Sequence[Expr], done, ints: set):
         yield node, kids
 
 
-def _batch_values(walk: Mapping, ints: set, cols: Mapping, n: int):
+def _batch_values(walk: Mapping, ints: set, cols: Mapping, n: int,
+                  values: Optional[dict] = None):
     """(values, errors): the value of a tree at each of n points, and the
-    exception that evaluating it at a point raised, by the point's index.
+    exception that evaluating it at a point raised, by the point's index;
+    `values`, where given, is filled with every node's values.
 
     `walk` maps each distinct node of the tree to its operands in
     `_distinct_nodes`' post-order, which ends at the root, and `ints` is
@@ -876,7 +878,7 @@ def _batch_values(walk: Mapping, ints: set, cols: Mapping, n: int):
     the first one a call there raises.  The values at a point that raised
     are placeholders.
     """
-    values = {}
+    values = {} if values is None else values
     errors = {}
     for node, kids in walk.items():
         args = [values[k] for k in kids]
@@ -965,17 +967,57 @@ def _operands(e: Expr) -> tuple:
     raise TypeError(f"cannot evaluate {type(e).__name__}")
 
 
-def batch_value(e: Expr, env: Mapping, n: int, errors: dict) -> list:
-    """The float values of `e` at n points, `env` mapping each symbol's
-    SymbolInfo to its n values, as `_batch_values` computes them; the
-    exception a point raises joins `errors` unless that point has one."""
+def batch_value(e: Expr, env: Mapping, n: int, errors: dict) -> tuple:
+    """(values, sizes) of `e` at n points, `env` mapping each symbol's
+    SymbolInfo to its (values, sizes); the values are the ones
+    `_batch_values` computes, and the exception a point raises joins
+    `errors` unless that point has one.  A size bounds the rounding error
+    of a value to first order, in units of the float epsilon and up to a
+    factor of the tree's depth: a constant's or a drawn value's size is
+    its magnitude, a sum's or a product's the sum or product of its
+    operands' sizes, a power's the power of its base's size (for b^p with
+    p < 0, |b|^(p-1) times b's size) and a sine's or cosine's the larger
+    of 1 and its argument's size."""
     walk, ints = {}, set()
     for node, kids in _distinct_nodes([e], walk, ints):
         walk[node] = kids
-    values, raised = _batch_values(walk, ints, env, n)
+    values = {}
+    out, raised = _batch_values(
+        walk, ints, {s: v for s, (v, _) in env.items()}, n, values)
     for i, exc in raised.items():
         errors.setdefault(i, exc)
-    return values
+    sizes = {}
+    for node, kids in walk.items():
+        args = [sizes[k] for k in kids]
+        if isinstance(node, Sym):
+            size = env[node.info][1]
+        elif isinstance(node, Rational):
+            size = [_size_pow(node.value, 1)] * n
+        elif isinstance(node, Sum):
+            size = list(map(sum, zip(*args))) if args else [0.0] * n
+        elif isinstance(node, Product):
+            size = list(map(math.prod, zip(*args)))
+        elif isinstance(node, Power) and node.exponent > 0:
+            size = [_size_pow(m, node.exponent) for m in args[0]]
+        elif isinstance(node, Power):
+            size = [_size_pow(b, node.exponent - 1) * m
+                    for b, m in zip(values[kids[0]], args[0])]
+        else:
+            size = [max(1.0, m) for m in args[0]]
+        sizes[node] = size
+    return out, size
+
+
+def _size_pow(x, p: int) -> float:
+    try:
+        return float(abs(x) ** p)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def relative_gap(x: float, y: float, x_size: float, y_size: float) -> float:
+    """|x - y| over the larger of 1 and the sizes of x and y."""
+    return abs(x - y) / max(1.0, x_size, y_size)
 
 
 # ---------------------------------------------------------------------------

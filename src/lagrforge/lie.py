@@ -21,7 +21,7 @@ from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Clash,
                    Equivalence, Product, Role, Sum, Sym, SymbolInfo,
                    _fresh_name, at_exact_points, batch_value, canonicalize,
                    differentiate, equals, exact_values, free_symbols,
-                   sample_batches, substitute)
+                   relative_gap, sample_batches, substitute)
 
 CONVENTION_NOTE = ("constraints follow the convention "
                    "phi[a][j] = X'[a]_j - sum_s u[s][j](g) * S[a][s](X'); "
@@ -36,17 +36,18 @@ class ConventionViolationError(ValueError):
     """Constraints failed to vanish on the action itself."""
 
 
-def infinitesimal_coefficients(spec, jacobian=None) -> list:
-    """S[a][j] = d(action_a)/d(g_j) evaluated at the identity element;
-    `jacobian` is the grid of those derivatives where the caller has it."""
-    if jacobian is None:
-        jacobian = _jacobian(spec)
-    id_map = {p: e for p, e in zip(spec.params, spec.identity)}
-    return [[substitute(d, id_map) for d in row] for row in jacobian]
+def infinitesimal_coefficients(spec) -> list:
+    """S[a][j] = d(action_a)/d(g_j) evaluated at the identity element."""
+    return _at_identity(spec, _jacobian(spec))
 
 
 def _jacobian(spec) -> list:
     return [[differentiate(a, p) for p in spec.params] for a in spec.action]
+
+
+def _at_identity(spec, jacobian: list) -> list:
+    id_map = {p: e for p, e in zip(spec.params, spec.identity)}
+    return [[substitute(d, id_map) for d in row] for row in jacobian]
 
 
 def auxiliary_functions(spec) -> list:
@@ -106,11 +107,12 @@ def constraints(spec, samples: int = EQUALS_SAMPLES, seed: int = DEFAULT_SEED,
     jets at its parameter derivatives', as `dsl.validate_axioms` evaluates
     a law: `ExactlyEqual` when phi is 0 at EXACT_POINTS seeded points mod
     MODULUS, else, on a Clash, `NumericallyEqual` within `tol` at `samples`
-    float points from `seed`.  A phi that does not vanish means the group
-    data and the constraint convention disagree.
+    float points from `seed`, each value relative to its size, as
+    `expr.relative_gap` gives it.  A phi that does not vanish means the
+    group data and the constraint convention disagree.
     """
     jacobian = _jacobian(spec)
-    S = infinitesimal_coefficients(spec, jacobian)
+    S = _at_identity(spec, jacobian)
     u = auxiliary_functions(spec)
 
     taken = {s.name for s in spec.params + spec.coords}
@@ -177,10 +179,12 @@ def _on_action(lie, jacobian: list, samples: int, seed: int,
     for k, e in enumerate(flat):
         def batch(cols, n, e=e):
             errors = {}
-            at = dict(cols)
-            at.update(zip(names, [batch_value(x, cols, n, errors)
+            at = {s: (col, list(map(abs, col))) for s, col in cols.items()}
+            at.update(zip(names, [batch_value(x, at, n, errors)
                                   for x in exprs]))
-            return batch_value(e, at, n, errors), errors
+            values, sizes = batch_value(e, at, n, errors)
+            return list(map(relative_gap, values, [0.0] * n, sizes,
+                            sizes)), errors
 
         out = sample_batches(batch, spec.params + spec.coords, samples, seed,
                              lambda: (f"a constraint of {spec.name} on its "

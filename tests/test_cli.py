@@ -15,7 +15,7 @@ import pytest
 import lagrforge as lf
 from lagrforge import cli, solver
 from lagrforge.cli import run
-from lagrforge.expr import DEFAULT_SEED
+from lagrforge.expr import DEFAULT_SEED, SampleOutcome, sample_batches
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SO2_PATH = ROOT / "examples" / "so2.grp"
@@ -121,14 +121,67 @@ group power16 {
 """
 
 
-def test_derive_checks_the_action_under_the_sampling_flags(capsys, tmp_path):
+def test_power16_derives_at_the_default_tol(capsys, tmp_path):
     path = tmp_path / "power16.grp"
     path.write_text(POWER16)
-    for flags in ([], ["--tol", "1e-6"]):
-        code, out, err = capture(capsys, ["derive", str(path), "--format",
-                                          "json"] + flags)
-        assert (code, err) == (0, "")
-        assert json.loads(out)["lie"]["on_action"] == [["ExactlyEqual"]] * 2
+    code, out, err = capture(capsys, ["derive", str(path), "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["lie"]["on_action"] == [["ExactlyEqual"]] * 2
+
+
+# sin(1 + X3) is no sum of angles, so this group is decided in floats; its
+# values reach about 1e7 and its laws round to about 1e-15 of their size.
+POWER16_SINE = """
+group power16_sine {
+  params: g;
+  coords: X1, X2, X3;
+  identity: (0);
+  inverse: (-g/(1 + g));
+  multiply: (lhs.g + rhs.g + lhs.g*rhs.g);
+  action: (X1*(1 + g)^16, X2*(1 + g) + g*sin(1 + X3), X3);
+}
+"""
+
+
+@pytest.mark.hash_order
+def test_parse_decides_a_clashing_group_under_the_flags(capsys, tmp_path):
+    path = tmp_path / "power16_sine.grp"
+    path.write_text(POWER16_SINE)
+    verdicts = {}
+    for tol in ("1e-9", "1e-300"):
+        code, out, err = capture(capsys, ["parse", str(path), "--tol", tol,
+                                          "--seed", "5", "--format", "json"])
+        axioms = json.loads(out)["axioms"]
+        assert (axioms["samples"], axioms["seed"], err) == (100, 5, "")
+        verdicts[tol] = code, [c["verdict"] for c in axioms["checks"]]
+    assert verdicts == {"1e-9": (0, ["Numeric"] * 4),
+                        "1e-300": (1, ["Numeric", "Failed", "Failed",
+                                       "Numeric"])}
+
+
+def test_derive_checks_the_action_under_the_sampling_flags(capsys, tmp_path,
+                                                           monkeypatch):
+    # the on-action check of a clashing group samples each phi entry with
+    # --samples, --seed and --tol; its residuals are replaced by 1e-7,
+    # which --tol 1e-6 admits and the default 1e-9 does not
+    path = tmp_path / "power16_sine.grp"
+    path.write_text(POWER16_SINE)
+    calls = []
+
+    def sampled(batch, syms, samples, seed, describe):
+        calls.append((samples, seed))
+        out = sample_batches(batch, syms, samples, seed, describe)
+        return SampleOutcome(1e-7, out.witness, out.aborted)
+
+    monkeypatch.setattr("lagrforge.lie.sample_batches", sampled)
+    argv = ["derive", str(path), "--samples", "7", "--seed", "5",
+            "--format", "json"]
+    code, out, err = capture(capsys, argv + ["--tol", "1e-6"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["lie"]["on_action"] == [["NumericallyEqual"]] * 3
+    assert calls == [(7, 5)] * 3
+    code, _, err = capture(capsys, argv)
+    assert code == 2 and "phi[1][1] does not vanish" in err
 
 
 def test_solve_json(capsys):

@@ -246,39 +246,42 @@ group pinned {{
 EXACT = ("Exact", None, None)
 
 
-# A Failed law's witness is the float point of its largest residual; the
-# law's float evaluation draws g, its copy g_h and X1 at every point.
+# A Failed law's witness is the float point of its largest residual, the
+# gap between the sides over their sizes; the law's float evaluation draws
+# g, its copy g_h and X1 at every point.
 @pytest.mark.hash_order
 @pytest.mark.parametrize("source, pinned", [
     # a constant identity other than the additive one breaks three laws
     (_one_coordinate_group(identity="1"),
-     {"identity_action": ("Failed", 1.0,
-                          {"g": -1.3568298118335078, "g_h": 1.3913648014946673,
-                           "X1": 0.8094038583733325}),
+     {"identity_action": ("Failed", 0.9337350271789067,
+                          {"g": 1.7794859903007056,
+                           "g_h": -0.04032133554720296,
+                           "X1": 0.030646306120154954}),
       "inverse": ("Failed", 1.0,
-                  {"g": -1.8895601240140354, "g_h": -0.9634779618748515,
-                   "X1": -1.7396127403149162}),
+                  {"g": -0.44892556723229005, "g_h": -0.03577050322661979,
+                   "X1": -1.6902701558375575}),
       "composition": EXACT,
-      "identity_element": ("Failed", 1.0,
-                           {"g": -1.2472655376107111,
-                            "g_h": 0.17727190160438244,
-                            "X1": 1.9799039538246488})}),
+      "identity_element": ("Failed", 0.9782713962805777,
+                           {"g": 0.022211222572831257,
+                            "g_h": -0.4993555621337875,
+                            "X1": -0.15029535051010967})}),
     (_one_coordinate_group(action="X1*(1 + g)"),
      {"identity_action": EXACT,
       "inverse": EXACT,
-      "composition": ("Failed", 5.592386053588028,
+      "composition": ("Failed", 0.4124882361391451,
                       {"g": 1.6822199556766324, "g_h": -1.9213536605715853,
                        "X1": -1.7302428023201437}),
       "identity_element": EXACT}),
     (_one_coordinate_group(multiply="lhs.g + 2*rhs.g", inverse="-g/2"),
      {"identity_action": EXACT,
       "inverse": EXACT,
-      "composition": ("Failed", 1.9945113522364206,
-                      {"g": -1.1365570783862746, "g_h": 1.9945113522364206,
-                       "X1": -0.24931996176676474}),
-      "identity_element": ("Failed", 1.959639645455332,
-                           {"g": -1.959639645455332, "g_h": 1.2439753942487233,
-                            "X1": 1.9080374782095286})}),
+      "composition": ("Failed", 0.4359529394260368,
+                      {"g": -0.27472899944728546, "g_h": -1.2197704516064274,
+                       "X1": 0.08367074940276886}),
+      "identity_element": ("Failed", 0.5,
+                           {"g": -1.2472655376107111,
+                            "g_h": 0.17727190160438244,
+                            "X1": 1.9799039538246488})}),
     # the copies of g and g_h are named apart from the declared g_h
     (_one_coordinate_group(params="g, g_h", identity="0, 0",
                            inverse="-g, -g_h",
@@ -286,7 +289,7 @@ EXACT = ("Exact", None, None)
                            action="X1*(1 + g) + g_h"),
      {"identity_action": EXACT,
       "inverse": EXACT,
-      "composition": ("Failed", 6.195410830040187,
+      "composition": ("Failed", 0.5005175663056204,
                       {"g": 1.8276812589299363, "g_h": -0.32362949951907805,
                        "g_h_": 1.9274673846004644,
                        "g_h_h": -1.7066520805083818,

@@ -574,22 +574,51 @@ group shifted {
 """
 
 
+# Clashing groups whose float values reach 1e7 and more: the rounding of
+# each side is measured against its size, not against an absolute tol.
+SHIFT16 = """
+group shift16 {
+  params: g;
+  coords: X1, X2, X3, X4;
+  identity: (0);
+  inverse: (-g);
+  multiply: (lhs.g + rhs.g);
+  action: (X1 + g, X2 + (X1 + g)^16 - X1^16, X3 + g*sin(1 + X4), X4);
+}
+"""
+
+POWER16_SINE = """
+group power16_sine {
+  params: g;
+  coords: X1, X2, X3;
+  identity: (0);
+  inverse: (-g/(1 + g));
+  multiply: (lhs.g + rhs.g + lhs.g*rhs.g);
+  action: (X1*(1 + g)^16, X2*(1 + g) + g*sin(1 + X3), X3);
+}
+"""
+
+
 @pytest.mark.hash_order
-@pytest.mark.parametrize("source", [NESTED_ARGUMENT, SHIFTED_ANGLE],
-                         ids=["nested-argument", "angle-identity-1"])
+@pytest.mark.parametrize("source", [NESTED_ARGUMENT, SHIFTED_ANGLE, SHIFT16,
+                                    POWER16_SINE],
+                         ids=["nested-argument", "angle-identity-1", "shift16",
+                              "power16-sine"])
 def test_a_clash_samples_every_law_in_floats(source):
     # sin(1 + ...) is no integer sum of angles, and the angle g - 1 has the
-    # identity 1, not the angle 0: exact evaluation cannot take either
-    # group, so each law is sampled in floats, as is the check that phi
+    # identity 1, not the angle 0: exact evaluation cannot take these
+    # groups, so each law is sampled in floats, as is the check that phi
     # vanishes on the action
     spec = parse(source)
-    report = validate_axioms(spec)
-    assert report.ok and report.samples == AXIOM_SAMPLES
-    assert [c.verdict for c in report.checks] == ["Numeric"] * 4
-    assert all(c.max_residual <= 1e-9 for c in report.checks)
-    lie = constraints(spec)
-    assert {v for row in lie.on_action for v in row} == \
-        {Equivalence.NUMERICALLY_EQUAL}
+    for seed in (0xC0FFEE, 1, 2):
+        report = validate_axioms(spec, seed=seed)
+        assert report.ok and report.samples == AXIOM_SAMPLES
+        assert [c.verdict for c in report.checks] == ["Numeric"] * 4
+        assert all(c.max_residual <= 1e-9 for c in report.checks)
+        lie = constraints(spec, seed=seed)
+        assert {v for row in lie.on_action for v in row} == \
+            {Equivalence.NUMERICALLY_EQUAL}
+
 
 def _tree_prefix(e):
     """Prefix text walking the canonical tree's nodes."""
