@@ -582,33 +582,44 @@ def differentiate(e: Expr, s) -> Expr:
     what canonicalizing the sum of the terms' derivatives does.
     """
     info = _info_of(s)
-    e = canonicalize(e)
-    depends = {}        # sort key of a non-symbol atom -> contains `info`
+    inside = {}
     out = []
-    for coeff, pairs in _as_monomials(e):
-        at = None       # position of s^n among the pairs
-        chain = False
-        for i, (atom, n) in enumerate(pairs):
-            if isinstance(atom, Sym):
-                a = atom.info
-                # most symbols differ by name, which ends the test early
-                if a is info or (a.name == info.name and a == info):
-                    at = i
-                continue
-            k = atom.sort_key()
-            if k not in depends:
-                depends[k] = info in free_symbols(atom)
-            chain = chain or depends[k]
-        if chain:
-            out.extend(_as_monomials(canonicalize(
-                _diff(_mono_expr(coeff, pairs), info))))
-        elif at is not None:
-            atom, n = pairs[at]
-            rest = pairs[at + 1:]
-            if n != 1:
-                rest = ((atom, n - 1),) + rest
-            out.append((coeff * n, pairs[:at] + rest))
+    for coeff, pairs in _as_monomials(canonicalize(e)):
+        out.extend(monomial_derivative(coeff, pairs, info, inside))
     return polynomial_expr(out)
+
+
+def monomial_derivative(coeff: Number, pairs, info: SymbolInfo,
+                        inside: dict) -> tuple:
+    """The monomials of the derivative of one canonical monomial by the
+    symbol `info`, the rule `differentiate` applies term by term: the
+    power rule on a plain factor s^n, and the chain rule through the tree
+    only where a sine, cosine or inverse-sum atom depends on the symbol.
+    `inside` keeps the symbols of each such atom by its sort key."""
+    at = None           # position of s^n among the pairs
+    chain = False
+    for i, (atom, n) in enumerate(pairs):
+        if isinstance(atom, Sym):
+            a = atom.info
+            # most symbols differ by name, which ends the test early
+            if a is info or (a.name == info.name and a == info):
+                at = i
+            continue
+        k = atom.sort_key()
+        held = inside.get(k)
+        if held is None:
+            held = inside[k] = free_symbols(atom)
+        chain = chain or info in held
+    if chain:
+        return _as_monomials(canonicalize(
+            _diff(_mono_expr(coeff, pairs), info)))
+    if at is None:
+        return ()
+    atom, n = pairs[at]
+    rest = pairs[at + 1:]
+    if n != 1:
+        rest = ((atom, n - 1),) + rest
+    return ((coeff * n, pairs[:at] + rest),)
 
 
 def _diff(e: Expr, info: SymbolInfo) -> Expr:

@@ -16,10 +16,11 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 
-from .expr import (Expr, RAT0, RAT_M1, Product, Rational, Role, Sym,
-                   SymbolInfo, canonicalize, differentiate, free_symbols,
-                   _fresh_name, _number, _poly_mul, _sig, _sorted_expr,
-                   monomials, polynomial_expr, product_monomials, substitute)
+from .expr import (Expr, RAT0, Product, Rational, Role, Sym, SymbolInfo,
+                   canonicalize, differentiate, free_symbols, _fresh_name,
+                   _norm_pairs, _number, _poly_mul, _sig, _sorted_expr,
+                   monomial_derivative, monomials, polynomial_expr,
+                   product_monomials, substitute)
 
 MAX_UNKNOWNS = 5000
 
@@ -151,47 +152,68 @@ def _check_unknowns(count: int, max_unknowns: int) -> None:
 # Euler-Lagrange expressions.
 
 
-def euler_lagrange(lie, L: Expr, alpha: int) -> Expr:
-    """E-L expression of one Lagrangian component for the field X'^alpha.
-
-    dL/dX'^alpha minus the total parameter derivatives of dL/dX'^alpha_i.
-    These expand through the chain rule, which keeps the jets in place;
-    nothing is substituted.  Requires dL/djet to be jet-free, so the
-    result is linear in the jets.
-    """
-    jets = set(lie.jet_list())
-    monos = monomials(differentiate(L, lie.fields[alpha - 1]))
-    for i, p in enumerate(lie.spec.params):
-        A = differentiate(L, lie.jets[alpha - 1][i])
-        _check_jet_free(A, jets)
-        # minus the total derivative of A along g_i
-        monos.extend((-c, pairs)
-                     for c, pairs in monomials(differentiate(A, p)))
-        for f, jets_f in zip(lie.fields, lie.jets):
-            monos.extend(product_monomials(
-                (RAT_M1, differentiate(A, f), Sym(jets_f[i]))))
-    return polynomial_expr(monos)
-
-
-def _check_jet_free(e: Expr, jets: set) -> None:
-    """Raise SecondOrderJetError if `e` holds a jet.  Reads the monomials of
-    `e`, so a sum builds no term nodes; only sine, cosine and inverse-sum
-    atoms are walked."""
-    for _, pairs in monomials(e):
-        for atom, _ in pairs:
-            if isinstance(atom, Sym):
-                held = atom.info in jets
-            else:
-                held = not free_symbols(atom).isdisjoint(jets)
-            if held:
-                raise SecondOrderJetError(
-                    "dL/djet depends on a jet variable; multipliers must be "
-                    "free of jets")
-
-
 def strong_el(lie, L: Expr) -> list:
-    """Full E-L expressions of one Lagrangian component, one per field."""
-    return [euler_lagrange(lie, L, alpha) for alpha in range(1, lie.n + 1)]
+    """Full E-L expressions of one Lagrangian component, one per field:
+    dL/dX'^alpha minus the total parameter derivatives of dL/dX'^alpha_i.
+
+    All of them come from one walk over the monomials of L.  Each monomial
+    is differentiated by the fields it holds, into those fields'
+    expressions.  One that holds the jet X'^alpha_i, times a jet-free rest
+    A, also adds to the alpha-th minus dA/dg_i and minus dA/dX'^f * X'^f_i
+    for each field f: the total derivative of A along g_i by the chain
+    rule, which keeps the jets in place; nothing is substituted.  dL/djet
+    must be free of jets, so that the result is linear in the jets: a
+    monomial that holds a jet in any other way raises SecondOrderJetError.
+    """
+    fields, params = lie.fields, lie.spec.params
+    jets = {J: (alpha, i) for alpha, row in enumerate(lie.jets)
+            for i, J in enumerate(row)}
+    jet_pairs = [[((Sym(J), 1),) for J in row] for row in lie.jets]
+    inside = {}         # sort key of a non-symbol atom -> its symbols
+    out = [[] for _ in fields]
+    for coeff, pairs in monomials(L):
+        held = set()    # the symbols of the monomial but its jet
+        at = None       # position of its jet among the pairs
+        for i, (atom, n) in enumerate(pairs):
+            if isinstance(atom, Sym):
+                if atom.info not in jets:
+                    held.add(atom.info)
+                    continue
+                if at is not None or n != 1:
+                    raise SecondOrderJetError(_SECOND_ORDER)
+                at = i
+                continue
+            k = atom.sort_key()
+            syms = inside.get(k)
+            if syms is None:
+                syms = inside[k] = free_symbols(atom)
+            if not syms.isdisjoint(jets):
+                raise SecondOrderJetError(_SECOND_ORDER)
+            held |= syms
+        for f, el in zip(fields, out):
+            if f in held:
+                el.extend(monomial_derivative(coeff, pairs, f, inside))
+        if at is None:
+            continue
+        alpha, i = jets[pairs[at][0].info]
+        rest, el = pairs[:at] + pairs[at + 1:], out[alpha]
+        if params[i] in held:
+            el.extend((-c, q) for c, q in
+                      monomial_derivative(coeff, rest, params[i], inside))
+        for f, row in zip(fields, jet_pairs):
+            if f in held:
+                el.extend((-c, _norm_pairs(q + row[i])) for c, q in
+                          monomial_derivative(coeff, rest, f, inside))
+    return [polynomial_expr(monos) for monos in out]
+
+
+_SECOND_ORDER = ("dL/djet depends on a jet variable; multipliers must be "
+                 "free of jets")
+
+
+def euler_lagrange(lie, L: Expr, alpha: int) -> Expr:
+    """E-L expression of one Lagrangian component for the field X'^alpha."""
+    return strong_el(lie, L)[alpha - 1]
 
 
 def weak_el_residual_of(lie, L, alpha: int):

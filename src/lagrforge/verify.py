@@ -6,15 +6,17 @@ They are linear in component 1's free parameters, and component k's are
 them with each parameter renamed to its twin, so each fact is derived from
 component 1 once per family (`_ComponentOne`): its on-shell forms F_alpha,
 and its jet coefficients at one seeded rational point, both split by free
-parameter.  The forward direction checks that each F_alpha vanishes, and
-each renamed for component k.  The converse direction treats the jets as
-the unknowns of the E-L system at given parameter values, which is linear
-in them: (a) the Lie values solve it when each equation vanishes on shell,
-F_alpha at component k's values; and (b) they are its only solution for
-the jets whose columns keep full rank in the exact row reduction of the
-jet-coefficient matrix, the split coefficients weighted by those values.
-Diagnostics cover parameter degeneracy, a planar kinetic identity, and a
-numeric orbit integration.
+parameter.  The expressions are linear in the jets too, so the jet
+coefficients are read off their monomials in one walk, with no
+differentiation or substitution per jet.  The forward direction checks
+that each F_alpha vanishes, and each renamed for component k.  The
+converse direction treats the jets as the unknowns of the E-L system at
+given parameter values, which is linear in them: (a) the Lie values solve
+it when each equation vanishes on shell, F_alpha at component k's values;
+and (b) they are its only solution for the jets whose columns keep full
+rank in the exact row reduction of the jet-coefficient matrix, the split
+coefficients dotted with those values.  Diagnostics cover parameter
+degeneracy, a planar kinetic identity, and a numeric orbit integration.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
+# `differentiate` is no longer called here, but perfbench/spans.py wraps
+# verify.differentiate as a kernel leaf and requires the name
 from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
-                   Expr, NearSingularEvaluationError, Rational, Sym,
+                   Expr, NearSingularEvaluationError, Rational, Sum, Sym,
                    _NUMERIC_GLOBALS, _numeric_lines, _sum_code, canonicalize,
                    differentiate, equals, eval_numeric, format_expr,
                    free_symbols, monomials, polynomial_expr, sample_expr,
@@ -67,7 +71,7 @@ class _ComponentOne:
 
     @cached_property
     def el(self) -> list:
-        """The expressions, split by free parameter."""
+        """The expressions, split by free parameter (`_by_param`)."""
         return [_by_param(e, self.params) for e in self.first]
 
     @cached_property
@@ -91,19 +95,58 @@ class _ComponentOne:
 
     def jet_tables(self, seed: int) -> list:
         """[alpha][jet]: d E-L_alpha / d jet at the positive rational point
-        `seed` draws, split by free parameter."""
+        `seed` draws, as {free parameter or None: Fraction}.
+
+        E-L_alpha is linear in the jets, so a monomial holds at most one,
+        to the first power: one walk over its split monomials adds each
+        that holds a jet, its coefficient times the value of the rest at
+        the point, to that jet's cell under its free parameter."""
         tables = self._jet_tables.get(seed)
         if tables is None:
             lie = self.lie
             rng = random.Random(seed)
-            point = {s: Rational(Fraction(rng.randint(1, 2 ** 31),
-                                          rng.randint(1, 2 ** 31)))
+            point = {s: Fraction(rng.randint(1, 2 ** 31),
+                                 rng.randint(1, 2 ** 31))
                      for s in lie.fields + lie.spec.params}
-            tables = self._jet_tables[seed] = [
-                [_by_param(substitute(differentiate(e, J), point),
-                           self.params) for J in lie.jet_list()]
-                for e in self.first]
+            columns = {J: c for c, J in enumerate(lie.jet_list())}
+            memo = {}
+            tables = self._jet_tables[seed] = []
+            for split in self.el:
+                row = [{} for _ in columns]
+                for param, monos in split.items():
+                    for coeff, pairs in monos:
+                        at = next((i for i, (atom, _) in enumerate(pairs)
+                                   if isinstance(atom, Sym)
+                                   and atom.info in columns), None)
+                        if at is None:
+                            continue
+                        rest = pairs[:at] + pairs[at + 1:]
+                        cell = row[columns[pairs[at][0].info]]
+                        cell[param] = (cell.get(param, 0)
+                                       + coeff * _value(rest, point, memo))
+                tables.append(row)
         return tables
+
+
+def _value(pairs, point: dict, memo: dict) -> Fraction:
+    """The product of a monomial's (atom, exponent) `pairs` at `point`,
+    {SymbolInfo: Fraction}; an inverse sum through its monomials, its
+    value kept in `memo`.  The jet coefficients are Laurent polynomials
+    (`ansatz_from_basis`), so a sine or cosine raises ValueError."""
+    v = Fraction(1)
+    for atom, n in pairs:
+        if isinstance(atom, Sym):
+            x = point[atom.info]
+        elif isinstance(atom, Sum):
+            x = memo.get(atom)
+            if x is None:
+                x = memo[atom] = sum(c * _value(p, point, memo)
+                                     for c, p in monomials(atom))
+        else:
+            raise ValueError(f"a jet coefficient holds {format_expr(atom)}; "
+                             "the converse check needs Laurent polynomials")
+        v *= x ** n
+    return v
 
 
 def _component_one(family) -> _ComponentOne:
@@ -160,18 +203,26 @@ def forward_check(family, samples: int = EQUALS_SAMPLES,
 
 
 class ConverseResult:
-    def __init__(self, params: dict, equations: list, solved: dict,
+    def __init__(self, params: dict, equations, solved: dict,
                  unsolved: tuple, comparisons: list, status: str,
                  witness: Optional[dict] = None):
         self.params = params        # free parameter name -> Fraction
-        # (k, alpha, Expr) strong E-L at the parameters
-        self.equations = equations
+        # (k, alpha, Expr) strong E-L at the parameters, or a function
+        # that makes that list on first read
+        if callable(equations):
+            self._equations = equations
+        else:
+            self.equations = equations
         self.solved = solved        # determined jet SymbolInfo -> Lie value
         self.unsolved = unsolved    # names of the jets without a pivot
         # (determined jet name, weakest verdict of (a))
         self.comparisons = comparisons
         self.status = status        # Match | Underdetermined | Mismatch
         self.witness = witness      # the first equation not zero on shell
+
+    @cached_property
+    def equations(self) -> list:
+        return self._equations()
 
 
 def converse_check(family, params, samples: int = EQUALS_SAMPLES,
@@ -194,17 +245,18 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
     equals that rank except with probability at most deg/2^31, deg the
     degree of a maximal minor with its denominators cleared (Schwartz
     1980, Zippel 1979).  The matrix is component 1's coefficients at that
-    point, split by free parameter once per family, weighted by each
-    component's values.  A pivot jet whose reduced row involves no free
-    jet is determined, and its solution is the Lie value.
+    point, read off its E-L monomials once per family and split by free
+    parameter, dotted with each component's values.  A pivot jet whose
+    reduced row involves no free jet is determined, and its solution is
+    the Lie value.
+    The equations themselves, component 1's split E-L expressions at each
+    component's values, are built only when `equations` is first read,
+    which only the JSON report does.
     """
     lie = family.lie
     values = family.param_values(params)
     one = _component_one(family)
     weights = one.weights(values)
-    equations = [(k, alpha, _at(split, w))
-                 for k, w in enumerate(weights, start=1)
-                 for alpha, split in enumerate(one.el, start=1)]
 
     grade, witness = Equivalence.PROVED_EQUAL, None
     for k, alpha, onshell in ((k, alpha, _at(split, w))
@@ -231,7 +283,10 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
     status = ("Mismatch" if witness else
               "Underdetermined" if unsolved else "Match")
     return ConverseResult(params={p.name: v for p, v in values.items()},
-                          equations=equations,
+                          equations=lambda: [
+                              (k, alpha, _at(split, w))
+                              for k, w in enumerate(weights, start=1)
+                              for alpha, split in enumerate(one.el, start=1)],
                           solved={J: lie.onshell[J] for J in determined},
                           unsolved=unsolved,
                           comparisons=[(J.name, grade) for J in determined],
@@ -240,9 +295,9 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
 
 def _jet_matrix(one: _ComponentOne, weights: list, seed: int) -> list:
     """The E-L system's jet-coefficient matrix at the point `seed` draws,
-    rows (k, alpha): component 1's split coefficients at component k's
-    weights, in exact arithmetic."""
-    return [[_at(cell, w).value for cell in row]
+    rows (k, alpha): component 1's split coefficients dotted with
+    component k's weights, in exact arithmetic."""
+    return [[sum(v * w[p] for p, v in cell.items() if p in w) for cell in row]
             for w in weights for row in one.jet_tables(seed)]
 
 

@@ -550,6 +550,19 @@ def test_exact_evaluation_clashes_outside_its_arithmetic():
                        point, {}) == 1
 
 
+def test_exact_value_tells_sine_from_cosine():
+    # sin(t) at the circle point of u is 2u/(1 + u^2), and the double-angle
+    # identity holds for the sine alone
+    t = Sym(ANGLES[1])
+    for u in (2, 5, 12345):
+        point = {ANGLES[1]: expr.circle_point(u)}
+        assert exact_value(canonicalize(Sin(t)), point, {}) == \
+            2 * u * pow(1 + u * u, -1, MODULUS) % MODULUS
+        double = 2 * Sin(t) * Cos(t)
+        assert exact_value(canonicalize(Sin(2 * t) - double), point, {}) == 0
+        assert exact_value(canonicalize(Cos(2 * t) - double), point, {}) != 0
+
+
 # X1 moves by g times a function of X2, which the action leaves alone.
 NESTED_ARGUMENT = """
 group nested_argument {

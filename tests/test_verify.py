@@ -16,7 +16,8 @@ from lagrforge.solver import rref
 from conftest import field_values, rebuilt
 from orbit_bits import (ORBIT_BITS, ORBIT_IDS, SCALE, SCALE3, orbit_bits,
                         bits as _bits)
-from test_solver import SCALE3_SOURCE, SE2_SOURCE
+from test_solver import (SCALE1_SOURCE, SCALE3_SOURCE, SE2_SOURCE,
+                         _tree_euler_lagrange)
 
 SHEAR = """
 group shear {
@@ -42,6 +43,17 @@ def test_strong_el_rejects_second_order(so2_lie):
     j1 = Sym(so2_lie.jets[0][0])
     with pytest.raises(SecondOrderJetError):
         lf.strong_el(so2_lie, j1 ** 2)
+
+
+def test_strong_el_rejects_jets_beyond_a_lone_factor(so2_lie):
+    # two jets in one term, and a jet inside a sine or an inverse sum, make
+    # dL/djet depend on a jet
+    f1 = Sym(so2_lie.fields[0])
+    j1, j2 = Sym(so2_lie.jets[0][0]), Sym(so2_lie.jets[1][0])
+    for L in (f1 * j1 * j2, f1 * lf.Sin(j1), f1 / (1 + j1)):
+        with pytest.raises(SecondOrderJetError,
+                           match="dL/djet depends on a jet variable"):
+            lf.strong_el(so2_lie, L)
 
 
 def test_forward_check(so2_family, affine_family):
@@ -110,6 +122,8 @@ FAMILIES = {
     "so2 dx3": (lf.bundled_source("so2"), 3, (0, 0)),
     "affine1 dx1 g[-1,1]": (lf.bundled_source("affine1"), 1, (-1, 1)),
     "se2 dx1": (SE2_SOURCE, 1, (0, 0)),
+    # SE(2)'s first Match rung: its jet-free E-L monomials hold sin and cos
+    "se2 dx1 g[0,1]": (SE2_SOURCE, 1, (0, 1)),
     "so2 dx4": (lf.bundled_source("so2"), 4, (0, 0)),
     "se2 dx2": (SE2_SOURCE, 2, (0, 0)),
     "scale3 dx1 g[-1,0]": (SCALE3_SOURCE, 1, (-1, 0)),
@@ -216,6 +230,31 @@ def any_family(request):
 
 
 @pytest.mark.hash_order
+def test_strong_el_matches_tree_reference(any_family):
+    # strong_el derives every field's expression in one walk over L's
+    # monomials; the reference builds each from whole derivatives of L
+    # through one Sum/Product tree
+    family = any_family
+    lie, L = family.lie, family.lagrangians[0]
+    assert family._first_strong_el == lf.strong_el(lie, L) == [
+        _tree_euler_lagrange(lie, L, alpha) for alpha in range(1, lie.n + 1)]
+
+
+@pytest.mark.hash_order
+def test_strong_el_takes_the_chain_rule_through_inverse_sums():
+    # no FAMILIES rung holds an inverse sum (scale3's inverse is a plain
+    # power of s); here the jet's rest and a jet-free term hold (1 + g)^-1
+    # and inverse sums of the field, which the chain rule differentiates
+    lie = lf.constraints(lf.parse(SCALE1_SOURCE))
+    X, g, J = Sym(lie.fields[0]), Sym(lie.spec.params[0]), Sym(lie.jets[0][0])
+    L = canonicalize(J * X / (1 + g) + J / (1 + X) + X ** 2 / (1 + g * X)
+                     + lie.phi[0][0] * X)
+    assert any(isinstance(atom, lf.Sum)
+               for _, pairs in lf.monomials(L) for atom, _ in pairs)
+    assert lf.strong_el(lie, L) == [_tree_euler_lagrange(lie, L, 1)]
+
+
+@pytest.mark.hash_order
 def test_split_checks_match_substitution(any_family):
     # the checks read component 1's E-L split by free parameter; the
     # reference substitutes into every component's, equation by equation
@@ -263,29 +302,34 @@ def test_split_checks_match_substitution_off_the_family(so2_family):
 
 
 def test_checks_derive_component_one_once(monkeypatch):
-    # differentiate runs once per (alpha, jet) of component 1, however many
-    # assignments the degeneracy scan tries, and the on-shell values are
-    # substituted into component 1's n expressions and the kinetic
-    # identity's two, never again per check
+    # the family's strong E-L is derived once, however many assignments
+    # the degeneracy scan tries; the jet matrix is read off it with no
+    # differentiate, and the on-shell values are substituted into
+    # component 1's n expressions and the kinetic identity's two, never
+    # again per check
     family = _solved("so2 dx3")
     lie = family.lie
-    calls = {"differentiate": 0, "onshell": 0}
+    calls = {"differentiate": 0, "strong_el": 0, "onshell": 0}
 
     def counted_differentiate(*args, **kwargs):
         calls["differentiate"] += 1
         return lf.differentiate(*args, **kwargs)
+
+    def counted_strong_el(*args, **kwargs):
+        calls["strong_el"] += 1
+        return lf.strong_el(*args, **kwargs)
 
     def counted_substitute(e, mapping):
         calls["onshell"] += mapping is lie.onshell
         return lf.substitute(e, mapping)
 
     monkeypatch.setattr(verify, "differentiate", counted_differentiate)
+    monkeypatch.setattr(lf.solver, "strong_el", counted_strong_el)
     monkeypatch.setattr(verify, "substitute", counted_substitute)
     report = lf.build_report(family, {"a2": 1})
     assert len(report.degeneracy.entries) == 5
-    n, jets = lie.n, len(lie.jet_list())
-    assert jets == n * lie.r
-    assert calls == {"differentiate": n * jets, "onshell": n + 2}
+    assert calls == {"differentiate": 0, "strong_el": 1,
+                     "onshell": lie.n + 2}
 
 
 def test_checks_build_component_one_alone():
