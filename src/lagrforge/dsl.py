@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import sys
-from importlib import resources
 from typing import Optional
 
 from .expr import (DEFAULT_SEED, EQUALS_TOL, EXACT_POINTS, Clash, Cos, Expr,
@@ -487,6 +486,8 @@ def parse(source: str) -> GroupActionSpec:
 
 def bundled_names() -> tuple:
     """Names of the group definitions shipped with the package."""
+    # imported here, not at start-up: only these two functions read it
+    from importlib import resources
     root = resources.files(__package__) / "groups"
     return tuple(sorted(p.name[:-4] for p in root.iterdir()
                         if p.name.endswith(".grp")))
@@ -494,6 +495,7 @@ def bundled_names() -> tuple:
 
 def bundled_source(name: str) -> str:
     """Source text of a shipped group definition."""
+    from importlib import resources
     path = resources.files(__package__) / "groups" / f"{name}.grp"
     try:
         return path.read_text(encoding="utf-8")

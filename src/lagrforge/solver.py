@@ -111,8 +111,9 @@ def build_ansatz(lie, deg_x: int = 1, deg_g=(0, 0),
         [(Sym(v), range(deg_x + 1)) for v in lie.fields]
         + [(Sym(p), range(lo, hi + 1)) for p in lie.spec.params],
         key=lambda atom: atom[0].sort_key()))
-    basis = sorted((polynomial_expr([(1, tuple(
-                        (sym, e) for sym, e in zip(syms, exps) if e))])
+    # each monomial's pairs are already normalized and sorted
+    basis = sorted((_sorted_expr(((1, tuple(
+                        (sym, e) for sym, e in zip(syms, exps) if e)),))
                     for exps in itertools.product(*spans)), key=Expr.sort_key)
     return MultiplierAnsatz(lie, deg_x, (lo, hi), tuple(basis))
 
@@ -244,63 +245,80 @@ def _column_table(lie, basis, alpha: int) -> dict:
     """The coefficient table of the residual for X'^alpha of L_1, written
     column by column.  dphi/dX'^alpha and xi are split into monomials once
     each, and db_m is b_m with one exponent lowered, so no unknown, no L_1
-    and no residual expression is built."""
+    and no residual expression is built.
+
+    Monomials are packed exponent codes.  The atoms of the basis, of each
+    dphi/dX'^alpha and of each xi get W-bit fields in sort-key order, each
+    holding its exponent plus the bias 2^(W-1); the basis codes carry the
+    bias and the codes of the factors they meet do not, so a product is
+    one integer addition, and b_m's exponent of an atom, one shift and
+    mask.  With M the largest |exponent| among those inputs, a product
+    or a lowered exponent times xi is at most 2M + 1 in size, so W is one
+    bit more than 2M + 1 takes and no field overflows into the next.  Each
+    row's code is turned back into its signature once, at the end."""
     field = lie.fields[alpha - 1]
     n = lie.n
+    dphis = [_sig_monomials(differentiate(lie.phi[a - 1][s - 1], field))
+             for a, s in _slots(lie)]
+    xis = [[_sig_monomials(lie.onshell[row[s]]) for row in lie.jets]
+           for s in range(lie.r)]
+    sigs = [_sig(monomials(b)[0][1]) for b in basis]
+    inputs = sigs + [sig for monos in itertools.chain(dphis, *xis)
+                     for _, sig in monos]
+    atoms = sorted({k for sig in inputs for k, _ in sig})
+    width = (2 * max((abs(e) for sig in inputs for _, e in sig), default=0)
+             + 1).bit_length() + 1
+    bias, mask = 1 << (width - 1), (1 << width) - 1
+    shift = {k: i * width for i, k in enumerate(atoms)}
+
+    def packed(sig):
+        return sum(e << shift[k] for k, e in sig)
+
+    one = sum(bias << at for at in shift.values())   # the code of 1
+    codes = [one + packed(sig) for sig in sigs]
     # the sort keys of the fields, then of the group parameters
     keys = [Sym(v).sort_key() for v in lie.fields + lie.spec.params]
-    sigs = [_sig(monomials(b)[0][1]) for b in basis]
     table = {}
     j = 0                                # column of c_{a,s,m}
-    for a in range(1, n + 1):
-        for s in range(1, lie.r + 1):
-            dphi = _sig_monomials(differentiate(lie.phi[a - 1][s - 1], field))
-            # db/dg_s, then db/dX'^b times xi^b_s, both negated: each a
-            # sort key to lower and the monomials that multiply the result
-            drift = [(keys[n + s - 1], [(-1, ())])] + [
-                (keys[b], [(-c, x) for c, x in _sig_monomials(
-                    lie.onshell[lie.jets[b][s - 1]])])
-                for b in range(n)] if a == alpha else []
-            for sig in sigs:
-                terms = [(c, _sig_mul(sig, d)) for c, d in dphi]
-                for key, monos in drift:
-                    e, rest = _lowered(sig, key)
-                    if e:
-                        terms.extend((e * c, _sig_mul(rest, x))
-                                     for c, x in monos)
-                for c, mono in terms:
-                    cells = table.get(mono)
-                    if cells is None:
-                        table[mono] = {j: c}
-                    else:
-                        cells[j] = cells.get(j, 0) + c
-                j += 1
-    return table
+    for (a, s), dphi in zip(_slots(lie), dphis):
+        dphi = [(c, packed(d)) for c, d in dphi]
+        # db/dg_s, then db/dX'^b times xi^b_s, both negated: each the
+        # place of the atom to lower and the monomials that multiply the
+        # result; an atom no input holds is left out
+        drift = [(shift[key], 1 << shift[key], monos)
+                 for key, monos in [(keys[n + s - 1], [(-1, 0)])] + [
+                     (keys[b], [(-c, packed(x)) for c, x in xis[s - 1][b]])
+                     for b in range(n)] if key in shift] if a == alpha else []
+        for code in codes:
+            terms = [(code + d, c) for c, d in dphi]
+            for at, unit, monos in drift:
+                e = ((code >> at) & mask) - bias
+                if e:
+                    rest = code - unit
+                    terms += [(rest + x, e * c) for c, x in monos]
+            for mono, c in terms:
+                cells = table.get(mono)
+                if cells is None:
+                    table[mono] = {j: c}
+                else:
+                    cells[j] = cells.get(j, 0) + c
+            j += 1
+
+    def signature(code):
+        sig = []
+        for k in atoms:
+            e = (code & mask) - bias
+            if e:
+                sig.append((k, e))
+            code >>= width
+        return tuple(sig)
+
+    return {signature(code): cells for code, cells in table.items()}
 
 
 def _sig_monomials(e: Expr) -> list:
     """(coefficient, signature) of each non-zero monomial of `e`."""
     return [(c, _sig(pairs)) for c, pairs in monomials(e) if c]
-
-
-def _sig_mul(s1, s2):
-    """The signature of the product of two monomials."""
-    if not s1 or not s2:
-        return s1 or s2
-    merged = dict(s1)
-    for k, e in s2:
-        merged[k] = merged.get(k, 0) + e
-    return tuple(sorted(ke for ke in merged.items() if ke[1]))
-
-
-def _lowered(sig, key):
-    """(e, signature of the rest) where `sig` holds the atom of `key` to
-    the power e, so that its derivative there is e times the rest with
-    that power lowered; (0, None) where it does not hold it."""
-    for i, (k, e) in enumerate(sig):
-        if k == key:
-            return e, sig[:i] + (((k, e - 1),) if e != 1 else ()) + sig[i + 1:]
-    return 0, None
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +411,9 @@ def rref(matrix):
     `sdm_rref_den`: each row is scaled to integers with no common factor,
     and a row that a pivot row eliminates from is multiplied through
     rather than divided, then has its content removed again; a pivot row
-    is divided by its pivot only at the end.  A column -> rows index, as
+    is divided by its pivot only at the end.  Most rows of the weak E-L
+    block hold one cell, which is scaled straight to +-1, and a row of
+    ints takes no lcm of denominators.  A column -> rows index, as
     in SymPy's `sdm_irref`, eliminates a column only from the rows that
     hold it.  Each pivot is the shortest candidate row, ties to the
     earlier, to limit fill-in; the reduced form is unique, so that choice
@@ -439,7 +459,9 @@ def rref(matrix):
                 for j in d:
                     d[j] //= g
         pivots.append(c)
-    return [{j: Fraction(v, d[c]) for j, v in d.items()}
+    # a Fraction where the pivot is 1 too: the nullspace divides by it
+    return [{j: Fraction(v) for j, v in d.items()} if d[c] == 1 else
+            {j: Fraction(v, d[c]) for j, v in d.items()}
             for d, c in zip(reduced, pivots)], pivots
 
 
@@ -447,8 +469,12 @@ def _primitive(cells) -> dict:
     """The non-zero (column, number) `cells` as a row of integers with no
     common factor."""
     row = {c: v for c, v in cells if v}
-    den = math.lcm(*(v.denominator for v in row.values()))
-    row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    if len(row) == 1:
+        return {c: 1 if v > 0 else -1 for c, v in row.items()}
+    if not all(type(v) is int for v in row.values()):
+        den = math.lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (den // v.denominator)
+               for c, v in row.items()}
     g = math.gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
@@ -605,7 +631,8 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
     member per component k, shifted by k * width, and fixes that member's
     multipliers and its Lagrangian L_b whatever k is; both are built once
     a vector, and the sums over the free parameters are left to the
-    family.
+    family.  A vector holds few columns, so L_b multiplies out only the
+    slots (a, s) that hold one of them: every other multiplier is 0.
     """
     system = collect_system([weak_el_residual_of(lie, ansatz, alpha)
                              for alpha in range(1, lie.n + 1)], ansatz)
@@ -623,8 +650,9 @@ def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
     # each L_b is multiplied out on the monomial lists, never by
     # canonicalizing a product tree: that could cancel a sum against an
     # inverse-sum atom of phi, which no family multiplier, holding the free
-    # parameters, ever met
+    # parameters, ever met.  An empty slot's multiplier is RAT0 itself
     lagrangians = [polynomial_expr([m for slot, phi in zip(slots, phis)
+                                    if lam[slot] is not RAT0
                                     for m in _poly_mul(monomials(lam[slot]),
                                                        phi)])
                    for lam in multipliers]

@@ -802,13 +802,13 @@ def test_module_entry_point():
     assert "axioms: ok" in proc.stdout
 
 
-def cli_start_up(before: str, after: str) -> str:
+def cli_start_up(before: str, after: str, flags=("-I",)) -> str:
     """What `after` prints in a fresh isolated interpreter that runs
     `before`, then imports lagrforge.cli from src/ and builds its parser,
     as each invocation does before any stage runs."""
     code = (f"import sys\n{before}\nsys.path.insert(0, sys.argv[1])\n"
             f"import lagrforge.cli as cli\ncli.build_parser()\n{after}")
-    proc = subprocess.run([sys.executable, "-I", "-c", code,
+    proc = subprocess.run([sys.executable, *flags, "-c", code,
                            str(ROOT / "src")],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -819,6 +819,13 @@ def test_cli_import_leaves_out_dataclasses_and_logging():
     # both are slow to import, and no stage needs them up front
     assert cli_start_up("", "print(sorted({'dataclasses', 'logging'} "
                             "& set(sys.modules)))") == "[]\n"
+
+
+def test_cli_import_leaves_out_importlib_resources():
+    # only reading a bundled group needs it; without `site`, which may load
+    # it through a .pth file, nothing at start-up does
+    assert cli_start_up("", "print('importlib.resources' in sys.modules)",
+                        flags=("-I", "-S")) == "False\n"
 
 
 def test_cli_import_compiles_no_generated_code():

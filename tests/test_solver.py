@@ -328,6 +328,17 @@ def test_rref_exact():
     assert pivots == [0]
     # a row of integers is read exactly, and zeros are not stored
     assert rref([[0, 3, 0, 6]]) == ([{1: 1, 3: 2}], [1])
+    # a negative one-cell row, a row sharing its column, a row of ints and
+    # a dense row: the one-cell row skips the lcm and gcd, the int row the
+    # lcm, and a pivot of 1 still leaves every reduced cell a Fraction
+    reduced, pivots = rref([{2: Fraction(-3, 4)},
+                            {0: Fraction(1, 2), 2: 5, 4: Fraction(1, 3)},
+                            {3: 2, 4: -4},
+                            [Fraction(1, 3), 1, Fraction(-2, 5), 7, 0]])
+    assert (reduced, pivots) == ([{0: 1, 4: Fraction(2, 3)},
+                                  {1: 1, 4: Fraction(124, 9)}, {2: 1},
+                                  {3: 1, 4: -2}], [0, 1, 2, 3])
+    assert all(type(v) is Fraction for row in reduced for v in row.values())
 
 
 def _random_sparse_matrix(seed):
@@ -790,13 +801,28 @@ def test_lambda_map_residual_with_inverse_sums():
         Rational(0)
 
 
+# X1'^39 in an on-shell value and X1'^38 in dphi, with g^-2 in the basis:
+# the widest exponent fields of the packed column table, and negative ones
+SHEAR40_SOURCE = """
+group shear40 {
+  params: g;
+  coords: X1, X2;
+  identity: (0);
+  inverse: (-g);
+  multiply: (lhs.g + rhs.g);
+  action: (X1 + g, X2 + (X1 + g)^40 - X1^40);
+}
+"""
+
+
 def _lie_of(source):
     """A bundled group by name, an inline source by name, or a .grp file
     by its path from the repository root."""
     if source.endswith(".grp"):
         text = (Path(__file__).resolve().parents[1] / source).read_text()
     else:
-        text = {"scale1": SCALE1_SOURCE, "scale3": SCALE3_SOURCE}.get(source)
+        text = {"scale1": SCALE1_SOURCE, "scale3": SCALE3_SOURCE,
+                "shear40": SHEAR40_SOURCE}.get(source)
     return lf.constraints(lf.parse(text or lf.bundled_source(source)))
 
 
@@ -814,12 +840,16 @@ def _component_multipliers(ansatz, k=1):
     ("affine1", 1, (-2, 1)),
     ("perfbench/groups/se2.grp", 1, (0, 0)),
     ("perfbench/groups/se2.grp", 2, (0, 0)),
-    ("scale3", 1, (-1, 0)), ("scale1", 1, (0, 1)), ("affine1", 2, (-2, 2))])
+    ("scale3", 1, (-1, 0)), ("scale1", 1, (0, 1)), ("affine1", 2, (-2, 2)),
+    ("shear40", 2, (-2, 2)), ("perfbench/groups/se2.grp", 1, (0, 1))])
 def test_multiplier_residual_matches_expression_path(source, deg_x, deg_g):
     # the block of L_1 written column by column from the ansatz is, row by
     # row and in order, the system collected from the expression path: the
     # E-L expressions of the composed L_1 with the on-shell values
-    # substituted, split by their monomials in all but the unknowns
+    # substituted, split by their monomials in all but the unknowns.  The
+    # last two rungs test the packed codes' edges: exponent fields as wide
+    # as X1'^39 times a lowered basis monomial, with negative g exponents,
+    # and sin and cos atoms among the packed keys
     lie = _lie_of(source)
     ansatz = lf.build_ansatz(lie, deg_x=deg_x, deg_g=deg_g)
     L = ansatz.lagrangian_component(1)
