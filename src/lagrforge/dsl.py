@@ -21,12 +21,11 @@ import math
 import sys
 from typing import Optional
 
-from .expr import (DEFAULT_SEED, EQUALS_TOL, EXACT_POINTS, Clash, Cos, Expr,
-                   Power, Product, RAT0, RAT_M1, Rational, Role,
-                   SampleOutcome, Sin, Sum, Sym, SymbolInfo, _as_monomials,
-                   _fresh_name, _operands, at_exact_points, batch_value,
-                   canonicalize, exact_values, format_expr, relative_gap,
-                   sample_batches, substitute, trig_symbols)
+from .expr import (DEFAULT_SEED, EQUALS_TOL, EXACT, EXACT_POINTS, WITHIN, Cos,
+                   Expr, Power, Product, RAT0, RAT_M1, Rational, Role, Sin,
+                   Sum, Sym, SymbolInfo, _as_monomials, _fresh_name,
+                   _operands, canonicalize, decide, format_expr, substitute,
+                   trig_symbols)
 
 CLAUSES = ("params", "coords", "identity", "inverse", "multiply", "action")
 RESERVED = set(CLAUSES) | {"group", "sin", "cos", "lhs", "rhs"}
@@ -600,56 +599,10 @@ LAWS = (
 )
 
 
-def _ghX(spec: GroupActionSpec, h: tuple, values) -> tuple:
-    """(g, h, X), each a tuple of `values` of the parameters, their copies
-    `h` and the coordinates."""
-    return tuple(tuple(values[s] for s in syms)
-                 for syms in (spec.params, h, spec.coords))
-
-
-def _exact_holds(spec: GroupActionSpec, h: tuple, seed: int) -> list:
-    """For each law, whether it holds at EXACT_POINTS seeded points mod
-    MODULUS; raises Clash where exact evaluation cannot decide."""
-    angles = spec.angles()
-    G = _Clauses(spec, exact_values, angles)
-
-    def holds(env):
-        return [left == right for left, right in
-                (sides(G, *_ghX(spec, h, env)) for _, _, sides in LAWS)]
-
-    drawn = at_exact_points(holds, spec.params + h + spec.coords,
-                            {s for j in angles for s in (spec.params[j], h[j])},
-                            seed)
-    return [all(point[i] for point in drawn) for i in range(len(LAWS))]
-
-
-def _sample_law(spec: GroupActionSpec, h: tuple, law: int, samples: int,
-                seed: int) -> SampleOutcome:
-    """The largest float difference of one law's sides at seeded points,
-    relative to the sides' sizes (`batch_value`), so that rounding in
-    large values stays within `tol`."""
-    axiom, _, sides = LAWS[law]
-
-    def batch(cols, n):
-        errors = {}
-        G = _Clauses(spec, lambda exprs, env, _: tuple(
-            batch_value(e, env, n, errors) for e in exprs))
-        at = {s: (col, list(map(abs, col))) for s, col in cols.items()}
-        left, right = sides(G, *_ghX(spec, h, at))
-        worst = [0.0] * n
-        for (a, a_size), (b, b_size) in zip(left, right):
-            worst = list(map(max, worst,
-                             map(relative_gap, a, b, a_size, b_size)))
-        return worst, errors
-
-    return sample_batches(batch, spec.params + h + spec.coords, samples, seed,
-                          lambda: (f"the {axiom} law of {spec.name}",) * 2)
-
-
 def validate_axioms(spec: GroupActionSpec, samples: int = AXIOM_SAMPLES,
                     seed: int = DEFAULT_SEED, tol: float = EQUALS_TOL) -> AxiomReport:
     """Check the four action/group laws, each side evaluated as values,
-    never composed as a tree.
+    never composed as a tree, each law one group of `expr.decide`.
 
     `Exact`: the sides agree at EXACT_POINTS seeded points mod MODULUS, so
     a false law passes with probability at most (degree / MODULUS) **
@@ -662,22 +615,22 @@ def validate_axioms(spec: GroupActionSpec, samples: int = AXIOM_SAMPLES,
     from i = 1.
     """
     h = tuple(s.info for s in _fresh_params(spec, "h"))
-    try:
-        holds = _exact_holds(spec, h, seed)
-    except Clash:
-        holds = None
-    checks = []
-    for law, (axiom, description, _) in enumerate(LAWS):
-        if holds is not None and holds[law]:
-            checks.append(AxiomCheck(axiom, description, "Exact"))
-            continue
-        out = _sample_law(spec, h, law, samples, seed + (law + 1) * 101)
-        if holds is None and not out.aborted and out.max_abs <= tol:
-            checks.append(AxiomCheck(axiom, description, "Numeric",
-                                     max_residual=out.max_abs))
-        else:
-            checks.append(AxiomCheck(axiom, description, "Failed",
-                                     max_residual=out.max_abs,
-                                     witness=out.witness))
-    return AxiomReport(spec.name, samples if holds is None else EXACT_POINTS,
-                       seed, checks)
+    angles = spec.angles()
+
+    def sides(evaluate, env, wanted):
+        G = _Clauses(spec, evaluate, angles)
+        ghX = [tuple(env[s] for s in syms) for syms in (spec.params, h,
+                                                         spec.coords)]
+        return [list(zip(*LAWS[law][2](G, *ghX))) for law in wanted]
+
+    clashed, outcomes = decide(
+        sides, spec.params + h + spec.coords,
+        {s for j in angles for s in (spec.params[j], h[j])}, seed,
+        [seed + (law + 1) * 101 for law in range(len(LAWS))], samples, tol,
+        lambda law: (f"the {LAWS[law][0]} law of {spec.name}",) * 2)
+    checks = [AxiomCheck(*law[:2], "Exact") if kind == EXACT else
+              AxiomCheck(*law[:2], "Numeric", out.max_abs) if kind == WITHIN
+              else AxiomCheck(*law[:2], "Failed", out.max_abs, out.witness)
+              for law, (kind, out) in zip(LAWS, outcomes)]
+    return AxiomReport(spec.name, samples if clashed else EXACT_POINTS, seed,
+                       checks)

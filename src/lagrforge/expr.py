@@ -10,9 +10,11 @@ only when they are read.  `differentiate` and `substitute` work on it term
 by term, and a term goes back through a tree only where a sine, cosine or
 inverse sum is involved.  No floating point ever enters a tree; numerics
 only appear in `eval_numeric`, in the code `compile_numeric` writes (the
-compiled orbit of `verify`), and in the batch sampler of the sampling-based
-equality fallback (`sample_expr`, `sample_batches`).  `exact_value`
-evaluates a canonical tree exactly, modulo a prime, at a seeded point.
+compiled orbit of `verify`), and in the batch sampler (`sample_batches`).
+
+Every verdict that values agree (group laws, phi on the action, `equals`)
+comes from `decide`: exact evaluation mod a prime at seeded points, then
+floats, one walk of a tree giving each value with its size (`relative_gap`).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import operator
 import random
 from enum import Enum, IntEnum
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, Optional, Sequence, Union
 
 DEFAULT_SEED = 0xC0FFEE
@@ -874,27 +877,43 @@ def _distinct_nodes(exprs: Sequence[Expr], done, ints: set):
         yield node, kids
 
 
-def _batch_values(walk: Mapping, ints: set, cols: Mapping, n: int,
-                  values: Optional[dict] = None):
-    """(values, errors): the value of a tree at each of n points, and the
-    exception that evaluating it at a point raised, by the point's index;
-    `values`, where given, is filled with every node's values.
+def _walk(e: Expr) -> tuple:
+    """(walk, ints): each distinct node of `e` mapped to its operands in
+    `_distinct_nodes`' post-order, ending at `e`, and its int-valued nodes."""
+    walk, ints = {}, set()
+    for node, kids in _distinct_nodes([e], walk, ints):
+        walk[node] = kids
+    return walk, ints
 
-    `walk` maps each distinct node of the tree to its operands in
-    `_distinct_nodes`' post-order, which ends at the root, and `ints` is
-    the set that walk filled.  `cols` maps each symbol of the tree to its
-    n floats.  Each distinct node is evaluated once over all the points,
-    with the float operation the code of `_numeric_lines` does for it, so
-    a value is the one `compile_numeric` gives, and a point's exception is
-    the first one a call there raises.  The values at a point that raised
-    are placeholders.
+
+def batch_value(e: Expr, env: Mapping, n: int, errors: dict) -> tuple:
+    """`_batch_values` of `e` on its own walk."""
+    return _batch_values(*_walk(e), env, n, errors)
+
+
+def _batch_values(walk: Mapping, ints: set, env: Mapping, n: int,
+                  errors: dict) -> tuple:
+    """(values, sizes) of a tree at n points, in one walk (`_walk`); `env`
+    maps each symbol's SymbolInfo to its (values, sizes).
+
+    Each distinct node is evaluated once over all the points, with the
+    float operation the code of `_numeric_lines` does for it, so a value
+    is the one `compile_numeric` gives.  The exception a point raises joins
+    `errors` unless that point has one, and a point in `errors` gets
+    placeholder values.  A size bounds the rounding error of a value to
+    first order, in units of the float epsilon and up to a factor of the
+    tree's depth: a constant's or a drawn value's size is its magnitude, a
+    sum's or a product's the sum or product of its operands' sizes, a
+    power's the power of its base's size (for b^p with p < 0, |b|^(p-1)
+    times b's size) and a sine's or cosine's the larger of 1 and its
+    argument's size.
     """
-    values = {} if values is None else values
-    errors = {}
+    values, sizes = {}, {}
     for node, kids in walk.items():
         args = [values[k] for k in kids]
+        margs = [sizes[k] for k in kids]
         if isinstance(node, Sym):
-            out = cols[node.info]
+            out, size = env[node.info]
         elif isinstance(node, Rational):
             try:
                 out = [float(node.value)] * n
@@ -902,25 +921,33 @@ def _batch_values(walk: Mapping, ints: set, cols: Mapping, n: int,
                 out = [1.0] * n
                 for i in range(n):
                     errors.setdefault(i, exc)
+            size = [_size_pow(node.value, 1)] * n
         elif isinstance(node, Sum):
             if len(args) == 2 and ints.isdisjoint(kids):
                 out = [0.0 + a + b for a, b in zip(*args)]
             else:
                 out = list(map(sum, zip(*args))) if args else [0] * n
+            size = list(map(sum, zip(*margs))) if margs else [0.0] * n
         elif isinstance(node, Product):
             # from the first factor, or from 1.0 when every factor is an int
             out = [1.0] * n if all(k in ints for k in kids) else args.pop(0)
             for col in args:
                 out = list(map(operator.mul, out, col))
+            size = list(map(math.prod, zip(*margs))) if margs else [1.0] * n
         elif isinstance(node, Power):
             col, p = args[0], node.exponent
+            if p > 0:
+                size = [_size_pow(m, p) for m in margs[0]]
+            else:
+                size = [_size_pow(b, p - 1) * m for b, m in zip(col, margs[0])]
             if p < 0 and any(map(SINGULAR_GUARD.__gt__, map(abs, col))):
                 col = _column(_guard, [col], errors)
             out = _column(pow, [col, [p] * n], errors)
         else:
             out = _column(getattr(math, node.fn), args, errors)
-        values[node] = out
-    return out, errors
+            size = [max(1.0, m) for m in margs[0]]
+        values[node], sizes[node] = out, size
+    return out, size
 
 
 def _guard(v: float) -> float:
@@ -976,47 +1003,6 @@ def _operands(e: Expr) -> tuple:
     if isinstance(e, Trig):
         return (e.argument,)
     raise TypeError(f"cannot evaluate {type(e).__name__}")
-
-
-def batch_value(e: Expr, env: Mapping, n: int, errors: dict) -> tuple:
-    """(values, sizes) of `e` at n points, `env` mapping each symbol's
-    SymbolInfo to its (values, sizes); the values are the ones
-    `_batch_values` computes, and the exception a point raises joins
-    `errors` unless that point has one.  A size bounds the rounding error
-    of a value to first order, in units of the float epsilon and up to a
-    factor of the tree's depth: a constant's or a drawn value's size is
-    its magnitude, a sum's or a product's the sum or product of its
-    operands' sizes, a power's the power of its base's size (for b^p with
-    p < 0, |b|^(p-1) times b's size) and a sine's or cosine's the larger
-    of 1 and its argument's size."""
-    walk, ints = {}, set()
-    for node, kids in _distinct_nodes([e], walk, ints):
-        walk[node] = kids
-    values = {}
-    out, raised = _batch_values(
-        walk, ints, {s: v for s, (v, _) in env.items()}, n, values)
-    for i, exc in raised.items():
-        errors.setdefault(i, exc)
-    sizes = {}
-    for node, kids in walk.items():
-        args = [sizes[k] for k in kids]
-        if isinstance(node, Sym):
-            size = env[node.info][1]
-        elif isinstance(node, Rational):
-            size = [_size_pow(node.value, 1)] * n
-        elif isinstance(node, Sum):
-            size = list(map(sum, zip(*args))) if args else [0.0] * n
-        elif isinstance(node, Product):
-            size = list(map(math.prod, zip(*args)))
-        elif isinstance(node, Power) and node.exponent > 0:
-            size = [_size_pow(m, node.exponent) for m in args[0]]
-        elif isinstance(node, Power):
-            size = [_size_pow(b, node.exponent - 1) * m
-                    for b, m in zip(values[kids[0]], args[0])]
-        else:
-            size = [max(1.0, m) for m in args[0]]
-        sizes[node] = size
-    return out, size
 
 
 def _size_pow(x, p: int) -> float:
@@ -1165,7 +1151,8 @@ def at_exact_points(fn, syms: Sequence, angles, seed: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Equality decision.
+# Decision.  One procedure decides every verdict that values agree: the
+# group laws, the check that phi vanishes on the action, and `equals`.
 
 
 class Equivalence(Enum):
@@ -1174,6 +1161,12 @@ class Equivalence(Enum):
     NUMERICALLY_EQUAL = "NumericallyEqual"
     # 0 at EXACT_POINTS seeded points mod MODULUS: not a canonical identity
     EXACTLY_EQUAL = "ExactlyEqual"
+
+
+# The outcome `decide` gives a group: its pairs agree at the exact points;
+# after a Clash, their float residual is within tol; they differ, with a
+# float witness; or float sampling aborted.
+EXACT, WITHIN, UNEQUAL, ABORTED = "exact", "within", "unequal", "aborted"
 
 
 class SampleOutcome:
@@ -1188,38 +1181,94 @@ class SampleOutcome:
         return vars(self) == vars(other)
 
 
+def decide(sides, syms: Sequence, angles, seed: int, seeds: Sequence[int],
+           samples: int, tol: float, describe) -> tuple:
+    """(clashed, outcomes): whether each group's pairs of values agree.
+
+    `sides(evaluate, env, wanted)` gives the (left, right) pairs of each
+    group index in `wanted` (of len(seeds) groups), `env` mapping each of
+    `syms` to a value and `evaluate(exprs, env, angles=())` giving the
+    values of `exprs` there, those at indices in `angles` as angles.
+
+    All groups are first evaluated exactly at the points of
+    `at_exact_points(..., syms, angles, seed)`: a group that agrees at each
+    is EXACT.  Every other group, or every group once exact evaluation
+    meets a Clash (`clashed`), is sampled in floats at `samples` points
+    from `seeds[i]` (`sample_batches`), its residual at a point the
+    largest `relative_gap` of its pairs.  After a Clash, residuals within
+    `tol` give WITHIN; a group that differs at the exact points or above
+    `tol` is UNEQUAL, and one whose sampling aborts, naming `describe(i)`,
+    ABORTED.  An outcome is (kind, the SampleOutcome or None).  Fewer than
+    one sample is refused, even where no float would be drawn.
+    """
+    _check_samples(samples)
+    count = len(seeds)
+    try:
+        drawn = at_exact_points(
+            lambda env: [all(a == b for a, b in pairs) for pairs in
+                         sides(exact_values, env, range(count))],
+            syms, angles, seed)
+        agree = [all(point[i] for point in drawn) for i in range(count)]
+    except Clash:
+        agree = None
+    outcomes = []
+    for i in range(count):
+        if agree and agree[i]:
+            outcomes.append((EXACT, None))
+            continue
+        out = sample_batches(partial(_residuals, sides, i), syms, samples,
+                             seeds[i], partial(describe, i))
+        outcomes.append((ABORTED if out.aborted else WITHIN
+                         if agree is None and out.max_abs <= tol else UNEQUAL,
+                         out))
+    return agree is None, outcomes
+
+
+def _residuals(sides, group: int, env: Mapping, n: int, errors: dict) -> list:
+    """The residuals of one group of `decide` at n float points: at each,
+    the largest `relative_gap` of its pairs."""
+    (pairs,) = sides(lambda exprs, env, angles=(): tuple(
+        batch_value(e, env, n, errors) for e in exprs), env, (group,))
+    worst = [0.0] * n
+    for (a, a_size), (b, b_size) in pairs:
+        worst = list(map(max, worst, map(relative_gap, a, b, a_size, b_size)))
+    return worst
+
+
 def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
                 seed: int = DEFAULT_SEED) -> SampleOutcome:
-    """Evaluate `e` at seeded random points, skipping near-singular and
-    overflowing draws.
+    """The largest magnitude of `e` at seeded random points, skipping
+    near-singular and overflowing draws, and its witness point.
 
     The points still needed are drawn as one batch and evaluated together
     (`_batch_values`), which gives the values `eval_numeric` gives; then
     the draws are taken in order, as one draw at a time would take them.
     """
-    # one walk serves every batch, and its symbols are the ones drawn
-    walk, ints = {}, set()
-    for node, kids in _distinct_nodes([e], walk, ints):
-        walk[node] = kids
+    _check_samples(samples)
+    walk, ints = _walk(e)   # one walk serves every batch
     return sample_batches(
-        lambda cols, n: _batch_values(walk, ints, cols, n),
+        lambda env, n, errors: _batch_values(walk, ints, env, n, errors)[0],
         [node.info for node in walk if isinstance(node, Sym)], samples, seed,
-        lambda: (f"a {len(e.terms) if isinstance(e, Sum) else 1}-term "
-                 "expression", format_expr(e)))
+        lambda: _subject(e))
+
+
+def _subject(e: Expr) -> tuple:
+    return (f"a {len(e.terms) if isinstance(e, Sum) else 1}-term expression",
+            format_expr(e))
 
 
 def sample_batches(batch, syms, samples: int, seed: int,
                    describe) -> SampleOutcome:
     """The largest magnitude of a seeded float evaluation, and its witness.
 
-    `batch(cols, n)` returns (values, errors) for n points, as
-    `_batch_values` does, `cols` mapping each of `syms` to its n values
-    drawn uniformly from [-SAMPLE_SPAN, SAMPLE_SPAN].  A point where it
-    raised a near-singular or overflow error is drawn again; past
+    `batch(env, n, errors)` returns the values at n points, `env` mapping
+    each of `syms` to its (values, sizes), n values drawn uniformly from
+    [-SAMPLE_SPAN, SAMPLE_SPAN] and their magnitudes, and puts in `errors`
+    the exception a point raised, by its index.  A point where it raised a
+    near-singular or overflow error is drawn again; past
     MAX_REJECTIONS such points sampling aborts and logs, naming what
     `describe()` gives: (the WARNING's subject, the DEBUG detail).
     """
-    _check_samples(samples)
     syms = sorted(syms, key=lambda i: (int(i.role), i.name))
     names = [s.name for s in syms]
     k = len(syms)
@@ -1234,7 +1283,9 @@ def sample_batches(batch, syms, samples: int, seed: int,
         n = samples - accepted
         # draw by draw, and within a draw by symbol
         flat = [low + width * rand() for _ in range(n * k)]
-        values, errors = batch({s: flat[j::k] for j, s in enumerate(syms)}, n)
+        errors = {}
+        values = batch({s: (flat[j::k], list(map(abs, flat[j::k])))
+                        for j, s in enumerate(syms)}, n, errors)
         for i, v in enumerate(values):
             exc = errors.get(i)
             if exc is None:
@@ -1266,17 +1317,25 @@ def _check_samples(samples: int) -> None:
 
 def equals(e1, e2, samples: int = EQUALS_SAMPLES, seed: int = DEFAULT_SEED,
            tol: float = EQUALS_TOL) -> Equivalence:
-    """Decide equality: canonical-tree identity, else seeded sampling."""
+    """Decide equality: `ProvedEqual` when the canonical difference is 0,
+    else `decide` on the one pair (difference, 0), the symbols inside a
+    sine or cosine argument taken as angles.  Agreement at the exact points
+    or, after a Clash, a float residual within `tol` is `NumericallyEqual`;
+    a difference at the exact points, a residual above `tol` or an aborted
+    sampling run is `ProvedUnequal`.  The float residual is relative to
+    the difference's size (`relative_gap`).  Fewer than one sample is
+    refused before the canonical tier too."""
     _check_samples(samples)
     diff = canonicalize(Sum((as_expr(e1), Product((RAT_M1, as_expr(e2))))))
     if isinstance(diff, Rational) and diff.value == 0:
         return Equivalence.PROVED_EQUAL
-    outcome = sample_expr(diff, samples=samples, seed=seed)
-    if outcome.aborted:
-        return Equivalence.PROVED_UNEQUAL
-    if outcome.max_abs <= tol:
-        return Equivalence.NUMERICALLY_EQUAL
-    return Equivalence.PROVED_UNEQUAL
+    _, ((kind, _),) = decide(
+        lambda evaluate, env, _: [[evaluate((diff, RAT0), env)]],
+        sorted(free_symbols(diff), key=lambda i: (int(i.role), i.name)),
+        trig_symbols(diff), seed, [seed], samples, tol,
+        lambda _: _subject(diff))
+    return (Equivalence.NUMERICALLY_EQUAL if kind in (EXACT, WITHIN)
+            else Equivalence.PROVED_UNEQUAL)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,10 @@ from typing import Optional
 from .dsl import _fresh_params
 # `equals` is no longer called here, but perfbench/spans.py wraps lie.equals
 # as a kernel leaf and requires the name
-from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Clash,
-                   Equivalence, Product, Role, Sum, Sym, SymbolInfo,
-                   _fresh_name, at_exact_points, batch_value, canonicalize,
-                   differentiate, equals, exact_values, free_symbols,
-                   relative_gap, sample_batches, substitute)
+from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, EXACT, RAT0,
+                   WITHIN, Equivalence, Product, Role, Sum, Sym, SymbolInfo,
+                   _fresh_name, canonicalize, decide, differentiate, equals,
+                   free_symbols, substitute)
 
 CONVENTION_NOTE = ("constraints follow the convention "
                    "phi[a][j] = X'[a]_j - sum_s u[s][j](g) * S[a][s](X'); "
@@ -151,44 +150,31 @@ def constraints(spec, samples: int = EQUALS_SAMPLES, seed: int = DEFAULT_SEED,
 
 def _on_action(lie, jacobian: list, samples: int, seed: int,
                tol: float) -> list:
-    """The grid of verdicts that phi vanishes on the action."""
+    """The grid of verdicts that phi vanishes on the action, each entry one
+    group of `expr.decide`."""
     spec = lie.spec
     # the fields and jets take the values of the action and its derivatives
     names = lie.fields + tuple(lie.jet_list())
     exprs = spec.action + tuple(d for row in jacobian for d in row)
     flat = [e for row in lie.phi for e in row]
 
-    def violation(k):
-        a, j = divmod(k, spec.r)
-        return ConventionViolationError(
-            f"constraint phi[{a + 1}][{j + 1}] does not vanish on the group "
-            "action; the group data is inconsistent")
+    def sides(evaluate, env, wanted):
+        env.update(zip(names, evaluate(exprs, env)))
+        *values, zero = evaluate([flat[k] for k in wanted] + [RAT0], env)
+        return [[(v, zero)] for v in values]
 
-    def vanishes(env):
-        env.update(zip(names, exact_values(exprs, env)))
-        for k, v in enumerate(exact_values(flat, env)):
-            if v:
-                raise violation(k)
-
-    try:
-        at_exact_points(vanishes, spec.params + spec.coords,
-                        {spec.params[j] for j in spec.angles()}, seed)
-        return [[Equivalence.EXACTLY_EQUAL] * spec.r for _ in range(spec.n)]
-    except Clash:
-        pass
-    for k, e in enumerate(flat):
-        def batch(cols, n, e=e):
-            errors = {}
-            at = {s: (col, list(map(abs, col))) for s, col in cols.items()}
-            at.update(zip(names, [batch_value(x, at, n, errors)
-                                  for x in exprs]))
-            values, sizes = batch_value(e, at, n, errors)
-            return list(map(relative_gap, values, [0.0] * n, sizes,
-                            sizes)), errors
-
-        out = sample_batches(batch, spec.params + spec.coords, samples, seed,
-                             lambda: (f"a constraint of {spec.name} on its "
-                                      "action",) * 2)
-        if out.aborted or out.max_abs > tol:
-            raise violation(k)
-    return [[Equivalence.NUMERICALLY_EQUAL] * spec.r for _ in range(spec.n)]
+    _, outcomes = decide(
+        sides, spec.params + spec.coords,
+        {spec.params[j] for j in spec.angles()}, seed, [seed] * len(flat),
+        samples, tol,
+        lambda _: (f"a constraint of {spec.name} on its action",) * 2)
+    verdicts = {EXACT: Equivalence.EXACTLY_EQUAL,
+                WITHIN: Equivalence.NUMERICALLY_EQUAL}
+    for k, (kind, _) in enumerate(outcomes):
+        if kind not in verdicts:
+            raise ConventionViolationError(
+                f"constraint phi[{k // spec.r + 1}][{k % spec.r + 1}] does "
+                "not vanish on the group action; the group data is "
+                "inconsistent")
+    return [[verdicts[kind] for kind, _ in outcomes[a * spec.r:][:spec.r]]
+            for a in range(spec.n)]

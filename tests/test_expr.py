@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from lagrforge import (Cos, Equivalence, Power, Product, Rational, Role, Sin,
-                       Sum, Sym, SymbolInfo, canonicalize, differentiate,
-                       equals, eval_numeric, format_expr, free_symbols,
-                       monomials, substitute)
+                       Sum, Sym, SymbolInfo, bundled_source, canonicalize,
+                       constraints, differentiate, equals, eval_numeric,
+                       format_expr, free_symbols, monomials, parse,
+                       substitute, validate_axioms)
 from lagrforge.expr import (NearSingularEvaluationError, UnboundSymbolError,
-                            polynomial_expr, sample_expr)
+                            batch_value, polynomial_expr, sample_expr)
 from lagrforge.printing import default_symbol_latex
 
 X = SymbolInfo("x", Role.BASE_COORDINATE)
@@ -97,6 +98,24 @@ def test_equals_three_verdicts():
     trig = canonicalize(Sin(x)) ** 2 + canonicalize(Cos(x)) ** 2
     assert equals(trig, 1) == Equivalence.NUMERICALLY_EQUAL
     assert equals(x, y) == Equivalence.PROVED_UNEQUAL
+    # an identity scaled by 10^9 is not unequal by rounding, decided at
+    # exact points or, for sin(x^2), in floats relative to the values'
+    # sizes; a difference of 10^-12 * x is a difference, not rounding
+    assert equals(Rational(10 ** 9) * trig, 10 ** 9) != \
+        Equivalence.PROVED_UNEQUAL
+    square = canonicalize(x * x)
+    assert equals(Rational(10 ** 9) * (canonicalize(Sin(square)) ** 2 +
+                                       canonicalize(Cos(square)) ** 2),
+                  10 ** 9) == Equivalence.NUMERICALLY_EQUAL
+    assert equals(Rational(1, 10 ** 12) * x, 0) == Equivalence.PROVED_UNEQUAL
+
+
+def test_batch_value_sizes_an_empty_product():
+    # an empty product is 1 at every point, and so is its size; an empty
+    # size column would cut every size above it short
+    assert batch_value(Product(()), {}, 2, {}) == ([1.0, 1.0], [1.0, 1.0])
+    assert batch_value(Sum((Product(()), x)), {X: ([2.0, -3.0], [2.0, 3.0])},
+                       2, {}) == ([3.0, -2.0], [3.0, 4.0])
 
 
 @pytest.mark.parametrize("samples", [0, -1])
@@ -108,6 +127,11 @@ def test_sampling_needs_a_sample(samples):
     for a, b in ((canonicalize(Sin(x)), x), (x, x)):
         with pytest.raises(ValueError, match="samples must be at least 1"):
             equals(a, b, samples=samples)
+    # refused before exact evaluation, which needs no float sample
+    spec = parse(bundled_source("so2"))
+    for check in (validate_axioms, constraints):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            check(spec, samples=samples)
 
 
 def test_sampling_abort_logs_the_expression_at_debug_only(caplog):

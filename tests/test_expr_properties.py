@@ -470,8 +470,9 @@ def test_sample_expr_matches_tree_walk(monkeypatch):
     monkeypatch.setattr(expr, "SINGULAR_GUARD", 0.5)
     batches = []
     batch = expr._batch_values
-    monkeypatch.setattr(expr, "_batch_values", lambda walk, ints, cols, n:
-                        batches.append(n) or batch(walk, ints, cols, n))
+    monkeypatch.setattr(expr, "_batch_values", lambda walk, ints, env, n,
+                        errors: batches.append(n) or batch(walk, ints, env, n,
+                                                          errors))
     walks = []
     distinct_nodes = expr._distinct_nodes
     monkeypatch.setattr(expr, "_distinct_nodes", lambda *args:
@@ -762,3 +763,55 @@ def test_prefix_matches_tree_walk():
                        for atom, _ in pairs)
         assert got == (_tree_prefix(c), _tree_infix(c), _tree_latex(c))
     assert sums > 40 and inverse > 80
+
+
+def _reference_size(e, point):
+    """The size of `e` at `point` by the rule `batch_value` states,
+    walking the tree recursively."""
+    def size_pow(x, p):
+        try:
+            return float(abs(x) ** p)
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
+    if isinstance(e, Sym):
+        return abs(point[e.info.name])
+    if isinstance(e, Rational):
+        return size_pow(e.value, 1)
+    if isinstance(e, Sum):
+        return sum(_reference_size(t, point) for t in e.terms) \
+            if e.terms else 0.0
+    if isinstance(e, Product):
+        return math.prod(_reference_size(f, point) for f in e.factors)
+    m = _reference_size(e.base if isinstance(e, Power) else e.argument, point)
+    if isinstance(e, Power):
+        if e.exponent > 0:
+            return size_pow(m, e.exponent)
+        return size_pow(eval_numeric(e.base, point), e.exponent - 1) * m
+    return max(1.0, m)
+
+
+@pytest.mark.hash_order
+def test_one_walk_gives_the_tree_walks_values_and_sizes():
+    # the float walk carries each value with its size; both must be the
+    # recursive walk's, bit for bit, at every point that does not raise
+    rng = random.Random(3301)
+    compared = 0
+    for e in _sampled_cases(rng):
+        point_rng = random.Random(compared)
+        points = [sample_point(point_rng) for _ in range(4)]
+        env = {v: ([p[v.name] for p in points],
+                   [abs(p[v.name]) for p in points]) for v in VARS}
+        errors = {}
+        values, sizes = expr.batch_value(e, env, 4, errors)
+        for i, point in enumerate(points):
+            if i in errors:
+                continue
+            try:
+                want = eval_numeric(e, point)
+            except (NearSingularEvaluationError, OverflowError, ValueError):
+                continue
+            assert struct.pack("d", values[i]) == struct.pack("d", want)
+            assert struct.pack("d", sizes[i]) == \
+                struct.pack("d", _reference_size(e, point))
+            compared += 1
+    assert compared > 600
