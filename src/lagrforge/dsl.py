@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Optional
 
 from .expr import (DEFAULT_SEED, EQUALS_TOL, EXACT, EXACT_POINTS, WITHIN, Cos,
                    Expr, Power, Product, RAT0, RAT_M1, Rational, Role, Sin,
@@ -528,8 +527,8 @@ def pretty_print(spec: GroupActionSpec) -> str:
 
 class AxiomCheck:
     def __init__(self, axiom: str, description: str, verdict: str,
-                 max_residual: Optional[float] = None,
-                 witness: Optional[dict] = None):
+                 max_residual: float | None = None,
+                 witness: dict | None = None):
         self.axiom = axiom
         self.description = description
         self.verdict = verdict  # "Exact" | "Numeric" | "Failed"

@@ -23,10 +23,10 @@ import itertools
 import math
 import operator
 import random
+from collections.abc import Mapping, Sequence
 from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import partial
-from typing import Mapping, Optional, Sequence, Union
 
 DEFAULT_SEED = 0xC0FFEE
 SINGULAR_GUARD = 1e-3
@@ -66,7 +66,7 @@ class SymbolInfo:
 
     __slots__ = ("name", "role", "index", "_hash")
 
-    def __init__(self, name: str, role: Role, index: Optional[tuple] = None):
+    def __init__(self, name: str, role: Role, index: tuple | None = None):
         self.name = name
         self.role = role
         self.index = index
@@ -100,7 +100,7 @@ def _fresh_name(name: str, taken: set, mark: str) -> str:
     return name
 
 
-Number = Union[int, Fraction]
+Number = (int, Fraction)
 
 
 class Expr:
@@ -277,7 +277,9 @@ class Sum(Expr):
         return self._terms
 
     def _make_key(self):
-        return (5,) + tuple(t.sort_key() for t in self.terms)
+        if self._terms is None:
+            return (5,) + tuple(_mono_key(c, p) for c, p in self._monos)
+        return (5,) + tuple(t.sort_key() for t in self._terms)
 
 
 RAT0 = Rational(0)
@@ -375,6 +377,19 @@ def _mono_expr(coeff: Number, pairs) -> Expr:
     if len(factors) == 1:
         return factors[0]
     return _mark(Product(tuple(factors)))
+
+
+def _mono_key(coeff: Number, pairs):
+    """The sort key of `_mono_expr(coeff, pairs)`, with no node built."""
+    if coeff == 0:
+        return RAT0.sort_key()
+    keys = tuple(map(_factor_key, term_factors(pairs)))
+    head = (0, coeff.numerator, coeff.denominator)
+    if not keys:
+        return head
+    if coeff != 1:
+        return (4, head) + keys
+    return keys[0] if len(keys) == 1 else (4,) + keys
 
 
 def _sig(pairs):
@@ -790,8 +805,8 @@ def compile_numeric(exprs: Sequence[Expr], names: Sequence[str]):
 
 
 def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
-                   prefix: str, fixed: Optional[dict] = None,
-                   hoisted: Optional[list] = None):
+                   prefix: str, fixed: dict | None = None,
+                   hoisted: list | None = None):
     """(lines, out_locals): straight-line float code for `exprs`, and the
     local holding each one's value.
 

@@ -12,8 +12,6 @@ variables X'^a_j (their derivatives along the group parameters).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .dsl import _fresh_params
 # `equals` is no longer called here, but perfbench/spans.py wraps lie.equals
 # as a kernel leaf and requires the name
@@ -73,8 +71,8 @@ class LieData:
     """Derived Lie structure of one group action."""
 
     def __init__(self, spec, fields: tuple, jets: tuple, S: list, u: list,
-                 phi: list, onshell: dict, on_action: Optional[list] = None,
-                 notes: Optional[list] = None):
+                 phi: list, onshell: dict, on_action: list | None = None,
+                 notes: list | None = None):
         self.spec = spec
         self.fields = fields    # field variable symbols X'^a
         self.jets = jets        # jets[a][j] = X'^a_(j+1)

@@ -16,11 +16,10 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 
-from .expr import (Expr, RAT0, Product, Rational, Role, Sym, SymbolInfo,
-                   canonicalize, differentiate, free_symbols, _fresh_name,
-                   _norm_pairs, _number, _poly_mul, _sig, _sorted_expr,
-                   monomial_derivative, monomials, polynomial_expr,
-                   product_monomials, substitute)
+from .expr import (Expr, RAT0, Rational, Role, Sym, SymbolInfo, canonicalize,
+                   differentiate, free_symbols, _fresh_name, _norm_pairs,
+                   _number, _poly_mul, _sig, _sorted_expr, monomial_derivative,
+                   monomials, polynomial_expr, product_monomials, substitute)
 
 MAX_UNKNOWNS = 5000
 
@@ -533,12 +532,6 @@ class LagrangianFamily:
         return [self.free_params[(r - k) * d:(r - k + 1) * d]
                 for k in range(1, r + 1)]
 
-    @property
-    def twins(self) -> list:
-        """k = 2..r: {a_d of component 1: its twin in component k}."""
-        first, *rest = self.runs
-        return [dict(zip(first, run)) for run in rest]
-
     @cached_property
     def members(self) -> list:
         """The {column: Fraction} vectors of the full system, a_i's at i - 1:
@@ -571,22 +564,17 @@ class LagrangianFamily:
     @cached_property
     def _first_strong_el(self) -> list:
         """`strong_el[0]`, derived from L_1 alone: reading it builds no
-        other L_k and renames nothing."""
+        other L_k."""
         return strong_el(self.lie,
                          _weighted_sum(self.runs[0], self.block_lagrangians))
 
     @cached_property
     def strong_el(self) -> list:
         """Strong E-L expressions [k][alpha] with the free parameters kept
-        symbolic.  They are linear in the a_d, like the Lagrangians, so
-        substituting values gives the E-L system of that specialization.
-
-        A member of component k and its twin in component 1 come from one
-        block vector, so L_k is L_1 with each a_d renamed to its twin, and
-        so are its E-L expressions: only those of L_1 are derived."""
-        first = self._first_strong_el
-        return [first] + [[_rename_params(e, twin) for e in first]
-                          for twin in self.twins]
+        symbolic, each component's derived from its own Lagrangian.  They
+        are linear in the a_d, like the Lagrangians, so substituting values
+        gives the E-L system of that specialization."""
+        return [strong_el(self.lie, L) for L in self.lagrangians]
 
     def param_values(self, assignment) -> dict:
         """Normalize {name or SymbolInfo: number} to a full rational map."""
@@ -608,15 +596,6 @@ class LagrangianFamily:
         values = self.param_values(assignment)
         table = {p: Rational(v) for p, v in values.items()}
         return {key: substitute(e, table) for key, e in self.multipliers.items()}
-
-
-def _rename_params(e: Expr, twin: dict) -> Expr:
-    """`e`, linear in the free parameters, with each renamed by `twin`.  A
-    free parameter sorts before every other atom, so it is the first atom
-    of each monomial."""
-    syms = {p: Sym(q) for p, q in twin.items()}
-    return polynomial_expr([(c, ((syms[pairs[0][0].info], 1),) + pairs[1:])
-                            for c, pairs in monomials(e) if c])
 
 
 def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
@@ -688,38 +667,27 @@ def _weighted_sum(params, exprs) -> Expr:
 
 
 def _basis_terms(basis) -> list:
-    """(place in signature order, pairs, node key, factor keys) of each
-    basis element: a multiplier's monomials run in signature order, and
-    its term c * b_m has the node key of b_m if c is 1, else that of a
-    product led by Rational(c)."""
+    """(place in signature order, pairs) of each basis element: a
+    multiplier's monomials run in signature order."""
     pairs = [monomials(b)[0][1] for b in basis]
     order = sorted(range(len(basis)), key=lambda m: _sig(pairs[m]))
     place = {m: i for i, m in enumerate(order)}
-    return [(place[m], pairs[m], b.sort_key(),
-             tuple(f.sort_key() for f in b.factors)
-             if isinstance(b, Product) else () if isinstance(b, Rational)
-             else (b.sort_key(),))
-            for m, b in enumerate(basis)]
+    return [(place[m], p) for m, p in enumerate(pairs)]
 
 
 def _block_multipliers(slots, basis, vec) -> tuple:
     """(sort key, multipliers) of one sparse block vector, keyed by the slot
     (a, s) of component 1, from `_basis_terms`.  The i-th of the ascending
     `slots` owns the i-th run of len(basis) columns.  The key is the
-    tuple of each multiplier's `Expr.sort_key`, made with no term node."""
+    tuple of the multipliers' sort keys; a sum's is made with no term
+    node."""
     terms = [[] for _ in slots]
     for j, c in vec.items():
         slot, m = divmod(j, len(basis))
         terms[slot].append((basis[m], c))
-    keys, lams = [], {}
+    lams = {}
     for slot, run in zip(slots, terms):
         run.sort(key=lambda term: term[0][0])
         lams[slot] = _sorted_expr(tuple((_number(c), pairs)
-                                        for (_, pairs, _, _), c in run))
-        tkeys = tuple(key if c == 1 else
-                      (4, (0, c.numerator, c.denominator)) + factors
-                      if factors else (0, c.numerator, c.denominator)
-                      for (_, _, key, factors), c in run)
-        keys.append(tkeys[0] if len(tkeys) == 1 else
-                    (5,) + tkeys if tkeys else RAT0.sort_key())
-    return tuple(keys), lams
+                                        for (_, pairs), c in run))
+    return tuple(lam.sort_key() for lam in lams.values()), lams

@@ -2,21 +2,21 @@
 
 Every check reads component 1's strong Euler-Lagrange expressions
 (`family._first_strong_el`), derived once with the free parameters symbolic.
-They are linear in component 1's free parameters, and component k's are
-them with each parameter renamed to its twin, so each fact is derived from
-component 1 once per family (`_ComponentOne`): its on-shell forms F_alpha,
-and its jet coefficients at one seeded rational point, both split by free
-parameter.  The expressions are linear in the jets too, so the jet
-coefficients are read off their monomials in one walk, with no
-differentiation or substitution per jet.  The forward direction checks
-that each F_alpha vanishes, and each renamed for component k.  The
-converse direction treats the jets as the unknowns of the E-L system at
-given parameter values, which is linear in them: (a) the Lie values solve
-it when each equation vanishes on shell, F_alpha at component k's values;
-and (b) they are its only solution for the jets whose columns keep full
-rank in the exact row reduction of the jet-coefficient matrix, the split
-coefficients dotted with those values.  Diagnostics cover parameter
-degeneracy, a planar kinetic identity, and a numeric orbit integration.
+Component k is component 1 over its own run of free parameters, so each
+fact is derived from component 1 once per family (`_ComponentOne`): its
+on-shell forms F_alpha, and its jet coefficients at one seeded rational
+point, both split by free parameter.  The expressions are linear in the
+jets, so the jet coefficients are read off their monomials in one walk,
+with no differentiation or substitution per jet.  The forward direction
+checks that each F_alpha vanishes with its free parameters symbolic, for
+every component at once.  The converse direction treats the jets as the
+unknowns of the E-L system at given parameter values, which is linear in
+them: (a) the Lie values solve it when each equation vanishes on shell,
+F_alpha at component k's values; and (b) they are its only solution for
+the jets whose columns keep full rank in the exact row reduction of the
+jet-coefficient matrix, the split coefficients dotted with those values.
+Diagnostics cover parameter degeneracy, a planar kinetic identity, and a
+numeric orbit integration.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 # `differentiate` is no longer called here, but perfbench/spans.py wraps
 # verify.differentiate as a kernel leaf and requires the name
@@ -35,7 +34,7 @@ from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
                    differentiate, equals, eval_numeric, format_expr,
                    free_symbols, monomials, polynomial_expr, sample_expr,
                    substitute)
-from .solver import _rename_params, rref
+from .solver import rref
 
 
 # Longest orbit integration accepted, in steps: about 10 s for so2 on a
@@ -56,10 +55,11 @@ class _ComponentOne:
     built on first read and kept with the family (`_component_one`).
 
     The E-L operator is linear, so the expressions are linear in component
-    1's free parameters, and component k's are them with each parameter
-    renamed to its twin (`family.twins`).  So a fact about component k is
-    component 1's, renamed, or read at k's values (`weights`) from its
-    split by free parameter (`_by_param`)."""
+    1's free parameters, and component k's differ from them only in the
+    run of parameters they are linear in.  So a fact about component k is
+    component 1's read at k's values (`weights`) from its split by free
+    parameter (`_by_param`), or, with the parameters symbolic, component
+    1's own."""
 
     def __init__(self, family):
         # no reference back to the family, which keeps this object
@@ -87,8 +87,8 @@ class _ComponentOne:
 
     def weights(self, values: dict) -> list:
         """Per component k, {component 1's free parameter: the non-zero
-        value of its twin in k} and {None: 1}, from a full {SymbolInfo:
-        Fraction} map."""
+        value of the one at its place in k's run} and {None: 1}, from a
+        full {SymbolInfo: Fraction} map."""
         first = self.runs[0]
         return [{p: values[q] for p, q in zip(first, run) if values[q]}
                 | {None: 1} for run in self.runs]
@@ -190,12 +190,12 @@ def forward_check(family, samples: int = EQUALS_SAMPLES,
                   seed: int = DEFAULT_SEED, tol: float = EQUALS_TOL) -> list:
     """Verdict grid [k][alpha]: strong E-L vanishes on shell, free
     parameters kept symbolic.  Component k's on-shell forms are component
-    1's with each free parameter renamed to its twin."""
-    forms = _component_one(family).onshell
-    grid = [forms] + [[_rename_params(F, twin) for F in forms]
-                      for twin in family.twins]
-    return [[equals(F, 0, samples=samples, seed=seed, tol=tol) for F in row]
-            for row in grid]
+    1's over k's own run of free parameters, and a form vanishes whatever
+    its parameters are named, so component 1's n forms are decided once
+    and that row is every component's."""
+    row = [equals(F, 0, samples=samples, seed=seed, tol=tol)
+           for F in _component_one(family).onshell]
+    return [list(row) for _ in range(family.lie.r)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def forward_check(family, samples: int = EQUALS_SAMPLES,
 class ConverseResult:
     def __init__(self, params: dict, equations, solved: dict,
                  unsolved: tuple, comparisons: list, status: str,
-                 witness: Optional[dict] = None):
+                 witness: dict | None = None):
         self.params = params        # free parameter name -> Fraction
         # (k, alpha, Expr) strong E-L at the parameters, or a function
         # that makes that list on first read
@@ -360,7 +360,7 @@ def degeneracy_scan(family, seed: int = DEFAULT_SEED,
 class KineticIdentity:
     def __init__(self, verdict: Equivalence, momentum_onshell: Expr,
                  energy_onshell: Expr, special_lagrangian: Expr,
-                 family_match: Optional[Equivalence] = None):
+                 family_match: Equivalence | None = None):
         self.verdict = verdict
         # X'^1 jet2 - jet1 X'^2 after substitution
         self.momentum_onshell = momentum_onshell
@@ -550,10 +550,10 @@ def _compile_orbit(lie):
 class VerificationReport:
     def __init__(self, lie, params: dict, forward: list,
                  converse: ConverseResult,
-                 degeneracy: Optional[DegeneracyReport] = None,
-                 kinetic: Optional[KineticIdentity] = None,
-                 orbit: Optional[OrbitResult] = None,
-                 orbit_tol: float = 1e-6, notes: Optional[list] = None):
+                 degeneracy: DegeneracyReport | None = None,
+                 kinetic: KineticIdentity | None = None,
+                 orbit: OrbitResult | None = None,
+                 orbit_tol: float = 1e-6, notes: list | None = None):
         self.lie = lie
         self.params = params
         self.forward = forward  # [k][alpha] Equivalence grid

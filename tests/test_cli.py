@@ -830,6 +830,13 @@ def test_cli_import_leaves_out_importlib_resources():
                         flags=("-I", "-S")) == "False\n"
 
 
+def test_cli_import_leaves_out_typing():
+    # annotations are strings, so no module needs `typing` at run time;
+    # without `site`, which may load it first, nothing at start-up does
+    assert cli_start_up("", "print('typing' in sys.modules)",
+                        flags=("-I", "-S")) == "False\n"
+
+
 def test_cli_import_compiles_no_generated_code():
     # generated source (a dataclass's methods, a namedtuple's __new__) is
     # compiled under a '<...>' name; the standard library the package

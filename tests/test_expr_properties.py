@@ -744,6 +744,30 @@ def test_term_factors_match_the_factor_sort(affine_family):
     assert plain > 40 and powers > 100
 
 
+def test_sum_key_is_the_same_before_and_after_its_terms_are_read(
+        affine_family):
+    # a sum born from its monomials keys them with `_mono_key`, making no
+    # term node; once `.terms` is read, the key comes from the term nodes
+    rng = random.Random(6007)
+    exprs = [canonicalize(random_expr(rng)) for _ in range(200)]
+    exprs += [canonicalize(random_exact_expr(rng)) for _ in range(200)]
+    exprs += [lam for block in affine_family.block_multipliers
+              for lam in block.values()]
+    sums = 0
+    for e in exprs:
+        for c, pairs in [*monomials(e), (0, ())]:
+            assert expr._mono_key(c, pairs) == \
+                expr._mono_expr(c, pairs).sort_key()
+        if not isinstance(e, Sum):
+            continue
+        sums += 1
+        born, read = (polynomial_expr(monomials(e)) for _ in range(2))
+        assert born._terms is None and read.terms
+        assert born.sort_key() == read.sort_key()
+        assert born._terms is None
+    assert sums > 100
+
+
 @pytest.mark.hash_order
 def test_prefix_matches_tree_walk():
     # the prefix, infix and LaTeX printers write a sum from its monomials,

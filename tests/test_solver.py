@@ -689,9 +689,9 @@ def _tree_assembly(family):
     ("scale1", None, (-1, 1))])
 def test_family_matches_tree_assembly(source, deg_x, deg_g):
     # the family is assembled once per block vector from monomial lists,
-    # and the E-L expressions of L_k, k >= 2, are renamed from those of
-    # L_1; a tree assembly of the whole system's nullspace, with E-L taken
-    # of every L_k, gives the same members in the same order
+    # and each L_k's E-L expressions are derived from L_k; a tree assembly
+    # of the whole system's nullspace, with E-L taken of every L_k, gives
+    # the same members in the same order
     lie = lf.constraints(lf.parse(SE2_SOURCE)) if source == "se2" \
         else _lie_of(source)
     if deg_x is None:

@@ -293,12 +293,46 @@ def test_split_checks_match_substitution_off_the_family(so2_family):
         tampered = rebuilt(so2_family, free_params=(), blocks=[],
                                        block_multipliers=[],
                                        block_lagrangians=[])
+        # the reference reads `strong_el`, which derives from the
+        # family's Lagrangians, so it is set to L's too
         tampered._first_strong_el = lf.strong_el(lie, L)
+        tampered.strong_el = [tampered._first_strong_el]
         got = lf.converse_check(tampered, {})
         want, _, _ = _substituted_converse(tampered, {}, lf.DEFAULT_SEED)
         assert field_values(got) == field_values(want)
         statuses.append(got.status)
     assert statuses == ["Mismatch", "Match"]
+
+
+def test_forward_check_decides_component_one_for_every_component(
+        affine_family, monkeypatch):
+    # component k's on-shell forms are component 1's over its own run of
+    # free parameters: tampered with a form that does not vanish, the r
+    # rows still agree, each the verdicts on the forms renamed into k
+    family = affine_family              # affine1 dx1 g[-1,0]
+    lie = family.lie
+    assert lie.r == 2
+    tampered = rebuilt(family)
+    first = family._first_strong_el
+    tampered._first_strong_el = [
+        first[0] + Sym(family.runs[0][0]) * Sym(lie.fields[0]), *first[1:]]
+    forms = [lf.substitute(e, lie.onshell) for e in tampered._first_strong_el]
+    assert forms[0] != Rational(0)
+    calls = []
+
+    def counted_equals(*args, **kwargs):
+        calls.append(args)
+        return lf.equals(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "equals", counted_equals)
+    grid = verify.forward_check(tampered)
+    assert len(calls) == lie.n
+    assert len(grid) == lie.r and grid[0] is not grid[1]
+    for run, row in zip(family.runs, grid):
+        renamed = {p: Sym(q) for p, q in zip(family.runs[0], run)}
+        assert row == [lf.equals(lf.substitute(F, renamed), 0)
+                       for F in forms]
+    assert grid[0][0] == Equivalence.PROVED_UNEQUAL
 
 
 def test_checks_derive_component_one_once(monkeypatch):
