@@ -16,7 +16,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 
-from .expr import (Expr, RAT0, Rational, Role, Sym, SymbolInfo, canonicalize,
+from .expr import (Expr, RAT0, Role, Sym, SymbolInfo, canonicalize,
                    differentiate, free_symbols, _fresh_name, _norm_pairs,
                    _number, _poly_mul, _sig, _sorted_expr, monomial_derivative,
                    monomials, polynomial_expr, product_monomials, substitute)
@@ -432,7 +432,10 @@ def rref(matrix):
         candidates = holders[c] & pending
         if not candidates:
             continue
-        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        if len(candidates) == 1:
+            p, = candidates
+        else:
+            p = min(candidates, key=lambda i: (len(rows[i]), i))
         pending.remove(p)
         pivot = rows[p]
         reduced.append(pivot)
@@ -562,13 +565,6 @@ class LagrangianFamily:
                 for run in self.runs]
 
     @cached_property
-    def _first_strong_el(self) -> list:
-        """`strong_el[0]`, derived from L_1 alone: reading it builds no
-        other L_k."""
-        return strong_el(self.lie,
-                         _weighted_sum(self.runs[0], self.block_lagrangians))
-
-    @cached_property
     def strong_el(self) -> list:
         """Strong E-L expressions [k][alpha] with the free parameters kept
         symbolic, each component's derived from its own Lagrangian.  They
@@ -588,14 +584,16 @@ class LagrangianFamily:
         return values
 
     def lagrangian_at(self, assignment) -> list:
+        """The L_k at the assigned values, the others 0 (`_at`)."""
         values = self.param_values(assignment)
-        table = {p: Rational(v) for p, v in values.items()}
-        return [substitute(L, table) for L in self.lagrangians]
+        return [_at(L, values, values | {None: 1})
+                for L in self.lagrangians]
 
     def multipliers_at(self, assignment) -> dict:
+        """The multipliers at the assigned values, the others 0 (`_at`)."""
         values = self.param_values(assignment)
-        table = {p: Rational(v) for p, v in values.items()}
-        return {key: substitute(e, table) for key, e in self.multipliers.items()}
+        return {key: _at(e, values, values | {None: 1})
+                for key, e in self.multipliers.items()}
 
 
 def solve_family(lie, ansatz: MultiplierAnsatz) -> LagrangianFamily:
@@ -664,6 +662,30 @@ def _weighted_sum(params, exprs) -> Expr:
     return polynomial_expr([(c, head + pairs)
                             for head, e in zip(heads, exprs)
                             for c, pairs in monomials(e)])
+
+
+def _by_param(e: Expr, params):
+    """(free parameter or None, coefficient, the other pairs) of each
+    non-zero monomial of `e`, which is linear in the free parameters
+    `params`: the walk that reads a sum `_weighted_sum` built."""
+    for c, pairs in monomials(e):
+        if not c:
+            continue
+        head = pairs[0][0] if pairs else None
+        if isinstance(head, Sym) and head.info in params:
+            yield head.info, c, pairs[1:]
+        else:
+            yield None, c, pairs
+
+
+def _at(e: Expr, params, weights: dict) -> Expr:
+    """`e`, linear in `params`, with each free parameter at its weight, the
+    ones `weights` leaves out at 0 and the monomials free of them times
+    weights[None]: `substitute` of the values, with no product multiplied
+    out."""
+    return polynomial_expr([(c * weights[p], rest)
+                            for p, c, rest in _by_param(e, params)
+                            if p in weights])
 
 
 def _basis_terms(basis) -> list:

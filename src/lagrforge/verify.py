@@ -1,20 +1,23 @@
 """Verification that derived Lagrangians reproduce the group's Lie equations.
 
-Every check reads component 1's strong Euler-Lagrange expressions
-(`family._first_strong_el`), derived once with the free parameters symbolic.
-Component k is component 1 over its own run of free parameters, so each
-fact is derived from component 1 once per family (`_ComponentOne`): its
-on-shell forms F_alpha, and its jet coefficients at one seeded rational
-point, both split by free parameter.  The expressions are linear in the
-jets, so the jet coefficients are read off their monomials in one walk,
-with no differentiation or substitution per jet.  The forward direction
-checks that each F_alpha vanishes with its free parameters symbolic, for
-every component at once.  The converse direction treats the jets as the
-unknowns of the E-L system at given parameter values, which is linear in
-them: (a) the Lie values solve it when each equation vanishes on shell,
-F_alpha at component k's values; and (b) they are its only solution for
-the jets whose columns keep full rank in the exact row reduction of the
-jet-coefficient matrix, the split coefficients dotted with those values.
+Every check reads component 1's strong Euler-Lagrange expressions, derived
+once per family from L_1 with the free parameters symbolic
+(`_ComponentOne.first`).  Component k is component 1 over its own run of
+free parameters, so each fact is derived from component 1 once per family:
+its on-shell forms F_alpha, and its jet coefficients at one seeded rational
+point, kept per free parameter.  The expressions are linear in the jets,
+so the jet coefficients are read off their monomials in one walk, with no
+differentiation or substitution per jet.  They are linear in the free
+parameters too, each of which leads the monomials that hold it, so
+component k's values are put in by `solver._at`, with no substitution.
+The forward direction checks that each F_alpha vanishes with its free
+parameters symbolic, for every component at once.  The converse direction
+treats the jets as the unknowns of the E-L system at given parameter
+values, which is linear in them: (a) the Lie values solve it when each
+equation vanishes on shell, F_alpha at component k's values; and (b) they
+are its only solution for the jets whose columns keep full rank in the
+exact row reduction of the jet-coefficient matrix, component 1's
+coefficients per free parameter dotted with those values.
 Diagnostics cover parameter degeneracy, a planar kinetic identity, and a
 numeric orbit integration.
 """
@@ -29,12 +32,12 @@ from functools import cached_property
 # `differentiate` is no longer called here, but perfbench/spans.py wraps
 # verify.differentiate as a kernel leaf and requires the name
 from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
-                   Expr, NearSingularEvaluationError, Rational, Sum, Sym,
-                   _NUMERIC_GLOBALS, _numeric_lines, _sum_code, canonicalize,
-                   differentiate, equals, eval_numeric, format_expr,
-                   free_symbols, monomials, polynomial_expr, sample_expr,
+                   Expr, NearSingularEvaluationError, RAT0, Rational, Sum,
+                   Sym, _NUMERIC_GLOBALS, _numeric_lines, _sum_code,
+                   canonicalize, differentiate, equals, eval_numeric,
+                   format_expr, free_symbols, monomials, sample_expr,
                    substitute)
-from .solver import rref
+from .solver import _at, _by_param, _weighted_sum, rref, strong_el
 
 
 # Longest orbit integration accepted, in steps: about 10 s for so2 on a
@@ -57,33 +60,29 @@ class _ComponentOne:
     The E-L operator is linear, so the expressions are linear in component
     1's free parameters, and component k's differ from them only in the
     run of parameters they are linear in.  So a fact about component k is
-    component 1's read at k's values (`weights`) from its split by free
-    parameter (`_by_param`), or, with the parameters symbolic, component
-    1's own."""
+    component 1's at k's values (`weights`, put in by `solver._at`), or,
+    with the parameters symbolic, component 1's own."""
 
     def __init__(self, family):
         # no reference back to the family, which keeps this object
         self.lie = family.lie
         self.runs = family.runs
         self.params = set(family.runs[0])
-        self.first = family._first_strong_el
+        self.block_lagrangians = family.block_lagrangians
         self._jet_tables = {}
 
     @cached_property
-    def el(self) -> list:
-        """The expressions, split by free parameter (`_by_param`)."""
-        return [_by_param(e, self.params) for e in self.first]
+    def first(self) -> list:
+        """The expressions, derived once from L_1 = sum_b a_b * L_b alone:
+        reading them builds no other L_k."""
+        return strong_el(self.lie, _weighted_sum(self.runs[0],
+                                                 self.block_lagrangians))
 
     @cached_property
     def onshell(self) -> list:
         """F_alpha: the expressions with the on-shell jet values
         substituted, the free parameters kept symbolic."""
         return [substitute(e, self.lie.onshell) for e in self.first]
-
-    @cached_property
-    def onshell_split(self) -> list:
-        """Each F_alpha split by free parameter; empty where F_alpha is 0."""
-        return [_by_param(F, self.params) for F in self.onshell]
 
     def weights(self, values: dict) -> list:
         """Per component k, {component 1's free parameter: the non-zero
@@ -98,9 +97,9 @@ class _ComponentOne:
         `seed` draws, as {free parameter or None: Fraction}.
 
         E-L_alpha is linear in the jets, so a monomial holds at most one,
-        to the first power: one walk over its split monomials adds each
-        that holds a jet, its coefficient times the value of the rest at
-        the point, to that jet's cell under its free parameter."""
+        to the first power: one walk over its monomials (`_by_param`) adds
+        each that holds a jet, its coefficient times the value of the rest
+        at the point, to that jet's cell under its free parameter."""
         tables = self._jet_tables.get(seed)
         if tables is None:
             lie = self.lie
@@ -111,19 +110,18 @@ class _ComponentOne:
             columns = {J: c for c, J in enumerate(lie.jet_list())}
             memo = {}
             tables = self._jet_tables[seed] = []
-            for split in self.el:
+            for e in self.first:
                 row = [{} for _ in columns]
-                for param, monos in split.items():
-                    for coeff, pairs in monos:
-                        at = next((i for i, (atom, _) in enumerate(pairs)
-                                   if isinstance(atom, Sym)
-                                   and atom.info in columns), None)
-                        if at is None:
-                            continue
-                        rest = pairs[:at] + pairs[at + 1:]
-                        cell = row[columns[pairs[at][0].info]]
-                        cell[param] = (cell.get(param, 0)
-                                       + coeff * _value(rest, point, memo))
+                for param, coeff, pairs in _by_param(e, self.params):
+                    at = next((i for i, (atom, _) in enumerate(pairs)
+                               if isinstance(atom, Sym)
+                               and atom.info in columns), None)
+                    if at is None:
+                        continue
+                    rest = pairs[:at] + pairs[at + 1:]
+                    cell = row[columns[pairs[at][0].info]]
+                    cell[param] = (cell.get(param, 0)
+                                   + coeff * _value(rest, point, memo))
                 tables.append(row)
         return tables
 
@@ -157,31 +155,6 @@ def _component_one(family) -> _ComponentOne:
     return one
 
 
-def _by_param(e: Expr, params) -> dict:
-    """{free parameter, or None: [(coefficient, the other pairs)]} of the
-    non-zero monomials of `e`, which is linear in `params`.  A free
-    parameter sorts before every other atom, so it leads each monomial
-    that holds it."""
-    split = {}
-    for c, pairs in monomials(e):
-        if not c:
-            continue
-        head = pairs[0][0] if pairs else None
-        if isinstance(head, Sym) and head.info in params:
-            split.setdefault(head.info, []).append((c, pairs[1:]))
-        else:
-            split.setdefault(None, []).append((c, pairs))
-    return split
-
-
-def _at(split: dict, weights: dict) -> Expr:
-    """A split expression with each free parameter at its weight and the
-    ones `weights` leaves out at 0: `substitute` of the values, with no
-    product multiplied out."""
-    return polynomial_expr([(c * w, rest) for p, w in weights.items()
-                            for c, rest in split.get(p, ())])
-
-
 # ---------------------------------------------------------------------------
 # Forward: the strong Euler-Lagrange expressions vanish on shell.
 
@@ -207,12 +180,8 @@ class ConverseResult:
                  unsolved: tuple, comparisons: list, status: str,
                  witness: dict | None = None):
         self.params = params        # free parameter name -> Fraction
-        # (k, alpha, Expr) strong E-L at the parameters, or a function
-        # that makes that list on first read
-        if callable(equations):
-            self._equations = equations
-        else:
-            self.equations = equations
+        # a function that makes `equations` on first read
+        self._equations = equations
         self.solved = solved        # determined jet SymbolInfo -> Lie value
         self.unsolved = unsolved    # names of the jets without a pivot
         # (determined jet name, weakest verdict of (a))
@@ -222,6 +191,7 @@ class ConverseResult:
 
     @cached_property
     def equations(self) -> list:
+        """(k, alpha, Expr): strong E-L at the parameters."""
         return self._equations()
 
 
@@ -235,9 +205,9 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
     monomial combinations (`ansatz_from_basis`), so each jet coefficient
     is a Laurent polynomial in the fields and group parameters.
     (a) The Lie values solve the system when every equation vanishes on
-    shell: component 1's on-shell form F_alpha at component k's values; an
-    F_alpha that is 0 vanishes at every value.  The first that provably
-    does not is a Mismatch.
+    shell: component 1's on-shell form F_alpha at component k's values
+    (`solver._at`); an F_alpha that is 0 vanishes at every value.  The
+    first that provably does not is a Mismatch.
     (b) They are its only solution for the jets whose columns have full
     rank: the exact rank of the coefficient matrix at one seeded positive
     rational point is a lower bound on its rank as a matrix of functions,
@@ -245,13 +215,13 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
     equals that rank except with probability at most deg/2^31, deg the
     degree of a maximal minor with its denominators cleared (Schwartz
     1980, Zippel 1979).  The matrix is component 1's coefficients at that
-    point, read off its E-L monomials once per family and split by free
+    point, read off its E-L monomials once per family and kept per free
     parameter, dotted with each component's values.  A pivot jet whose
     reduced row involves no free jet is determined, and its solution is
     the Lie value.
-    The equations themselves, component 1's split E-L expressions at each
-    component's values, are built only when `equations` is first read,
-    which only the JSON report does.
+    The equations themselves, component 1's E-L expressions at each
+    component's values (`solver._at`), are built only when `equations` is
+    first read, which only the JSON report does.
     """
     lie = family.lie
     values = family.param_values(params)
@@ -259,10 +229,10 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
     weights = one.weights(values)
 
     grade, witness = Equivalence.PROVED_EQUAL, None
-    for k, alpha, onshell in ((k, alpha, _at(split, w))
+    for k, alpha, onshell in ((k, alpha, _at(F, one.params, w))
                               for k, w in enumerate(weights, start=1)
-                              for alpha, split in enumerate(
-                                  one.onshell_split, start=1) if split):
+                              for alpha, F in enumerate(one.onshell, start=1)
+                              if F != RAT0):
         verdict = equals(onshell, 0, samples=samples, seed=seed, tol=tol)
         if verdict == Equivalence.PROVED_UNEQUAL:
             outcome = sample_expr(onshell, samples=samples, seed=seed)
@@ -284,9 +254,9 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
               "Underdetermined" if unsolved else "Match")
     return ConverseResult(params={p.name: v for p, v in values.items()},
                           equations=lambda: [
-                              (k, alpha, _at(split, w))
+                              (k, alpha, _at(e, one.params, w))
                               for k, w in enumerate(weights, start=1)
-                              for alpha, split in enumerate(one.el, start=1)],
+                              for alpha, e in enumerate(one.first, start=1)],
                           solved={J: lie.onshell[J] for J in determined},
                           unsolved=unsolved,
                           comparisons=[(J.name, grade) for J in determined],
@@ -295,8 +265,8 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
 
 def _jet_matrix(one: _ComponentOne, weights: list, seed: int) -> list:
     """The E-L system's jet-coefficient matrix at the point `seed` draws,
-    rows (k, alpha): component 1's split coefficients dotted with
-    component k's weights, in exact arithmetic."""
+    rows (k, alpha): component 1's coefficients per free parameter, dotted
+    with component k's weights, in exact arithmetic."""
     return [[sum(v * w[p] for p, v in cell.items() if p in w) for cell in row]
             for w in weights for row in one.jet_tables(seed)]
 

@@ -1,9 +1,12 @@
-"""Shared fixtures; the two bundled pipelines are solved once per session.
+"""Shared fixtures and helpers; the two bundled pipelines are solved once
+per session.
 
 `rebuilt` and `field_values` read a record's fields off its constructor's
 signature.  A rebuilt record goes through its constructor, never through
-`copy.copy`: a copy would carry the cached properties of the original (a
-family's `_first_strong_el`, `multipliers`, a system's `reduced`) into it.
+`copy.copy`: a copy would carry the cached properties and caches of the
+original (a family's `multipliers` and the component-1 E-L that the checks
+keep with it, a system's `reduced`) into it.  `_to_sympy` converts an
+expression for the tests that check against SymPy.
 """
 
 import inspect
@@ -59,3 +62,19 @@ def rebuilt(obj, **changes):
 def field_values(obj) -> tuple:
     """obj's constructor fields, in order."""
     return tuple(_fields(obj).values())
+
+
+def _to_sympy(e, sp):
+    """The expression as a SymPy expression, symbols by name."""
+    if isinstance(e, lf.Rational):
+        return sp.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, lf.Sym):
+        return sp.Symbol(e.info.name)
+    if isinstance(e, lf.Power):
+        return sp.Pow(_to_sympy(e.base, sp), e.exponent)
+    if isinstance(e, lf.Sum):
+        return sp.Add(*(_to_sympy(t, sp) for t in e.terms))
+    if isinstance(e, lf.Product):
+        return sp.Mul(*(_to_sympy(f, sp) for f in e.factors))
+    func = sp.sin if isinstance(e, lf.Sin) else sp.cos
+    return func(_to_sympy(e.argument, sp))

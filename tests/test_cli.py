@@ -409,6 +409,20 @@ GOLDEN = [
      "d7d955f6cab69201b9383bc8a04675915d5b12a47a898f77e9c7097e69bd284d"),
     ("verify perfbench/groups/se2.grp", "latex", 1,
      "bd8ebd8b8c9472b42de48832852176d05326c9b48a1043c2ff3a697c955c6e14"),
+    # Rungs past the benchmark: SE(2)'s first two Match rungs, a large
+    # affine1 family, and converse checks at given parameter values, one
+    # of which fails (exit 1).
+    ("verify perfbench/groups/se2.grp --deg-x 1 --deg-g-max 1", "json", 0,
+     "dac7bca2f44091787cee83625200a083fe233177dad3648e6eb9872764a75a58"),
+    ("verify perfbench/groups/se2.grp --deg-x 2 --deg-g-min -1", "json", 0,
+     "90bd06b1c2643f28c13fb8a9e1dfdfd63f64b7d3c29b6757a1e2cfee22121926"),
+    ("verify affine1 --deg-x 2 --deg-g-min -2 --deg-g-max 2", "json", 0,
+     "e2bfdfcf61777202280c5f69ad948b21c5f28a0eace19220ceaed2aff22da9cc"),
+    ("verify so2 --deg-x 1 --params a1=0,a2=1", "json", 0,
+     "810d7a2ea5bd5355ec5f628addf4f1abff5abaf0b6ef5539837f2e58361557ce"),
+    ("verify affine1 --deg-x 1 --deg-g-min -1 --deg-g-max 0 "
+     "--params a1=1,a2=-1/2", "json", 1,
+     "ade8bdb0bc65e4d37dee6548a6f1cd623aeced4e16e8a916c4f3f811e25fc859"),
 ]
 
 

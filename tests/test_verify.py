@@ -13,7 +13,7 @@ from lagrforge import (Equivalence, Power, Rational, SecondOrderJetError,
 from lagrforge.expr import NearSingularEvaluationError, sample_expr
 from lagrforge.printing import prefix_expr
 from lagrforge.solver import rref
-from conftest import field_values, rebuilt
+from conftest import _to_sympy, field_values, rebuilt
 from orbit_bits import (ORBIT_BITS, ORBIT_IDS, SCALE, SCALE3, orbit_bits,
                         bits as _bits)
 from test_solver import (SCALE1_SOURCE, SCALE3_SOURCE, SE2_SOURCE,
@@ -107,7 +107,7 @@ def test_converse_mismatch_produces_witness(so2_family):
     # lazily derived E-L expressions are set in place of being derived
     tampered = rebuilt(so2_family, free_params=(), blocks=[],
                                    block_multipliers=[], block_lagrangians=[])
-    tampered._first_strong_el = lf.strong_el(lie, bad)
+    verify._component_one(tampered).first = lf.strong_el(lie, bad)
     result = lf.converse_check(tampered, {})
     assert result.status == "Mismatch"
     # the witness is the first equation that does not vanish on shell
@@ -130,8 +130,8 @@ FAMILIES = {
 }
 
 
-def _solved(name):
-    source, deg_x, deg_g = FAMILIES[name]
+def _solved(name, families=FAMILIES):
+    source, deg_x, deg_g = families[name]
     lie = lf.constraints(lf.parse(source))
     return lf.solve_family(lie, lf.build_ansatz(lie, deg_x=deg_x,
                                                 deg_g=deg_g))
@@ -205,7 +205,7 @@ def _substituted_converse(family, params, seed):
     unsolved = tuple(jets[c].name for c in free)
     result = verify.ConverseResult(
         params={p.name: v for p, v in family.param_values(params).items()},
-        equations=equations,
+        equations=lambda: equations,
         solved={J: lie.onshell[J] for J in determined}, unsolved=unsolved,
         comparisons=[(J.name, grade) for J in determined],
         status="Mismatch" if witness else
@@ -236,7 +236,7 @@ def test_strong_el_matches_tree_reference(any_family):
     # through one Sum/Product tree
     family = any_family
     lie, L = family.lie, family.lagrangians[0]
-    assert family._first_strong_el == lf.strong_el(lie, L) == [
+    assert verify._component_one(family).first == lf.strong_el(lie, L) == [
         _tree_euler_lagrange(lie, L, alpha) for alpha in range(1, lie.n + 1)]
 
 
@@ -295,8 +295,8 @@ def test_split_checks_match_substitution_off_the_family(so2_family):
                                        block_lagrangians=[])
         # the reference reads `strong_el`, which derives from the
         # family's Lagrangians, so it is set to L's too
-        tampered._first_strong_el = lf.strong_el(lie, L)
-        tampered.strong_el = [tampered._first_strong_el]
+        first = verify._component_one(tampered).first = lf.strong_el(lie, L)
+        tampered.strong_el = [first]
         got = lf.converse_check(tampered, {})
         want, _, _ = _substituted_converse(tampered, {}, lf.DEFAULT_SEED)
         assert field_values(got) == field_values(want)
@@ -313,10 +313,10 @@ def test_forward_check_decides_component_one_for_every_component(
     lie = family.lie
     assert lie.r == 2
     tampered = rebuilt(family)
-    first = family._first_strong_el
-    tampered._first_strong_el = [
+    first = verify._component_one(family).first
+    bad = verify._component_one(tampered).first = [
         first[0] + Sym(family.runs[0][0]) * Sym(lie.fields[0]), *first[1:]]
-    forms = [lf.substitute(e, lie.onshell) for e in tampered._first_strong_el]
+    forms = [lf.substitute(e, lie.onshell) for e in bad]
     assert forms[0] != Rational(0)
     calls = []
 
@@ -358,7 +358,7 @@ def test_checks_derive_component_one_once(monkeypatch):
         return lf.substitute(e, mapping)
 
     monkeypatch.setattr(verify, "differentiate", counted_differentiate)
-    monkeypatch.setattr(lf.solver, "strong_el", counted_strong_el)
+    monkeypatch.setattr(verify, "strong_el", counted_strong_el)
     monkeypatch.setattr(verify, "substitute", counted_substitute)
     report = lf.build_report(family, {"a2": 1})
     assert len(report.degeneracy.entries) == 5
@@ -376,22 +376,6 @@ def test_checks_build_component_one_alone():
     assert {"lagrangians", "strong_el"}.isdisjoint(vars(family))
     assert family.strong_el[0] == \
         lf.strong_el(family.lie, family.lagrangians[0])
-
-
-def _to_sympy(e, sp):
-    """The expression as a SymPy expression, symbols by name."""
-    if isinstance(e, Rational):
-        return sp.Rational(e.value.numerator, e.value.denominator)
-    if isinstance(e, Sym):
-        return sp.Symbol(e.info.name)
-    if isinstance(e, Power):
-        return sp.Pow(_to_sympy(e.base, sp), e.exponent)
-    if isinstance(e, lf.Sum):
-        return sp.Add(*(_to_sympy(t, sp) for t in e.terms))
-    if isinstance(e, lf.Product):
-        return sp.Mul(*(_to_sympy(f, sp) for f in e.factors))
-    func = sp.sin if isinstance(e, lf.Sin) else sp.cos
-    return func(_to_sympy(e.argument, sp))
 
 
 def test_converse_rank_matches_sympy(ladder_family):
@@ -415,6 +399,68 @@ def test_converse_rank_matches_sympy(ladder_family):
               for J in jets] for _, _, e in result.equations],
             (len(result.equations), len(jets)), domain)
         assert matrix.rank() == len(jets) - len(result.unsolved), assignment
+
+
+ORACLE_RUNGS = {"so2 dx3": FAMILIES["so2 dx3"],
+                "affine1 dx1 g[-1,0]": (lf.bundled_source("affine1"), 1,
+                                        (-1, 0)),
+                "se2 dx1": FAMILIES["se2 dx1"]}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RUNGS))
+def test_equations_at_values_match_sympy_euler_equations(name):
+    # the converse check's equations are component 1's E-L expressions at
+    # each component's values; SymPy derives the E-L equations of each
+    # Lagrangian at those values on its own, the fields functions of the
+    # group parameters and the jets their derivatives
+    sp = pytest.importorskip("sympy")
+    from sympy.calculus.euler import euler_equations
+
+    family = _solved(name, ORACLE_RUNGS)
+    lie = family.lie
+    params = verify.generic_params(family, 1)
+    gs = [sp.Symbol(p.name) for p in lie.spec.params]
+    funcs = [sp.Function(f.name)(*gs) for f in lie.fields]
+    as_functions = {sp.Symbol(f.name): F for f, F in zip(lie.fields, funcs)}
+    as_functions |= {sp.Symbol(J.name): sp.diff(F, g)
+                     for row, F in zip(lie.jets, funcs)
+                     for J, g in zip(row, gs)}
+    # an equation whose left side is 0 comes back as `true`
+    expected = [[sp.S.Zero if eq is sp.true else eq.lhs
+                 for eq in euler_equations(
+                     _to_sympy(L, sp).xreplace(as_functions), funcs, gs)]
+                for L in family.lagrangian_at(params)]
+    equations = lf.converse_check(family, params).equations
+    assert [(k, a) for k, a, _ in equations] == [
+        (k, a) for k in range(1, lie.r + 1) for a in range(1, lie.n + 1)]
+    for k, alpha, e in equations:
+        got = _to_sympy(e, sp).xreplace(as_functions)
+        assert sp.expand(got - expected[k - 1][alpha - 1]) == 0, (k, alpha)
+
+
+@pytest.mark.parametrize("name", ["so2 dx3", "affine1 dx1 g[-1,1]",
+                                  "se2 dx1 g[0,1]"])
+def test_family_at_values_is_substitution(name, monkeypatch):
+    # lagrangian_at and multipliers_at put the values in by walking the
+    # monomials each free parameter leads; the reference substitutes them
+    family = _solved(name)
+    assignments = [verify.generic_params(family, seed) for seed in (1, 2, 3)]
+
+    def refuse(*args):
+        raise AssertionError("substituted the parameter values")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lf.solver, "substitute", refuse)
+        got = [(family.lagrangian_at(a), family.multipliers_at(a))
+               for a in assignments]
+    for assignment, (lagrangians, multipliers) in zip(assignments, got):
+        table = {p: Rational(v)
+                 for p, v in family.param_values(assignment).items()}
+        assert [prefix_expr(L) for L in lagrangians] == [
+            prefix_expr(lf.substitute(L, table)) for L in family.lagrangians]
+        assert {key: prefix_expr(e) for key, e in multipliers.items()} == {
+            key: prefix_expr(lf.substitute(e, table))
+            for key, e in family.multipliers.items()}
 
 
 def test_degeneracy_scan(so2_family):
