@@ -4,10 +4,10 @@ Every check reads component 1's strong Euler-Lagrange expressions, derived
 once per family from L_1 with the free parameters symbolic
 (`_ComponentOne.first`).  Component k is component 1 over its own run of
 free parameters, so each fact is derived from component 1 once per family:
-its on-shell forms F_alpha, and its jet coefficients at one seeded rational
-point, kept per free parameter.  The expressions are linear in the jets,
-so the jet coefficients are read off their monomials in one walk, with no
-differentiation or substitution per jet.  They are linear in the free
+its on-shell forms F_alpha, and its jet coefficients at one seeded positive
+integer point, kept per free parameter.  The expressions are linear in the
+jets, so the jet coefficients are read off their monomials in one walk, with
+no differentiation or substitution per jet.  They are linear in the free
 parameters too, each of which leads the monomials that hold it, so
 component k's values are put in by `solver._at`, with no substitution.
 The forward direction checks that each F_alpha vanishes with its free
@@ -32,11 +32,10 @@ from functools import cached_property
 # `differentiate` is no longer called here, but perfbench/spans.py wraps
 # verify.differentiate as a kernel leaf and requires the name
 from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
-                   Expr, NearSingularEvaluationError, RAT0, Rational, Sum,
-                   Sym, _NUMERIC_GLOBALS, _numeric_lines, _sum_code,
-                   canonicalize, differentiate, equals, eval_numeric,
-                   format_expr, free_symbols, monomials, sample_expr,
-                   substitute)
+                   Expr, NearSingularEvaluationError, RAT0, Rational, Sym,
+                   _NUMERIC_GLOBALS, _numeric_lines, _sum_code, canonicalize,
+                   differentiate, equals, eval_numeric, format_expr,
+                   free_symbols, sample_expr, substitute)
 from .solver import _at, _by_param, _weighted_sum, rref, strong_el
 
 
@@ -93,58 +92,45 @@ class _ComponentOne:
                 | {None: 1} for run in self.runs]
 
     def jet_tables(self, seed: int) -> list:
-        """[alpha][jet]: d E-L_alpha / d jet at the positive rational point
-        `seed` draws, as {free parameter or None: Fraction}.
+        """[alpha][jet]: d E-L_alpha / d jet at the positive integer point
+        `seed` draws, each coordinate uniform in [1, 2^31], as {free
+        parameter or None: Fraction}.
 
         E-L_alpha is linear in the jets, so a monomial holds at most one,
         to the first power: one walk over its monomials (`_by_param`) adds
         each that holds a jet, its coefficient times the value of the rest
-        at the point, to that jet's cell under its free parameter."""
+        at the point, to that jet's cell under its free parameter.  The
+        jet coefficients are Laurent polynomials (`ansatz_from_basis`), so
+        the rest is a product of symbols' powers, and any other atom
+        raises ValueError."""
         tables = self._jet_tables.get(seed)
         if tables is None:
             lie = self.lie
             rng = random.Random(seed)
-            point = {s: Fraction(rng.randint(1, 2 ** 31),
-                                 rng.randint(1, 2 ** 31))
+            point = {s: rng.randint(1, 2 ** 31)
                      for s in lie.fields + lie.spec.params}
             columns = {J: c for c, J in enumerate(lie.jet_list())}
-            memo = {}
             tables = self._jet_tables[seed] = []
             for e in self.first:
                 row = [{} for _ in columns]
-                for param, coeff, pairs in _by_param(e, self.params):
+                for param, v, pairs in _by_param(e, self.params):
                     at = next((i for i, (atom, _) in enumerate(pairs)
                                if isinstance(atom, Sym)
                                and atom.info in columns), None)
                     if at is None:
                         continue
-                    rest = pairs[:at] + pairs[at + 1:]
+                    for atom, n in pairs[:at] + pairs[at + 1:]:
+                        if not isinstance(atom, Sym):
+                            raise ValueError(
+                                f"a jet coefficient holds {format_expr(atom)}"
+                                "; the converse check needs Laurent "
+                                "polynomials")
+                        x = point[atom.info]
+                        v *= x ** n if n > 0 else Fraction(1, x ** -n)
                     cell = row[columns[pairs[at][0].info]]
-                    cell[param] = (cell.get(param, 0)
-                                   + coeff * _value(rest, point, memo))
+                    cell[param] = cell.get(param, 0) + v
                 tables.append(row)
         return tables
-
-
-def _value(pairs, point: dict, memo: dict) -> Fraction:
-    """The product of a monomial's (atom, exponent) `pairs` at `point`,
-    {SymbolInfo: Fraction}; an inverse sum through its monomials, its
-    value kept in `memo`.  The jet coefficients are Laurent polynomials
-    (`ansatz_from_basis`), so a sine or cosine raises ValueError."""
-    v = Fraction(1)
-    for atom, n in pairs:
-        if isinstance(atom, Sym):
-            x = point[atom.info]
-        elif isinstance(atom, Sum):
-            x = memo.get(atom)
-            if x is None:
-                x = memo[atom] = sum(c * _value(p, point, memo)
-                                     for c, p in monomials(atom))
-        else:
-            raise ValueError(f"a jet coefficient holds {format_expr(atom)}; "
-                             "the converse check needs Laurent polynomials")
-        v *= x ** n
-    return v
 
 
 def _component_one(family) -> _ComponentOne:
@@ -209,16 +195,17 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
     (`solver._at`); an F_alpha that is 0 vanishes at every value.  The
     first that provably does not is a Mismatch.
     (b) They are its only solution for the jets whose columns have full
-    rank: the exact rank of the coefficient matrix at one seeded positive
-    rational point is a lower bound on its rank as a matrix of functions,
-    since a minor non-zero at a point is not the zero function, and it
-    equals that rank except with probability at most deg/2^31, deg the
-    degree of a maximal minor with its denominators cleared (Schwartz
-    1980, Zippel 1979).  The matrix is component 1's coefficients at that
-    point, read off its E-L monomials once per family and kept per free
-    parameter, dotted with each component's values.  A pivot jet whose
-    reduced row involves no free jet is determined, and its solution is
-    the Lie value.
+    rank: the exact rank of the coefficient matrix at one seeded point,
+    each field and group parameter a uniform integer in [1, 2^31], is a
+    lower bound on its rank as a matrix of functions, since a minor
+    non-zero at a point is not the zero function.  It equals that rank
+    except with probability at most deg/2^31, deg the degree of a maximal
+    minor times the monomial that clears its denominators, which is
+    non-zero at a positive point (Schwartz 1980, Zippel 1979).  The
+    matrix is component 1's coefficients at that point, read off its E-L
+    monomials once per family and kept per free parameter, dotted with
+    each component's values.  A pivot jet whose reduced row involves no
+    free jet is determined, and its solution is the Lie value.
     The equations themselves, component 1's E-L expressions at each
     component's values (`solver._at`), are built only when `equations` is
     first read, which only the JSON report does.

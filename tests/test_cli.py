@@ -423,6 +423,13 @@ GOLDEN = [
     ("verify affine1 --deg-x 1 --deg-g-min -1 --deg-g-max 0 "
      "--params a1=1,a2=-1/2", "json", 1,
      "ade8bdb0bc65e4d37dee6548a6f1cd623aeced4e16e8a916c4f3f811e25fc859"),
+    # The largest jet matrices any test reads, where a change in the rank
+    # the converse check finds would show first: affine1 with 1,024
+    # members and SE(2) with 1,308, both Match.
+    ("verify affine1 --deg-x 3 --deg-g-min -2 --deg-g-max 2", "json", 0,
+     "472fd5a9aed7ffe3b4d44685a521df5e35562c87e782ddf9e4caf853f5085b21"),
+    ("verify perfbench/groups/se2.grp --deg-x 4 --deg-g-max 1", "json", 0,
+     "ac6a7584363ed93646c79e30ae4b91a547a0e45cb1f6b8d6a283c9d84b43983f"),
 ]
 
 

@@ -1,12 +1,15 @@
 """Derivation of S, u, and the Lie equation constraints."""
 
+import re
+
 import pytest
 
 import lagrforge as lf
 from lagrforge import (ConventionViolationError, Equivalence,
                        ResidualCoordinatesError, Power, Rational, Role, Sym,
                        canonicalize)
-from conftest import rebuilt
+from conftest import _to_sympy, rebuilt
+from test_solver import SE2_SOURCE
 
 SCALE = """
 group scale {
@@ -16,6 +19,18 @@ group scale {
   inverse: (1/g);
   multiply: (lhs.g * rhs.g);
   action: (g*X1);
+}
+"""
+
+# A shear whose second coordinate moves by a square of the first's.
+SHEAR_SQUARE = """
+group shear_square {
+  params: g;
+  coords: X1, X2;
+  identity: (0);
+  inverse: (-g);
+  multiply: (lhs.g + rhs.g);
+  action: (X1 + g, X2 + (X1 + g)^2 - X1^2);
 }
 """
 
@@ -133,3 +148,40 @@ def test_convention_violation():
     source = source.replace("action: (X1);", "action: (X1 + t);")
     with pytest.raises(ConventionViolationError):
         lf.constraints(lf.parse(source))
+
+
+def _items(source, clause):
+    """The items of the group text's `clause`, a tuple's parentheses
+    dropped."""
+    text = re.search(rf"\b{clause}:\s*(.*?);", source, re.S).group(1).strip()
+    if text.startswith("("):
+        text = text[1:-1]
+    return [item.strip() for item in re.split(r",(?![^(]*\))", text)]
+
+
+@pytest.mark.parametrize("source", [lf.bundled_source("so2"),
+                                    lf.bundled_source("affine1"),
+                                    SE2_SOURCE, SHEAR_SQUARE],
+                         ids=["so2", "affine1", "se2", "shear_square"])
+def test_onshell_values_match_sympy(source):
+    # xi^a_s = d f^a / d g_s at X = f(X', g^-1), built in SymPy from the
+    # group text alone: the jet values the converse check prints as solved
+    sp = pytest.importorskip("sympy")
+    params, coords = ([sp.Symbol(name) for name in _items(source, clause)]
+                      for clause in ("params", "coords"))
+    symbols = {s.name: s for s in params + coords}
+    action, inverse = ([sp.sympify(e.replace("^", "**"), locals=symbols)
+                        for e in _items(source, clause)]
+                       for clause in ("action", "inverse"))
+    fields = [sp.Symbol(f"{c.name}'") for c in coords]
+    back = dict(zip(coords, fields)) | dict(zip(params, inverse))
+    at_fields = {c: f.xreplace(back) for c, f in zip(coords, action)}
+    lie = lf.constraints(lf.parse(source))
+    for a, f in enumerate(action):
+        for s, g in enumerate(params):
+            want = sp.diff(f, g).xreplace(at_fields)
+            got = _to_sympy(lie.onshell[lie.jets[a][s]], sp)
+            gap = sp.expand(want - got)
+            if gap.has(sp.sin, sp.cos):
+                gap = sp.trigsimp(gap)
+            assert sp.cancel(gap) == 0, (a, s)

@@ -191,8 +191,7 @@ def _substituted_converse(family, params, seed):
         if verdict == Equivalence.NUMERICALLY_EQUAL:
             grade = verdict
     rng = random.Random(seed)
-    point = {s: Rational(Fraction(rng.randint(1, 2 ** 31),
-                                  rng.randint(1, 2 ** 31)))
+    point = {s: Rational(rng.randint(1, 2 ** 31))
              for s in lie.fields + lie.spec.params}
     jets = lie.jet_list()
     matrix = [[lf.substitute(lf.differentiate(e, J), point).value
@@ -302,6 +301,25 @@ def test_split_checks_match_substitution_off_the_family(so2_family):
         assert field_values(got) == field_values(want)
         statuses.append(got.status)
     assert statuses == ["Mismatch", "Match"]
+
+
+def test_converse_check_needs_laurent_jet_coefficients(so2_family):
+    # the jet matrix values each jet coefficient as the Laurent monomials
+    # in the fields and group parameters that `ansatz_from_basis` builds;
+    # a coefficient holding a sine, or an inverse sum, is refused by name
+    lie = so2_family.lie
+    f1 = Sym(lie.fields[0])
+    g, j2 = Sym(lie.spec.params[0]), Sym(lie.jets[1][0])
+    for L, atom in ((canonicalize(lf.Sin(g) * f1 * j2), "sin(g)"),
+                    (canonicalize(f1 * j2 / (1 + g)), "1 + g")):
+        tampered = rebuilt(so2_family, free_params=(), blocks=[],
+                           block_multipliers=[], block_lagrangians=[])
+        first = verify._component_one(tampered).first = lf.strong_el(lie, L)
+        assert any(atom in lf.format_expr(e) for e in first)
+        with pytest.raises(ValueError,
+                           match=rf"holds {re.escape(atom)}; .*Laurent "
+                                 "polynomials"):
+            lf.converse_check(tampered, {})
 
 
 def test_forward_check_decides_component_one_for_every_component(
