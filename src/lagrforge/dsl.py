@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .expr import (DEFAULT_SEED, EQUALS_TOL, EXACT, EXACT_POINTS, WITHIN, Cos,
+from .expr import (DEFAULT_SEED, EQUALS_TOL, EXACT_POINTS, Cos, Equivalence,
                    Expr, Power, Product, RAT0, RAT_M1, Rational, Role, Sin,
                    Sum, Sym, SymbolInfo, _as_monomials, _fresh_name,
                    _operands, canonicalize, decide, format_expr, substitute,
@@ -627,9 +627,11 @@ def validate_axioms(spec: GroupActionSpec, samples: int = AXIOM_SAMPLES,
         {s for j in angles for s in (spec.params[j], h[j])}, seed,
         [seed + (law + 1) * 101 for law in range(len(LAWS))], samples, tol,
         lambda law: (f"the {LAWS[law][0]} law of {spec.name}",) * 2)
-    checks = [AxiomCheck(*law[:2], "Exact") if kind == EXACT else
-              AxiomCheck(*law[:2], "Numeric", out.max_abs) if kind == WITHIN
+    checks = [AxiomCheck(*law[:2], "Exact")
+              if verdict == Equivalence.EXACTLY_EQUAL else
+              AxiomCheck(*law[:2], "Numeric", out.max_abs)
+              if verdict == Equivalence.NUMERICALLY_EQUAL
               else AxiomCheck(*law[:2], "Failed", out.max_abs, out.witness)
-              for law, (kind, out) in zip(LAWS, outcomes)]
+              for law, (verdict, out) in zip(LAWS, outcomes)]
     return AxiomReport(spec.name, samples if clashed else EXACT_POINTS, seed,
                        checks)

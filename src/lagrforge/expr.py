@@ -10,11 +10,13 @@ only when they are read.  `differentiate` and `substitute` work on it term
 by term, and a term goes back through a tree only where a sine, cosine or
 inverse sum is involved.  No floating point ever enters a tree; numerics
 only appear in `eval_numeric`, in the code `compile_numeric` writes (the
-compiled orbit of `verify`), and in the batch sampler (`sample_batches`).
+compiled orbit of `verify`), and in the batch sampler (`sample_batches`),
+each giving the same float bits (an empty sum is 0.0, an empty product 1.0).
 
 Every verdict that values agree (group laws, phi on the action, `equals`)
-comes from `decide`: exact evaluation mod a prime at seeded points, then
-floats, one walk of a tree giving each value with its size (`relative_gap`).
+is an `Equivalence` from `decide`: exact evaluation mod a prime at seeded
+points, then floats, one walk of a tree giving each value with its size
+(`relative_gap`).
 """
 
 from __future__ import annotations
@@ -744,8 +746,9 @@ def free_symbols(e: Expr) -> set:
 def eval_numeric(e: Expr, env: Mapping[str, float]) -> float:
     """Evaluate to a float; every symbol must be bound by name in `env`.
 
-    Raising a negative power of a value with magnitude below the guard
-    threshold raises NearSingularEvaluationError.
+    An empty sum is 0.0 and an empty product 1.0.  Raising a negative
+    power of a value with magnitude below the guard threshold raises
+    NearSingularEvaluationError.
     """
     if isinstance(e, Rational):
         return float(e.value)
@@ -755,7 +758,7 @@ def eval_numeric(e: Expr, env: Mapping[str, float]) -> float:
         except KeyError:
             raise UnboundSymbolError(e.info.name) from None
     if isinstance(e, Sum):
-        return sum(eval_numeric(t, env) for t in e.terms)
+        return sum(eval_numeric(t, env) for t in e.terms) if e.terms else 0.0
     if isinstance(e, Product):
         out = 1.0
         for f in e.factors:
@@ -815,7 +818,7 @@ def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
     node, named `prefix` and a number, in post-order, so the code has no
     nesting limit; each node does the float operation `eval_numeric` does,
     in the same order, except that a product starts from its first factor
-    (1.0 * a is a for a float a) and a sum of two floats is `0.0 + a + b`
+    (1.0 * a is a for a float a) and a sum of two is `0.0 + a + b`
     (`_sum_code`).  The lines read the names in _NUMERIC_GLOBALS.
 
     For code inside a loop, `fixed` maps the nodes whose values the loop
@@ -828,9 +831,8 @@ def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
     `a * b * x` does when c = a * b.
     """
     local = dict(fixed or {})  # node -> name of the local holding its value
-    ints = set()
     body = []
-    for node, kids in _distinct_nodes(exprs, local, ints):
+    for node, kids in _distinct_nodes(exprs, local):
         if isinstance(node, Sym):
             if node.info.name not in args:
                 raise UnboundSymbolError(node.info.name)
@@ -838,8 +840,7 @@ def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
             continue
         ops = [local[k] for k in kids]
         lines = body
-        if (fixed is not None and node not in ints
-                and all(k in fixed for k in kids)):
+        if fixed is not None and all(k in fixed for k in kids):
             v = local[node] = fixed[node] = f"c{len(fixed)}"
             lines = hoisted
         else:
@@ -847,7 +848,7 @@ def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
         if isinstance(node, Rational):
             lines.append(f"{v} = {float(node.value)!r}")
         elif isinstance(node, Sum):
-            lines.append(f"{v} = {_sum_code(ops, ints.isdisjoint(kids))}")
+            lines.append(f"{v} = {_sum_code(ops)}")
         elif isinstance(node, Product):
             j = 0   # the factors before kids[j] are all in `fixed`
             while fixed is not None and j < len(kids) and kids[j] in fixed:
@@ -858,9 +859,7 @@ def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
                     local[lead] = fixed[lead] = f"c{len(fixed)}"
                     hoisted.append(f"{fixed[lead]} = {' * '.join(ops[:j])}")
                 ops[:j] = [fixed[lead]]
-            # the 1.0 start makes a product of ints a float
-            seed = ["1.0"] if all(k in ints for k in kids) else []
-            lines.append(f"{v} = {' * '.join(seed + ops)}")
+            lines.append(f"{v} = {' * '.join(ops) or '1.0'}")
         elif isinstance(node, Power):
             if node.exponent < 0:
                 lines.append(f"if abs({ops[0]}) < {SINGULAR_GUARD!r}: "
@@ -871,12 +870,11 @@ def _numeric_lines(exprs: Sequence[Expr], args: Mapping[str, str],
     return body, [local[e] for e in exprs]
 
 
-def _distinct_nodes(exprs: Sequence[Expr], done, ints: set):
+def _distinct_nodes(exprs: Sequence[Expr], done):
     """Yield (node, operands) for each distinct node of `exprs` that is not
     in `done`, after its operands, in post-order: the order in which
     `eval_numeric` first finishes each node.  The caller puts each node in
-    `done` before taking the next.  A sum or power whose operands are all
-    in `ints` joins it: its value is an int, as an empty sum's 0 is."""
+    `done` before taking the next."""
     stack = [(e, False) for e in reversed(exprs)]
     while stack:
         node, ready = stack.pop()
@@ -887,27 +885,24 @@ def _distinct_nodes(exprs: Sequence[Expr], done, ints: set):
             stack.append((node, True))
             stack.extend((k, False) for k in reversed(kids))
             continue
-        if isinstance(node, (Sum, Power)) and all(k in ints for k in kids):
-            ints.add(node)
         yield node, kids
 
 
-def _walk(e: Expr) -> tuple:
-    """(walk, ints): each distinct node of `e` mapped to its operands in
-    `_distinct_nodes`' post-order, ending at `e`, and its int-valued nodes."""
-    walk, ints = {}, set()
-    for node, kids in _distinct_nodes([e], walk, ints):
+def _walk(e: Expr) -> dict:
+    """Each distinct node of `e` mapped to its operands, in
+    `_distinct_nodes`' post-order, ending at `e`."""
+    walk = {}
+    for node, kids in _distinct_nodes([e], walk):
         walk[node] = kids
-    return walk, ints
+    return walk
 
 
 def batch_value(e: Expr, env: Mapping, n: int, errors: dict) -> tuple:
     """`_batch_values` of `e` on its own walk."""
-    return _batch_values(*_walk(e), env, n, errors)
+    return _batch_values(_walk(e), env, n, errors)
 
 
-def _batch_values(walk: Mapping, ints: set, env: Mapping, n: int,
-                  errors: dict) -> tuple:
+def _batch_values(walk: Mapping, env: Mapping, n: int, errors: dict) -> tuple:
     """(values, sizes) of a tree at n points, in one walk (`_walk`); `env`
     maps each symbol's SymbolInfo to its (values, sizes).
 
@@ -938,14 +933,13 @@ def _batch_values(walk: Mapping, ints: set, env: Mapping, n: int,
                     errors.setdefault(i, exc)
             size = [_size_pow(node.value, 1)] * n
         elif isinstance(node, Sum):
-            if len(args) == 2 and ints.isdisjoint(kids):
+            if len(args) == 2:
                 out = [0.0 + a + b for a, b in zip(*args)]
             else:
-                out = list(map(sum, zip(*args))) if args else [0] * n
+                out = list(map(sum, zip(*args))) if args else [0.0] * n
             size = list(map(sum, zip(*margs))) if margs else [0.0] * n
         elif isinstance(node, Product):
-            # from the first factor, or from 1.0 when every factor is an int
-            out = [1.0] * n if all(k in ints for k in kids) else args.pop(0)
+            out = args.pop(0) if args else [1.0] * n
             for col in args:
                 out = list(map(operator.mul, out, col))
             size = list(map(math.prod, zip(*margs))) if margs else [1.0] * n
@@ -991,19 +985,19 @@ def _column(op, args: list, errors: dict) -> list:
     return out
 
 
-def _sum_code(ops: Sequence[str], floats: bool) -> str:
-    """Code for the float sum of the values `ops`, as `sum()` gives it.
+def _sum_code(ops: Sequence[str]) -> str:
+    """Code for the sum of the float values `ops`, as `eval_numeric` gives
+    it: `sum()`, or 0.0 for no value.
 
-    A sum of two floats is `0.0 + a + b`: `sum()`'s compensation on
-    Python 3.12+ adds back the error of a + b, which is below half an ulp
-    of the rounded sum and cannot move it, and the `0.0` start gives the
-    sign of zero `sum()` gives, 0.0 for -0.0 + -0.0.  (The sign of a NaN
-    made from two NaNs is outside this: CPython's `+` takes it from the
-    operand its C code puts first.)  Other sums, and sums with an int
-    operand (`floats` false), stay `sum()` calls."""
-    if len(ops) == 2 and floats:
+    A sum of two is `0.0 + a + b`: `sum()`'s compensation on Python 3.12+
+    adds back the error of a + b, which is below half an ulp of the
+    rounded sum and cannot move it, and the `0.0` start gives the sign of
+    zero `sum()` gives, 0.0 for -0.0 + -0.0.  (The sign of a NaN made from
+    two NaNs is outside this: CPython's `+` takes it from the operand its
+    C code puts first.)  Other sums stay `sum()` calls."""
+    if len(ops) == 2:
         return f"0.0 + {ops[0]} + {ops[1]}"
-    return f"sum(({''.join(o + ', ' for o in ops)}))"
+    return f"sum(({''.join(o + ', ' for o in ops)}))" if ops else "0.0"
 
 
 def _operands(e: Expr) -> tuple:
@@ -1176,12 +1170,8 @@ class Equivalence(Enum):
     NUMERICALLY_EQUAL = "NumericallyEqual"
     # 0 at EXACT_POINTS seeded points mod MODULUS: not a canonical identity
     EXACTLY_EQUAL = "ExactlyEqual"
-
-
-# The outcome `decide` gives a group: its pairs agree at the exact points;
-# after a Clash, their float residual is within tol; they differ, with a
-# float witness; or float sampling aborted.
-EXACT, WITHIN, UNEQUAL, ABORTED = "exact", "within", "unequal", "aborted"
+    # float sampling aborted: neither equal nor unequal
+    UNDECIDED = "Undecided"
 
 
 class SampleOutcome:
@@ -1207,14 +1197,15 @@ def decide(sides, syms: Sequence, angles, seed: int, seeds: Sequence[int],
 
     All groups are first evaluated exactly at the points of
     `at_exact_points(..., syms, angles, seed)`: a group that agrees at each
-    is EXACT.  Every other group, or every group once exact evaluation
-    meets a Clash (`clashed`), is sampled in floats at `samples` points
-    from `seeds[i]` (`sample_batches`), its residual at a point the
-    largest `relative_gap` of its pairs.  After a Clash, residuals within
-    `tol` give WITHIN; a group that differs at the exact points or above
-    `tol` is UNEQUAL, and one whose sampling aborts, naming `describe(i)`,
-    ABORTED.  An outcome is (kind, the SampleOutcome or None).  Fewer than
-    one sample is refused, even where no float would be drawn.
+    is EXACTLY_EQUAL.  Every other group, or every group once exact
+    evaluation meets a Clash (`clashed`), is sampled in floats at
+    `samples` points from `seeds[i]` (`sample_batches`), its residual at a
+    point the largest `relative_gap` of its pairs.  After a Clash,
+    residuals within `tol` give NUMERICALLY_EQUAL; a group that differs at
+    the exact points or above `tol` is PROVED_UNEQUAL, and one whose
+    sampling aborts, naming `describe(i)`, UNDECIDED.  An outcome is (the
+    Equivalence, the SampleOutcome or None).  Fewer than one sample is
+    refused, even where no float would be drawn.
     """
     _check_samples(samples)
     count = len(seeds)
@@ -1229,13 +1220,14 @@ def decide(sides, syms: Sequence, angles, seed: int, seeds: Sequence[int],
     outcomes = []
     for i in range(count):
         if agree and agree[i]:
-            outcomes.append((EXACT, None))
+            outcomes.append((Equivalence.EXACTLY_EQUAL, None))
             continue
         out = sample_batches(partial(_residuals, sides, i), syms, samples,
                              seeds[i], partial(describe, i))
-        outcomes.append((ABORTED if out.aborted else WITHIN
-                         if agree is None and out.max_abs <= tol else UNEQUAL,
-                         out))
+        outcomes.append((Equivalence.UNDECIDED if out.aborted
+                         else Equivalence.NUMERICALLY_EQUAL
+                         if agree is None and out.max_abs <= tol
+                         else Equivalence.PROVED_UNEQUAL, out))
     return agree is None, outcomes
 
 
@@ -1260,9 +1252,9 @@ def sample_expr(e: Expr, samples: int = EQUALS_SAMPLES,
     the draws are taken in order, as one draw at a time would take them.
     """
     _check_samples(samples)
-    walk, ints = _walk(e)   # one walk serves every batch
+    walk = _walk(e)   # one walk serves every batch
     return sample_batches(
-        lambda env, n, errors: _batch_values(walk, ints, env, n, errors)[0],
+        lambda env, n, errors: _batch_values(walk, env, n, errors)[0],
         [node.info for node in walk if isinstance(node, Sym)], samples, seed,
         lambda: _subject(e))
 
@@ -1334,23 +1326,24 @@ def equals(e1, e2, samples: int = EQUALS_SAMPLES, seed: int = DEFAULT_SEED,
            tol: float = EQUALS_TOL) -> Equivalence:
     """Decide equality: `ProvedEqual` when the canonical difference is 0,
     else `decide` on the one pair (difference, 0), the symbols inside a
-    sine or cosine argument taken as angles.  Agreement at the exact points
-    or, after a Clash, a float residual within `tol` is `NumericallyEqual`;
-    a difference at the exact points, a residual above `tol` or an aborted
-    sampling run is `ProvedUnequal`.  The float residual is relative to
+    sine or cosine argument taken as angles.  `decide`'s verdict is
+    reported as is, except that agreement at the exact points
+    (`ExactlyEqual`) is `NumericallyEqual` and an aborted sampling run
+    (`Undecided`) is `ProvedUnequal`.  The float residual is relative to
     the difference's size (`relative_gap`).  Fewer than one sample is
     refused before the canonical tier too."""
     _check_samples(samples)
     diff = canonicalize(Sum((as_expr(e1), Product((RAT_M1, as_expr(e2))))))
     if isinstance(diff, Rational) and diff.value == 0:
         return Equivalence.PROVED_EQUAL
-    _, ((kind, _),) = decide(
+    _, ((verdict, _),) = decide(
         lambda evaluate, env, _: [[evaluate((diff, RAT0), env)]],
         sorted(free_symbols(diff), key=lambda i: (int(i.role), i.name)),
         trig_symbols(diff), seed, [seed], samples, tol,
         lambda _: _subject(diff))
-    return (Equivalence.NUMERICALLY_EQUAL if kind in (EXACT, WITHIN)
-            else Equivalence.PROVED_UNEQUAL)
+    return (Equivalence.NUMERICALLY_EQUAL if verdict in (
+        Equivalence.EXACTLY_EQUAL, Equivalence.NUMERICALLY_EQUAL)
+        else Equivalence.PROVED_UNEQUAL)
 
 
 # ---------------------------------------------------------------------------

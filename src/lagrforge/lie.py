@@ -15,8 +15,8 @@ from __future__ import annotations
 from .dsl import _fresh_params
 # `equals` is no longer called here, but perfbench/spans.py wraps lie.equals
 # as a kernel leaf and requires the name
-from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, EXACT, RAT0,
-                   WITHIN, Equivalence, Product, Role, Sum, Sym, SymbolInfo,
+from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, RAT0,
+                   Equivalence, Product, Role, Sum, Sym, SymbolInfo,
                    _fresh_name, canonicalize, decide, differentiate, equals,
                    free_symbols, substitute)
 
@@ -166,13 +166,12 @@ def _on_action(lie, jacobian: list, samples: int, seed: int,
         {spec.params[j] for j in spec.angles()}, seed, [seed] * len(flat),
         samples, tol,
         lambda _: (f"a constraint of {spec.name} on its action",) * 2)
-    verdicts = {EXACT: Equivalence.EXACTLY_EQUAL,
-                WITHIN: Equivalence.NUMERICALLY_EQUAL}
-    for k, (kind, _) in enumerate(outcomes):
-        if kind not in verdicts:
+    verdicts = [verdict for verdict, _ in outcomes]
+    for k, verdict in enumerate(verdicts):
+        if verdict not in (Equivalence.EXACTLY_EQUAL,
+                           Equivalence.NUMERICALLY_EQUAL):
             raise ConventionViolationError(
                 f"constraint phi[{k // spec.r + 1}][{k % spec.r + 1}] does "
                 "not vanish on the group action; the group data is "
                 "inconsistent")
-    return [[verdicts[kind] for kind, _ in outcomes[a * spec.r:][:spec.r]]
-            for a in range(spec.n)]
+    return [verdicts[a * spec.r:][:spec.r] for a in range(spec.n)]

@@ -465,7 +465,7 @@ def _compile_orbit(lie):
         """`d2`, the squared distance from the state to the action of g on
         the initial state."""
         squares = [f"({s} - {e}) ** 2" for s, e in zip(state, exact)]
-        return [*action, f"d2 = {_sum_code(squares, True)}"]
+        return [*action, f"d2 = {_sum_code(squares)}"]
 
     step_lines = [
         *lines1, *shifted(y, k1, "h2"), *(["gm = g + h2"] if reads_g else []),

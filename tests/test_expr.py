@@ -1,17 +1,20 @@
 """Unit behavior of the expression kernel."""
 
 import logging
+import math
 from fractions import Fraction
 
 import pytest
 
-from lagrforge import (Cos, Equivalence, Power, Product, Rational, Role, Sin,
-                       Sum, Sym, SymbolInfo, bundled_source, canonicalize,
+from lagrforge import (ConventionViolationError, Cos, Equivalence, Power,
+                       Product, Rational, Role, Sin, Sum, Sym, SymbolInfo,
+                       bundled_source, canonicalize,
                        constraints, differentiate, equals, eval_numeric,
                        format_expr, free_symbols, monomials, parse,
                        substitute, validate_axioms)
-from lagrforge.expr import (NearSingularEvaluationError, UnboundSymbolError,
-                            batch_value, polynomial_expr, sample_expr)
+from lagrforge.expr import (EQUALS_TOL, RAT0, NearSingularEvaluationError,
+                            UnboundSymbolError, batch_value, decide,
+                            polynomial_expr, sample_expr, trig_symbols)
 from lagrforge.printing import default_symbol_latex
 
 X = SymbolInfo("x", Role.BASE_COORDINATE)
@@ -108,6 +111,78 @@ def test_equals_three_verdicts():
                                        canonicalize(Cos(square)) ** 2),
                   10 ** 9) == Equivalence.NUMERICALLY_EQUAL
     assert equals(Rational(1, 10 ** 12) * x, 0) == Equivalence.PROVED_UNEQUAL
+
+
+# A valid group that exact evaluation cannot take (sin(1 + X3)), so its laws
+# and its constraints on the action are sampled in floats; every float value
+# of the constant 10^400 overflows, so sampling what holds it aborts.
+HUGE_SINE = """
+group huge_sine {
+  params: g;
+  coords: X1, X2, X3;
+  identity: (0);
+  inverse: (-g/(1 + g));
+  multiply: (lhs.g + rhs.g + lhs.g*rhs.g);
+  action: (X1*(1 + g) + 10^400*g, X2*(1 + g) + g*sin(1 + X3), X3);
+}
+"""
+
+
+def test_decide_answers_in_equivalence_verdicts(caplog):
+    # decide gives each group an Equivalence verdict, and equals,
+    # validate_axioms and constraints each report it in their own terms
+    def decided(e):
+        syms = sorted(free_symbols(e), key=lambda i: (int(i.role), i.name))
+        clashed, ((verdict, out),) = decide(
+            lambda evaluate, env, _: [[evaluate((e, RAT0), env)]], syms,
+            trig_symbols(e), 5, [5], 16, EQUALS_TOL, lambda _: ("e", "e"))
+        return clashed, verdict, out
+
+    square = canonicalize(x * x)
+    trig = canonicalize(Sin(x)) ** 2 + canonicalize(Cos(x)) ** 2 - 1
+    trig_of_square = (canonicalize(Sin(square)) ** 2 +
+                      canonicalize(Cos(square)) ** 2 - 1)
+    huge = Rational(10 ** 400) * x + y
+    with caplog.at_level(logging.ERROR, logger="lagrforge.expr"):
+        cases = [(e, decided(e), equals(e, 0)) for e in
+                 (trig, trig_of_square, x - y, canonicalize(Sin(square)),
+                  huge)]
+    assert [(clashed, verdict, report) for _, (clashed, verdict, _), report
+            in cases] == [
+        (False, Equivalence.EXACTLY_EQUAL, Equivalence.NUMERICALLY_EQUAL),
+        (True, Equivalence.NUMERICALLY_EQUAL, Equivalence.NUMERICALLY_EQUAL),
+        (False, Equivalence.PROVED_UNEQUAL, Equivalence.PROVED_UNEQUAL),
+        (True, Equivalence.PROVED_UNEQUAL, Equivalence.PROVED_UNEQUAL),
+        (False, Equivalence.UNDECIDED, Equivalence.PROVED_UNEQUAL)]
+    outs = [out for _, (_, _, out), _ in cases]
+    assert outs[0] is None
+    assert 0 < outs[1].max_abs <= EQUALS_TOL and not outs[1].aborted
+    assert outs[2].max_abs > EQUALS_TOL and outs[3].max_abs > EQUALS_TOL
+    assert outs[4].aborted and outs[4].max_abs == math.inf
+
+    # validate_axioms: Exact, Numeric, and Failed for a difference and for
+    # an aborted run; constraints: ExactlyEqual, NumericallyEqual, and a
+    # ConventionViolationError for an aborted run
+    so2 = parse(bundled_source("so2"))
+    assert [c.verdict for c in validate_axioms(so2).checks] == ["Exact"] * 4
+    assert {v for row in constraints(so2).on_action for v in row} == \
+        {Equivalence.EXACTLY_EQUAL}
+    sine = parse(HUGE_SINE.replace("10^400*g", "g"))
+    assert [c.verdict for c in validate_axioms(sine).checks] == \
+        ["Numeric"] * 4
+    assert {v for row in constraints(sine).on_action for v in row} == \
+        {Equivalence.NUMERICALLY_EQUAL}
+    skewed = parse(bundled_source("so2").replace("lhs.g + rhs.g",
+                                                 "lhs.g + 2*rhs.g"))
+    assert "Failed" in [c.verdict for c in validate_axioms(skewed).checks]
+    huge_sine = parse(HUGE_SINE)
+    with caplog.at_level(logging.ERROR, logger="lagrforge.expr"):
+        checks = validate_axioms(huge_sine).checks
+        with pytest.raises(ConventionViolationError):
+            constraints(huge_sine)
+    assert [c.verdict for c in checks] == ["Failed", "Numeric"] * 2
+    assert [c.max_residual for c in checks[::2]] == [math.inf] * 2
+    assert all(c.max_residual <= EQUALS_TOL for c in checks[1::2])
 
 
 def test_batch_value_sizes_an_empty_product():

@@ -373,7 +373,7 @@ def test_compiled_two_term_sums_are_bit_identical():
 def test_compiled_arguments_are_converted_on_entry():
     # int arguments, and an argument that no expression reads, give the
     # floats eval_numeric gives, bit for bit; so do products of an empty
-    # sum's integer 0
+    # sum's 0.0
     x, y = (Sym(v) for v in VARS[:2])
     zero = Sum(())
     exprs = [x, Product((x,)), Product((x, y)), Product((Rational(-1), x)),
@@ -385,6 +385,39 @@ def test_compiled_arguments_are_converted_on_entry():
         want = [eval_numeric(e, point) for e in exprs]
         assert all(type(v) is float for v in got + tuple(want))
         assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_float_evaluators_return_floats_on_empty_sums_and_products():
+    # an empty sum is 0.0 and an empty product 1.0: each evaluator gives a
+    # float, the same bits, for raw trees over them, alone and under sums,
+    # products and powers, and with a symbol at a point that rounds
+    x = Sym(VARS[0])
+    zero, one = Sum(()), Product(())
+    exprs = [zero, one, Sum((zero,)), Sum((zero, zero)),
+             Sum((zero, zero, zero)), Sum((zero, one)), Product((zero,)),
+             Product((one, one)), Product((zero, Power(zero, 2))),
+             Power(zero, 0), Power(one, 3), Power(one, -1),
+             Power(Sum((one, one)), -2), Power(Sum((zero, zero)), 3),
+             Sum((Power(zero, 0), Power(zero, 0))),
+             Sum((Power(zero, 0), Power(zero, 0), Power(one, 0))),
+             Sum((zero, x)), Sum((zero, zero, x)), Product((zero, x)),
+             Product((one, x)), Sum((Product((zero, x)), Power(one, -1)))]
+    for value in (0.1, -0.0):
+        want = [eval_numeric(e, {"x": value}) for e in exprs]
+        got = compile_numeric(exprs, ["x"])(value)
+        env = {VARS[0]: ([value, value], [abs(value)] * 2)}
+        batched = [expr.batch_value(e, env, 2, {})[0] for e in exprs]
+        assert all(type(v) is float for v in want + list(got))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert all(type(v) is float for col in batched for v in col)
+        assert [[v.hex() for v in col] for col in batched] == \
+            [[v.hex()] * 2 for v in want]
+    for e in exprs:
+        out = sample_expr(e, samples=4)
+        assert type(out.max_abs) is float
+        if not free_symbols(e):
+            assert out.max_abs.hex() == abs(eval_numeric(e, {})).hex()
+        assert out == tree_walk_sample(e, 4, expr.DEFAULT_SEED)
 
 
 def test_compiled_unbound_symbol_fails_at_compile_time():
@@ -428,13 +461,13 @@ def _outcome(sample, e, seed):
 
 def _sampled_cases(rng):
     x, y = (Sym(v) for v in VARS[:2])
-    zero = Sum(())                  # the integer 0
+    zero = Sum(())                  # 0.0
     exprs = [random_expr(rng) for _ in range(200)]
     exprs += [canonicalize(e) for e in exprs[:60]]
     exprs += [
         Rational(10 ** 400) * x + y,    # a constant too large for a float
         Power(Sum((x, Product((Rational(-1), x)))), -1),   # 1/0 everywhere
-        # integer-valued sums under a power and under a product
+        # empty sums under a power and under a product
         Sum((Power(zero, 2), x)), Sum((Power(Sum((zero, zero)), 3), y)),
         Product((zero, x)), Product((zero, Power(zero, 2))),
         Sum((Product((zero, zero)), Power(x, -1))), Power(zero, -1),
@@ -454,7 +487,7 @@ def test_sample_expr_matches_tree_walk(monkeypatch):
     # sample_expr evaluates each batch of draws node by node; its outcome,
     # the witness point and the abort point included, must be the tree
     # walk's, for raw and canonical trees, a constant too large for a
-    # float, int-valued nodes, constants and a run that aborts
+    # float, empty sums, constants and a run that aborts
     with pytest.raises(OverflowError):
         compile_numeric([Rational(10 ** 400) * Sym(VARS[0])], ["x"])
     aborted = raised = 0
@@ -470,9 +503,8 @@ def test_sample_expr_matches_tree_walk(monkeypatch):
     monkeypatch.setattr(expr, "SINGULAR_GUARD", 0.5)
     batches = []
     batch = expr._batch_values
-    monkeypatch.setattr(expr, "_batch_values", lambda walk, ints, env, n,
-                        errors: batches.append(n) or batch(walk, ints, env, n,
-                                                          errors))
+    monkeypatch.setattr(expr, "_batch_values", lambda walk, env, n, errors:
+                        batches.append(n) or batch(walk, env, n, errors))
     walks = []
     distinct_nodes = expr._distinct_nodes
     monkeypatch.setattr(expr, "_distinct_nodes", lambda *args:
