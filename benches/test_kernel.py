@@ -23,6 +23,7 @@ from conftest import rebuilt
 from orbit_bits import SCALE3   # a group of the pinned orbits
 
 POINT = (0.75, 1.0, -0.5)    # g, then the two fields or coordinates
+SE2 = Path(__file__).resolve().parents[1] / "perfbench" / "groups" / "se2.grp"
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +171,30 @@ def test_euler_lagrange(benchmark, affine_wide_ansatz):
     # on-shell values are substituted
     L = affine_wide_ansatz.lagrangian_component(1)
     benchmark(euler_lagrange, affine_wide_ansatz.lie, L, 1)
+
+
+@pytest.fixture(scope="module")
+def se2_family():
+    """The family of `verify se2 --deg-x 1 --deg-g-max 1`: sin and cos
+    atoms in its Lagrangians' monomials."""
+    lie = lf.constraints(lf.parse(SE2.read_text()))
+    return lf.solve_family(lie, lf.build_ansatz(lie, deg_x=1, deg_g=(0, 1)))
+
+
+def test_strong_el_se2(benchmark, se2_family):
+    # L_1's E-L expressions, as verify derives them: each monomial's
+    # symbols are read off its sin/cos atoms
+    family = se2_family
+    el = benchmark(lf.strong_el, family.lie, family.lagrangians[0])
+    assert len(el) == family.lie.n
+
+
+def test_substitute_onshell_se2(benchmark, se2_family):
+    # its first E-L expression on shell: the jets sit beside the sin/cos
+    # atoms, never inside them, so no monomial takes the tree path
+    lie = se2_family.lie
+    e = lf.strong_el(lie, se2_family.lagrangians[0])[0]
+    benchmark(lf.substitute, e, lie.onshell)
 
 
 def test_column_table(benchmark, affine_wide_ansatz):

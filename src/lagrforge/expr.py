@@ -111,11 +111,12 @@ class Expr:
     Nodes are never mutated after construction; `_canonical` marks trees
     already in canonical form so repeated canonicalization is O(1), and
     `_monos` caches a canonical node's monomial tuple once it is split
-    (a node `polynomial_expr` builds is born with it).  Each subclass's
-    constructor sets these four fields itself, as nodes are built often.
+    (a node `polynomial_expr` builds is born with it), and `_syms` its
+    symbols once `free_symbols` reads them.  Each subclass's constructor
+    sets these five fields itself, as nodes are built often.
     """
 
-    __slots__ = ("_key", "_hash", "_canonical", "_monos")
+    __slots__ = ("_key", "_hash", "_canonical", "_monos", "_syms")
 
     def _make_key(self):
         raise NotImplementedError
@@ -186,7 +187,7 @@ class Rational(Expr):
         elif not isinstance(value, Fraction):
             value = Fraction(value)
         self.value = value
-        self._key = self._hash = self._monos = None
+        self._key = self._hash = self._monos = self._syms = None
         self._canonical = True
 
     def _make_key(self):
@@ -199,7 +200,7 @@ class Sym(Expr):
     __slots__ = ("info",)
 
     def __init__(self, info: SymbolInfo):
-        self._key = self._hash = self._monos = None
+        self._key = self._hash = self._monos = self._syms = None
         self._canonical = True
         self.info = info
 
@@ -215,7 +216,7 @@ class Power(Expr):
     def __init__(self, base: Expr, exponent: int):
         if not isinstance(exponent, int):
             raise TypeError("power exponent must be an integer")
-        self._key = self._hash = self._monos = None
+        self._key = self._hash = self._monos = self._syms = None
         self._canonical = False
         self.base = base
         self.exponent = exponent
@@ -232,7 +233,7 @@ class Trig(Expr):
     __slots__ = ("argument",)
 
     def __init__(self, argument: Expr):
-        self._key = self._hash = self._monos = None
+        self._key = self._hash = self._monos = self._syms = None
         self._canonical = False
         self.argument = argument
 
@@ -254,7 +255,7 @@ class Product(Expr):
     __slots__ = ("factors",)
 
     def __init__(self, factors: Sequence[Expr]):
-        self._key = self._hash = self._monos = None
+        self._key = self._hash = self._monos = self._syms = None
         self._canonical = False
         self.factors = tuple(factors)
 
@@ -266,7 +267,7 @@ class Sum(Expr):
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Sequence[Expr]):
-        self._key = self._hash = self._monos = None
+        self._key = self._hash = self._monos = self._syms = None
         self._canonical = False
         self._terms = tuple(terms)
 
@@ -602,20 +603,18 @@ def differentiate(e: Expr, s) -> Expr:
     what canonicalizing the sum of the terms' derivatives does.
     """
     info = _info_of(s)
-    inside = {}
     out = []
     for coeff, pairs in _as_monomials(canonicalize(e)):
-        out.extend(monomial_derivative(coeff, pairs, info, inside))
+        out.extend(monomial_derivative(coeff, pairs, info))
     return polynomial_expr(out)
 
 
-def monomial_derivative(coeff: Number, pairs, info: SymbolInfo,
-                        inside: dict) -> tuple:
+def monomial_derivative(coeff: Number, pairs, info: SymbolInfo) -> tuple:
     """The monomials of the derivative of one canonical monomial by the
     symbol `info`, the rule `differentiate` applies term by term: the
     power rule on a plain factor s^n, and the chain rule through the tree
-    only where a sine, cosine or inverse-sum atom depends on the symbol.
-    `inside` keeps the symbols of each such atom by its sort key."""
+    only where a sine, cosine or inverse-sum atom depends on the symbol,
+    which the atom's own symbol set (`free_symbols`) tells."""
     at = None           # position of s^n among the pairs
     chain = False
     for i, (atom, n) in enumerate(pairs):
@@ -625,11 +624,7 @@ def monomial_derivative(coeff: Number, pairs, info: SymbolInfo,
             if a is info or (a.name == info.name and a == info):
                 at = i
             continue
-        k = atom.sort_key()
-        held = inside.get(k)
-        if held is None:
-            held = inside[k] = free_symbols(atom)
-        chain = chain or info in held
+        chain = chain or info in free_symbols(atom)
     if chain:
         return _as_monomials(canonicalize(
             _diff(_mono_expr(coeff, pairs), info)))
@@ -682,7 +677,6 @@ def substitute(e: Expr, mapping: Mapping) -> Expr:
     """
     table = {_info_of(k): canonicalize(as_expr(v)) for k, v in mapping.items()}
     e = canonicalize(e)
-    inside = {}         # sort key of a non-symbol atom -> holds a replaced one
     out = []
     for coeff, pairs in _as_monomials(e):
         kept = []
@@ -697,10 +691,7 @@ def substitute(e: Expr, mapping: Mapping) -> Expr:
                 else:
                     factors.extend([table[atom.info]] * n)
                 continue
-            k = atom.sort_key()
-            if k not in inside:
-                inside[k] = not free_symbols(atom).isdisjoint(table)
-            tree = tree or inside[k]
+            tree = tree or not table.keys().isdisjoint(free_symbols(atom))
             kept.append((atom, n))
         if not (tree or factors):
             out.append((coeff, pairs))
@@ -731,16 +722,21 @@ def _subst(e: Expr, table) -> Expr:
     raise TypeError(f"cannot substitute into {type(e).__name__}")
 
 
-def free_symbols(e: Expr) -> set:
-    out = set()
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Sym):
-            out.add(e.info)
-        else:
-            stack.extend(_operands(e))
-    return out
+def free_symbols(e: Expr) -> frozenset:
+    """The SymbolInfo of every symbol in `e`.  A node keeps its set as it
+    keeps its monomials: the first call fills `_syms`, and each later one
+    returns that frozenset."""
+    if e._syms is None:
+        out = set()
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Sym):
+                out.add(node.info)
+            else:
+                stack.extend(_operands(node))
+        e._syms = frozenset(out)
+    return e._syms
 
 
 def eval_numeric(e: Expr, env: Mapping[str, float]) -> float:

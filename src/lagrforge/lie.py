@@ -30,7 +30,8 @@ class ResidualCoordinatesError(ValueError):
 
 
 class ConventionViolationError(ValueError):
-    """Constraints failed to vanish on the action itself."""
+    """Constraints failed to vanish on the action itself, or sampling them
+    there aborted."""
 
 
 def infinitesimal_coefficients(spec) -> list:
@@ -168,10 +169,13 @@ def _on_action(lie, jacobian: list, samples: int, seed: int,
         lambda _: (f"a constraint of {spec.name} on its action",) * 2)
     verdicts = [verdict for verdict, _ in outcomes]
     for k, verdict in enumerate(verdicts):
-        if verdict not in (Equivalence.EXACTLY_EQUAL,
-                           Equivalence.NUMERICALLY_EQUAL):
-            raise ConventionViolationError(
-                f"constraint phi[{k // spec.r + 1}][{k % spec.r + 1}] does "
-                "not vanish on the group action; the group data is "
-                "inconsistent")
+        if verdict in (Equivalence.EXACTLY_EQUAL,
+                       Equivalence.NUMERICALLY_EQUAL):
+            continue
+        entry = f"constraint phi[{k // spec.r + 1}][{k % spec.r + 1}]"
+        raise ConventionViolationError(
+            f"{entry} could not be decided on the group action: float "
+            "sampling aborted" if verdict is Equivalence.UNDECIDED else
+            f"{entry} does not vanish on the group action; the group data "
+            "is inconsistent")
     return [verdicts[a * spec.r:][:spec.r] for a in range(spec.n)]

@@ -169,7 +169,6 @@ def strong_el(lie, L: Expr) -> list:
     jets = {J: (alpha, i) for alpha, row in enumerate(lie.jets)
             for i, J in enumerate(row)}
     jet_pairs = [[((Sym(J), 1),) for J in row] for row in lie.jets]
-    inside = {}         # sort key of a non-symbol atom -> its symbols
     out = [[] for _ in fields]
     for coeff, pairs in monomials(L):
         held = set()    # the symbols of the monomial but its jet
@@ -183,27 +182,24 @@ def strong_el(lie, L: Expr) -> list:
                     raise SecondOrderJetError(_SECOND_ORDER)
                 at = i
                 continue
-            k = atom.sort_key()
-            syms = inside.get(k)
-            if syms is None:
-                syms = inside[k] = free_symbols(atom)
-            if not syms.isdisjoint(jets):
+            syms = free_symbols(atom)
+            if not jets.keys().isdisjoint(syms):
                 raise SecondOrderJetError(_SECOND_ORDER)
             held |= syms
         for f, el in zip(fields, out):
             if f in held:
-                el.extend(monomial_derivative(coeff, pairs, f, inside))
+                el.extend(monomial_derivative(coeff, pairs, f))
         if at is None:
             continue
         alpha, i = jets[pairs[at][0].info]
         rest, el = pairs[:at] + pairs[at + 1:], out[alpha]
         if params[i] in held:
             el.extend((-c, q) for c, q in
-                      monomial_derivative(coeff, rest, params[i], inside))
+                      monomial_derivative(coeff, rest, params[i]))
         for f, row in zip(fields, jet_pairs):
             if f in held:
                 el.extend((-c, _norm_pairs(q + row[i])) for c, q in
-                          monomial_derivative(coeff, rest, f, inside))
+                          monomial_derivative(coeff, rest, f))
     return [polynomial_expr(monos) for monos in out]
 
 
@@ -586,13 +582,12 @@ class LagrangianFamily:
     def lagrangian_at(self, assignment) -> list:
         """The L_k at the assigned values, the others 0 (`_at`)."""
         values = self.param_values(assignment)
-        return [_at(L, values, values | {None: 1})
-                for L in self.lagrangians]
+        return [_at(L, values | {None: 1}) for L in self.lagrangians]
 
     def multipliers_at(self, assignment) -> dict:
         """The multipliers at the assigned values, the others 0 (`_at`)."""
         values = self.param_values(assignment)
-        return {key: _at(e, values, values | {None: 1})
+        return {key: _at(e, values | {None: 1})
                 for key, e in self.multipliers.items()}
 
 
@@ -664,27 +659,30 @@ def _weighted_sum(params, exprs) -> Expr:
                             for c, pairs in monomials(e)])
 
 
-def _by_param(e: Expr, params):
+def _by_param(e: Expr):
     """(free parameter or None, coefficient, the other pairs) of each
-    non-zero monomial of `e`, which is linear in the free parameters
-    `params`: the walk that reads a sum `_weighted_sum` built."""
+    non-zero monomial of `e`, which is linear in the free parameters: the
+    walk that reads a sum `_weighted_sum` built.  A free parameter's role
+    sorts first, so it leads each monomial that holds it, and its role
+    tells it."""
+    free = Role.FREE_PARAMETER
     for c, pairs in monomials(e):
         if not c:
             continue
         head = pairs[0][0] if pairs else None
-        if isinstance(head, Sym) and head.info in params:
+        if isinstance(head, Sym) and head.info.role is free:
             yield head.info, c, pairs[1:]
         else:
             yield None, c, pairs
 
 
-def _at(e: Expr, params, weights: dict) -> Expr:
-    """`e`, linear in `params`, with each free parameter at its weight, the
+def _at(e: Expr, weights: dict) -> Expr:
+    """`e`, linear in the free parameters, with each at its weight, the
     ones `weights` leaves out at 0 and the monomials free of them times
     weights[None]: `substitute` of the values, with no product multiplied
     out."""
     return polynomial_expr([(c * weights[p], rest)
-                            for p, c, rest in _by_param(e, params)
+                            for p, c, rest in _by_param(e)
                             if p in weights])
 
 

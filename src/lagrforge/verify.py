@@ -59,14 +59,14 @@ class _ComponentOne:
     The E-L operator is linear, so the expressions are linear in component
     1's free parameters, and component k's differ from them only in the
     run of parameters they are linear in.  So a fact about component k is
-    component 1's at k's values (`weights`, put in by `solver._at`), or,
-    with the parameters symbolic, component 1's own."""
+    component 1's at k's values (`weights`, put in by `solver._at`, which
+    tells a free parameter by its role), or, with the parameters symbolic,
+    component 1's own."""
 
     def __init__(self, family):
         # no reference back to the family, which keeps this object
         self.lie = family.lie
         self.runs = family.runs
-        self.params = set(family.runs[0])
         self.block_lagrangians = family.block_lagrangians
         self._jet_tables = {}
 
@@ -113,7 +113,7 @@ class _ComponentOne:
             tables = self._jet_tables[seed] = []
             for e in self.first:
                 row = [{} for _ in columns]
-                for param, v, pairs in _by_param(e, self.params):
+                for param, v, pairs in _by_param(e):
                     at = next((i for i, (atom, _) in enumerate(pairs)
                                if isinstance(atom, Sym)
                                and atom.info in columns), None)
@@ -216,7 +216,7 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
     weights = one.weights(values)
 
     grade, witness = Equivalence.PROVED_EQUAL, None
-    for k, alpha, onshell in ((k, alpha, _at(F, one.params, w))
+    for k, alpha, onshell in ((k, alpha, _at(F, w))
                               for k, w in enumerate(weights, start=1)
                               for alpha, F in enumerate(one.onshell, start=1)
                               if F != RAT0):
@@ -241,7 +241,7 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
               "Underdetermined" if unsolved else "Match")
     return ConverseResult(params={p.name: v for p, v in values.items()},
                           equations=lambda: [
-                              (k, alpha, _at(e, one.params, w))
+                              (k, alpha, _at(e, w))
                               for k, w in enumerate(weights, start=1)
                               for alpha, e in enumerate(one.first, start=1)],
                           solved={J: lie.onshell[J] for J in determined},

@@ -178,6 +178,37 @@ def test_monomials_returns_a_copy_of_the_cache():
         for c, pairs in again))) == e
 
 
+def _walked_symbols(e) -> set:
+    out, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sym):
+            out.add(node.info)
+        else:
+            stack.extend(expr._operands(node))
+    return out
+
+
+def test_free_symbols_is_each_nodes_own_frozenset():
+    # a node keeps its symbol set: a raw tree, its canonical form and each
+    # atom of that form give the symbols a walk of their operands finds, as
+    # a frozenset that a second call returns again
+    rng = random.Random(4099)
+    atoms = 0
+    for _ in range(300):
+        for e in (random_expr(rng), random_exact_expr(rng)):
+            c = canonicalize(e)
+            nodes = [e, c] + [atom for _, pairs in monomials(c)
+                              for atom, _ in pairs]
+            atoms += len(nodes) - 2
+            for node in nodes:
+                syms = free_symbols(node)
+                assert type(syms) is frozenset
+                assert syms == _walked_symbols(node)
+                assert free_symbols(node) is syms
+    assert atoms > 1000
+
+
 def _fraction_typed(e):
     """A copy of canonical `e` whose cached monomials hold every
     coefficient as a Fraction, integral ones included."""

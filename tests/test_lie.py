@@ -146,7 +146,9 @@ def test_convention_violation():
     source = TRIVIAL.replace("multiply: (lhs.t + rhs.t);",
                              "multiply: (2*lhs.t + rhs.t);")
     source = source.replace("action: (X1);", "action: (X1 + t);")
-    with pytest.raises(ConventionViolationError):
+    with pytest.raises(ConventionViolationError,
+                       match="does not vanish on the group action; the "
+                             "group data is inconsistent"):
         lf.constraints(lf.parse(source))
 
 
@@ -159,14 +161,9 @@ def _items(source, clause):
     return [item.strip() for item in re.split(r",(?![^(]*\))", text)]
 
 
-@pytest.mark.parametrize("source", [lf.bundled_source("so2"),
-                                    lf.bundled_source("affine1"),
-                                    SE2_SOURCE, SHEAR_SQUARE],
-                         ids=["so2", "affine1", "se2", "shear_square"])
-def test_onshell_values_match_sympy(source):
-    # xi^a_s = d f^a / d g_s at X = f(X', g^-1), built in SymPy from the
-    # group text alone: the jet values the converse check prints as solved
-    sp = pytest.importorskip("sympy")
+def sympy_onshell_values(source, sp) -> tuple:
+    """(params, fields, xi) in SymPy from the group text alone: xi[a][s] =
+    d f^a / d g_s at X = f(X', g^-1), unsimplified."""
     params, coords = ([sp.Symbol(name) for name in _items(source, clause)]
                       for clause in ("params", "coords"))
     symbols = {s.name: s for s in params + coords}
@@ -176,10 +173,22 @@ def test_onshell_values_match_sympy(source):
     fields = [sp.Symbol(f"{c.name}'") for c in coords]
     back = dict(zip(coords, fields)) | dict(zip(params, inverse))
     at_fields = {c: f.xreplace(back) for c, f in zip(coords, action)}
+    return params, fields, [[sp.diff(f, g).xreplace(at_fields)
+                             for g in params] for f in action]
+
+
+@pytest.mark.parametrize("source", [lf.bundled_source("so2"),
+                                    lf.bundled_source("affine1"),
+                                    SE2_SOURCE, SHEAR_SQUARE],
+                         ids=["so2", "affine1", "se2", "shear_square"])
+def test_onshell_values_match_sympy(source):
+    # xi^a_s = d f^a / d g_s at X = f(X', g^-1), built in SymPy from the
+    # group text alone: the jet values the converse check prints as solved
+    sp = pytest.importorskip("sympy")
+    _, _, xi = sympy_onshell_values(source, sp)
     lie = lf.constraints(lf.parse(source))
-    for a, f in enumerate(action):
-        for s, g in enumerate(params):
-            want = sp.diff(f, g).xreplace(at_fields)
+    for a, row in enumerate(xi):
+        for s, want in enumerate(row):
             got = _to_sympy(lie.onshell[lie.jets[a][s]], sp)
             gap = sp.expand(want - got)
             if gap.has(sp.sin, sp.cos):

@@ -1,18 +1,22 @@
-"""The expression kernel against SymPy, a computer algebra system that
-shares none of its code: canonical forms, derivatives and substitutions
-over the seeded corpus of `genexpr.py`, and exact values at rational and
-circle points.  Skipped where SymPy is not installed."""
+"""The expression kernel and the solve against SymPy, a computer algebra
+system that shares none of their code: canonical forms, derivatives and
+substitutions over the seeded corpus of `genexpr.py`, exact values at
+rational and circle points, and family dimensions collected from the
+group text alone.  Skipped where SymPy is not installed."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import lagrforge as lf
 from lagrforge import canonicalize, differentiate, format_expr, substitute
 from lagrforge.expr import MODULUS, exact_value
 
 from conftest import _to_sympy
 from genexpr import ANGLES, VARS, random_exact_expr, random_expr
+from test_lie import SHEAR_SQUARE, sympy_onshell_values
 
 sp = pytest.importorskip("sympy")
 
@@ -103,3 +107,63 @@ def test_exact_values_match_sympy():
             _residue(Fraction(int(want.p), int(want.q))), format_expr(e)
         checked += 1
     assert checked > 300
+
+
+def _family_dimension(source, deg_x, deg_g) -> int:
+    """The family dimension of the ansatz (exponents 0..deg_x per field,
+    deg_g[0]..deg_g[1] per group parameter) from the group text alone:
+    L_1 = sum c * b_m * phi^a_s with phi^a_s = X'^a_s - xi^a_s, its E-L
+    expressions dL/dX'^alpha - sum_s D_s dL/dX'^alpha_s with the jets at
+    xi and the denominators cleared, each monomial's coefficient in the
+    fields and parameters one row, and the unknowns the rank leaves free
+    for each of the r components."""
+    params, fields, xi = sympy_onshell_values(source, sp)
+    xi = [[sp.cancel(sp.trigsimp(v)) for v in row] for row in xi]
+    assert not any(v.has(sp.sin, sp.cos) for row in xi for v in row)
+    r = len(params)
+    jets = [[sp.Symbol(f"{f.name}_{g.name}") for g in params]
+            for f in fields]
+    basis = [sp.Mul(*(v ** e for v, e in zip(fields + params, exps)))
+             for exps in itertools.product(
+                 *[range(deg_x + 1)] * len(fields),
+                 *[range(deg_g[0], deg_g[1] + 1)] * r)]
+    unknowns = sp.symbols(f"c:{len(fields) * r * len(basis)}")
+    slots = iter(unknowns)
+    L = sp.Add(*(next(slots) * b * (J - v)
+                 for row, values in zip(jets, xi)
+                 for J, v in zip(row, values) for b in basis))
+    onshell = {J: v for row, values in zip(jets, xi)
+               for J, v in zip(row, values)}
+
+    def total(A, s):
+        # D_s of an A free of jets: along g_s, and along each field
+        assert not A.has(*onshell)
+        return sp.diff(A, params[s]) + sp.Add(*(
+            sp.diff(A, f) * row[s] for f, row in zip(fields, jets)))
+
+    rows = []
+    for f, row in zip(fields, jets):
+        el = sp.diff(L, f) - sp.Add(*(total(sp.diff(L, J), s)
+                                      for s, J in enumerate(row)))
+        numerator, _ = sp.together(el.xreplace(onshell)).as_numer_denom()
+        rows += sp.Poly(numerator, *fields, *params).coeffs()
+    matrix, _ = sp.linear_eq_to_matrix(rows, unknowns)
+    return (len(unknowns) - matrix.rank()) * r
+
+
+DIMENSION_RUNGS = [(lf.bundled_source("so2"), 1, (0, 0)),
+                   (lf.bundled_source("so2"), 3, (0, 0)),
+                   (lf.bundled_source("affine1"), 1, (-1, 0)),
+                   (SHEAR_SQUARE, 1, (0, 0))]
+
+
+@pytest.mark.parametrize("source,deg_x,deg_g", DIMENSION_RUNGS,
+                         ids=["so2 dx1", "so2 dx3", "affine1 dx1 g[-1,0]",
+                              "shear_square dx1"])
+def test_family_dimension_matches_sympy_collection(source, deg_x, deg_g):
+    # the solve's nullspace against an independent collection of the weak
+    # E-L system and SymPy's rank over the rationals
+    lie = lf.constraints(lf.parse(source))
+    family = lf.solve_family(lie, lf.build_ansatz(lie, deg_x=deg_x,
+                                                  deg_g=deg_g))
+    assert family.dimension == _family_dimension(source, deg_x, deg_g)

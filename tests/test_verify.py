@@ -481,6 +481,33 @@ def test_family_at_values_is_substitution(name, monkeypatch):
             for key, e in family.multipliers.items()}
 
 
+@pytest.mark.parametrize("name", ["so2 dx3", "affine1 dx1 g[-1,1]",
+                                  "se2 dx1 g[0,1]"])
+def test_by_param_names_the_run_that_leads_each_monomial(name):
+    # `_by_param` tells a free parameter by its role; the reference looks
+    # each symbol up among the family's free parameters, wherever it sits
+    family = _solved(name)
+    free = set(family.free_params)
+    one = verify._component_one(family)
+    cases = [(family.runs[0], e) for e in one.first]
+    cases += [(run, L) for run, L in zip(family.runs, family.lagrangians)]
+    for run, e in cases:
+        monos = [(c, pairs) for c, pairs in lf.monomials(e) if c]
+        got = list(lf.solver._by_param(e))
+        assert len(got) == len(monos)
+        for (param, c, rest), (coeff, pairs) in zip(got, monos):
+            held = [i for i, (atom, _) in enumerate(pairs)
+                    if isinstance(atom, Sym) and atom.info in free]
+            assert c == coeff and held in ([], [0])
+            if held:
+                assert pairs[0][0].info in run
+                assert (param, rest) == (pairs[0][0].info, pairs[1:])
+            else:
+                assert (param, rest) == (None, pairs)
+    for run, L in zip(family.runs, family.lagrangians):
+        assert {p for p, _, _ in lf.solver._by_param(L)} == set(run)
+
+
 def test_degeneracy_scan(so2_family):
     report = lf.degeneracy_scan(so2_family)
     assert [e.label for e in report.entries] == \
