@@ -284,3 +284,45 @@ def test_converse_affine1_dx1_gm1_1(benchmark, affine_lie, affine_wide_ansatz):
     lf.converse_check(family, params)
     result = benchmark(lf.converse_check, family, params)
     assert result.status == "Match" and len(result.solved) == 4
+
+
+# rungs past the benchmark's largest, where verify costs three to four
+# times the solve
+LARGE_RUNGS = {
+    "affine1-dx3-gm2_2": (lf.bundled_source("affine1"), 3, (-2, 2)),
+    "se2-dx4-g0_1": (SE2.read_text(), 4, (0, 1))}
+
+
+@pytest.fixture(scope="module", params=sorted(LARGE_RUNGS))
+def large_family(request):
+    source, deg_x, deg_g = LARGE_RUNGS[request.param]
+    lie = lf.constraints(lf.parse(source))
+    return lf.solve_family(lie, lf.build_ansatz(lie, deg_x=deg_x,
+                                                deg_g=deg_g))
+
+
+def test_residuals_large(benchmark, large_family):
+    # component 1's E-L with the free parameters symbolic (`strong_el`)
+    # and on shell (`substitute`), read off a fresh copy of the family
+    # each round
+    family = large_family
+    residuals = benchmark.pedantic(
+        lambda fresh: fresh.residuals,
+        setup=lambda: ((rebuilt(family),), {}), rounds=3)
+    assert residuals == [Rational(0)] * family.lie.n
+
+
+def test_converse_large(benchmark, large_family):
+    # the converse check at generic values: the jet tables at the seeded
+    # point and the RREF of the jet matrix.  Each round's fresh copy of the
+    # family carries its E-L over, so the round derives no E-L
+    family = large_family
+    params = lf.verify.generic_params(family, lf.DEFAULT_SEED)
+
+    def fresh():
+        copy = rebuilt(family)
+        copy.el, copy.residuals = family.el, family.residuals
+        return (copy, params), {}
+
+    result = benchmark.pedantic(lf.converse_check, setup=fresh, rounds=3)
+    assert result.status == "Match" and not result.unsolved

@@ -1321,13 +1321,12 @@ def _check_samples(samples: int) -> None:
 def equals(e1, e2, samples: int = EQUALS_SAMPLES, seed: int = DEFAULT_SEED,
            tol: float = EQUALS_TOL) -> Equivalence:
     """Decide equality: `ProvedEqual` when the canonical difference is 0,
-    else `decide` on the one pair (difference, 0), the symbols inside a
-    sine or cosine argument taken as angles.  `decide`'s verdict is
-    reported as is, except that agreement at the exact points
-    (`ExactlyEqual`) is `NumericallyEqual` and an aborted sampling run
-    (`Undecided`) is `ProvedUnequal`.  The float residual is relative to
-    the difference's size (`relative_gap`).  Fewer than one sample is
-    refused before the canonical tier too."""
+    else `decide`'s verdict on the one pair (difference, 0), as it comes,
+    the symbols inside a sine or cosine argument taken as angles:
+    `ExactlyEqual`, `NumericallyEqual`, `ProvedUnequal`, or `Undecided`
+    for an aborted sampling run.  The float residual is relative to the
+    difference's size (`relative_gap`).  Fewer than one sample is refused
+    before the canonical tier too."""
     _check_samples(samples)
     diff = canonicalize(Sum((as_expr(e1), Product((RAT_M1, as_expr(e2))))))
     if isinstance(diff, Rational) and diff.value == 0:
@@ -1337,9 +1336,7 @@ def equals(e1, e2, samples: int = EQUALS_SAMPLES, seed: int = DEFAULT_SEED,
         sorted(free_symbols(diff), key=lambda i: (int(i.role), i.name)),
         trig_symbols(diff), seed, [seed], samples, tol,
         lambda _: _subject(diff))
-    return (Equivalence.NUMERICALLY_EQUAL if verdict in (
-        Equivalence.EXACTLY_EQUAL, Equivalence.NUMERICALLY_EQUAL)
-        else Equivalence.PROVED_UNEQUAL)
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ phi^a_s with every multiplier an unknown linear combination of monomials
 in the field variables and group parameters.  Requiring the weak
 Euler-Lagrange expressions to vanish identically yields an exact rational
 homogeneous linear system; its nullspace parametrizes all Lagrangians the
-ansatz contains.
+ansatz contains.  The solution, a `LagrangianFamily`, keeps what is derived
+from it as cached views: the multipliers and Lagrangians, component 1's
+strong E-L expressions (`el`) and their on-shell forms (`residuals`), which
+the checks in `verify` read, and every component's E-L (`strong_el`),
+whose first row is `el`.
 """
 
 from __future__ import annotations
@@ -517,6 +521,7 @@ class LagrangianFamily:
         self.block_multipliers = block_multipliers
         self.block_lagrangians = block_lagrangians  # per block vector, L_b
         self.free_params = free_params  # SymbolInfo a1..ad
+        self._jet_tables = {}  # seed -> `verify._jet_tables` of `el`
 
     @property
     def dimension(self) -> int:
@@ -561,12 +566,28 @@ class LagrangianFamily:
                 for run in self.runs]
 
     @cached_property
+    def el(self) -> list:
+        """Component 1's strong E-L expressions [alpha], the free parameters
+        kept symbolic, derived from L_1 = sum_b a_b * L_b alone: reading
+        them builds no other L_k.  The E-L operator is linear, so component
+        k's are these over k's own run of free parameters."""
+        return strong_el(self.lie, _weighted_sum(self.runs[0],
+                                                 self.block_lagrangians))
+
+    @cached_property
+    def residuals(self) -> list:
+        """Component 1's weak E-L residuals F_alpha: `el` with the on-shell
+        jet values substituted, the free parameters kept symbolic."""
+        return [substitute(e, self.lie.onshell) for e in self.el]
+
+    @cached_property
     def strong_el(self) -> list:
         """Strong E-L expressions [k][alpha] with the free parameters kept
-        symbolic, each component's derived from its own Lagrangian.  They
-        are linear in the a_d, like the Lagrangians, so substituting values
-        gives the E-L system of that specialization."""
-        return [strong_el(self.lie, L) for L in self.lagrangians]
+        symbolic: component 1's are `el`, each other's derived from its own
+        Lagrangian.  They are linear in the a_d, like the Lagrangians, so
+        substituting values gives the E-L system of that specialization."""
+        return [self.el, *(strong_el(self.lie, L)
+                           for L in self.lagrangians[1:])]
 
     def param_values(self, assignment) -> dict:
         """Normalize {name or SymbolInfo: number} to a full rational map."""

@@ -1,10 +1,11 @@
 """Verification that derived Lagrangians reproduce the group's Lie equations.
 
-Every check reads component 1's strong Euler-Lagrange expressions, derived
-once per family from L_1 with the free parameters symbolic
-(`_ComponentOne.first`).  Component k is component 1 over its own run of
-free parameters, so each fact is derived from component 1 once per family:
-its on-shell forms F_alpha, and its jet coefficients at one seeded positive
+Every check reads component 1's strong Euler-Lagrange expressions and
+their on-shell forms F_alpha, which the family derives once from L_1 with
+the free parameters symbolic and keeps (`family.el`, `family.residuals`).
+Component k is component 1 over its own run of free parameters, so a fact
+about component k is component 1's at k's values.  Verify derives one
+fact of its own: component 1's jet coefficients at one seeded positive
 integer point, kept per free parameter.  The expressions are linear in the
 jets, so the jet coefficients are read off their monomials in one walk, with
 no differentiation or substitution per jet.  They are linear in the free
@@ -17,7 +18,9 @@ values, which is linear in them: (a) the Lie values solve it when each
 equation vanishes on shell, F_alpha at component k's values; and (b) they
 are its only solution for the jets whose columns keep full rank in the
 exact row reduction of the jet-coefficient matrix, component 1's
-coefficients per free parameter dotted with those values.
+coefficients per free parameter dotted with those values.  Both fail
+closed: a verdict that is not one of the equal ones (`Undecided` too)
+fails the report.
 Diagnostics cover parameter degeneracy, a planar kinetic identity, and a
 numeric orbit integration.
 """
@@ -36,12 +39,15 @@ from .expr import (DEFAULT_SEED, EQUALS_SAMPLES, EQUALS_TOL, Equivalence,
                    _NUMERIC_GLOBALS, _numeric_lines, _sum_code, canonicalize,
                    differentiate, equals, eval_numeric, format_expr,
                    free_symbols, sample_expr, substitute)
-from .solver import _at, _by_param, _weighted_sum, rref, strong_el
+from .solver import _at, _by_param, rref
 
 
 # Longest orbit integration accepted, in steps: about 10 s for so2 on a
 # 2-vCPU host.
 MAX_ORBIT_STEPS = 10 ** 6
+# The verdicts that two sides are equal, strongest first.
+_EQUAL = (Equivalence.PROVED_EQUAL, Equivalence.EXACTLY_EQUAL,
+          Equivalence.NUMERICALLY_EQUAL)
 
 
 class ShapeMismatchError(ValueError):
@@ -49,96 +55,61 @@ class ShapeMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Component 1's E-L expressions, which every check reads.
+# Component 1's E-L expressions at a component's values and at a point.
 
 
-class _ComponentOne:
-    """What the checks read off component 1's strong E-L expressions, each
-    built on first read and kept with the family (`_component_one`).
-
-    The E-L operator is linear, so the expressions are linear in component
-    1's free parameters, and component k's differ from them only in the
-    run of parameters they are linear in.  So a fact about component k is
-    component 1's at k's values (`weights`, put in by `solver._at`, which
-    tells a free parameter by its role), or, with the parameters symbolic,
-    component 1's own."""
-
-    def __init__(self, family):
-        # no reference back to the family, which keeps this object
-        self.lie = family.lie
-        self.runs = family.runs
-        self.block_lagrangians = family.block_lagrangians
-        self._jet_tables = {}
-
-    @cached_property
-    def first(self) -> list:
-        """The expressions, derived once from L_1 = sum_b a_b * L_b alone:
-        reading them builds no other L_k."""
-        return strong_el(self.lie, _weighted_sum(self.runs[0],
-                                                 self.block_lagrangians))
-
-    @cached_property
-    def onshell(self) -> list:
-        """F_alpha: the expressions with the on-shell jet values
-        substituted, the free parameters kept symbolic."""
-        return [substitute(e, self.lie.onshell) for e in self.first]
-
-    def weights(self, values: dict) -> list:
-        """Per component k, {component 1's free parameter: the non-zero
-        value of the one at its place in k's run} and {None: 1}, from a
-        full {SymbolInfo: Fraction} map."""
-        first = self.runs[0]
-        return [{p: values[q] for p, q in zip(first, run) if values[q]}
-                | {None: 1} for run in self.runs]
-
-    def jet_tables(self, seed: int) -> list:
-        """[alpha][jet]: d E-L_alpha / d jet at the positive integer point
-        `seed` draws, each coordinate uniform in [1, 2^31], as {free
-        parameter or None: Fraction}.
-
-        E-L_alpha is linear in the jets, so a monomial holds at most one,
-        to the first power: one walk over its monomials (`_by_param`) adds
-        each that holds a jet, its coefficient times the value of the rest
-        at the point, to that jet's cell under its free parameter.  The
-        jet coefficients are Laurent polynomials (`ansatz_from_basis`), so
-        the rest is a product of symbols' powers, and any other atom
-        raises ValueError."""
-        tables = self._jet_tables.get(seed)
-        if tables is None:
-            lie = self.lie
-            rng = random.Random(seed)
-            point = {s: rng.randint(1, 2 ** 31)
-                     for s in lie.fields + lie.spec.params}
-            columns = {J: c for c, J in enumerate(lie.jet_list())}
-            tables = self._jet_tables[seed] = []
-            for e in self.first:
-                row = [{} for _ in columns]
-                for param, v, pairs in _by_param(e):
-                    at = next((i for i, (atom, _) in enumerate(pairs)
-                               if isinstance(atom, Sym)
-                               and atom.info in columns), None)
-                    if at is None:
-                        continue
-                    for atom, n in pairs[:at] + pairs[at + 1:]:
-                        if not isinstance(atom, Sym):
-                            raise ValueError(
-                                f"a jet coefficient holds {format_expr(atom)}"
-                                "; the converse check needs Laurent "
-                                "polynomials")
-                        x = point[atom.info]
-                        v *= x ** n if n > 0 else Fraction(1, x ** -n)
-                    cell = row[columns[pairs[at][0].info]]
-                    cell[param] = cell.get(param, 0) + v
-                tables.append(row)
-        return tables
+def _weights(family, values: dict) -> list:
+    """Per component k, {component 1's free parameter: the non-zero value
+    of the one at its place in k's run} and {None: 1}, from a full
+    {SymbolInfo: Fraction} map: the weights `solver._at` puts component
+    k's values into `family.el` and `family.residuals` with."""
+    runs = family.runs
+    return [{p: values[q] for p, q in zip(runs[0], run) if values[q]}
+            | {None: 1} for run in runs]
 
 
-def _component_one(family) -> _ComponentOne:
-    """The family's `_ComponentOne`, made on first use."""
-    one = vars(family).get("_component_one")
-    if one is None:
-        one = family._component_one = _ComponentOne(family)
-    return one
+def _jet_tables(family, seed: int) -> list:
+    """[alpha][jet]: d `family.el`[alpha] / d jet at the positive integer
+    point `seed` draws, each coordinate uniform in [1, 2^31], as {free
+    parameter or None: Fraction}.
+
+    E-L_alpha is linear in the jets, so a monomial holds at most one, to
+    the first power: one walk over its monomials (`_by_param`) adds each
+    that holds a jet, its coefficient times the value of the rest at the
+    point, to that jet's cell under its free parameter.  The jet
+    coefficients are Laurent polynomials (`ansatz_from_basis`), so the rest
+    is a product of symbols' powers, and any other atom raises
+    ValueError.  They are kept with the family, per seed: the degeneracy
+    scan reads them once per assignment it tries."""
+    cache = family._jet_tables
+    tables = cache.get(seed)
+    if tables is None:
+        lie = family.lie
+        rng = random.Random(seed)
+        point = {s: rng.randint(1, 2 ** 31)
+                 for s in lie.fields + lie.spec.params}
+        columns = {J: c for c, J in enumerate(lie.jet_list())}
+        tables = cache[seed] = []
+        for e in family.el:
+            row = [{} for _ in columns]
+            for param, v, pairs in _by_param(e):
+                at = next((i for i, (atom, _) in enumerate(pairs)
+                           if isinstance(atom, Sym)
+                           and atom.info in columns), None)
+                if at is None:
+                    continue
+                for atom, n in pairs[:at] + pairs[at + 1:]:
+                    if not isinstance(atom, Sym):
+                        raise ValueError(
+                            f"a jet coefficient holds {format_expr(atom)}"
+                            "; the converse check needs Laurent "
+                            "polynomials")
+                    x = point[atom.info]
+                    v *= x ** n if n > 0 else Fraction(1, x ** -n)
+                cell = row[columns[pairs[at][0].info]]
+                cell[param] = cell.get(param, 0) + v
+            tables.append(row)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +124,7 @@ def forward_check(family, samples: int = EQUALS_SAMPLES,
     its parameters are named, so component 1's n forms are decided once
     and that row is every component's."""
     row = [equals(F, 0, samples=samples, seed=seed, tol=tol)
-           for F in _component_one(family).onshell]
+           for F in family.residuals]
     return [list(row) for _ in range(family.lie.r)]
 
 
@@ -193,7 +164,8 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
     (a) The Lie values solve the system when every equation vanishes on
     shell: component 1's on-shell form F_alpha at component k's values
     (`solver._at`); an F_alpha that is 0 vanishes at every value.  The
-    first that provably does not is a Mismatch.
+    first that is not decided equal, `ProvedUnequal` or `Undecided`, is a
+    Mismatch; the comparisons carry the weakest equal verdict seen.
     (b) They are its only solution for the jets whose columns have full
     rank: the exact rank of the coefficient matrix at one seeded point,
     each field and group parameter a uniform integer in [1, 2^31], is a
@@ -212,26 +184,25 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
     """
     lie = family.lie
     values = family.param_values(params)
-    one = _component_one(family)
-    weights = one.weights(values)
+    weights = _weights(family, values)
 
     grade, witness = Equivalence.PROVED_EQUAL, None
     for k, alpha, onshell in ((k, alpha, _at(F, w))
                               for k, w in enumerate(weights, start=1)
-                              for alpha, F in enumerate(one.onshell, start=1)
+                              for alpha, F in enumerate(family.residuals,
+                                                        start=1)
                               if F != RAT0):
         verdict = equals(onshell, 0, samples=samples, seed=seed, tol=tol)
-        if verdict == Equivalence.PROVED_UNEQUAL:
+        if verdict not in _EQUAL:
             outcome = sample_expr(onshell, samples=samples, seed=seed)
             witness = {"component": k, "field": alpha,
                        "expression": format_expr(onshell),
                        "point": outcome.witness, "magnitude": outcome.max_abs}
             break
-        if verdict == Equivalence.NUMERICALLY_EQUAL:
-            grade = verdict
+        grade = max(grade, verdict, key=_EQUAL.index)
 
     jets = lie.jet_list()
-    reduced, pivots = rref(_jet_matrix(one, weights, seed))
+    reduced, pivots = rref(_jet_matrix(family, weights, seed))
     free = [c for c in range(len(jets)) if c not in pivots]
     unsolved = tuple(jets[c].name for c in free)
     determined = [] if witness else [
@@ -243,19 +214,20 @@ def converse_check(family, params, samples: int = EQUALS_SAMPLES,
                           equations=lambda: [
                               (k, alpha, _at(e, w))
                               for k, w in enumerate(weights, start=1)
-                              for alpha, e in enumerate(one.first, start=1)],
+                              for alpha, e in enumerate(family.el, start=1)],
                           solved={J: lie.onshell[J] for J in determined},
                           unsolved=unsolved,
                           comparisons=[(J.name, grade) for J in determined],
                           status=status, witness=witness)
 
 
-def _jet_matrix(one: _ComponentOne, weights: list, seed: int) -> list:
+def _jet_matrix(family, weights: list, seed: int) -> list:
     """The E-L system's jet-coefficient matrix at the point `seed` draws,
     rows (k, alpha): component 1's coefficients per free parameter, dotted
     with component k's weights, in exact arithmetic."""
+    tables = _jet_tables(family, seed)
     return [[sum(v * w[p] for p, v in cell.items() if p in w) for cell in row]
-            for w in weights for row in one.jet_tables(seed)]
+            for w in weights for row in tables]
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +495,8 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        for row in self.forward:
-            for verdict in row:
-                if verdict == Equivalence.PROVED_UNEQUAL:
-                    return False
+        if any(v not in _EQUAL for row in self.forward for v in row):
+            return False
         if self.converse.status != "Match":
             return False
         if self.orbit is not None and self.orbit.max_deviation > self.orbit_tol:

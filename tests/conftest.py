@@ -4,8 +4,8 @@ per session.
 `rebuilt` and `field_values` read a record's fields off its constructor's
 signature.  A rebuilt record goes through its constructor, never through
 `copy.copy`: a copy would carry the cached properties and caches of the
-original (a family's `multipliers` and the component-1 E-L that the checks
-keep with it, a system's `reduced`) into it.  `_to_sympy` converts an
+original (a family's `multipliers`, component 1's `el` and `residuals`
+and the jet tables the checks keep with it, a system's `reduced`) into it.  `_to_sympy` converts an
 expression for the tests that check against SymPy.
 """
 

@@ -99,7 +99,7 @@ def test_equals_three_verdicts():
     assert equals((x + y) ** 2, x ** 2 + 2 * x * y + y ** 2) == \
         Equivalence.PROVED_EQUAL
     trig = canonicalize(Sin(x)) ** 2 + canonicalize(Cos(x)) ** 2
-    assert equals(trig, 1) == Equivalence.NUMERICALLY_EQUAL
+    assert equals(trig, 1) == Equivalence.EXACTLY_EQUAL
     assert equals(x, y) == Equivalence.PROVED_UNEQUAL
     # an identity scaled by 10^9 is not unequal by rounding, decided at
     # exact points or, for sin(x^2), in floats relative to the values'
@@ -129,8 +129,8 @@ group huge_sine {
 
 
 def test_decide_answers_in_equivalence_verdicts(caplog):
-    # decide gives each group an Equivalence verdict, and equals,
-    # validate_axioms and constraints each report it in their own terms
+    # decide gives each group an Equivalence verdict; equals reports it as
+    # it comes, and validate_axioms and constraints in their own terms
     def decided(e):
         syms = sorted(free_symbols(e), key=lambda i: (int(i.role), i.name))
         clashed, ((verdict, out),) = decide(
@@ -149,11 +149,11 @@ def test_decide_answers_in_equivalence_verdicts(caplog):
                   huge)]
     assert [(clashed, verdict, report) for _, (clashed, verdict, _), report
             in cases] == [
-        (False, Equivalence.EXACTLY_EQUAL, Equivalence.NUMERICALLY_EQUAL),
+        (False, Equivalence.EXACTLY_EQUAL, Equivalence.EXACTLY_EQUAL),
         (True, Equivalence.NUMERICALLY_EQUAL, Equivalence.NUMERICALLY_EQUAL),
         (False, Equivalence.PROVED_UNEQUAL, Equivalence.PROVED_UNEQUAL),
         (True, Equivalence.PROVED_UNEQUAL, Equivalence.PROVED_UNEQUAL),
-        (False, Equivalence.UNDECIDED, Equivalence.PROVED_UNEQUAL)]
+        (False, Equivalence.UNDECIDED, Equivalence.UNDECIDED)]
     outs = [out for _, (_, _, out), _ in cases]
     assert outs[0] is None
     assert 0 < outs[1].max_abs <= EQUALS_TOL and not outs[1].aborted

@@ -117,38 +117,49 @@ def _family_dimension(source, deg_x, deg_g) -> int:
     xi and the denominators cleared, each monomial's coefficient in the
     fields and parameters one row, and the unknowns the rank leaves free
     for each of the r components."""
-    params, fields, xi = sympy_onshell_values(source, sp)
-    xi = [[sp.cancel(sp.trigsimp(v)) for v in row] for row in xi]
-    assert not any(v.has(sp.sin, sp.cos) for row in xi for v in row)
+    params, fields, jets, onshell = _onshell(source)
     r = len(params)
-    jets = [[sp.Symbol(f"{f.name}_{g.name}") for g in params]
-            for f in fields]
     basis = [sp.Mul(*(v ** e for v, e in zip(fields + params, exps)))
              for exps in itertools.product(
                  *[range(deg_x + 1)] * len(fields),
                  *[range(deg_g[0], deg_g[1] + 1)] * r)]
     unknowns = sp.symbols(f"c:{len(fields) * r * len(basis)}")
     slots = iter(unknowns)
-    L = sp.Add(*(next(slots) * b * (J - v)
-                 for row, values in zip(jets, xi)
-                 for J, v in zip(row, values) for b in basis))
-    onshell = {J: v for row, values in zip(jets, xi)
-               for J, v in zip(row, values)}
-
-    def total(A, s):
-        # D_s of an A free of jets: along g_s, and along each field
-        assert not A.has(*onshell)
-        return sp.diff(A, params[s]) + sp.Add(*(
-            sp.diff(A, f) * row[s] for f, row in zip(fields, jets)))
-
+    L = sp.Add(*(next(slots) * b * (J - onshell[J])
+                 for row in jets for J in row for b in basis))
     rows = []
-    for f, row in zip(fields, jets):
-        el = sp.diff(L, f) - sp.Add(*(total(sp.diff(L, J), s)
-                                      for s, J in enumerate(row)))
+    for el in _euler_lagrange(L, params, fields, jets):
         numerator, _ = sp.together(el.xreplace(onshell)).as_numer_denom()
         rows += sp.Poly(numerator, *fields, *params).coeffs()
     matrix, _ = sp.linear_eq_to_matrix(rows, unknowns)
     return (len(unknowns) - matrix.rank()) * r
+
+
+def _onshell(source) -> tuple:
+    """(params, fields, jets[a][s], {jet: xi^a_s}) in SymPy from the group
+    text alone, each xi free of sines and cosines, the jets named as the
+    kernel names them."""
+    params, fields, xi = sympy_onshell_values(source, sp)
+    xi = [[sp.cancel(sp.trigsimp(v)) for v in row] for row in xi]
+    assert not any(v.has(sp.sin, sp.cos) for row in xi for v in row)
+    jets = [[sp.Symbol(f"{f.name}_{g.name}") for g in params]
+            for f in fields]
+    return params, fields, jets, {J: v for row, values in zip(jets, xi)
+                                  for J, v in zip(row, values)}
+
+
+def _euler_lagrange(L, params, fields, jets) -> list:
+    """dL/dX'^alpha - sum_s D_s dL/dX'^alpha_s per field, for an L affine
+    in the jets."""
+    def total(A, s):
+        # D_s of an A free of jets: along g_s, and along each field
+        assert not A.has(*itertools.chain(*jets))
+        return sp.diff(A, params[s]) + sp.Add(*(
+            sp.diff(A, f) * row[s] for f, row in zip(fields, jets)))
+
+    return [sp.diff(L, f) - sp.Add(*(total(sp.diff(L, J), s)
+                                     for s, J in enumerate(row)))
+            for f, row in zip(fields, jets)]
 
 
 DIMENSION_RUNGS = [(lf.bundled_source("so2"), 1, (0, 0)),
@@ -167,3 +178,23 @@ def test_family_dimension_matches_sympy_collection(source, deg_x, deg_g):
     family = lf.solve_family(lie, lf.build_ansatz(lie, deg_x=deg_x,
                                                   deg_g=deg_g))
     assert family.dimension == _family_dimension(source, deg_x, deg_g)
+
+
+@pytest.mark.parametrize("source,deg_x,deg_g", DIMENSION_RUNGS,
+                         ids=["so2 dx1", "so2 dx3", "affine1 dx1 g[-1,0]",
+                              "shear_square dx1"])
+def test_family_lagrangians_vanish_on_shell_under_sympy(source, deg_x,
+                                                        deg_g):
+    # the forward check's oracle: SymPy derives each L_k's E-L with the
+    # free parameters symbolic, puts the jets at xi, and every expression
+    # cancels; the family's own on-shell residuals are canonically 0
+    lie = lf.constraints(lf.parse(source))
+    family = lf.solve_family(lie, lf.build_ansatz(lie, deg_x=deg_x,
+                                                  deg_g=deg_g))
+    params, fields, jets, onshell = _onshell(source)
+    for k, L in enumerate(family.lagrangians, start=1):
+        for alpha, el in enumerate(
+                _euler_lagrange(_to_sympy(L, sp), params, fields, jets),
+                start=1):
+            assert sp.cancel(el.xreplace(onshell)) == 0, (k, alpha)
+    assert family.residuals == [lf.Rational(0)] * lie.n

@@ -107,7 +107,7 @@ def test_converse_mismatch_produces_witness(so2_family):
     # lazily derived E-L expressions are set in place of being derived
     tampered = rebuilt(so2_family, free_params=(), blocks=[],
                                    block_multipliers=[], block_lagrangians=[])
-    verify._component_one(tampered).first = lf.strong_el(lie, bad)
+    tampered.el = lf.strong_el(lie, bad)
     result = lf.converse_check(tampered, {})
     assert result.status == "Mismatch"
     # the witness is the first equation that does not vanish on shell
@@ -116,6 +116,45 @@ def test_converse_mismatch_produces_witness(so2_family):
     assert (result.witness["component"], result.witness["field"]) == (1, 1)
     assert result.witness["magnitude"] > 1e-9
     assert result.solved == {} and result.comparisons == []
+
+
+def test_checks_fail_closed_and_grade_by_the_weakest_verdict(so2_family,
+                                                             monkeypatch):
+    # only ProvedEqual, ExactlyEqual and NumericallyEqual say the sides
+    # agree: an aborted sampling run (Undecided) fails the report and is a
+    # Mismatch in converse (a), and the solved jets carry the weakest
+    # equal verdict seen
+    lie = so2_family.lie
+    f1, f2 = (Sym(f) for f in lie.fields)
+    j1, j2 = Sym(lie.jets[0][0]), Sym(lie.jets[1][0])
+    tampered = rebuilt(so2_family, free_params=(), blocks=[],
+                       block_multipliers=[], block_lagrangians=[])
+    tampered.el = lf.strong_el(
+        lie, canonicalize(-f1 * j2 - f1 ** 2 + f2 * j1 - f2 ** 2))
+    assert Rational(0) not in tampered.residuals
+    E = Equivalence
+    for verdicts, status, grade in (
+            ([E.EXACTLY_EQUAL, E.NUMERICALLY_EQUAL], "Match",
+             E.NUMERICALLY_EQUAL),
+            ([E.PROVED_EQUAL, E.EXACTLY_EQUAL], "Match", E.EXACTLY_EQUAL),
+            ([E.EXACTLY_EQUAL, E.UNDECIDED], "Mismatch", None)):
+        answers = iter(verdicts)
+        monkeypatch.setattr(verify, "equals",
+                            lambda *args, **kwargs: next(answers))
+        result = lf.converse_check(tampered, {})
+        assert result.status == status
+        assert {v for _, v in result.comparisons} == \
+            ({grade} if grade else set())
+        if grade is None:
+            assert (result.witness["component"],
+                    result.witness["field"]) == (1, 2)
+    match = lf.converse_check(so2_family, {"a1": 0, "a2": 1})
+    for row, ok in (([E.EXACTLY_EQUAL, E.NUMERICALLY_EQUAL], True),
+                    ([E.PROVED_EQUAL, E.UNDECIDED], False),
+                    ([E.PROVED_UNEQUAL, E.PROVED_EQUAL], False)):
+        report = verify.VerificationReport(lie=lie, params={},
+                                           forward=[row], converse=match)
+        assert report.ok is ok, row
 
 
 FAMILIES = {
@@ -178,17 +217,21 @@ def _substituted_converse(family, params, seed):
     equations = [(k, alpha, lf.substitute(e, table))
                  for k, row in enumerate(family.strong_el, start=1)
                  for alpha, e in enumerate(row, start=1)]
+    # the equal verdicts, strongest first: any other is a Mismatch, and
+    # the grade is the weakest seen
+    order = [Equivalence.PROVED_EQUAL, Equivalence.EXACTLY_EQUAL,
+             Equivalence.NUMERICALLY_EQUAL]
     grade, witness = Equivalence.PROVED_EQUAL, None
     for k, alpha, e in equations:
         onshell = lf.substitute(e, lie.onshell)
         verdict = lf.equals(onshell, 0, seed=seed)
-        if verdict == Equivalence.PROVED_UNEQUAL:
+        if verdict not in order:
             outcome = sample_expr(onshell, seed=seed)
             witness = {"component": k, "field": alpha,
                        "expression": lf.format_expr(onshell),
                        "point": outcome.witness, "magnitude": outcome.max_abs}
             break
-        if verdict == Equivalence.NUMERICALLY_EQUAL:
+        if order.index(verdict) > order.index(grade):
             grade = verdict
     rng = random.Random(seed)
     point = {s: Rational(rng.randint(1, 2 ** 31))
@@ -235,7 +278,7 @@ def test_strong_el_matches_tree_reference(any_family):
     # through one Sum/Product tree
     family = any_family
     lie, L = family.lie, family.lagrangians[0]
-    assert verify._component_one(family).first == lf.strong_el(lie, L) == [
+    assert family.el == lf.strong_el(lie, L) == [
         _tree_euler_lagrange(lie, L, alpha) for alpha in range(1, lie.n + 1)]
 
 
@@ -262,7 +305,6 @@ def test_split_checks_match_substitution(any_family):
     assert verify.forward_check(family) == [
         [lf.equals(lf.substitute(e, lie.onshell), 0) for e in row]
         for row in family.strong_el]
-    one = verify._component_one(family)
     for seed in (lf.DEFAULT_SEED, 7):
         for assignment in _assignments(family):
             got = lf.converse_check(family, assignment, seed=seed)
@@ -273,7 +315,9 @@ def test_split_checks_match_substitution(any_family):
             assert [(k, a, prefix_expr(e)) for k, a, e in got.equations] == \
                 [(k, a, prefix_expr(e)) for k, a, e in want.equations]
             split = verify._jet_matrix(
-                one, one.weights(family.param_values(assignment)), seed)
+                family,
+                verify._weights(family, family.param_values(assignment)),
+                seed)
             assert split == matrix
             assert rref(split) == reduction
 
@@ -292,10 +336,8 @@ def test_split_checks_match_substitution_off_the_family(so2_family):
         tampered = rebuilt(so2_family, free_params=(), blocks=[],
                                        block_multipliers=[],
                                        block_lagrangians=[])
-        # the reference reads `strong_el`, which derives from the
-        # family's Lagrangians, so it is set to L's too
-        first = verify._component_one(tampered).first = lf.strong_el(lie, L)
-        tampered.strong_el = [first]
+        # the reference reads `strong_el`, whose first row is `el`
+        tampered.el = lf.strong_el(lie, L)
         got = lf.converse_check(tampered, {})
         want, _, _ = _substituted_converse(tampered, {}, lf.DEFAULT_SEED)
         assert field_values(got) == field_values(want)
@@ -314,7 +356,7 @@ def test_converse_check_needs_laurent_jet_coefficients(so2_family):
                     (canonicalize(f1 * j2 / (1 + g)), "1 + g")):
         tampered = rebuilt(so2_family, free_params=(), blocks=[],
                            block_multipliers=[], block_lagrangians=[])
-        first = verify._component_one(tampered).first = lf.strong_el(lie, L)
+        first = tampered.el = lf.strong_el(lie, L)
         assert any(atom in lf.format_expr(e) for e in first)
         with pytest.raises(ValueError,
                            match=rf"holds {re.escape(atom)}; .*Laurent "
@@ -331,8 +373,8 @@ def test_forward_check_decides_component_one_for_every_component(
     lie = family.lie
     assert lie.r == 2
     tampered = rebuilt(family)
-    first = verify._component_one(family).first
-    bad = verify._component_one(tampered).first = [
+    first = family.el
+    bad = tampered.el = [
         first[0] + Sym(family.runs[0][0]) * Sym(lie.fields[0]), *first[1:]]
     forms = [lf.substitute(e, lie.onshell) for e in bad]
     assert forms[0] != Rational(0)
@@ -376,7 +418,8 @@ def test_checks_derive_component_one_once(monkeypatch):
         return lf.substitute(e, mapping)
 
     monkeypatch.setattr(verify, "differentiate", counted_differentiate)
-    monkeypatch.setattr(verify, "strong_el", counted_strong_el)
+    monkeypatch.setattr(lf.solver, "strong_el", counted_strong_el)
+    monkeypatch.setattr(lf.solver, "substitute", counted_substitute)
     monkeypatch.setattr(verify, "substitute", counted_substitute)
     report = lf.build_report(family, {"a2": 1})
     assert len(report.degeneracy.entries) == 5
@@ -392,6 +435,11 @@ def test_checks_build_component_one_alone():
     lf.forward_check(family)
     lf.converse_check(family, verify.generic_params(family, 1))
     assert {"lagrangians", "strong_el"}.isdisjoint(vars(family))
+    # what they read is kept with the family, and component 1's row of
+    # every component's E-L is that same list, not a second derivation
+    el = family.el
+    assert {"el", "residuals"} <= set(vars(family))
+    assert family.strong_el[0] is el
     assert family.strong_el[0] == \
         lf.strong_el(family.lie, family.lagrangians[0])
 
@@ -488,8 +536,7 @@ def test_by_param_names_the_run_that_leads_each_monomial(name):
     # each symbol up among the family's free parameters, wherever it sits
     family = _solved(name)
     free = set(family.free_params)
-    one = verify._component_one(family)
-    cases = [(family.runs[0], e) for e in one.first]
+    cases = [(family.runs[0], e) for e in family.el]
     cases += [(run, L) for run, L in zip(family.runs, family.lagrangians)]
     for run, e in cases:
         monos = [(c, pairs) for c, pairs in lf.monomials(e) if c]
